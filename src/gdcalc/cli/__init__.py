@@ -680,10 +680,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_bounds(args) -> None:
+    """A negative bound searches nothing; refuse it rather than report on it."""
+    for name in ("bounds_degree", "bounds_order", "truncation"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise _CliError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.fn(args)
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

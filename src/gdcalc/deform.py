@@ -165,12 +165,12 @@ def _solve_mv_equation(
         key=lambda fm: (len(fm[0]), fm[0], grlex_key(fm[1])),
     )
     index = {k: i for i, k in enumerate(keys)}
-    rows = [[Fraction(0)] * len(cols) for _ in keys]
+    rows = [[0] * len(cols) for _ in keys]
     for b, c in enumerate(cols):
         for frame, poly in c.terms.items():
             for mono, val in poly.items():
                 rows[index[(frame, mono)]][b] = val
-    vec = [Fraction(0)] * len(keys)
+    vec = [0] * len(keys)
     for frame, poly in rhs.terms.items():
         for mono, val in poly.items():
             vec[index[(frame, mono)]] = val

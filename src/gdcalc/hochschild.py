@@ -396,12 +396,12 @@ def delta_primitive(
         | {(o, m) for o, p in T.terms.items() for m in p}
     )
     key_index = {key: i for i, key in enumerate(keys)}
-    rows = [[Fraction(0)] * len(basis) for _ in keys]
+    rows = [[0] * len(basis) for _ in keys]
     for col, img in enumerate(images):
         for o, p in img.terms.items():
             for m, cval in p.items():
                 rows[key_index[(o, m)]][col] = cval
-    rhs = [Fraction(0)] * len(keys)
+    rhs = [0] * len(keys)
     for o, p in T.terms.items():
         for m, cval in p.items():
             rhs[key_index[(o, m)]] = cval

@@ -188,10 +188,10 @@ def test_twisted_check_exit_codes(tmp_path):
     run_cli(tmp_path, "poly", str(corpus / "malformed.gdt"), expect=2)
 
 
-def test_mc_solve_report_shapes(tmp_path):
+def _mc_problem(tmp_path):
     ctx4 = VarContext(("x1", "x2", "x3", "x4"))
     one4 = poly_from_terms(4, [(1, (0, 0, 0, 0))])
-    prob = write_doc(
+    return write_doc(
         tmp_path,
         "mc.gdt",
         doc_problem(
@@ -205,6 +205,43 @@ def test_mc_solve_report_shapes(tmp_path):
             },
         ),
     )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lemma-check"], "--bounds-degree"),
+        (["hoch", "primitive", "@hkr"], "--bounds-degree"),
+        (["hoch", "primitive", "@hkr"], "--bounds-order"),
+        (["mc-solve", "@mc"], "--truncation"),
+        (["mc-solve", "@mc"], "--bounds-degree"),
+        (["gauge-equiv", "@gauge"], "--bounds-degree"),
+        (["linfty-check", "@h3"], "--bounds-degree"),
+    ],
+)
+def test_negative_bounds_are_usage_errors(tmp_path, capsys, argv, flag):
+    """A negative bound used to give a vacuous PASS or a 0-column certificate."""
+    import importlib.resources as res
+
+    corpus = res.files("gdcalc.corpus")
+    docs = {
+        "@hkr": str(corpus / "hkr-bivector.gdt"),
+        "@gauge": str(corpus / "gauge-pair.gdt"),
+        "@mc": _mc_problem(tmp_path),
+        "@h3": write_doc(tmp_path, "h.gdt", doc_form(form_make(CTX3, [((0, 1, 2), ONE3)]))),
+    }
+    argv = [docs.get(a, a) for a in argv]
+    for value in ("-1", "-2"):
+        assert main(argv + [flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must be non-negative, got {value}\n"
+    # the same command with a non-negative bound is not refused
+    assert main(argv + [flag, "1"]) in (0, 1)
+
+
+def test_mc_solve_report_shapes(tmp_path):
+    prob = _mc_problem(tmp_path)
     out = run_cli(tmp_path, "mc-solve", prob, "--truncation", "2", "--bounds-degree", "1")
     assert "status solved" in out
     assert "term -3 @ 0 1 : 0 0 1 0" in out

@@ -372,6 +372,25 @@ def test_primitive_of_zero_is_zero():
     assert mdo_is_zero(hoch_delta(res.primitive))
 
 
+def test_bracket_defect_primitive_on_large_system():
+    """The n=3 shape of the formality shadow: a 684x400 system of rank 320.
+
+    Bracket defect of a linear and a constant bivector, with the parity
+    factor on the bracket term as in criterion 5; exact within degree 1 and
+    order 2.
+    """
+    a = mv_make(CTX3, [((0, 1), poly_from_terms(3, [(2, (1, 0, 0))]))])
+    b = mv_make(CTX3, [((0, 2), poly_from_terms(3, [(-1, (0, 0, 0))]))])
+    br = schouten(a, b)
+    assert not mv_is_zero(br)
+    s = (-1) ** ((2 - 1) * (2 - 1))
+    T = mdo_sub(gerstenhaber(hkr(a), hkr(b)), mdo_scale(hkr(br), s))
+    res = delta_primitive(T, poly_degree=1, op_order=2)
+    assert res.found
+    assert res.rank == 320
+    assert mdo_eq(hoch_delta(res.primitive), T)
+
+
 def test_hkr_class_has_no_primitive():
     T = hkr(mv_frame(CTX2, (0, 1)))
     res = delta_primitive(T, poly_degree=2, op_order=2)
