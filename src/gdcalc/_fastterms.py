@@ -19,9 +19,6 @@ from .polyvec import DiffForm, PolyVector, mv_make
 TermKey = Tuple[int, Exponents]
 TermMap = Dict[TermKey, int]  # coefficients are ints (Fractions tolerated)
 
-_PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(7)}
-
-
 class FastCtx:
     """Per-dimension sign tables for bitmask frames."""
 
@@ -105,10 +102,6 @@ def tm_equal(a: TermMap, b: TermMap) -> bool:
         if c and k not in a:
             return False
     return True
-
-
-def tm_scale(tm: TermMap, s) -> TermMap:
-    return {k: c * s for k, c in tm.items()} if s else {}
 
 
 def tm_add_into(acc: TermMap, tm: TermMap, s=1) -> None:

@@ -2,12 +2,14 @@
 
 Exit codes: 0 success (or all checks passed), 1 a check failed (identity
 violation, twisted-check false, no primitive, not gauge-equivalent),
-2 malformed input (parse or schema error; message names the line).
+2 malformed input (parse or schema error; message names the line) or a
+refused bound (negative, or a sweep that would check nothing).
 All successful outputs are byte-deterministic for fixed inputs.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -211,7 +213,13 @@ def cmd_phi_eval(args) -> int:
 # check commands
 
 
-def _render_checks(title: str, reports: List[fs.CheckReport], emit: str) -> int:
+def _render_checks(
+    title: str, reports: List[fs.CheckReport], emit: str, bounds: str
+) -> int:
+    """Print the sweep reports; a sweep that checked nothing is refused, not passed."""
+    for r in reports:
+        if r.checked == 0:
+            raise _CliError(f"{title}: check {r.name} checked nothing under {bounds}")
     failed = [r for r in reports if not r.passed]
     if emit == "json":
         payload = {
@@ -257,7 +265,8 @@ def cmd_lemma_check(args) -> int:
         ),
         fs.lemma_pairing_on_vectors(ctx, coeff_degree=deg),
     ]
-    return _render_checks("lemma-check", reports, args.emit)
+    bounds = f"--dim {n} --bounds-degree {deg}"
+    return _render_checks("lemma-check", reports, args.emit, bounds)
 
 
 def cmd_linfty_check(args) -> int:
@@ -271,7 +280,7 @@ def cmd_linfty_check(args) -> int:
         ]
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-    return _render_checks("linfty-check", reports, args.emit)
+    return _render_checks("linfty-check", reports, args.emit, f"--bounds-degree {c}")
 
 
 def _twisted_inputs(args) -> tuple:
@@ -554,7 +563,9 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to ``main`` and reused."""
     p = argparse.ArgumentParser(
         prog="gdcalc",
         description="Exact calculus on polynomial multivector fields: brackets, "

@@ -36,7 +36,6 @@ __all__ = [
     "partial_derive",
     "poly_add",
     "poly_const",
-    "poly_eval_linear",
     "poly_from_terms",
     "poly_is_zero",
     "poly_mul",
@@ -183,17 +182,6 @@ def poly_total_degree(p: Poly) -> int:
     if not p:
         return -1
     return max(sum(e) for e in p)
-
-
-def poly_eval_linear(p: Poly, point: Sequence[Fraction]) -> Fraction:
-    """Evaluate p at a rational point (used only by small diagnostics)."""
-    total = Fraction(0)
-    for exps, c in p.items():
-        v = c
-        for x, e in zip(point, exps):
-            v *= Fraction(x) ** e
-        total += v
-    return total
 
 
 # ---------------------------------------------------------------------------

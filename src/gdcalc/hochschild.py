@@ -10,12 +10,21 @@ All operations are symbolic on the term representation (the product rule is
 expanded with multinomial coefficients of exponent multi-indices), so
 operator identities are checked structurally, not on sample arguments.
 Signs are documented in docs/sign-ledger.md.
+
+Validation happens at the boundary.  ``mdo_make`` is the public constructor
+and checks every term it is given.  The operations (``hoch_delta``,
+``brace``, ``gerstenhaber``, ``cup``, ``mdo_add``/``mdo_sub``) check the
+multi-indices of each input operator once on entry, so an operator built
+directly as a ``MultiDiffOp`` is refused with ``ValueError`` just the same;
+the terms they produce are well formed by construction and are summed in
+place by ``_add_term`` without a second check.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -32,7 +41,6 @@ from .exactcore import (
     poly_mul,
     poly_neg,
     poly_scale,
-    poly_sub,
 )
 from .polyvec import PolyVector, mv_homogeneous_degree, mv_is_zero
 
@@ -80,18 +88,60 @@ def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
             raise ValueError(f"bad multi-index {beta!r} for {ctx.n} variables")
 
 
+def _check_op(D: MultiDiffOp) -> None:
+    """Validate an operator handed to an operation; each distinct multi-index once."""
+    betas = set()
+    for orders in D.terms:
+        if len(orders) != D.arity:
+            _validate_orders(D.ctx, D.arity, orders)
+        betas.update(orders)
+    for beta in betas:
+        _validate_orders(D.ctx, 1, (beta,))
+
+
+def _add_term(out: Dict[Orders, Poly], orders: Orders, poly: Poly, factor=1) -> None:
+    """Add factor·poly into out[orders] in place, dropping whatever cancels.
+
+    The polynomials stored in ``out`` are owned by it; ``poly`` is never
+    mutated.  The factor is multiplied in only when it is not 1.
+    """
+    if not poly or not factor:
+        return
+    acc = out.get(orders)
+    if acc is None:
+        if factor == 1:
+            out[orders] = dict(poly)
+        else:
+            out[orders] = {e: c * factor for e, c in poly.items()}
+        return
+    for e, c in poly.items():
+        if factor != 1:
+            c = c * factor
+        v = acc.get(e)
+        if v is None:
+            acc[e] = c
+        else:
+            v = v + c
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+    if not acc:
+        del out[orders]
+
+
 def mdo_make(
     ctx: VarContext, arity: int, terms: Iterable[Tuple[Orders, Poly]]
 ) -> MultiDiffOp:
+    """Validating constructor: checks and canonicalizes every given term."""
     out: Dict[Orders, Poly] = {}
     for orders, poly in terms:
         orders = tuple(tuple(b) for b in orders)
         _validate_orders(ctx, arity, orders)
-        acc = poly_add(out.get(orders, {}), poly)
-        if acc:
-            out[orders] = acc
-        else:
-            out.pop(orders, None)
+        acc = out.get(orders)
+        if acc and poly and len(next(iter(acc))) != len(next(iter(poly))):
+            raise ValueError("polynomials built over different variable counts")
+        _add_term(out, orders, {e: Fraction(c) for e, c in poly.items() if c})
     return MultiDiffOp(ctx, arity, out)
 
 
@@ -110,10 +160,26 @@ def mult_cochain(ctx: VarContext) -> MultiDiffOp:
     return mdo_make(ctx, 2, [(((zero, zero)), poly_from_terms(ctx.n, [(1, zero)]))])
 
 
-def mdo_add(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
+def _combine(a: MultiDiffOp, b: MultiDiffOp, factor: int) -> MultiDiffOp:
+    """a + factor·b for operators of one shape, without validation."""
+    out: Dict[Orders, Poly] = {}
+    for orders, p in a.terms.items():
+        _add_term(out, orders, p)
+    for orders, p in b.terms.items():
+        _add_term(out, orders, p, factor)
+    return MultiDiffOp(a.ctx, a.arity, out)
+
+
+def _checked_pair(a: MultiDiffOp, b: MultiDiffOp) -> None:
     if a.ctx != b.ctx or a.arity != b.arity:
         raise ValueError("cochain shape mismatch")
-    return mdo_make(a.ctx, a.arity, list(a.terms.items()) + list(b.terms.items()))
+    _check_op(a)
+    _check_op(b)
+
+
+def mdo_add(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
+    _checked_pair(a, b)
+    return _combine(a, b, 1)
 
 
 def mdo_neg(a: MultiDiffOp) -> MultiDiffOp:
@@ -121,7 +187,8 @@ def mdo_neg(a: MultiDiffOp) -> MultiDiffOp:
 
 
 def mdo_sub(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
-    return mdo_add(a, mdo_neg(b))
+    _checked_pair(a, b)
+    return _combine(a, b, -1)
 
 
 def mdo_scale(a: MultiDiffOp, c) -> MultiDiffOp:
@@ -170,14 +237,16 @@ def _multiindex_sub(beta: Exponents, gamma: Exponents) -> Exponents:
     return tuple(b - g for b, g in zip(beta, gamma))
 
 
-def _binomial_splits(beta: Exponents):
-    """Yield (gamma, beta-gamma, multiplicity) over all componentwise splits."""
-    ranges = [range(b + 1) for b in beta]
-    for gamma in itertools.product(*ranges):
+@lru_cache(maxsize=1024)
+def _binomial_splits(beta: Exponents) -> Tuple[Tuple[Exponents, Exponents, int], ...]:
+    """(gamma, beta-gamma, multiplicity) over all componentwise splits."""
+    out = []
+    for gamma in itertools.product(*(range(b + 1) for b in beta)):
         mult = 1
         for b, g in zip(beta, gamma):
             mult *= comb(b, g)
-        yield tuple(gamma), _multiindex_sub(beta, gamma), mult
+        out.append((gamma, _multiindex_sub(beta, gamma), mult))
+    return tuple(out)
 
 
 def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
@@ -187,34 +256,57 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
                       + (−1)^{k+1} D(…,a_k)·a_{k+1},
     with the slot splits expanded through the product rule.
     """
+    _check_op(D)
     k = D.arity
     zero = (0,) * D.ctx.n
-    out: List[Tuple[Orders, Poly]] = []
+    end_sign = -1 if (k + 1) % 2 else 1
+    out: Dict[Orders, Poly] = {}
     for orders, c in D.terms.items():
-        out.append(((zero,) + orders, c))
-        end_sign = -1 if (k + 1) % 2 else 1
-        out.append((orders + (zero,), poly_scale(c, end_sign)))
+        _add_term(out, (zero,) + orders, c)
+        _add_term(out, orders + (zero,), c, end_sign)
         for i in range(1, k + 1):
-            beta = orders[i - 1]
+            head, tail = orders[: i - 1], orders[i:]
             sign = -1 if i % 2 else 1
-            for gamma, rest, mult in _binomial_splits(beta):
-                new_orders = orders[: i - 1] + (gamma, rest) + orders[i:]
-                out.append((new_orders, poly_scale(c, sign * mult)))
-    return mdo_make(D.ctx, k + 1, out)
+            for gamma, rest, mult in _binomial_splits(orders[i - 1]):
+                _add_term(out, head + (gamma, rest) + tail, c, sign * mult)
+    return MultiDiffOp(D.ctx, k + 1, out)
 
 
 # ---------------------------------------------------------------------------
 # braces
 
 
-def _multinomial_splits(beta: Exponents, parts: int):
-    """Yield (part-tuple, multiplicity) over splits of beta into `parts` multi-indices."""
+@lru_cache(maxsize=1024)
+def _multinomial_splits(
+    beta: Exponents, parts: int
+) -> Tuple[Tuple[Tuple[Exponents, ...], int], ...]:
+    """(part-tuple, multiplicity) over splits of beta into `parts` multi-indices."""
     if parts == 1:
-        yield (beta,), 1
-        return
-    for gamma, rest, mult in _binomial_splits(beta):
-        for tail, mult2 in _multinomial_splits(rest, parts - 1):
-            yield (gamma,) + tail, mult * mult2
+        return (((beta,), 1),)
+    return tuple(
+        ((gamma,) + tail, mult * mult2)
+        for gamma, rest, mult in _binomial_splits(beta)
+        for tail, mult2 in _multinomial_splits(rest, parts - 1)
+    )
+
+
+def _insertion_options(E: MultiDiffOp, beta: Exponents) -> List[Tuple[Orders, Poly, int]]:
+    """Ways to insert E into a slot of order beta: (slot orders, coefficient, multiplicity).
+
+    Each is a split of beta over E's coefficient and E's own slots, for
+    every term of E; splits that differentiate the coefficient away are left out.
+    """
+    options = []
+    for e_orders, e_coeff in E.terms.items():
+        for split, mult in _multinomial_splits(beta, E.arity + 1):
+            derived = poly_derive_multi(e_coeff, split[0])
+            if poly_is_zero(derived):
+                continue
+            slots = tuple(
+                tuple(g + d for g, d in zip(go, do)) for go, do in zip(e_orders, split[1:])
+            )
+            options.append((slots, derived, mult))
+    return options
 
 
 def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
@@ -230,51 +322,38 @@ def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
     for E in inserts:
         if E.ctx != D.ctx:
             raise ValueError("context mismatch")
+    _check_op(D)
+    for E in inserts:
+        _check_op(E)
     if m == 0:
         return D
-    ctx = D.ctx
     out_arity = D.arity + sum(E.arity for E in inserts) - m
-    collected: List[Tuple[Orders, Poly]] = []
+    out: Dict[Orders, Poly] = {}
+    options_at: Dict[Tuple[int, Exponents], List[Tuple[Orders, Poly, int]]] = {}
     for positions in itertools.combinations(range(D.arity), m):
         eps = sum(
             (inserts[j].arity - 1) * (p - j) for j, p in enumerate(positions)
         )
         block_sign = -1 if eps % 2 else 1
         for orders, c in D.terms.items():
-            # choices per block: a split of the slot's multi-index over the
-            # block coefficient and the block's own slots, for every block term
             per_block_options = []
             for j, p in enumerate(positions):
-                E = inserts[j]
-                beta = orders[p]
-                options = []
-                for e_orders, e_coeff in E.terms.items():
-                    for split, mult in _multinomial_splits(beta, E.arity + 1):
-                        delta0, deltas = split[0], split[1:]
-                        ecoeff_derived = poly_derive_multi(e_coeff, delta0)
-                        if poly_is_zero(ecoeff_derived):
-                            continue
-                        new_slot_orders = tuple(
-                            tuple(g + d for g, d in zip(go, do))
-                            for go, do in zip(e_orders, deltas)
-                        )
-                        options.append((new_slot_orders, poly_scale(ecoeff_derived, mult)))
-                per_block_options.append(options)
+                key = (j, orders[p])
+                if key not in options_at:
+                    options_at[key] = _insertion_options(inserts[j], orders[p])
+                per_block_options.append(options_at[key])
             for choice in itertools.product(*per_block_options):
-                coeff = c
-                for _, extra in choice:
+                coeff, factor = c, block_sign
+                for _, extra, mult in choice:
                     coeff = poly_mul(coeff, extra)
-                if poly_is_zero(coeff):
-                    continue
-                new_orders: List[Exponents] = []
-                block_at = dict(zip(positions, choice))
-                for p in range(D.arity):
-                    if p in block_at:
-                        new_orders.extend(block_at[p][0])
-                    else:
-                        new_orders.append(orders[p])
-                collected.append((tuple(new_orders), poly_scale(coeff, block_sign)))
-    return mdo_make(ctx, out_arity, collected)
+                    factor *= mult
+                new_orders: Orders = ()
+                start = 0
+                for p, (slots, _, _) in zip(positions, choice):
+                    new_orders += orders[start:p] + slots
+                    start = p + 1
+                _add_term(out, new_orders + orders[start:], coeff, factor)
+    return MultiDiffOp(D.ctx, out_arity, out)
 
 
 def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
@@ -287,19 +366,20 @@ def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     fg = brace(D, [E]) if D.arity > 0 else mdo_zero(D.ctx, out_arity)
     gf = brace(E, [D]) if E.arity > 0 else mdo_zero(E.ctx, out_arity)
     sign = -1 if ((D.arity - 1) * (E.arity - 1)) % 2 else 1
-    return mdo_sub(fg, mdo_scale(gf, sign))
+    return _combine(fg, gf, -sign)
 
 
 def cup(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     """(D∪E)(a₁,…) = D(a₁,…,a_k)·E(a_{k+1},…); agrees with μ{D,E}."""
     if D.ctx != E.ctx:
         raise ValueError("context mismatch")
-    collected = [
-        (do + eo, poly_mul(dc, ec))
-        for do, dc in D.terms.items()
-        for eo, ec in E.terms.items()
-    ]
-    return mdo_make(D.ctx, D.arity + E.arity, collected)
+    _check_op(D)
+    _check_op(E)
+    out: Dict[Orders, Poly] = {}
+    for do, dc in D.terms.items():
+        for eo, ec in E.terms.items():
+            _add_term(out, do + eo, poly_mul(dc, ec))
+    return MultiDiffOp(D.ctx, D.arity + E.arity, out)
 
 
 def i_func_hoch(a: Poly, D: MultiDiffOp) -> MultiDiffOp:
@@ -322,7 +402,7 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
         raise ValueError("expected a homogeneous multivector field")
     n = pi.ctx.n
     norm = Fraction(1, factorial(k))
-    collected: List[Tuple[Orders, Poly]] = []
+    out: Dict[Orders, Poly] = {}
     for frame, f in pi.terms.items():
         for sigma in itertools.permutations(range(k)):
             inv = sum(
@@ -336,8 +416,8 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
                 tuple(1 if v == frame[sigma[q]] else 0 for v in range(n))
                 for q in range(k)
             )
-            collected.append((orders, poly_scale(f, norm * sgn)))
-    return mdo_make(pi.ctx, k, collected)
+            _add_term(out, orders, f, norm * sgn)
+    return MultiDiffOp(pi.ctx, k, out)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +487,11 @@ def delta_primitive(
             rhs[key_index[(o, m)]] = cval
 
     res = gaussian_solve(rows, rhs, ncols=len(basis))
-    candidate = mdo_zero(ctx, T.arity - 1)
+    acc: Dict[Orders, Poly] = {}
     for coeff, b in zip(res.x, basis):
-        if coeff != 0:
-            candidate = mdo_add(candidate, mdo_scale(b, coeff))
+        for orders, p in b.terms.items():
+            _add_term(acc, orders, p, coeff)
+    candidate = MultiDiffOp(ctx, T.arity - 1, acc)
     residual = mdo_sub(T, hoch_delta(candidate))
     found = res.consistent
     return PrimitiveResult(

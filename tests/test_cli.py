@@ -240,6 +240,70 @@ def test_negative_bounds_are_usage_errors(tmp_path, capsys, argv, flag):
     assert main(argv + [flag, "1"]) in (0, 1)
 
 
+@pytest.mark.parametrize("bounds", [("0",), ("1",), ("1", "--emit", "json")])
+def test_vacuous_lemma_sweep_is_refused(capsys, bounds):
+    """At --dim 1 the bracket sweep has no non-trivial instance at any degree."""
+    assert main(["lemma-check", "--dim", "1", "--bounds-degree", *bounds]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: lemma-check: check lemma-bracket checked nothing "
+        f"under --dim 1 --bounds-degree {bounds[0]}\n"
+    )
+
+
+def test_vacuous_linfty_sweep_is_refused(tmp_path, capsys):
+    h = write_doc(tmp_path, "h1.gdt", doc_form(form_make(VarContext(("x",)), [])))
+    assert main(["linfty-check", h, "--bounds-degree", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: linfty-check: check linfty-ternary checked nothing under --bounds-degree 0\n"
+
+
+def test_non_vacuous_sweep_still_passes(tmp_path):
+    out = run_cli(tmp_path, "lemma-check", "--dim", "2", "--bounds-degree", "0")
+    assert out == (
+        "lemma-check report\n"
+        "check lemma-differential: pass checked=117 trivial=79\n"
+        "check lemma-bracket: pass checked=16 trivial=36\n"
+        "check lemma-pairing: pass checked=4 trivial=0\n"
+        "result PASS\n"
+    )
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    """The parser is built once per process; reusing it must not change any run."""
+    import importlib.resources as res
+
+    from gdcalc.cli import _build_parser
+
+    poly = str(res.files("gdcalc.corpus") / "poly-square.gdt")
+    runs = [
+        ["poly", poly],
+        ["lemma-check", "--dim", "two"],  # usage error, SystemExit 2
+        ["poly", poly],
+        ["lemma-check", "--dim", "1", "--bounds-degree", "0"],  # refused, exit 2
+        ["lemma-check", "--dim", "2", "--bounds-degree", "0"],
+        ["hoch", "delta"],  # usage error: missing operand
+        ["poly", poly],
+    ]
+    fresh = {}
+    for argv in runs:
+        key = tuple(argv)
+        if key not in fresh:
+            r = subprocess.run(
+                [sys.executable, "-m", "gdcalc.cli", *argv], capture_output=True, text=True
+            )
+            fresh[key] = (r.returncode, r.stdout, r.stderr)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert (code, *capsys.readouterr()) == fresh[key], argv
+    assert fresh[("lemma-check", "--dim", "two")][0] == 2
+    assert _build_parser() is _build_parser()
+
+
 def test_mc_solve_report_shapes(tmp_path):
     prob = _mc_problem(tmp_path)
     out = run_cli(tmp_path, "mc-solve", prob, "--truncation", "2", "--bounds-degree", "1")

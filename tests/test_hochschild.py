@@ -84,6 +84,36 @@ def test_arity_mismatch_rejected():
         apply_mdo(DX, (X, Y))
 
 
+# operators built directly, bypassing mdo_make's per-term check
+MALFORMED = {
+    "short-multi-index": MultiDiffOp(CTX2, 1, {((1,),): ONE2}),
+    "negative-entry": MultiDiffOp(CTX2, 1, {((1, -1),): ONE2}),
+    "wrong-slot-count": MultiDiffOp(CTX2, 2, {((1, 0),): ONE2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_operations_validate_their_inputs(name):
+    bad = MALFORMED[name]
+    same_shape = IDENT if bad.arity == 1 else DX_DY
+    calls = [
+        lambda: hoch_delta(bad),
+        lambda: brace(bad, [DX]),
+        lambda: brace(DX_DY, [bad]),
+        lambda: cup(bad, DX),
+        lambda: cup(DX, bad),
+        lambda: gerstenhaber(bad, DX),
+        lambda: gerstenhaber(DX, bad),
+        lambda: mdo_add(bad, same_shape),
+        lambda: mdo_add(same_shape, bad),
+        lambda: mdo_sub(bad, same_shape),
+        lambda: mdo_sub(same_shape, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the differential
 

@@ -1,0 +1,105 @@
+"""The Hochschild engine against the term-by-term reference in ``_ref_hochschild``.
+
+The library validates each input operator once and sums terms in place; the
+reference re-validates and re-copies every produced term.  Both must give
+equal ``terms`` with ``Fraction`` coefficients and no stored zeros, on
+operators at n=1-3 with arity 0-3, slot orders and coefficient degrees up to
+2, one to four terms, and alternations of fields (coefficients 1/k!).
+"""
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _ref_hochschild as ref
+from gdcalc import hochschild as hs
+from gdcalc.exactcore import VarContext, monomials_upto, poly_from_terms
+from gdcalc.polyvec import mv_make
+
+CTXS = {n: VarContext(tuple(f"x{i + 1}" for i in range(n))) for n in (1, 2, 3)}
+MONOS = {n: list(monomials_upto(n, 2)) for n in CTXS}
+COEFFS = [Fraction(a, d) for a in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 6)]
+
+
+def assert_same(got, want):
+    assert (got.ctx, got.arity) == (want.ctx, want.arity)
+    assert got.terms == want.terms
+    for p in got.terms.values():
+        assert p
+        assert all(type(c) is Fraction and c for c in p.values())
+
+
+def make_operator(pick, n, arity):
+    """An operator of the given shape; ``pick(seq)`` chooses one element.
+
+    One time in four, when the arity allows it, the operator is the
+    alternation of a field, checked against the reference on the way.
+    """
+    ctx = CTXS[n]
+    if 1 <= arity <= n and pick((0, 1, 2, 3)) == 0:
+        frames = list(itertools.combinations(range(n), arity))
+        pi = mv_make(ctx, [
+            (pick(frames), poly_from_terms(n, [(pick(COEFFS), pick(MONOS[n]))]))
+            for _ in range(pick((1, 2, 3)))
+        ])
+        if pi.terms:
+            got = hs.hkr(pi)
+            assert_same(got, ref.hkr(pi))
+            return got
+    terms = [
+        (tuple(pick(MONOS[n]) for _ in range(arity)), poly_from_terms(n, [(pick(COEFFS), pick(MONOS[n]))]))
+        for _ in range(pick((1, 2, 3, 4)))
+    ]
+    return hs.mdo_make(ctx, arity, terms)
+
+
+def check_operations(A, B, C):
+    """Every operation on (A, B), plus the sums with C, which has A's arity."""
+    assert_same(hs.hoch_delta(A), ref.hoch_delta(A))
+    assert_same(hs.cup(A, B), ref.cup(A, B))
+    assert_same(hs.gerstenhaber(A, B), ref.gerstenhaber(A, B))
+    assert_same(hs.mdo_add(A, C), ref.mdo_add(A, C))
+    assert_same(hs.mdo_sub(A, C), ref.mdo_sub(A, C))
+    if A.arity >= 1:
+        assert_same(hs.brace(A, [B]), ref.brace(A, [B]))
+    if A.arity >= 2:
+        assert_same(hs.brace(A, [B, C]), ref.brace(A, [B, C]))
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_reference(n, arity_a, arity_b, data):
+    pick = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
+    A = make_operator(pick, n, arity_a)
+    B = make_operator(pick, n, arity_b)
+    C = make_operator(pick, n, arity_a)
+    check_operations(A, B, C)
+
+
+def test_engine_matches_reference_seeded():
+    rng = random.Random(20091)
+    for n in (1, 2, 3):
+        for arity_a, arity_b in itertools.product(range(4), repeat=2):
+            for _ in range(3):
+                A = make_operator(rng.choice, n, arity_a)
+                B = make_operator(rng.choice, n, arity_b)
+                C = make_operator(rng.choice, n, arity_a)
+                check_operations(A, B, C)
+
+
+def test_hkr_matches_reference_on_every_degree():
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            frames = list(itertools.combinations(range(n), k))
+            pi = mv_make(CTXS[n], [
+                (f, poly_from_terms(n, [(rng.choice(COEFFS), rng.choice(MONOS[n]))])) for f in frames
+            ])
+            assert_same(hs.hkr(pi), ref.hkr(pi))
