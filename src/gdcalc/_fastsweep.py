@@ -33,7 +33,6 @@ from ._fastterms import (
     phi_eval,
     schouten_terms,
     tm_add_into,
-    tm_is_zero,
     unshuffle_sign_fast,
 )
 from .exactcore import Exponents, VarContext, format_rat, monomials_upto, poly_from_terms
@@ -174,7 +173,7 @@ def schouten_antisymmetry(
         acc = dict(pool.bracket(i, j))
         flip = -1 if ((a.deg - 1) * (b.deg - 1)) & 1 else 1
         tm_add_into(acc, pool.bracket(j, i), flip)
-        if not tm_is_zero(acc):
+        if acc:
             return CheckReport(
                 "schouten-antisymmetry",
                 False,
@@ -207,7 +206,7 @@ def schouten_jacobi(
         tm_add_into(acc, t2, -1 if ((b.deg - 1) * (a.deg - 1)) & 1 else 1)
         t3 = schouten_terms(fc, pool.bracket(k, i), pool.tms[j])
         tm_add_into(acc, t3, -1 if ((c.deg - 1) * (b.deg - 1)) & 1 else 1)
-        if not tm_is_zero(acc):
+        if acc:
             return CheckReport(
                 "schouten-jacobi",
                 False,
@@ -277,7 +276,7 @@ def schouten_leibniz(
             tm_add_into(acc, _wedge_map_single(fc, pool.bracket(i, j), c), -1)
             sgn = -1 if ((a.deg - 1) * b.deg) & 1 else 1
             tm_add_into(acc, _wedge_single_map(fc, b, pool.bracket(i, k)), -sgn)
-            if not tm_is_zero(acc):
+            if acc:
                 return CheckReport(
                     "schouten-leibniz",
                     False,
@@ -471,7 +470,7 @@ def lemma_differential(
             if dform_fast:
                 rhs = phi_eval(fc, dform_fast, [pool.tms[i] for i in idx], degs)
                 tm_add_into(acc, rhs, -1)
-            if not tm_is_zero(acc):
+            if acc:
                 els = tuple(pool.els[i] for i in idx)
                 label = f"{_mono_label(ctx.names, exps)}*dx({fc.bits[mask]})"
                 return CheckReport(
@@ -505,15 +504,16 @@ def lemma_bracket_vanishes(
     frames = sweep_elements(fc, 0, range(min(mv_degree, n) + 1))
     pool = _Pool(fc, frames)
     forms = _monomial_forms(fc, form_degree_max, coeff_degree, min_degree=1)
+    caches = [_PhiSubsetCache(pool, {(mask, exps): 1}) for mask, exps, _ in forms]
     checked = trivial = 0
     for fi in range(len(forms)):
         amask, aexps, ea = forms[fi]
-        terms_a = {(amask, aexps): 1}
-        phis_a = _PhiSubsetCache(pool, terms_a)
+        phis_a = caches[fi]
+        terms_a = phis_a.form_terms
         for fj in range(fi, len(forms)):
             bmask, bexps, eb = forms[fj]
-            terms_b = {(bmask, bexps): 1}
-            phis_b = _PhiSubsetCache(pool, terms_b)
+            phis_b = caches[fj]
+            terms_b = phis_b.form_terms
             r = ea + eb - 1
             need = amask | bmask
             sign = -1 if ((ea - 2) * (eb - 2)) & 1 else 1
@@ -564,7 +564,7 @@ def lemma_bracket_vanishes(
                             ),
                             -sign * eps,
                         )
-                if not tm_is_zero(acc):
+                if acc:
                     la = f"{_mono_label(ctx.names, aexps)}*dx({fc.bits[amask]})"
                     lb = f"{_mono_label(ctx.names, bexps)}*dx({fc.bits[bmask]})"
                     els = tuple(pool.els[i] for i in idx)
@@ -592,7 +592,7 @@ def lemma_pairing_on_vectors(ctx: VarContext, *, coeff_degree: int = 2) -> Check
                     val = phi_eval(fc, {(1 << i, g): 1}, [{((1 << j), h): 1}], [1])
                     expect: TermMap = {(0, fc.eadd(g, h)): 1} if i == j else {}
                     tm_add_into(val, expect, -1)
-                    if not tm_is_zero(val):
+                    if val:
                         return CheckReport(
                             "lemma-pairing",
                             False,
@@ -636,7 +636,7 @@ def linfty_jacobi(
             tm_add_into(
                 acc, m_terms(fc, inner, pool.tms[idx[rest]], inner_deg), 2 * eps
             )
-        if not tm_is_zero(acc):
+        if acc:
             els3 = tuple(els[i] for i in idx)
             return CheckReport(
                 "linfty-jacobi",
@@ -706,7 +706,7 @@ def linfty_mixed(
             inner_args = [inner] + [pool.tms[idx[s]] for s in rest]
             inner_degs = [degs[s1] + degs[s2] - 1] + [degs[s] for s in rest]
             tm_add_into(acc, phi_eval(fc, Hfast, inner_args, inner_degs), eps)
-        if not tm_is_zero(acc):
+        if acc:
             cur = tuple(els[i] for i in idx)
             return CheckReport(
                 "linfty-mixed",
@@ -755,7 +755,7 @@ def linfty_ternary(
             inner_args = [inner] + [pool.tms[idx[s]] for s in rest]
             inner_degs = [sum(degs[s] for s in subset) - 3] + [degs[s] for s in rest]
             tm_add_into(acc, phi_eval(fc, Hfast, inner_args, inner_degs), 2 * eps)
-        if not tm_is_zero(acc):
+        if acc:
             cur = tuple(els[i] for i in idx)
             return CheckReport(
                 "linfty-ternary",

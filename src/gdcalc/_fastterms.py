@@ -2,6 +2,11 @@
 
 Multivector terms are keyed by (frame bitmask, exponent tuple) with plain
 integer coefficients; frame sign bookkeeping is table-driven per context.
+The contraction cochain takes its signs from a per-context frame table:
+the value of a coframe on unit frames, with every slot matching and its
+Koszul sign summed, is computed once per (coframe mask, argument masks,
+degrees) pattern on first use.  Every producer drops cancelled
+coefficients, so a TermMap is zero exactly when it is empty.
 Everything here reimplements, at term granularity, operations that already
 exist on PolyVector/Cochain — the slow structures remain the reference
 route, and the test suite pins this module against them on randomized
@@ -22,7 +27,9 @@ TermMap = Dict[TermKey, int]  # coefficients are ints (Fractions tolerated)
 class FastCtx:
     """Per-dimension sign tables for bitmask frames."""
 
-    __slots__ = ("n", "pop", "bits", "merge", "zero_exps", "_dcache", "_ecache")
+    __slots__ = (
+        "n", "pop", "bits", "merge", "zero_exps", "_dcache", "_ecache", "_ftable"
+    )
 
     def __init__(self, n: int):
         self.n = n
@@ -42,6 +49,9 @@ class FastCtx:
         self.zero_exps = (0,) * n
         self._dcache: Dict[Tuple[Exponents, int], Optional[Tuple[int, Exponents]]] = {}
         self._ecache: Dict[Tuple[Exponents, Exponents], Exponents] = {}
+        self._ftable: Dict[
+            Tuple[int, Tuple[int, ...], Tuple[int, ...]], Optional[Tuple[int, int]]
+        ] = {}
 
     def mask_of(self, frame: Sequence[int]) -> int:
         m = 0
@@ -88,20 +98,6 @@ def from_fast(fc: FastCtx, ctx, tm: TermMap) -> PolyVector:
             continue
         grouped.setdefault(fc.bits[m], {})[exps] = Fraction(c)
     return mv_make(ctx, list(grouped.items()))
-
-
-def tm_is_zero(tm: TermMap) -> bool:
-    return all(not c for c in tm.values())
-
-
-def tm_equal(a: TermMap, b: TermMap) -> bool:
-    for k, c in a.items():
-        if c != b.get(k, 0):
-            return False
-    for k, c in b.items():
-        if c and k not in a:
-            return False
-    return True
 
 
 def tm_add_into(acc: TermMap, tm: TermMap, s=1) -> None:
@@ -204,6 +200,54 @@ def form_to_fast(fc: FastCtx, omega: DiffForm) -> Dict[Tuple[int, Exponents], in
     return out
 
 
+def _frame_entry(
+    fc: FastCtx, comask: int, masks: Tuple[int, ...], degs: Tuple[int, ...]
+) -> Optional[Tuple[int, int]]:
+    """phi(dx(comask)) on the unit frames theta(masks): (output mask, coefficient).
+
+    The sum over slot matchings: Koszul sign of the permutation on the
+    argument degrees times (-1)^{sum (k-1-pos)*deg(sigma(pos))}, then the
+    left-to-right wedge of single-coordinate contractions.  Every nonzero
+    matching leaves the same frame (the arguments' frames with the coframe
+    taken out once), so the value is one frame or None when it vanishes.
+    """
+    k = len(masks)
+    merge = fc.merge
+    pop = fc.pop
+    # tab[pos][slot]: contraction of coordinate cobits[pos] against slot
+    tab = []
+    for j in fc.bits[comask]:
+        jb = 1 << j
+        tab.append(
+            [
+                (m ^ jb, -1 if pop[m & (jb - 1)] & 1 else 1) if m & jb else None
+                for m in masks
+            ]
+        )
+    out_mask = 0
+    coeff = 0
+    cands = [tuple(s for s in range(k) if row[s]) for row in tab]
+    for sigma in itertools.product(*cands):
+        if len(set(sigma)) != k:
+            continue
+        exponent = 0
+        for pos in range(k):
+            exponent += (k - 1 - pos) * degs[sigma[pos]]
+        c = koszul_sign_fast(degs, sigma) * (-1 if exponent & 1 else 1)
+        am = 0
+        for pos in range(k):
+            bm, bc = tab[pos][sigma[pos]]
+            ms = merge[am][bm]
+            if not ms:
+                break
+            am |= bm
+            c *= bc * ms
+        else:
+            out_mask = am
+            coeff += c
+    return (out_mask, coeff) if coeff else None
+
+
 def phi_eval(
     fc: FastCtx,
     form_terms: Dict[Tuple[int, Exponents], int],
@@ -212,64 +256,40 @@ def phi_eval(
 ) -> TermMap:
     """Value of the degree-k contraction cochain on homogeneous arguments.
 
-    Signs mirror the evaluator route: Koszul sign of the permutation on the
-    argument degrees times (-1)^{sum (k-1-pos)*deg(sigma(pos))}, then the
-    left-to-right wedge of single-coordinate contractions.
+    Contraction never differentiates a coefficient, so on single terms the
+    value is one term: its frame and integer sign come from the context's
+    frame table (`_frame_entry`, filled on first use and keyed by the
+    coframe mask, the argument frame masks and the degrees), its
+    coefficient is the product of the coefficients and its exponents add.
     """
     k = len(args)
-    merge = fc.merge
     pop = fc.pop
-    total: TermMap = {}
-    for (comask, fexps), fcoeff in form_terms.items():
-        cobits = fc.bits[comask]
-        if len(cobits) != k:
+    for comask, _ in form_terms:
+        if pop[comask] != k:
             raise ValueError("form degree does not match argument count")
-        # tab[pos][slot]: contractions of coordinate cobits[pos] against slot
-        tab = []
-        skip = False
-        for j in cobits:
-            jb = 1 << j
-            low = jb - 1
-            row = []
-            for a in args:
-                lst = [
-                    (m ^ jb, e, -c if pop[m & low] & 1 else c)
-                    for (m, e), c in a.items()
-                    if m & jb
-                ]
-                row.append(lst)
-            if not any(row):
-                skip = True
-                break
-            tab.append(row)
-        if skip:
-            continue
-        # enumerate only slot assignments with nonzero contractions everywhere
-        cands = [tuple(s for s in range(k) if tab[pos][s]) for pos in range(k)]
-        for sigma in itertools.product(*cands):
-            if len(set(sigma)) != k:
+    degs = tuple(degs)
+    table = fc._ftable
+    eadd = fc.eadd
+    total: TermMap = {}
+    for combo in itertools.product(*[a.items() for a in args]):
+        masks = tuple([m for (m, _), _ in combo])
+        esum = None
+        cprod = 1
+        for (_, e), c in combo:
+            esum = e if esum is None else eadd(esum, e)
+            cprod *= c
+        for (comask, fexps), fcoeff in form_terms.items():
+            key = (comask, masks, degs)
+            hit = table.get(key, False)
+            if hit is False:
+                hit = table[key] = _frame_entry(fc, comask, masks, degs)
+            if hit is None:
                 continue
-            exponent = 0
-            for pos in range(k):
-                exponent += (k - 1 - pos) * degs[sigma[pos]]
-            s0 = koszul_sign_fast(degs, sigma) * (-1 if exponent & 1 else 1)
-            prods = [(0, fexps, fcoeff * s0)]
-            for pos in range(k):
-                r = tab[pos][sigma[pos]]
-                nxt = []
-                for am, ae, ac in prods:
-                    for bm, be, bc in r:
-                        ms = merge[am][bm]
-                        if ms:
-                            nxt.append((am | bm, fc.eadd(ae, be), ac * bc * ms))
-                prods = nxt
-                if not prods:
-                    break
-            for m, e, c in prods:
-                key = (m, e)
-                v = total.get(key, 0) + c
-                if v:
-                    total[key] = v
-                else:
-                    total.pop(key, None)
+            om, sign = hit
+            tkey = (om, fexps if esum is None else eadd(fexps, esum))
+            v = total.get(tkey, 0) + fcoeff * sign * cprod
+            if v:
+                total[tkey] = v
+            else:
+                total.pop(tkey, None)
     return total

@@ -224,6 +224,7 @@ def _render_checks(
     if emit == "json":
         payload = {
             "command": title,
+            "bounds": bounds,
             "checks": [
                 {
                     "name": r.name,

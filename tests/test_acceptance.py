@@ -38,7 +38,6 @@ from gdcalc._fastterms import (
     phi_eval,
     schouten_terms,
     tm_add_into,
-    tm_equal,
     to_fast,
 )
 from gdcalc.chevalley import evaluate, phi
@@ -459,7 +458,7 @@ def test_criterion_7_twisted_oracle(capsys):
         P = to_fast(fc, pi)
         lhs_fast = schouten_terms(fc, P, P)
         rhs_fast = phi_eval(fc, form_to_fast(fc, H), [P, P, P], [2, 2, 2])
-        routes_agree = tm_equal(lhs_fast, to_fast(fc, lhs)) and tm_equal(rhs_fast, to_fast(fc, rhs))
+        routes_agree = lhs_fast == to_fast(fc, lhs) and rhs_fast == to_fast(fc, rhs)
         acc = {}
         tm_add_into(acc, lhs_fast)
         tm_add_into(acc, rhs_fast, -1)

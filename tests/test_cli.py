@@ -271,6 +271,30 @@ def test_non_vacuous_sweep_still_passes(tmp_path):
     )
 
 
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_lemma_json_echoes_bounds(tmp_path, degree):
+    import json
+
+    out = run_cli(tmp_path, "lemma-check", "--dim", "2", "--bounds-degree", degree, "--emit", "json")
+    payload = json.loads(out)
+    assert payload["bounds"] == f"--dim 2 --bounds-degree {degree}"
+    assert list(payload) == ["bounds", "checks", "command", "result"]
+    assert payload["result"] == "PASS"
+
+
+def test_linfty_json_echoes_bounds(tmp_path):
+    import json
+
+    h = write_doc(tmp_path, "h3.gdt", doc_form(form_make(CTX3, [((0, 1, 2), ONE3)])))
+    out = run_cli(tmp_path, "linfty-check", h, "--bounds-degree", "0", "--emit", "json")
+    assert out.startswith('{"bounds":"--bounds-degree 0","checks":[')
+    assert json.loads(out)["result"] == "PASS"
+    # the text report does not carry the bounds
+    text = run_cli(tmp_path, "linfty-check", h, "--bounds-degree", "0")
+    assert "bounds" not in text
+    assert text.endswith("result PASS\n")
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys):
     """The parser is built once per process; reusing it must not change any run."""
     import importlib.resources as res

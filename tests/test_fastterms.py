@@ -15,9 +15,10 @@ from gdcalc._fastterms import (
     m_terms,
     phi_eval,
     schouten_terms,
-    tm_equal,
+    tm_add_into,
     to_fast,
 )
+from gdcalc._fastsweep import Element, _wedge_map_single, _wedge_single, _wedge_single_map
 from gdcalc.chevalley import evaluate, phi, structure_cochain
 from gdcalc.exactcore import VarContext, poly_from_terms
 from gdcalc.polyvec import form_make, mv_eq, mv_frame, mv_add, mv_make, schouten
@@ -162,3 +163,55 @@ def test_fast_phi_rejects_degree_mismatch():
     H = form_to_fast(FC3, form_make(CTX3, [((0, 1, 2), one)]))
     with pytest.raises(ValueError):
         phi_eval(FC3, H, [to_fast(FC3, mv_frame(CTX3, (0,)))], [1])
+
+
+# ---------------------------------------------------------------------------
+# zero-free TermMaps: the sweeps test `if acc:` instead of scanning for zeros
+
+
+def _term_maps(n, max_terms=3):
+    masks = list(range(1 << n))
+    exps = st.tuples(*([st.integers(0, 1)] * n))
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    return st.dictionaries(st.tuples(st.sampled_from(masks), exps), coeff, max_size=max_terms)
+
+
+def _zero_free(tm):
+    return all(c for c in tm.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_maps(3), _term_maps(3), st.integers(0, 3), st.data())
+def test_producers_store_no_zeros(a, b, deg_a, data):
+    assert _zero_free(schouten_terms(FC3, a, b))
+    assert _zero_free(m_terms(FC3, a, b, deg_a))
+    acc = dict(a)
+    tm_add_into(acc, b, data.draw(st.sampled_from([1, -1, 2])))
+    assert _zero_free(acc)
+    (ma, ea), (mb, eb) = data.draw(st.tuples(*[st.tuples(
+        st.integers(0, 7), st.tuples(*([st.integers(0, 1)] * 3))
+    )] * 2))
+    x = Element(ma, ea, FC3.pop[ma], (((ma, ea), 1),))
+    y = Element(mb, eb, FC3.pop[mb], (((mb, eb), 1),))
+    assert _zero_free(_wedge_single(FC3, x, y))
+    assert _zero_free(_wedge_map_single(FC3, a, y))
+    assert _zero_free(_wedge_single_map(FC3, x, b))
+    k = FC3.pop[ma]
+    args = [data.draw(_term_maps(3)) for _ in range(k)]
+    degs = [data.draw(st.integers(0, 3)) for _ in range(k)]
+    assert _zero_free(phi_eval(FC3, {(ma, ea): 2, (ma, eb): Fraction(1, 3)}, args, degs))
+
+
+def test_producers_drop_exact_cancellations():
+    z = (0, 0, 0)
+    euler = {(0b001, (1, 0, 0)): 1}  # x d/dx: [X, X] = 0 for a vector field
+    assert schouten_terms(FC3, euler, euler) == {}
+    assert m_terms(FC3, euler, euler, 1) == {}
+    pi = {(0b011, z): 1, (0b110, (1, 0, 0)): Fraction(-1, 2)}
+    acc = dict(pi)
+    tm_add_into(acc, pi, -1)
+    assert acc == {}
+    theta = Element(0b001, z, 1, (((0b001, z), 1),))
+    assert _wedge_single(FC3, theta, theta) == {}
+    form = {(0b001, z): 1, (0b010, z): 1}
+    assert phi_eval(FC3, form, [{(0b001, z): 1, (0b010, z): -1}], [1]) == {}
