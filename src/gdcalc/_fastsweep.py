@@ -16,7 +16,11 @@ in `checked`.
 
 Repetition across tuples is aggressively memoized (bracket pairs,
 contraction values on argument subsets); the caches are per-sweep and do
-not change what is checked.
+not change what is checked.  Unshuffle signs are read from the parity
+table of `_fastterms.subset_plan`: each checked tuple's odd-degree mask is
+computed once and selects the row of signs for all its subsets.  Terms of
+an identity are accumulated in place (`schouten_into`, `m_into`,
+`phi_into` add a signed value straight into the tuple's accumulator).
 """
 from __future__ import annotations
 
@@ -29,11 +33,15 @@ from ._fastterms import (
     FastCtx,
     TermMap,
     form_to_fast,
+    m_into,
     m_terms,
+    odd_mask,
     phi_eval,
+    phi_into,
+    schouten_into,
     schouten_terms,
+    subset_plan,
     tm_add_into,
-    unshuffle_sign_fast,
 )
 from .exactcore import Exponents, VarContext, format_rat, monomials_upto, poly_from_terms
 from .polyvec import DiffForm, d_form, form_degree, form_make
@@ -200,12 +208,12 @@ def schouten_jacobi(
             continue
         checked += 1
         acc: TermMap = {}
-        t1 = schouten_terms(fc, pool.bracket(i, j), pool.tms[k])
-        tm_add_into(acc, t1, -1 if ((a.deg - 1) * (c.deg - 1)) & 1 else 1)
-        t2 = schouten_terms(fc, pool.bracket(j, k), pool.tms[i])
-        tm_add_into(acc, t2, -1 if ((b.deg - 1) * (a.deg - 1)) & 1 else 1)
-        t3 = schouten_terms(fc, pool.bracket(k, i), pool.tms[j])
-        tm_add_into(acc, t3, -1 if ((c.deg - 1) * (b.deg - 1)) & 1 else 1)
+        s1 = -1 if ((a.deg - 1) * (c.deg - 1)) & 1 else 1
+        schouten_into(fc, pool.bracket(i, j), pool.tms[k], s1, acc)
+        s2 = -1 if ((b.deg - 1) * (a.deg - 1)) & 1 else 1
+        schouten_into(fc, pool.bracket(j, k), pool.tms[i], s2, acc)
+        s3 = -1 if ((c.deg - 1) * (b.deg - 1)) & 1 else 1
+        schouten_into(fc, pool.bracket(k, i), pool.tms[j], s3, acc)
         if acc:
             return CheckReport(
                 "schouten-jacobi",
@@ -384,8 +392,9 @@ def _differential_of_phi(
         return m_terms(fc, {(0, exps): 1}, args[0], 0)
     acc: TermMap = {}
     outer_sign = 1 if e & 1 else -1  # -(-1)^(e-2)
-    for subset in itertools.combinations(range(r), e):
-        eps = unshuffle_sign_fast(degs, subset)
+    par = odd_mask(degs)
+    plan, signs = subset_plan(r, e)
+    for (subset, (rest,)), eps in zip(plan, signs[par]):
         if phi_subset is not None:
             inner = phi_subset(subset)
         else:
@@ -394,26 +403,24 @@ def _differential_of_phi(
             )
         if not inner:
             continue
-        (rest,) = [s for s in range(r) if s not in subset]
-        inner_deg = sum(degs[s] for s in subset) - e
-        tm_add_into(acc, m_terms(fc, inner, args[rest], inner_deg), eps)
-    for subset in itertools.combinations(range(r), 2):
-        eps = unshuffle_sign_fast(degs, subset)
-        s1, s2 = subset
+        inner_deg = sum([degs[s] for s in subset]) - e
+        m_into(fc, inner, args[rest], inner_deg, eps, acc)
+    plan, signs = subset_plan(r, 2)
+    for ((s1, s2), rest), eps in zip(plan, signs[par]):
         if m_pair is not None:
             inner = m_pair(s1, s2)
         else:
             inner = m_terms(fc, args[s1], args[s2], degs[s1])
         if not inner:
             continue
-        rest = [s for s in range(r) if s not in subset]
-        val = phi_eval(
+        phi_into(
             fc,
             form_terms,
             [inner] + [args[s] for s in rest],
             [degs[s1] + degs[s2] - 1] + [degs[s] for s in rest],
+            eps * outer_sign,
+            acc,
         )
-        tm_add_into(acc, val, eps * outer_sign)
     return acc
 
 
@@ -464,12 +471,11 @@ def lemma_differential(
                 e,
                 args,
                 degs,
-                phi_subset=lambda sub: phis.value(tuple(idx[s] for s in sub)),
+                phi_subset=lambda sub: phis.value(tuple([idx[s] for s in sub])),
                 m_pair=lambda s1, s2: pool.m_pair(idx[s1], idx[s2]),
             )
             if dform_fast:
-                rhs = phi_eval(fc, dform_fast, [pool.tms[i] for i in idx], degs)
-                tm_add_into(acc, rhs, -1)
+                phi_into(fc, dform_fast, args, degs, -1, acc)
             if acc:
                 els = tuple(pool.els[i] for i in idx)
                 label = f"{_mono_label(ctx.names, exps)}*dx({fc.bits[mask]})"
@@ -517,8 +523,8 @@ def lemma_bracket_vanishes(
             r = ea + eb - 1
             need = amask | bmask
             sign = -1 if ((ea - 2) * (eb - 2)) & 1 else 1
-            sub_b = tuple(itertools.combinations(range(r), eb))
-            sub_a = tuple(itertools.combinations(range(r), ea))
+            plan_b, signs_b = subset_plan(r, eb)
+            plan_a, signs_a = subset_plan(r, ea)
             for idx in itertools.combinations_with_replacement(range(len(frames)), r):
                 union = 0
                 sd = 0
@@ -531,38 +537,29 @@ def lemma_bracket_vanishes(
                     continue
                 checked += 1
                 degs = [pool.degs[i] for i in idx]
+                par = odd_mask(degs)
                 acc: TermMap = {}
-                for subset in sub_b:
-                    eps = unshuffle_sign_fast(degs, subset)
-                    inner = phis_b.value(tuple(idx[s] for s in subset))
+                for (subset, rest), eps in zip(plan_b, signs_b[par]):
+                    inner = phis_b.value(tuple([idx[s] for s in subset]))
                     if inner:
-                        rest = [s for s in range(r) if s not in subset]
-                        tm_add_into(
-                            acc,
-                            phi_eval(
-                                fc,
-                                terms_a,
-                                [inner] + [pool.tms[idx[s]] for s in rest],
-                                [sum(degs[s] for s in subset) - eb]
-                                + [degs[s] for s in rest],
-                            ),
+                        phi_into(
+                            fc,
+                            terms_a,
+                            [inner] + [pool.tms[idx[s]] for s in rest],
+                            [sum([degs[s] for s in subset]) - eb] + [degs[s] for s in rest],
                             eps,
-                        )
-                for subset in sub_a:
-                    eps = unshuffle_sign_fast(degs, subset)
-                    inner = phis_a.value(tuple(idx[s] for s in subset))
-                    if inner:
-                        rest = [s for s in range(r) if s not in subset]
-                        tm_add_into(
                             acc,
-                            phi_eval(
-                                fc,
-                                terms_b,
-                                [inner] + [pool.tms[idx[s]] for s in rest],
-                                [sum(degs[s] for s in subset) - ea]
-                                + [degs[s] for s in rest],
-                            ),
+                        )
+                for (subset, rest), eps in zip(plan_a, signs_a[par]):
+                    inner = phis_a.value(tuple([idx[s] for s in subset]))
+                    if inner:
+                        phi_into(
+                            fc,
+                            terms_b,
+                            [inner] + [pool.tms[idx[s]] for s in rest],
+                            [sum([degs[s] for s in subset]) - ea] + [degs[s] for s in rest],
                             -sign * eps,
+                            acc,
                         )
                 if acc:
                     la = f"{_mono_label(ctx.names, aexps)}*dx({fc.bits[amask]})"
@@ -616,7 +613,8 @@ def linfty_jacobi(
     pool = _Pool(fc, els)
     checked = trivial = 0
     n = ctx.n
-    subsets2 = tuple(itertools.combinations(range(3), 2))
+    plan, signs = subset_plan(3, 2)
+    tms = pool.tms
     for idx in itertools.combinations_with_replacement(range(len(els)), 3):
         degs = [pool.degs[i] for i in idx]
         out_deg = sum(degs) - 2
@@ -625,17 +623,12 @@ def linfty_jacobi(
             continue
         checked += 1
         acc: TermMap = {}
-        for subset in subsets2:
-            eps = unshuffle_sign_fast(degs, subset)
-            s1, s2 = subset
+        par = odd_mask(degs)
+        for ((s1, s2), (rest,)), eps in zip(plan, signs[par]):
             inner = pool.m_pair(idx[s1], idx[s2])
             if not inner:
                 continue
-            (rest,) = [s for s in range(3) if s not in subset]
-            inner_deg = degs[s1] + degs[s2] - 1
-            tm_add_into(
-                acc, m_terms(fc, inner, pool.tms[idx[rest]], inner_deg), 2 * eps
-            )
+            m_into(fc, inner, tms[idx[rest]], degs[s1] + degs[s2] - 1, 2 * eps, acc)
         if acc:
             els3 = tuple(els[i] for i in idx)
             return CheckReport(
@@ -672,8 +665,9 @@ def linfty_mixed(
     need = _coframe_need(fc, H)
     checked = trivial = 0
     n = ctx.n
-    subsets3 = tuple(itertools.combinations(range(4), 3))
-    subsets2 = tuple(itertools.combinations(range(4), 2))
+    plan3, signs3 = subset_plan(4, 3)
+    plan2, signs2 = subset_plan(4, 2)
+    tms = pool.tms
     for idx in itertools.combinations_with_replacement(range(len(els)), 4):
         union = 0
         sd = 0
@@ -686,26 +680,27 @@ def linfty_mixed(
             continue
         checked += 1
         degs = [pool.degs[i] for i in idx]
+        par = odd_mask(degs)
         acc: TermMap = {}
         # l2 . l3 + l3 . l2  (the bracket sign is -(-1)^{1*1} = +)
-        for subset in subsets3:
-            eps = unshuffle_sign_fast(degs, subset)
-            inner = phis.value(tuple(idx[s] for s in subset))
+        for ((a, b, c), (rest,)), eps in zip(plan3, signs3[par]):
+            inner = phis.value((idx[a], idx[b], idx[c]))
             if not inner:
                 continue
-            (rest,) = [s for s in range(4) if s not in subset]
-            inner_deg = sum(degs[s] for s in subset) - 3
-            tm_add_into(acc, m_terms(fc, inner, pool.tms[idx[rest]], inner_deg), eps)
-        for subset in subsets2:
-            eps = unshuffle_sign_fast(degs, subset)
-            s1, s2 = subset
-            inner = pool.m_pair(idx[s1], idx[s2])
+            inner_deg = degs[a] + degs[b] + degs[c] - 3
+            m_into(fc, inner, tms[idx[rest]], inner_deg, eps, acc)
+        for ((a, b), (c, d)), eps in zip(plan2, signs2[par]):
+            inner = pool.m_pair(idx[a], idx[b])
             if not inner:
                 continue
-            rest = [s for s in range(4) if s not in subset]
-            inner_args = [inner] + [pool.tms[idx[s]] for s in rest]
-            inner_degs = [degs[s1] + degs[s2] - 1] + [degs[s] for s in rest]
-            tm_add_into(acc, phi_eval(fc, Hfast, inner_args, inner_degs), eps)
+            phi_into(
+                fc,
+                Hfast,
+                [inner, tms[idx[c]], tms[idx[d]]],
+                [degs[a] + degs[b] - 1, degs[c], degs[d]],
+                eps,
+                acc,
+            )
         if acc:
             cur = tuple(els[i] for i in idx)
             return CheckReport(
@@ -732,7 +727,8 @@ def linfty_ternary(
     need = _coframe_need(fc, H)
     checked = trivial = 0
     n = ctx.n
-    subsets3 = tuple(itertools.combinations(range(5), 3))
+    plan, signs = subset_plan(5, 3)
+    tms = pool.tms
     for idx in itertools.combinations_with_replacement(range(len(els)), 5):
         union = 0
         sd = 0
@@ -745,16 +741,20 @@ def linfty_ternary(
             continue
         checked += 1
         degs = [pool.degs[i] for i in idx]
+        par = odd_mask(degs)
         acc: TermMap = {}
-        for subset in subsets3:
-            eps = unshuffle_sign_fast(degs, subset)
-            inner = phis.value(tuple(idx[s] for s in subset))
+        for ((a, b, c), (d, e)), eps in zip(plan, signs[par]):
+            inner = phis.value((idx[a], idx[b], idx[c]))
             if not inner:
                 continue
-            rest = [s for s in range(5) if s not in subset]
-            inner_args = [inner] + [pool.tms[idx[s]] for s in rest]
-            inner_degs = [sum(degs[s] for s in subset) - 3] + [degs[s] for s in rest]
-            tm_add_into(acc, phi_eval(fc, Hfast, inner_args, inner_degs), 2 * eps)
+            phi_into(
+                fc,
+                Hfast,
+                [inner, tms[idx[d]], tms[idx[e]]],
+                [degs[a] + degs[b] + degs[c] - 3, degs[d], degs[e]],
+                2 * eps,
+                acc,
+            )
         if acc:
             cur = tuple(els[i] for i in idx)
             return CheckReport(

@@ -5,8 +5,13 @@ integer coefficients; frame sign bookkeeping is table-driven per context.
 The contraction cochain takes its signs from a per-context frame table:
 the value of a coframe on unit frames, with every slot matching and its
 Koszul sign summed, is computed once per (coframe mask, argument masks,
-degrees) pattern on first use.  Every producer drops cancelled
-coefficients, so a TermMap is zero exactly when it is empty.
+degrees) pattern on first use.  Unshuffle signs come from `subset_plan`,
+one table per (arity, subset size) indexed by the odd-degree mask of the
+argument tuple (`odd_mask`).  The bracket, the structure operation and
+the contraction each add `scale` times their value straight into a
+caller's accumulator (`schouten_into`, `m_into`, `phi_into`); the
+value-returning forms are thin wrappers over them.  Every producer drops
+cancelled coefficients, so a TermMap is zero exactly when it is empty.
 Everything here reimplements, at term granularity, operations that already
 exist on PolyVector/Cochain — the slow structures remain the reference
 route, and the test suite pins this module against them on randomized
@@ -14,11 +19,12 @@ inputs.  Sweep drivers are the only intended consumers.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactcore import Exponents
+from .exactcore import Exponents, koszul_sign, koszul_unshuffle_sign
 from .polyvec import DiffForm, PolyVector, mv_make
 
 TermKey = Tuple[int, Exponents]
@@ -140,51 +146,68 @@ def _half_into(fc: FastCtx, m1, e1, c1, m2, e2, c2, sign, acc: TermMap) -> None:
             acc.pop(key, None)
 
 
+def schouten_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> None:
+    """Add scale * [A, B] into acc, mirroring the PolyVector route term by term."""
+    pop = fc.pop
+    for (m1, e1), c1 in A.items():
+        for (m2, e2), c2 in B.items():
+            _half_into(fc, m1, e1, c1, m2, e2, c2, scale, acc)
+            flip = -scale if ((pop[m1] - 1) * (pop[m2] - 1)) & 1 else scale
+            _half_into(fc, m2, e2, c2, m1, e1, c1, -flip, acc)
+
+
 def schouten_terms(fc: FastCtx, A: TermMap, B: TermMap) -> TermMap:
     """[A, B] mirroring the PolyVector route term by term."""
     acc: TermMap = {}
-    for (m1, e1), c1 in A.items():
-        for (m2, e2), c2 in B.items():
-            _half_into(fc, m1, e1, c1, m2, e2, c2, 1, acc)
-            flip = -1 if ((fc.pop[m1] - 1) * (fc.pop[m2] - 1)) & 1 else 1
-            _half_into(fc, m2, e2, c2, m1, e1, c1, -flip, acc)
+    schouten_into(fc, A, B, 1, acc)
     return acc
+
+
+def m_into(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int, scale, acc: TermMap) -> None:
+    """Add scale * m(A, B) into acc, m(a, b) = (-1)^{|a|-1}[a, b] for |a| = deg_a."""
+    schouten_into(fc, A, B, -scale if (deg_a - 1) & 1 else scale, acc)
 
 
 def m_terms(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int) -> TermMap:
     """m(a, b) = (-1)^{|a|-1}[a, b] for homogeneous a of degree deg_a."""
-    out = schouten_terms(fc, A, B)
-    if (deg_a - 1) & 1:
-        return {k: -c for k, c in out.items()}
-    return out
+    acc: TermMap = {}
+    m_into(fc, A, B, deg_a, 1, acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # graded signs
 
 
-def koszul_sign_fast(degs: Sequence[int], perm: Sequence[int]) -> int:
-    exponent = 0
-    k = len(perm)
-    for i in range(k):
-        pi = perm[i]
-        if degs[pi] & 1:
-            for j in range(i + 1, k):
-                pj = perm[j]
-                if pi > pj and degs[pj] & 1:
-                    exponent += 1
-    return -1 if exponent & 1 else 1
+def odd_mask(degs: Sequence[int]) -> int:
+    """Bit s set when slot s has odd degree: the row index of subset_plan's signs."""
+    par = 0
+    for s, d in enumerate(degs):
+        if d & 1:
+            par |= 1 << s
+    return par
 
 
-def unshuffle_sign_fast(degs: Sequence[int], subset: Sequence[int]) -> int:
-    exponent = 0
-    chosen = set(subset)
-    for i in subset:
-        if degs[i] & 1:
-            for j in range(i):
-                if j not in chosen and degs[j] & 1:
-                    exponent += 1
-    return -1 if exponent & 1 else 1
+@functools.lru_cache(maxsize=64)
+def subset_plan(r: int, k: int):
+    """Unshuffle table for the k-subsets of an arity-r argument tuple.
+
+    Returns (plan, signs): plan lists (subset, complement) pairs with the
+    subsets in itertools.combinations order, and signs[par][t] is the
+    unshuffle sign of plan[t] on any degree tuple whose odd-degree slots
+    are the set bits of par (the sign depends on the parities alone).
+    """
+    plan = tuple(
+        (t, tuple(s for s in range(r) if s not in t))
+        for t in itertools.combinations(range(r), k)
+    )
+    signs = tuple(
+        tuple(
+            koszul_unshuffle_sign([par >> s & 1 for s in range(r)], t) for t, _ in plan
+        )
+        for par in range(1 << r)
+    )
+    return plan, signs
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +256,7 @@ def _frame_entry(
         exponent = 0
         for pos in range(k):
             exponent += (k - 1 - pos) * degs[sigma[pos]]
-        c = koszul_sign_fast(degs, sigma) * (-1 if exponent & 1 else 1)
+        c = koszul_sign(degs, sigma) * (-1 if exponent & 1 else 1)
         am = 0
         for pos in range(k):
             bm, bc = tab[pos][sigma[pos]]
@@ -248,19 +271,23 @@ def _frame_entry(
     return (out_mask, coeff) if coeff else None
 
 
-def phi_eval(
+def phi_into(
     fc: FastCtx,
     form_terms: Dict[Tuple[int, Exponents], int],
     args: Sequence[TermMap],
     degs: Sequence[int],
-) -> TermMap:
-    """Value of the degree-k contraction cochain on homogeneous arguments.
+    scale,
+    acc: TermMap,
+) -> None:
+    """Add scale times the degree-k contraction cochain's value into acc.
 
     Contraction never differentiates a coefficient, so on single terms the
     value is one term: its frame and integer sign come from the context's
     frame table (`_frame_entry`, filled on first use and keyed by the
     coframe mask, the argument frame masks and the degrees), its
     coefficient is the product of the coefficients and its exponents add.
+    A form degree that does not match len(args) raises ValueError before
+    acc is touched.
     """
     k = len(args)
     pop = fc.pop
@@ -270,11 +297,10 @@ def phi_eval(
     degs = tuple(degs)
     table = fc._ftable
     eadd = fc.eadd
-    total: TermMap = {}
     for combo in itertools.product(*[a.items() for a in args]):
         masks = tuple([m for (m, _), _ in combo])
         esum = None
-        cprod = 1
+        cprod = scale
         for (_, e), c in combo:
             esum = e if esum is None else eadd(esum, e)
             cprod *= c
@@ -287,9 +313,20 @@ def phi_eval(
                 continue
             om, sign = hit
             tkey = (om, fexps if esum is None else eadd(fexps, esum))
-            v = total.get(tkey, 0) + fcoeff * sign * cprod
+            v = acc.get(tkey, 0) + fcoeff * sign * cprod
             if v:
-                total[tkey] = v
+                acc[tkey] = v
             else:
-                total.pop(tkey, None)
-    return total
+                acc.pop(tkey, None)
+
+
+def phi_eval(
+    fc: FastCtx,
+    form_terms: Dict[Tuple[int, Exponents], int],
+    args: Sequence[TermMap],
+    degs: Sequence[int],
+) -> TermMap:
+    """Value of the degree-k contraction cochain on homogeneous arguments."""
+    acc: TermMap = {}
+    phi_into(fc, form_terms, args, degs, 1, acc)
+    return acc

@@ -39,10 +39,8 @@ from .exactcore import Poly, VarContext, koszul_sign, koszul_unshuffle_sign
 from .polyvec import (
     DiffForm,
     PolyVector,
-    basis_multivectors,
     form_degree,
     mv_add,
-    mv_eq,
     mv_func,
     mv_is_zero,
     mv_make,
@@ -56,11 +54,9 @@ from .polyvec import (
 
 __all__ = [
     "Cochain",
-    "EqReport",
     "cochain_bracket",
     "cochain_compose",
     "cochain_differential",
-    "cochain_equal_on_basis",
     "cochain_zero",
     "evaluate",
     "phi",
@@ -253,37 +249,3 @@ def cochain_differential(f: Cochain) -> Cochain:
     """Bracketing with the structure cochain; raises arity by one."""
     d = cochain_bracket(structure_cochain(f.ctx), f)
     return Cochain(d.ctx, d.arity, f.degree + 1, d.kernel, name=f"d({f.name})")
-
-
-# ---------------------------------------------------------------------------
-# pointwise equality over the canonical basis
-
-
-@dataclass(frozen=True)
-class EqReport:
-    equal: bool
-    witness: Optional[Tuple[Tuple[PolyVector, ...], PolyVector, PolyVector]]
-    cases: int
-
-
-def cochain_equal_on_basis(
-    a: Cochain, b: Cochain, *, poly_degree: int = 2, mv_degree: int = 3
-) -> EqReport:
-    """Compare two cochains on every tuple of canonical basis multivectors.
-
-    On disagreement returns the first witness tuple together with both
-    values (deterministic enumeration order).
-    """
-    if a.arity != b.arity:
-        raise ValueError("cochains of different arity are never compared")
-    if a.ctx != b.ctx:
-        raise ValueError("context mismatch")
-    basis = basis_multivectors(a.ctx, poly_degree, range(mv_degree + 1))
-    cases = 0
-    for args in itertools.product(basis, repeat=a.arity):
-        cases += 1
-        va = evaluate(a, args)
-        vb = evaluate(b, args)
-        if not mv_eq(va, vb):
-            return EqReport(False, (args, va, vb), cases)
-    return EqReport(True, None, cases)

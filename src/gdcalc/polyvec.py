@@ -42,7 +42,6 @@ __all__ = [
     "DiffForm",
     "Frame",
     "PolyVector",
-    "basis_frames",
     "basis_multivectors",
     "contract",
     "d_form",
@@ -412,10 +411,6 @@ def i_func_mv(a: Poly, v: PolyVector) -> PolyVector:
 # canonical bases
 
 
-def basis_frames(n: int, k: int) -> List[Frame]:
-    return [tuple(c) for c in itertools.combinations(range(n), k)]
-
-
 def basis_multivectors(
     ctx: VarContext, max_poly_degree: int, mv_degrees: Sequence[int]
 ) -> List[PolyVector]:
@@ -429,7 +424,7 @@ def basis_multivectors(
     for k in mv_degrees:
         if k > ctx.n:
             continue
-        for frame in basis_frames(ctx.n, k):
+        for frame in itertools.combinations(range(ctx.n), k):
             for exps in monos:
                 out.append(PolyVector(ctx, {frame: {exps: Fraction(1)}}))
     return out

@@ -10,22 +10,25 @@ acceptance suite re-runs them at full bounds.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Tuple
 
 import pytest
 
 from gdcalc.exactcore import koszul_sign, poly_from_terms, poly_var
 from gdcalc.chevalley import (
+    Cochain,
     cochain_bracket,
     cochain_compose,
     cochain_differential,
-    cochain_equal_on_basis,
     cochain_zero,
     evaluate,
     phi,
     structure_cochain,
 )
 from gdcalc.polyvec import (
+    PolyVector,
     VarContext,
     basis_multivectors,
     contract,
@@ -350,7 +353,38 @@ def test_differential_of_m_vanishes_spot():
 
 
 # ---------------------------------------------------------------------------
-# pointwise equality checker
+# pointwise equality checker (a test oracle on the slow Cochain route; the
+# library sweeps compare on the bitmask engine instead)
+
+
+@dataclass(frozen=True)
+class EqReport:
+    equal: bool
+    witness: Optional[Tuple[Tuple[PolyVector, ...], PolyVector, PolyVector]]
+    cases: int
+
+
+def cochain_equal_on_basis(
+    a: Cochain, b: Cochain, *, poly_degree: int = 2, mv_degree: int = 3
+) -> EqReport:
+    """Compare two cochains on every tuple of canonical basis multivectors.
+
+    On disagreement returns the first witness tuple together with both
+    values (deterministic enumeration order).
+    """
+    if a.arity != b.arity:
+        raise ValueError("cochains of different arity are never compared")
+    if a.ctx != b.ctx:
+        raise ValueError("context mismatch")
+    basis = basis_multivectors(a.ctx, poly_degree, range(mv_degree + 1))
+    cases = 0
+    for args in itertools.product(basis, repeat=a.arity):
+        cases += 1
+        va = evaluate(a, args)
+        vb = evaluate(b, args)
+        if not mv_eq(va, vb):
+            return EqReport(False, (args, va, vb), cases)
+    return EqReport(True, None, cases)
 
 
 def test_equal_on_basis_trivially_true():

@@ -114,14 +114,14 @@ def test_fast_linfty_mixed_matches_cochain_route(data):
 
     # mirror the linfty_mixed inner loop on one tuple
     from gdcalc._fastterms import form_to_fast, m_terms, phi_eval, tm_add_into
-    from gdcalc._fastterms import unshuffle_sign_fast
+    from gdcalc.exactcore import koszul_unshuffle_sign
 
     Hfast = form_to_fast(fc, H3)
     degs = [els[i].deg for i in idx]
     args = [_tm(els[i]) for i in idx]
     acc = {}
     for subset in itertools.combinations(range(4), 3):
-        eps = unshuffle_sign_fast(degs, subset)
+        eps = koszul_unshuffle_sign(degs, subset)
         inner = phi_eval(fc, Hfast, [args[s] for s in subset], [degs[s] for s in subset])
         if inner:
             (rest,) = [s for s in range(4) if s not in subset]
@@ -131,7 +131,7 @@ def test_fast_linfty_mixed_matches_cochain_route(data):
                 eps,
             )
     for subset in itertools.combinations(range(4), 2):
-        eps = unshuffle_sign_fast(degs, subset)
+        eps = koszul_unshuffle_sign(degs, subset)
         s1, s2 = subset
         inner = m_terms(fc, args[s1], args[s2], degs[s1])
         if inner:

@@ -12,8 +12,11 @@ from gdcalc._fastterms import (
     FastCtx,
     form_to_fast,
     from_fast,
+    m_into,
     m_terms,
     phi_eval,
+    phi_into,
+    schouten_into,
     schouten_terms,
     tm_add_into,
     to_fast,
@@ -215,3 +218,62 @@ def test_producers_drop_exact_cancellations():
     assert _wedge_single(FC3, theta, theta) == {}
     form = {(0b001, z): 1, (0b010, z): 1}
     assert phi_eval(FC3, form, [{(0b001, z): 1, (0b010, z): -1}], [1]) == {}
+
+
+# ---------------------------------------------------------------------------
+# in-place forms: op_into(..., scale, acc) == tm_add_into(acc, op(...), scale)
+
+SCALES = [1, -1, 2, Fraction(1, 3)]
+
+
+def _into_cases(data):
+    """(op_into(acc, scale), op()) pairs for one drawn input of each operation."""
+    a, b = data.draw(_term_maps(3)), data.draw(_term_maps(3))
+    deg_a = data.draw(st.integers(0, 3))
+    comask = data.draw(st.integers(0, 7))
+    z = (0, 0, 0)
+    form = {(comask, z): 2, (comask, (1, 0, 0)): Fraction(-1, 3)}
+    k = FC3.pop[comask]
+    args = [data.draw(_term_maps(3)) for _ in range(k)]
+    degs = [data.draw(st.integers(0, 3)) for _ in range(k)]
+    return [
+        (lambda acc, s: schouten_into(FC3, a, b, s, acc), lambda: schouten_terms(FC3, a, b)),
+        (lambda acc, s: m_into(FC3, a, b, deg_a, s, acc), lambda: m_terms(FC3, a, b, deg_a)),
+        (lambda acc, s: phi_into(FC3, form, args, degs, s, acc), lambda: phi_eval(FC3, form, args, degs)),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_into_forms_add_scaled_values_in_place(data):
+    start = data.draw(_term_maps(3).filter(bool))
+    scale = data.draw(st.sampled_from(SCALES))
+    for op_into, op in _into_cases(data):
+        got = dict(start)
+        op_into(got, scale)
+        want = dict(start)
+        tm_add_into(want, op(), scale)
+        assert got == want
+        assert _zero_free(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_into_forms_drop_exact_cancellations(data):
+    scale = data.draw(st.sampled_from(SCALES))
+    other = (0b111, (9, 9, 9))  # exponents no operation on the drawn inputs reaches
+    for op_into, op in _into_cases(data):
+        acc = {k: -scale * c for k, c in op().items()}
+        acc[other] = 5
+        op_into(acc, scale)
+        assert acc == {other: 5}
+
+
+def test_phi_into_rejects_degree_mismatch_without_touching_acc():
+    one = poly_from_terms(3, [(1, (0, 0, 0))])
+    H = form_to_fast(FC3, form_make(CTX3, [((0, 1, 2), one)]))
+    theta = to_fast(FC3, mv_frame(CTX3, (0,)))
+    acc = {(0b001, (0, 0, 0)): 3}
+    with pytest.raises(ValueError):
+        phi_into(FC3, H, [theta], [1], 2, acc)
+    assert acc == {(0b001, (0, 0, 0)): 3}
