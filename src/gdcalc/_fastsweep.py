@@ -20,7 +20,8 @@ not change what is checked.  Unshuffle signs are read from the parity
 table of `_fastterms.subset_plan`: each checked tuple's odd-degree mask is
 computed once and selects the row of signs for all its subsets.  Terms of
 an identity are accumulated in place (`schouten_into`, `m_into`,
-`phi_into` add a signed value straight into the tuple's accumulator).
+`wedge_into`, `phi_into` add a signed value straight into the tuple's
+accumulator).
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from ._fastterms import (
     schouten_terms,
     subset_plan,
     tm_add_into,
+    wedge_into,
 )
 from .exactcore import Exponents, VarContext, format_rat, monomials_upto, poly_from_terms
 from .polyvec import DiffForm, d_form, form_degree, form_make
@@ -120,10 +122,6 @@ def sweep_elements(
             for exps in monos:
                 out.append(Element(mask, exps, k, (((mask, exps), 1),)))
     return out
-
-
-def _tm(el: Element) -> TermMap:
-    return dict(el.terms)
 
 
 def _witness(
@@ -225,43 +223,6 @@ def schouten_jacobi(
     return CheckReport("schouten-jacobi", True, checked, trivial, None)
 
 
-def _wedge_single(fc: FastCtx, a: Element, b: Element) -> TermMap:
-    s = fc.merge[a.mask][b.mask]
-    if not s:
-        return {}
-    return {(a.mask | b.mask, fc.eadd(a.exps, b.exps)): s}
-
-
-def _wedge_map_single(fc: FastCtx, tm: TermMap, b: Element) -> TermMap:
-    out: TermMap = {}
-    merge = fc.merge
-    for (m, e), c in tm.items():
-        s = merge[m][b.mask]
-        if s:
-            key = (m | b.mask, fc.eadd(e, b.exps))
-            v = out.get(key, 0) + c * s
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _wedge_single_map(fc: FastCtx, a: Element, tm: TermMap) -> TermMap:
-    out: TermMap = {}
-    merge = fc.merge
-    for (m, e), c in tm.items():
-        s = merge[a.mask][m]
-        if s:
-            key = (a.mask | m, fc.eadd(a.exps, e))
-            v = out.get(key, 0) + c * s
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
 def schouten_leibniz(
     ctx: VarContext, *, poly_degree: int = 2, mv_degree: int = 3
 ) -> CheckReport:
@@ -280,10 +241,12 @@ def schouten_leibniz(
                 trivial += 1
                 continue
             checked += 1
-            acc = schouten_terms(fc, pool.tms[i], _wedge_single(fc, b, c))
-            tm_add_into(acc, _wedge_map_single(fc, pool.bracket(i, j), c), -1)
+            bc: TermMap = {}
+            wedge_into(fc, pool.tms[j], pool.tms[k], 1, bc)
+            acc = schouten_terms(fc, pool.tms[i], bc)
+            wedge_into(fc, pool.bracket(i, j), pool.tms[k], -1, acc)
             sgn = -1 if ((a.deg - 1) * b.deg) & 1 else 1
-            tm_add_into(acc, _wedge_single_map(fc, b, pool.bracket(i, k)), -sgn)
+            wedge_into(fc, pool.tms[j], pool.bracket(i, k), -sgn, acc)
             if acc:
                 return CheckReport(
                     "schouten-leibniz",

@@ -7,11 +7,13 @@ the value of a coframe on unit frames, with every slot matching and its
 Koszul sign summed, is computed once per (coframe mask, argument masks,
 degrees) pattern on first use.  Unshuffle signs come from `subset_plan`,
 one table per (arity, subset size) indexed by the odd-degree mask of the
-argument tuple (`odd_mask`).  The bracket, the structure operation and
-the contraction each add `scale` times their value straight into a
-caller's accumulator (`schouten_into`, `m_into`, `phi_into`); the
-value-returning forms are thin wrappers over them.  Every producer drops
-cancelled coefficients, so a TermMap is zero exactly when it is empty.
+argument tuple (`odd_mask`).  Summing happens in the producers: the
+bracket, the structure operation, the wedge and the contraction each add
+`scale` times their value straight into a caller's accumulator
+(`schouten_into`, `m_into`, `wedge_into`, `phi_into`), and `tm_add_into`
+adds a finished TermMap; the value-returning forms are thin wrappers over
+them.  Every producer drops cancelled coefficients, so a TermMap is zero
+exactly when it is empty.
 Everything here reimplements, at term granularity, operations that already
 exist on PolyVector/Cochain — the slow structures remain the reference
 route, and the test suite pins this module against them on randomized
@@ -173,6 +175,24 @@ def m_terms(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int) -> TermMap:
     acc: TermMap = {}
     m_into(fc, A, B, deg_a, 1, acc)
     return acc
+
+
+def wedge_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> None:
+    """Add scale * (A ^ B) into acc, frames merged with the context's merge signs."""
+    merge = fc.merge
+    eadd = fc.eadd
+    for (m1, e1), c1 in A.items():
+        row = merge[m1]
+        for (m2, e2), c2 in B.items():
+            s = row[m2]
+            if not s:
+                continue
+            key = (m1 | m2, eadd(e1, e2))
+            v = acc.get(key, 0) + c1 * c2 * s * scale
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,16 @@ Small private helper used by the primitive search and the order-by-order
 solver: Gauss–Jordan elimination with free variables pinned to zero and an
 explicit consistency verdict.
 
-Representation: each row is a ``{column: Fraction}`` dict holding only its
-nonzero entries, and a column → row-id index records which rows have a
-nonzero in each column, so pivot searches and eliminations touch nonzeros
-only.  The callers' largest systems have hundreds of rows and columns and
-are well under 1% nonzero.
+Input: callers describe a system by its columns, each a ``{equation key:
+value}`` map of its nonzero coefficients, and the right-hand side as one
+more such map (``flatten_terms`` makes one from a map of polynomials, one
+equation per coefficient); ``solve_keyed`` sorts the equation keys into rows and hands
+``gaussian_solve`` each row as a list of ``(column, value)`` pairs, its
+nonzero entries only.  Internally each row is a ``{column: Fraction}`` dict
+and a column → row-id index records which rows have a nonzero in each
+column, so pivot searches and eliminations touch nonzeros only.  The
+callers' largest systems have hundreds of rows and columns and are well
+under 1% nonzero.
 
 Pivot rule: columns are taken left to right.  The pivot for a column is the
 first row, in the current swapped order at or below position ``r``, with a
@@ -23,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
-__all__ = ["LinearSolution", "gaussian_solve"]
+__all__ = ["LinearSolution", "flatten_terms", "gaussian_solve", "solve_keyed"]
 
 
 @dataclass(frozen=True)
@@ -36,33 +41,55 @@ class LinearSolution:
     residual: List[Fraction]
 
 
-def gaussian_solve(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    ncols: Optional[int] = None,
-) -> LinearSolution:
-    """Solve rows @ x = rhs exactly.
+def flatten_terms(terms: Mapping[Hashable, Mapping[Hashable, Fraction]]) -> Dict[tuple, Fraction]:
+    """{key: {monomial: value}} as one equation key (key, monomial) per value."""
+    return {(k, mono): v for k, poly in terms.items() for mono, v in poly.items()}
 
-    Returns the particular solution with every free variable set to zero.
-    When the system is inconsistent, ``consistent`` is False and ``x`` still
-    holds the least-committal candidate obtained by ignoring the violated
-    equations, with the nonzero residual ``rhs - rows @ x`` reported.
-    ``ncols`` only needs to be passed when the system has no equations.
-    Zero entries may be given as the int ``0``, which is cheaper to skip.
+
+def solve_keyed(
+    columns: Sequence[Mapping[Hashable, Fraction]],
+    rhs: Mapping[Hashable, Fraction],
+    row_key: Optional[Callable] = None,
+) -> LinearSolution:
+    """Solve Σ_b x_b·columns[b] = rhs, one equation per key.
+
+    The equations are the keys of the columns and of ``rhs``, sorted by
+    ``row_key`` (natural order when None); that order is the row order the
+    pivot rule sees.
+    """
+    keys = sorted(set(rhs).union(*columns), key=row_key)
+    index = {key: i for i, key in enumerate(keys)}
+    rows: List[List[Tuple[int, Fraction]]] = [[] for _ in keys]
+    for b, col in enumerate(columns):
+        for key, v in col.items():
+            rows[index[key]].append((b, v))
+    return gaussian_solve(rows, [rhs.get(key, 0) for key in keys], ncols=len(columns))
+
+
+def gaussian_solve(
+    rows: Sequence[Sequence[Tuple[int, Fraction]]],
+    rhs: Sequence[Fraction],
+    ncols: int,
+) -> LinearSolution:
+    """Solve rows @ x = rhs exactly, each row given as (column, value) pairs.
+
+    Columns not named in a row are zero there.  Returns the particular
+    solution with every free variable set to zero.  When the system is
+    inconsistent, ``consistent`` is False and ``x`` still holds the
+    least-committal candidate obtained by ignoring the violated equations,
+    with the nonzero residual ``rhs - rows @ x`` reported.
     """
     m = len(rows)
     if len(rhs) != m:
         raise ValueError("matrix/right-hand-side size mismatch")
-    if ncols is None:
-        ncols = len(rows[0]) if m else 0
     original: List[Dict[int, Fraction]] = []
     col_rows: List[Set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        entries = {j: Fraction(v) for j, v in enumerate(row) if v}
+        entries = {j: Fraction(v) for j, v in row if v}
         original.append(entries)
         for j in entries:
+            if not 0 <= j < ncols:
+                raise ValueError(f"column {j} outside a {ncols}-column system")
             col_rows[j].add(i)
     a = [dict(entries) for entries in original]
     b = [Fraction(v) for v in rhs]

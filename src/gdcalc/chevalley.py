@@ -27,26 +27,28 @@ Sign conventions (fixed package-wide, see docs/sign-ledger.md):
   eps the Koszul sign of pulling I to the front;
 * [F, G] = F.G - (-1)^{deg F * deg G} G.F, and the differential is
   bracketing with m.
+
+The library evaluates compositions and brackets only at term level, in the
+sweeps of ``_fastsweep``; the test suite keeps an evaluator-level
+composition, bracket and differential as their independent reference.
+Kernels sum their terms in place (``exactcore.add_term_into``) and build
+one result.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactcore import Poly, VarContext, koszul_sign, koszul_unshuffle_sign
+from .exactcore import VarContext, add_term_into, koszul_sign, poly_mul
 from .polyvec import (
     DiffForm,
     PolyVector,
+    _add_mv_into,
     form_degree,
-    mv_add,
     mv_func,
     mv_is_zero,
-    mv_make,
-    mv_pmul,
     mv_scale,
-    mv_sub,
     mv_zero,
     schouten,
     wedge_mv,
@@ -54,9 +56,6 @@ from .polyvec import (
 
 __all__ = [
     "Cochain",
-    "cochain_bracket",
-    "cochain_compose",
-    "cochain_differential",
     "cochain_zero",
     "evaluate",
     "phi",
@@ -101,12 +100,10 @@ def evaluate(c: Cochain, args: Sequence[PolyVector]) -> PolyVector:
         if a.ctx != c.ctx:
             raise ValueError("context mismatch")
     split = [_homogeneous_components(a) for a in args]
-    if any(not comps for comps in split):
-        return mv_zero(c.ctx)
-    total = mv_zero(c.ctx)
+    total: Dict = {}
     for combo in itertools.product(*split):
-        total = mv_add(total, c.kernel(combo))
-    return total
+        _add_mv_into(total, c.kernel(combo))
+    return PolyVector(c.ctx, total)
 
 
 def _degree_of(v: PolyVector) -> int:
@@ -135,15 +132,14 @@ def structure_cochain(ctx: VarContext) -> Cochain:
 
 def _contract_coord(j: int, v: PolyVector) -> PolyVector:
     """<dx_j, v> without building the one-form."""
-    terms = []
+    out: Dict = {}
     for frame, poly in v.terms.items():
         try:
             pos = frame.index(j)
         except ValueError:
             continue
-        reduced = frame[:pos] + frame[pos + 1 :]
-        terms.append((reduced, {e: -c for e, c in poly.items()} if pos % 2 else poly))
-    return mv_make(v.ctx, terms)
+        add_term_into(out, frame[:pos] + frame[pos + 1 :], poly, -1 if pos % 2 else 1)
+    return PolyVector(v.ctx, out)
 
 
 def phi(omega: DiffForm, arity: Optional[int] = None) -> Cochain:
@@ -174,7 +170,7 @@ def phi(omega: DiffForm, arity: Optional[int] = None) -> Cochain:
 
     def kernel(args: Tuple[PolyVector, ...]) -> PolyVector:
         degs = [_degree_of(a) for a in args]
-        total = mv_zero(ctx)
+        total: Dict = {}
         for coframe, g in coframes:
             # contractions of each coordinate differential against each slot
             table = [[_contract_coord(j, a) for a in args] for j in coframe]
@@ -193,59 +189,8 @@ def phi(omega: DiffForm, arity: Optional[int] = None) -> Cochain:
                     continue
                 exponent = sum((k - 1 - pos) * degs[sigma[pos]] for pos in range(k))
                 sign = koszul_sign(degs, sigma) * (-1 if exponent % 2 else 1)
-                total = mv_add(total, mv_scale(mv_pmul(wedge, g), sign))
-        return total
+                for frame, q in wedge.terms.items():
+                    add_term_into(total, frame, poly_mul(q, g), sign)
+        return PolyVector(ctx, total)
 
     return Cochain(ctx, k, k - 2, kernel, name="phi", source_form=omega)
-
-
-# ---------------------------------------------------------------------------
-# composition, bracket, differential
-
-
-def cochain_compose(f: Cochain, g: Cochain) -> Cochain:
-    """Insertion of g into the first slot of f, summed over unshuffles."""
-    if f.ctx != g.ctx:
-        raise ValueError("context mismatch")
-    ctx = f.ctx
-    if f.arity == 0:
-        return cochain_zero(ctx, max(g.arity - 1, 0), f.degree + g.degree)
-    r = f.arity + g.arity - 1
-
-    def kernel(args: Tuple[PolyVector, ...]) -> PolyVector:
-        degs = [_degree_of(a) for a in args]
-        total = mv_zero(ctx)
-        for subset in itertools.combinations(range(r), g.arity):
-            eps = koszul_unshuffle_sign(degs, subset)
-            inner = evaluate(g, tuple(args[i] for i in subset))
-            if mv_is_zero(inner):
-                continue
-            chosen = set(subset)
-            rest = tuple(args[i] for i in range(r) if i not in chosen)
-            val = evaluate(f, (inner,) + rest)
-            total = mv_add(total, mv_scale(val, eps))
-        return total
-
-    return Cochain(ctx, r, f.degree + g.degree, kernel, name=f"({f.name}.{g.name})")
-
-
-def cochain_bracket(f: Cochain, g: Cochain) -> Cochain:
-    """[f,g] = f.g - (-1)^{deg f deg g} g.f."""
-    fg = cochain_compose(f, g)
-    gf = cochain_compose(g, f)
-    if fg.arity != gf.arity:
-        raise ValueError("bracket of these arities is not defined")
-    sign = -1 if (f.degree * g.degree) % 2 else 1
-
-    def kernel(args: Tuple[PolyVector, ...]) -> PolyVector:
-        return mv_sub(evaluate(fg, args), mv_scale(evaluate(gf, args), sign))
-
-    return Cochain(
-        fg.ctx, fg.arity, f.degree + g.degree, kernel, name=f"[{f.name},{g.name}]"
-    )
-
-
-def cochain_differential(f: Cochain) -> Cochain:
-    """Bracketing with the structure cochain; raises arity by one."""
-    d = cochain_bracket(structure_cochain(f.ctx), f)
-    return Cochain(d.ctx, d.arity, f.degree + 1, d.kernel, name=f"d({f.name})")

@@ -8,18 +8,17 @@ pinned to zero).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ._linalg import gaussian_solve
+from ._linalg import flatten_terms, solve_keyed
 from .chevalley import evaluate
 from .exactcore import grlex_key
 from .polyvec import (
     PolyVector,
+    _add_mv_into,
     basis_multivectors,
-    mv_add,
     mv_eq,
     mv_homogeneous_degree,
     mv_is_zero,
@@ -125,17 +124,17 @@ def defect_series(S: TwistedStructure, pi: ArtinSeries) -> Dict[int, PolyVector]
     n_trunc = pi.ring.truncation
     out: Dict[int, PolyVector] = {}
     for k in range(1, n_trunc + 1):
-        acc = mv_zero(S.ctx)
+        acc: Dict = {}
         for i in range(1, k):
             j = k - i
             if i in cs and j in cs:
-                acc = mv_add(acc, schouten(cs[i], cs[j]))
+                _add_mv_into(acc, schouten(cs[i], cs[j]))
         for i in range(1, k - 1):
             for j in range(1, k - i):
                 l = k - i - j
                 if l >= 1 and i in cs and j in cs and l in cs:
-                    acc = mv_sub(acc, evaluate(S.l3, (cs[i], cs[j], cs[l])))
-        out[k] = acc
+                    _add_mv_into(acc, evaluate(S.l3, (cs[i], cs[j], cs[l])), -1)
+        out[k] = PolyVector(S.ctx, acc)
     return out
 
 
@@ -152,34 +151,25 @@ class SolveReport:
     poly_degree: int
 
 
-def _mv_keys(v: PolyVector):
-    return [(frame, mono) for frame, poly in v.terms.items() for mono in poly]
+def _combination(ctx, x: Sequence[Fraction], vecs: Sequence[PolyVector]) -> PolyVector:
+    """Σ x_b·vecs[b], summed in place over the nonzero x_b."""
+    acc: Dict = {}
+    for coeff, v in zip(x, vecs):
+        if coeff:
+            _add_mv_into(acc, v, coeff)
+    return PolyVector(ctx, acc)
 
 
 def _solve_mv_equation(
     cols: List[PolyVector], rhs: PolyVector, ctx
 ) -> Tuple[bool, List[Fraction], PolyVector]:
     """Solve Σ x_b·cols[b] = rhs over the span keys; returns (consistent, x, residual)."""
-    keys = sorted(
-        {k for c in cols for k in _mv_keys(c)} | set(_mv_keys(rhs)),
-        key=lambda fm: (len(fm[0]), fm[0], grlex_key(fm[1])),
+    res = solve_keyed(
+        [flatten_terms(c.terms) for c in cols],
+        flatten_terms(rhs.terms),
+        row_key=lambda fm: (len(fm[0]), fm[0], grlex_key(fm[1])),
     )
-    index = {k: i for i, k in enumerate(keys)}
-    rows = [[0] * len(cols) for _ in keys]
-    for b, c in enumerate(cols):
-        for frame, poly in c.terms.items():
-            for mono, val in poly.items():
-                rows[index[(frame, mono)]][b] = val
-    vec = [0] * len(keys)
-    for frame, poly in rhs.terms.items():
-        for mono, val in poly.items():
-            vec[index[(frame, mono)]] = val
-    res = gaussian_solve(rows, vec, ncols=len(cols))
-    reached = mv_zero(ctx)
-    for coeff, c in zip(res.x, cols):
-        if coeff != 0:
-            reached = mv_add(reached, mv_scale(c, coeff))
-    return res.consistent, res.x, mv_sub(rhs, reached)
+    return res.consistent, res.x, mv_sub(rhs, _combination(ctx, res.x, cols))
 
 
 def mc_solve(
@@ -211,21 +201,19 @@ def mc_solve(
         cols = [mv_scale(schouten(pi1, b), 2) for b in basis]
         for k in range(2, N + 1):
             target = k + 1
-            rhs = mv_zero(S.ctx)
+            acc: Dict = {}
             for i in range(2, target - 1):
                 j = target - i
                 if j >= 2 and i in cs and j in cs:
-                    rhs = mv_sub(rhs, schouten(cs[i], cs[j]))
+                    _add_mv_into(acc, schouten(cs[i], cs[j]), -1)
             for i in range(1, target - 1):
                 for j in range(1, target - i):
                     l = target - i - j
                     if l >= 1 and i in cs and j in cs and l in cs:
-                        rhs = mv_add(rhs, evaluate(S.l3, (cs[i], cs[j], cs[l])))
+                        _add_mv_into(acc, evaluate(S.l3, (cs[i], cs[j], cs[l])))
+            rhs = PolyVector(S.ctx, acc)
             consistent, x, linear_residual = _solve_mv_equation(cols, rhs, S.ctx)
-            pik = mv_zero(S.ctx)
-            for coeff, b in zip(x, basis):
-                if coeff != 0:
-                    pik = mv_add(pik, mv_scale(b, coeff))
+            pik = _combination(S.ctx, x, basis)
             if not consistent:
                 # order-(k+1) defect at the best candidate
                 return report_obstructed(target, mv_scale(linear_residual, -1))
@@ -243,16 +231,16 @@ def mc_solve(
 # gauge flow
 
 
-def _state_add(a, b):
-    out = dict(a)
-    for key, v in b.items():
-        cur = out.get(key)
-        merged = mv_add(cur, v) if cur is not None else v
-        if mv_is_zero(merged):
-            out.pop(key, None)
-        else:
-            out[key] = merged
-    return out
+def _sum_by_key(
+    ctx, parts: Iterable[Tuple[Hashable, PolyVector, Fraction]]
+) -> Dict[Hashable, PolyVector]:
+    """Σ factor·v for each key over (key, v, factor) parts; keys that cancel are dropped."""
+    acc: Dict[Hashable, Dict] = {}
+    for key, v, factor in parts:
+        terms = _add_mv_into(acc.setdefault(key, {}), v, factor)
+        if not terms:
+            del acc[key]
+    return {key: PolyVector(ctx, terms) for key, terms in acc.items()}
 
 
 def _state_eq(a, b) -> bool:
@@ -276,53 +264,36 @@ def gauge_flow(S: TwistedStructure, gamma: ArtinSeries, xi: GaugeParam) -> Artin
         if v.ctx != S.ctx:
             raise ValueError("context mismatch")
     n_trunc = gamma.ring.truncation
-    three_halves = Fraction(3, 2)
+    ctx = S.ctx
 
     # state: (s-power, t-order) -> multivector
-    base = {(0, k): v for k, v in gamma.coeffs.items()}
+    base = {(0, k): v for k, v in gamma.coeffs.items() if v.terms}
 
-    def flow_rhs(state):
-        out: Dict[Tuple[int, int], PolyVector] = {}
-
-        def put(key, v):
-            if mv_is_zero(v):
-                return
-            cur = out.get(key)
-            merged = mv_add(cur, v) if cur is not None else v
-            if mv_is_zero(merged):
-                out.pop(key, None)
-            else:
-                out[key] = merged
-
+    def step(state):
+        """Parts of base + ∫₀ˢ rhs(state); s^m·v integrates to s^{m+1}·v/(m+1)."""
+        for key, v in base.items():
+            yield key, v, 1
         for a, xv in xi.coeffs.items():
             for (m, b), gv in state.items():
                 if a + b <= n_trunc:
-                    put((m, a + b), mv_scale(schouten(xv, gv), -1))
+                    yield (m + 1, a + b), schouten(xv, gv), Fraction(-1, m + 1)
             for (m1, b1), g1 in state.items():
                 for (m2, b2), g2 in state.items():
                     if a + b1 + b2 <= n_trunc:
+                        m = m1 + m2 + 1
                         val = evaluate(S.l3, (xv, g1, g2))
-                        put((m1 + m2, a + b1 + b2), mv_scale(val, -three_halves))
-        return out
-
-    def integrate(state):
-        return {
-            (m + 1, k): mv_scale(v, Fraction(1, m + 1)) for (m, k), v in state.items()
-        }
+                        yield (m, a + b1 + b2), val, Fraction(-3, 2 * m)
 
     current = base
     for _ in range(n_trunc + 2):
-        updated = _state_add(base, integrate(flow_rhs(current)))
+        updated = _sum_by_key(ctx, step(current))
         if _state_eq(updated, current):
             break
         current = updated
     else:
         raise RuntimeError("internal error: flow iteration failed to stabilize")
 
-    totals: Dict[int, PolyVector] = {}
-    for (_, k), v in current.items():
-        cur = totals.get(k)
-        totals[k] = mv_add(cur, v) if cur is not None else v
+    totals = _sum_by_key(ctx, ((k, v, 1) for (_, k), v in current.items()))
     return series_make(gamma.ring, totals)
 
 
@@ -376,10 +347,7 @@ def gauge_equivalent(
         consistent, x, _ = _solve_mv_equation(cols, delta, ctx)
         if not consistent:
             return GaugeReport(False, None, poly_degree)
-        v = mv_zero(ctx)
-        for coeff, b in zip(x, basis):
-            if coeff != 0:
-                v = mv_add(v, mv_scale(b, coeff))
+        v = _combination(ctx, x, basis)
         if not mv_is_zero(v):
             xi_coeffs[m - 1] = v
 

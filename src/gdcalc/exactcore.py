@@ -12,13 +12,16 @@ solver) is built on the primitives in this module:
 
 All operations are pure: inputs are never mutated, outputs are freshly
 built dicts in canonical form (no explicit zero coefficients are ever
-stored).
+stored).  The one exception is ``add_term_into``, the in-place accumulator
+with which multivectors, forms, cochain values and multidifferential
+operators sum their ``(key, polynomial)`` terms: it adds into a map the
+caller owns and leaves its ``poly`` argument untouched.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
 Poly = Dict[Exponents, Fraction]
@@ -27,6 +30,7 @@ __all__ = [
     "Exponents",
     "Poly",
     "VarContext",
+    "add_term_into",
     "format_rat",
     "grlex_key",
     "koszul_sign",
@@ -175,6 +179,37 @@ def partial_derive(p: Poly, i: int) -> Poly:
     if not p:
         return {}
     return out
+
+
+def add_term_into(out: Dict[Hashable, Poly], key: Hashable, poly: Poly, factor=1) -> None:
+    """Add factor·poly into out[key] in place, dropping whatever cancels.
+
+    The polynomials stored in ``out`` are owned by it; ``poly`` is never
+    mutated.  The factor is multiplied in only when it is not 1.
+    """
+    if not poly or not factor:
+        return
+    acc = out.get(key)
+    if acc is None:
+        if factor == 1:
+            out[key] = dict(poly)
+        else:
+            out[key] = {e: c * factor for e, c in poly.items()}
+        return
+    for e, c in poly.items():
+        if factor != 1:
+            c = c * factor
+        v = acc.get(e)
+        if v is None:
+            acc[e] = c
+        else:
+            v = v + c
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+    if not acc:
+        del out[key]
 
 
 def poly_total_degree(p: Poly) -> int:

@@ -17,7 +17,9 @@ and checks every term it is given.  The operations (``hoch_delta``,
 multi-indices of each input operator once on entry, so an operator built
 directly as a ``MultiDiffOp`` is refused with ``ValueError`` just the same;
 the terms they produce are well formed by construction and are summed in
-place by ``_add_term`` without a second check.
+place by ``exactcore.add_term_into``, the package's one accumulator, without
+a second check.  The primitive search hands its keyed columns to
+``_linalg.solve_keyed``.
 """
 from __future__ import annotations
 
@@ -28,11 +30,12 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._linalg import gaussian_solve
+from ._linalg import flatten_terms, solve_keyed
 from .exactcore import (
     Exponents,
     Poly,
     VarContext,
+    add_term_into,
     monomials_upto,
     partial_derive,
     poly_add,
@@ -99,37 +102,6 @@ def _check_op(D: MultiDiffOp) -> None:
         _validate_orders(D.ctx, 1, (beta,))
 
 
-def _add_term(out: Dict[Orders, Poly], orders: Orders, poly: Poly, factor=1) -> None:
-    """Add factor·poly into out[orders] in place, dropping whatever cancels.
-
-    The polynomials stored in ``out`` are owned by it; ``poly`` is never
-    mutated.  The factor is multiplied in only when it is not 1.
-    """
-    if not poly or not factor:
-        return
-    acc = out.get(orders)
-    if acc is None:
-        if factor == 1:
-            out[orders] = dict(poly)
-        else:
-            out[orders] = {e: c * factor for e, c in poly.items()}
-        return
-    for e, c in poly.items():
-        if factor != 1:
-            c = c * factor
-        v = acc.get(e)
-        if v is None:
-            acc[e] = c
-        else:
-            v = v + c
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-    if not acc:
-        del out[orders]
-
-
 def mdo_make(
     ctx: VarContext, arity: int, terms: Iterable[Tuple[Orders, Poly]]
 ) -> MultiDiffOp:
@@ -141,7 +113,7 @@ def mdo_make(
         acc = out.get(orders)
         if acc and poly and len(next(iter(acc))) != len(next(iter(poly))):
             raise ValueError("polynomials built over different variable counts")
-        _add_term(out, orders, {e: Fraction(c) for e, c in poly.items() if c})
+        add_term_into(out, orders, {e: Fraction(c) for e, c in poly.items() if c})
     return MultiDiffOp(ctx, arity, out)
 
 
@@ -164,9 +136,9 @@ def _combine(a: MultiDiffOp, b: MultiDiffOp, factor: int) -> MultiDiffOp:
     """a + factor·b for operators of one shape, without validation."""
     out: Dict[Orders, Poly] = {}
     for orders, p in a.terms.items():
-        _add_term(out, orders, p)
+        add_term_into(out, orders, p)
     for orders, p in b.terms.items():
-        _add_term(out, orders, p, factor)
+        add_term_into(out, orders, p, factor)
     return MultiDiffOp(a.ctx, a.arity, out)
 
 
@@ -262,13 +234,13 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
     end_sign = -1 if (k + 1) % 2 else 1
     out: Dict[Orders, Poly] = {}
     for orders, c in D.terms.items():
-        _add_term(out, (zero,) + orders, c)
-        _add_term(out, orders + (zero,), c, end_sign)
+        add_term_into(out, (zero,) + orders, c)
+        add_term_into(out, orders + (zero,), c, end_sign)
         for i in range(1, k + 1):
             head, tail = orders[: i - 1], orders[i:]
             sign = -1 if i % 2 else 1
             for gamma, rest, mult in _binomial_splits(orders[i - 1]):
-                _add_term(out, head + (gamma, rest) + tail, c, sign * mult)
+                add_term_into(out, head + (gamma, rest) + tail, c, sign * mult)
     return MultiDiffOp(D.ctx, k + 1, out)
 
 
@@ -352,7 +324,7 @@ def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
                 for p, (slots, _, _) in zip(positions, choice):
                     new_orders += orders[start:p] + slots
                     start = p + 1
-                _add_term(out, new_orders + orders[start:], coeff, factor)
+                add_term_into(out, new_orders + orders[start:], coeff, factor)
     return MultiDiffOp(D.ctx, out_arity, out)
 
 
@@ -378,7 +350,7 @@ def cup(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     out: Dict[Orders, Poly] = {}
     for do, dc in D.terms.items():
         for eo, ec in E.terms.items():
-            _add_term(out, do + eo, poly_mul(dc, ec))
+            add_term_into(out, do + eo, poly_mul(dc, ec))
     return MultiDiffOp(D.ctx, D.arity + E.arity, out)
 
 
@@ -416,7 +388,7 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
                 tuple(1 if v == frame[sigma[q]] else 0 for v in range(n))
                 for q in range(k)
             )
-            _add_term(out, orders, f, norm * sgn)
+            add_term_into(out, orders, f, norm * sgn)
     return MultiDiffOp(pi.ctx, k, out)
 
 
@@ -471,26 +443,11 @@ def delta_primitive(
     basis = _candidate_basis(ctx, T.arity - 1, poly_degree, op_order)
     images = [hoch_delta(b) for b in basis]
 
-    keys = sorted(
-        {(o, m) for img in images for o, p in img.terms.items() for m in p}
-        | {(o, m) for o, p in T.terms.items() for m in p}
-    )
-    key_index = {key: i for i, key in enumerate(keys)}
-    rows = [[0] * len(basis) for _ in keys]
-    for col, img in enumerate(images):
-        for o, p in img.terms.items():
-            for m, cval in p.items():
-                rows[key_index[(o, m)]][col] = cval
-    rhs = [0] * len(keys)
-    for o, p in T.terms.items():
-        for m, cval in p.items():
-            rhs[key_index[(o, m)]] = cval
-
-    res = gaussian_solve(rows, rhs, ncols=len(basis))
+    res = solve_keyed([flatten_terms(img.terms) for img in images], flatten_terms(T.terms))
     acc: Dict[Orders, Poly] = {}
     for coeff, b in zip(res.x, basis):
         for orders, p in b.terms.items():
-            _add_term(acc, orders, p, coeff)
+            add_term_into(acc, orders, p, coeff)
     candidate = MultiDiffOp(ctx, T.arity - 1, acc)
     residual = mdo_sub(T, hoch_delta(candidate))
     found = res.consistent

@@ -16,6 +16,10 @@ where dtheta_i^R is the right derivative with respect to theta_i. On
 coordinate frames this reproduces the classical expansion of the bracket of
 decomposable multivectors, extends the commutator of vector fields, and is
 a biderivation of the wedge — properties the test-suite checks exactly.
+
+``mv_make``/``form_make`` are the validating constructors for caller-supplied
+terms.  The operations sum the terms they produce in place through
+``exactcore.add_term_into`` and build each result once.
 """
 from __future__ import annotations
 
@@ -27,9 +31,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .exactcore import (
     Poly,
     VarContext,
+    add_term_into,
     monomials_upto,
     partial_derive,
-    poly_add,
     poly_is_zero,
     poly_mul,
     poly_neg,
@@ -49,8 +53,6 @@ __all__ = [
     "form_degree",
     "form_is_zero",
     "form_make",
-    "form_neg",
-    "form_scale",
     "form_wedge",
     "form_zero",
     "i_func_mv",
@@ -64,7 +66,6 @@ __all__ = [
     "mv_is_zero",
     "mv_make",
     "mv_neg",
-    "mv_pmul",
     "mv_scale",
     "mv_sub",
     "mv_zero",
@@ -111,16 +112,28 @@ def mv_zero(ctx: VarContext) -> PolyVector:
     return PolyVector(ctx, {})
 
 
-def mv_make(ctx: VarContext, terms: Iterable[Tuple[Frame, Poly]]) -> PolyVector:
+def _collect(terms: Iterable[Tuple[Frame, Poly]]) -> Dict[Frame, Poly]:
+    """Sum caller-supplied terms into a fresh zero-free map of Fraction coefficients."""
     out: Dict[Frame, Poly] = {}
     for frame, poly in terms:
         frame = tuple(frame)
-        acc = poly_add(out.get(frame, {}), poly)
-        if acc:
-            out[frame] = acc
-        else:
-            out.pop(frame, None)
-    return PolyVector(ctx, out)
+        acc = out.get(frame)
+        if acc and poly and len(next(iter(acc))) != len(next(iter(poly))):
+            raise ValueError("polynomials built over different variable counts")
+        add_term_into(out, frame, {e: Fraction(c) for e, c in poly.items() if c})
+    return out
+
+
+def _add_mv_into(out: Dict[Frame, Poly], v, factor=1) -> Dict[Frame, Poly]:
+    """Add factor·v (a PolyVector or DiffForm) into the term map out; returns out."""
+    for frame, poly in v.terms.items():
+        add_term_into(out, frame, poly, factor)
+    return out
+
+
+def mv_make(ctx: VarContext, terms: Iterable[Tuple[Frame, Poly]]) -> PolyVector:
+    """Validating constructor: sums the given terms, dropping whatever cancels."""
+    return PolyVector(ctx, _collect(terms))
 
 
 def mv_func(ctx: VarContext, poly: Poly) -> PolyVector:
@@ -139,15 +152,8 @@ def form_zero(ctx: VarContext) -> DiffForm:
 
 
 def form_make(ctx: VarContext, terms: Iterable[Tuple[Frame, Poly]]) -> DiffForm:
-    out: Dict[Frame, Poly] = {}
-    for frame, poly in terms:
-        frame = tuple(frame)
-        acc = poly_add(out.get(frame, {}), poly)
-        if acc:
-            out[frame] = acc
-        else:
-            out.pop(frame, None)
-    return DiffForm(ctx, out)
+    """Validating constructor for forms, summing like ``mv_make``."""
+    return DiffForm(ctx, _collect(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +179,6 @@ def mv_scale(a: PolyVector, c) -> PolyVector:
     if c == 0:
         return mv_zero(a.ctx)
     return PolyVector(a.ctx, {f: poly_scale(p, c) for f, p in a.terms.items()})
-
-
-def mv_pmul(a: PolyVector, p: Poly) -> PolyVector:
-    """Multiply every coefficient by a polynomial (the A-module action)."""
-    if poly_is_zero(p):
-        return mv_zero(a.ctx)
-    return mv_make(a.ctx, [(f, poly_mul(q, p)) for f, q in a.terms.items()])
 
 
 def mv_is_zero(a: PolyVector) -> bool:
@@ -208,17 +207,6 @@ def form_add(a: DiffForm, b: DiffForm) -> DiffForm:
     if a.ctx != b.ctx:
         raise ValueError("context mismatch")
     return form_make(a.ctx, list(a.terms.items()) + list(b.terms.items()))
-
-
-def form_neg(a: DiffForm) -> DiffForm:
-    return DiffForm(a.ctx, {f: poly_neg(p) for f, p in a.terms.items()})
-
-
-def form_scale(a: DiffForm, c) -> DiffForm:
-    c = Fraction(c)
-    if c == 0:
-        return form_zero(a.ctx)
-    return DiffForm(a.ctx, {f: poly_scale(p, c) for f, p in a.terms.items()})
 
 
 def form_is_zero(a: DiffForm) -> bool:
@@ -263,34 +251,26 @@ def _merge_frames(f1: Frame, f2: Frame) -> Optional[Tuple[int, Frame]]:
     return (-1 if inv % 2 else 1), tuple(merged)
 
 
-def wedge_mv(a: PolyVector, b: PolyVector) -> PolyVector:
+def _wedge_terms(a, b) -> Dict[Frame, Poly]:
+    """Terms of a ^ b, for two multivectors or two forms."""
     if a.ctx != b.ctx:
         raise ValueError("context mismatch")
-    terms: List[Tuple[Frame, Poly]] = []
+    out: Dict[Frame, Poly] = {}
     for f1, p1 in a.terms.items():
         for f2, p2 in b.terms.items():
             m = _merge_frames(f1, f2)
-            if m is None:
-                continue
-            sign, merged = m
-            prod = poly_mul(p1, p2)
-            terms.append((merged, prod if sign > 0 else poly_neg(prod)))
-    return mv_make(a.ctx, terms)
+            if m is not None:
+                sign, merged = m
+                add_term_into(out, merged, poly_mul(p1, p2), sign)
+    return out
+
+
+def wedge_mv(a: PolyVector, b: PolyVector) -> PolyVector:
+    return PolyVector(a.ctx, _wedge_terms(a, b))
 
 
 def form_wedge(a: DiffForm, b: DiffForm) -> DiffForm:
-    if a.ctx != b.ctx:
-        raise ValueError("context mismatch")
-    terms: List[Tuple[Frame, Poly]] = []
-    for f1, p1 in a.terms.items():
-        for f2, p2 in b.terms.items():
-            m = _merge_frames(f1, f2)
-            if m is None:
-                continue
-            sign, merged = m
-            prod = poly_mul(p1, p2)
-            terms.append((merged, prod if sign > 0 else poly_neg(prod)))
-    return form_make(a.ctx, terms)
+    return DiffForm(a.ctx, _wedge_terms(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +292,10 @@ def _right_theta_derivative(frame: Frame, i: int) -> Optional[Tuple[int, Frame]]
     return sign, frame[:pos] + frame[pos + 1 :]
 
 
-def _half_bracket(
-    f1: Frame, p1: Poly, f2: Frame, p2: Poly, ctx: VarContext
-) -> List[Tuple[Frame, Poly]]:
-    """D(a,b) for single terms a = p1 theta_{f1}, b = p2 theta_{f2}."""
-    out: List[Tuple[Frame, Poly]] = []
+def _half_bracket_into(
+    out: Dict[Frame, Poly], f1: Frame, p1: Poly, f2: Frame, p2: Poly, factor: int
+) -> None:
+    """Add factor·D(a,b) into out for single terms a = p1 theta_{f1}, b = p2 theta_{f2}."""
     for i in f1:
         dp2 = partial_derive(p2, i)
         if poly_is_zero(dp2):
@@ -328,11 +307,7 @@ def _half_bracket(
         if m is None:
             continue
         msign, merged = m
-        prod = poly_mul(p1, dp2)
-        if sign * msign < 0:
-            prod = poly_neg(prod)
-        out.append((merged, prod))
-    return out
+        add_term_into(out, merged, poly_mul(p1, dp2), factor * sign * msign)
 
 
 def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
@@ -343,14 +318,13 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
     """
     if a.ctx != b.ctx:
         raise ValueError("context mismatch")
-    terms: List[Tuple[Frame, Poly]] = []
+    out: Dict[Frame, Poly] = {}
     for f1, p1 in a.terms.items():
         for f2, p2 in b.terms.items():
-            terms.extend(_half_bracket(f1, p1, f2, p2, a.ctx))
-            flip = (-1) ** ((len(f1) - 1) * (len(f2) - 1))
-            for frame, poly in _half_bracket(f2, p2, f1, p1, a.ctx):
-                terms.append((frame, poly_neg(poly) if flip > 0 else poly))
-    return mv_make(a.ctx, terms)
+            _half_bracket_into(out, f1, p1, f2, p2, 1)
+            flip = -1 if ((len(f1) - 1) * (len(f2) - 1)) % 2 else 1
+            _half_bracket_into(out, f2, p2, f1, p1, -flip)
+    return PolyVector(a.ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +332,17 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
 
 
 def d_form(w: DiffForm) -> DiffForm:
-    terms: List[Tuple[Frame, Poly]] = []
+    out: Dict[Frame, Poly] = {}
     for coframe, poly in w.terms.items():
         for i in range(w.ctx.n):
             dp = partial_derive(poly, i)
             if poly_is_zero(dp):
                 continue
             m = _merge_frames((i,), coframe)
-            if m is None:
-                continue
-            sign, merged = m
-            terms.append((merged, dp if sign > 0 else poly_neg(dp)))
-    return form_make(w.ctx, terms)
+            if m is not None:
+                sign, merged = m
+                add_term_into(out, merged, dp, sign)
+    return DiffForm(w.ctx, out)
 
 
 def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
@@ -382,7 +355,7 @@ def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
         raise ValueError("context mismatch")
     if any(len(c) != 1 for c in alpha.terms):
         raise ValueError("contract expects a homogeneous one-form")
-    terms: List[Tuple[Frame, Poly]] = []
+    out: Dict[Frame, Poly] = {}
     for coframe, g in alpha.terms.items():
         j = coframe[0]
         for frame, f in v.terms.items():
@@ -390,11 +363,9 @@ def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
                 pos = frame.index(j)
             except ValueError:
                 continue
-            prod = poly_mul(g, f)
-            if pos % 2:
-                prod = poly_neg(prod)
-            terms.append((frame[:pos] + frame[pos + 1 :], prod))
-    return mv_make(v.ctx, terms)
+            reduced = frame[:pos] + frame[pos + 1 :]
+            add_term_into(out, reduced, poly_mul(g, f), -1 if pos % 2 else 1)
+    return PolyVector(v.ctx, out)
 
 
 def i_func_mv(a: Poly, v: PolyVector) -> PolyVector:

@@ -3,23 +3,22 @@
 A closed 3-form H deforms the graded Lie structure of the Schouten bracket
 into a pair (l2, l3): the binary operation stays the (sign-adjusted) bracket,
 while the ternary operation contracts arguments into H.  This module builds
-the pair, checks the compatibility relations between them on spanning sets,
-and evaluates the quadratic-cubic integrability defect of a bivector.
+the pair and evaluates the quadratic-cubic integrability defect of a
+bivector; the compatibility relations between l2 and l3 are swept on
+spanning sets by ``_fastsweep`` (``linfty_jacobi``, ``linfty_mixed``,
+``linfty_ternary``).
 
 Sign conventions are documented in docs/sign-ledger.md.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .chevalley import Cochain, cochain_bracket, evaluate, phi, structure_cochain
+from .chevalley import Cochain, evaluate, phi, structure_cochain
 from .exactcore import VarContext
 from .polyvec import (
     DiffForm,
     PolyVector,
-    basis_multivectors,
     d_form,
     form_degree,
     form_is_zero,
@@ -35,10 +34,6 @@ __all__ = [
     "make_twisted",
     "mc_defect",
     "is_twisted_poisson",
-    "RelationBounds",
-    "RelationResult",
-    "RelationsReport",
-    "linfty_relations_check",
 ]
 
 
@@ -100,133 +95,3 @@ def mc_defect(S: TwistedStructure, pi: PolyVector) -> PolyVector:
 
 def is_twisted_poisson(S: TwistedStructure, pi: PolyVector) -> bool:
     return mv_is_zero(mc_defect(S, pi))
-
-
-# ---------------------------------------------------------------------------
-# compatibility relations
-
-
-@dataclass(frozen=True)
-class RelationBounds:
-    """Spanning-set bounds for the three compatibility relations.
-
-    ``mv_degree`` caps the multivector degree of every tuple entry.  The
-    per-relation coefficient-degree caps default to the smallest values that
-    still certify the relations for differential-operator-type inputs: the
-    double bracket differentiates each slot at most twice, the mixed relation
-    at most once, and the double ternary term not at all, so monomial
-    coefficients of those degrees already span all coefficient behaviour.
-    Raise them when checking operations of higher differential order.
-    """
-
-    mv_degree: int = 3
-    jacobi_poly_degree: int = 2
-    mixed_poly_degree: int = 1
-    ternary_poly_degree: int = 0
-
-
-@dataclass(frozen=True)
-class RelationResult:
-    name: str
-    passed: bool
-    cases: int
-    witness: Optional[Tuple[Tuple[PolyVector, ...], PolyVector]] = None
-
-
-@dataclass(frozen=True)
-class RelationsReport:
-    jacobi: RelationResult
-    mixed: RelationResult
-    ternary: RelationResult
-
-    @property
-    def passed(self) -> bool:
-        return self.jacobi.passed and self.mixed.passed and self.ternary.passed
-
-
-def _coframe_union_prune(ops: Sequence[Cochain]) -> Optional[List[frozenset]]:
-    """Index sets that must be covered by a tuple's frames, if known.
-
-    A cochain built from a form only contracts against the coordinate
-    differentials of that form, and the bracket never introduces frame
-    indices absent from its inputs.  So if no coframe of the source form is
-    contained in the union of the argument frames, every composition built
-    from these operations vanishes on the tuple.  Returns None when no
-    operand carries a source form (no pruning possible).
-    """
-    coframe_sets = None
-    for op in ops:
-        src = getattr(op, "source_form", None)
-        if src is not None and src.terms:
-            sets = [frozenset(k) for k in src.terms]
-            if coframe_sets is None or len(sets) < len(coframe_sets):
-                coframe_sets = sets
-    return coframe_sets
-
-
-def _check_relation(
-    name: str,
-    rel: Cochain,
-    elements: Sequence[PolyVector],
-    prune_sets: Optional[List[frozenset]],
-) -> RelationResult:
-    n = rel.ctx.n
-    degs = [mv_homogeneous_degree(e) for e in elements]
-    frames = [frozenset().union(*e.terms.keys()) for e in elements]
-    shift = rel.degree - 2 * rel.arity + 2
-    cases = 0
-    for combo in itertools.combinations_with_replacement(range(len(elements)), rel.arity):
-        out_degree = sum(degs[i] for i in combo) + shift
-        if out_degree < 0 or out_degree > n:
-            continue
-        if prune_sets is not None:
-            union = frozenset().union(*(frames[i] for i in combo))
-            if not any(k <= union for k in prune_sets):
-                continue
-        args = tuple(elements[i] for i in combo)
-        value = evaluate(rel, args)
-        cases += 1
-        if not mv_is_zero(value):
-            return RelationResult(name, False, cases, (args, value))
-    return RelationResult(name, True, cases)
-
-
-def linfty_relations_check(
-    l2: Cochain, l3: Cochain, bounds: RelationBounds = RelationBounds()
-) -> RelationsReport:
-    """Check the three quadratic relations tying l2 and l3 together.
-
-    The relations are the vanishing of [l2,l2], [l2,l3] and [l3,l3] (brackets
-    of cochains), evaluated on every graded-symmetric tuple of single-term
-    basis fields within ``bounds``.  Graded symmetry of the bracket of two
-    copies of an operation makes unordered tuples sufficient.
-    """
-    if l2.ctx != l3.ctx:
-        raise ValueError("context mismatch")
-    if l2.arity != 2 or l3.arity != 3:
-        raise ValueError("expected a binary and a ternary operation")
-    ctx = l2.ctx
-    mv_range = range(0, min(bounds.mv_degree, ctx.n) + 1)
-
-    def elems(poly_degree: int) -> List[PolyVector]:
-        return list(basis_multivectors(ctx, poly_degree, mv_range))
-
-    jacobi = _check_relation(
-        "jacobi",
-        cochain_bracket(l2, l2),
-        elems(bounds.jacobi_poly_degree),
-        None,
-    )
-    mixed = _check_relation(
-        "mixed",
-        cochain_bracket(l2, l3),
-        elems(bounds.mixed_poly_degree),
-        _coframe_union_prune([l3]),
-    )
-    ternary = _check_relation(
-        "ternary",
-        cochain_bracket(l3, l3),
-        elems(bounds.ternary_poly_degree),
-        _coframe_union_prune([l3]),
-    )
-    return RelationsReport(jacobi=jacobi, mixed=mixed, ternary=ternary)

@@ -2,14 +2,31 @@
 
 Kept verbatim (bar the name) so the sparse ``gaussian_solve`` can be checked
 field for field against it, the inconsistent-case ``x`` included.  Test-only;
-the library has a single elimination path.
+the library has a single elimination path.  ``solve_dense`` feeds a dense test
+case to the library, which takes rows as ``(column, value)`` pairs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from gdcalc._linalg import LinearSolution
+from gdcalc._linalg import LinearSolution, gaussian_solve
+
+
+def dense_to_pairs(rows: Sequence[Sequence[Fraction]]) -> List[List[tuple]]:
+    """Each dense row as the (column, value) pairs of its nonzero entries."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
+def solve_dense(
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    ncols: Optional[int] = None,
+) -> LinearSolution:
+    """The library solver on a dense system; ``ncols`` defaults to the first row's length."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return gaussian_solve(dense_to_pairs(rows), rhs, ncols=ncols)
 
 
 def dense_gaussian_solve(

@@ -17,11 +17,9 @@ from typing import Optional, Tuple
 import pytest
 
 from gdcalc.exactcore import koszul_sign, poly_from_terms, poly_var
+from _ref_cochains import cochain_bracket, cochain_compose, cochain_differential
 from gdcalc.chevalley import (
     Cochain,
-    cochain_bracket,
-    cochain_compose,
-    cochain_differential,
     cochain_zero,
     evaluate,
     phi,

@@ -20,11 +20,12 @@ from gdcalc._fastterms import (
     schouten_terms,
     tm_add_into,
     to_fast,
+    wedge_into,
 )
-from gdcalc._fastsweep import Element, _wedge_map_single, _wedge_single, _wedge_single_map
+from gdcalc._fastsweep import Element
 from gdcalc.chevalley import evaluate, phi, structure_cochain
 from gdcalc.exactcore import VarContext, poly_from_terms
-from gdcalc.polyvec import form_make, mv_eq, mv_frame, mv_add, mv_make, schouten
+from gdcalc.polyvec import form_make, mv_eq, mv_frame, mv_add, mv_make, schouten, wedge_mv
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("x", "y", "z"))
@@ -87,6 +88,13 @@ def test_fast_schouten_matches_reference_n3(a, b):
 def test_fast_schouten_matches_reference_n4(a, b):
     fast = from_fast(FC4, CTX4, schouten_terms(FC4, to_fast(FC4, a), to_fast(FC4, b)))
     assert mv_eq(fast, schouten(a, b))
+
+
+@settings(max_examples=120)
+@given(multivectors(CTX3, range(0, 4)), multivectors(CTX3, range(0, 4)))
+def test_fast_wedge_matches_reference_n3(a, b):
+    fast = from_fast(FC3, CTX3, _wedge(FC3, to_fast(FC3, a), to_fast(FC3, b)))
+    assert mv_eq(fast, wedge_mv(a, b))
 
 
 @settings(max_examples=60)
@@ -183,6 +191,12 @@ def _zero_free(tm):
     return all(c for c in tm.values())
 
 
+def _wedge(fc, a, b):
+    acc = {}
+    wedge_into(fc, a, b, 1, acc)
+    return acc
+
+
 @settings(max_examples=150, deadline=None)
 @given(_term_maps(3), _term_maps(3), st.integers(0, 3), st.data())
 def test_producers_store_no_zeros(a, b, deg_a, data):
@@ -196,9 +210,9 @@ def test_producers_store_no_zeros(a, b, deg_a, data):
     )] * 2))
     x = Element(ma, ea, FC3.pop[ma], (((ma, ea), 1),))
     y = Element(mb, eb, FC3.pop[mb], (((mb, eb), 1),))
-    assert _zero_free(_wedge_single(FC3, x, y))
-    assert _zero_free(_wedge_map_single(FC3, a, y))
-    assert _zero_free(_wedge_single_map(FC3, x, b))
+    assert _zero_free(_wedge(FC3, dict(x.terms), dict(y.terms)))
+    assert _zero_free(_wedge(FC3, a, dict(y.terms)))
+    assert _zero_free(_wedge(FC3, dict(x.terms), b))
     k = FC3.pop[ma]
     args = [data.draw(_term_maps(3)) for _ in range(k)]
     degs = [data.draw(st.integers(0, 3)) for _ in range(k)]
@@ -215,7 +229,7 @@ def test_producers_drop_exact_cancellations():
     tm_add_into(acc, pi, -1)
     assert acc == {}
     theta = Element(0b001, z, 1, (((0b001, z), 1),))
-    assert _wedge_single(FC3, theta, theta) == {}
+    assert _wedge(FC3, dict(theta.terms), dict(theta.terms)) == {}
     form = {(0b001, z): 1, (0b010, z): 1}
     assert phi_eval(FC3, form, [{(0b001, z): 1, (0b010, z): -1}], [1]) == {}
 
@@ -239,6 +253,7 @@ def _into_cases(data):
     return [
         (lambda acc, s: schouten_into(FC3, a, b, s, acc), lambda: schouten_terms(FC3, a, b)),
         (lambda acc, s: m_into(FC3, a, b, deg_a, s, acc), lambda: m_terms(FC3, a, b, deg_a)),
+        (lambda acc, s: wedge_into(FC3, a, b, s, acc), lambda: _wedge(FC3, a, b)),
         (lambda acc, s: phi_into(FC3, form, args, degs, s, acc), lambda: phi_eval(FC3, form, args, degs)),
     ]
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _dense_gauss import solve_dense
 from gdcalc._linalg import gaussian_solve
 
 
@@ -12,7 +13,7 @@ def matmul(rows, x):
 
 
 def test_unique_solution():
-    res = gaussian_solve([[2, 0], [1, 3]], [4, 5])
+    res = solve_dense([[2, 0], [1, 3]], [4, 5])
     assert res.consistent
     assert res.x == [Fraction(2), Fraction(1)]
     assert res.rank == 2
@@ -21,35 +22,38 @@ def test_unique_solution():
 
 def test_free_variables_pinned_to_zero():
     # x + y = 1 has many solutions; the canonical one zeroes the free column
-    res = gaussian_solve([[1, 1]], [1])
+    res = solve_dense([[1, 1]], [1])
     assert res.consistent
     assert res.x == [Fraction(1), Fraction(0)]
     assert res.rank == 1
 
 
 def test_inconsistent_reports_residual():
-    res = gaussian_solve([[1, 0], [1, 0]], [1, 3])
+    res = solve_dense([[1, 0], [1, 0]], [1, 3])
     assert not res.consistent
     assert any(v != 0 for v in res.residual)
     assert res.residual == [1 - res.x[0], 3 - res.x[0]]
 
 
 def test_zero_matrix_nonzero_rhs():
-    res = gaussian_solve([[0, 0]], [5])
+    res = solve_dense([[0, 0]], [5])
     assert not res.consistent
     assert res.x == [Fraction(0), Fraction(0)]
     assert res.rank == 0
 
 
 def test_no_equations_needs_ncols():
-    res = gaussian_solve([], [], ncols=3)
+    res = solve_dense([], [], ncols=3)
     assert res.consistent
     assert res.x == [Fraction(0)] * 3
 
 
 def test_ragged_matrix_rejected():
+    # rows are (column, value) pairs; a column outside the system is refused
     with pytest.raises(ValueError):
-        gaussian_solve([[1, 2], [1]], [0, 0])
+        gaussian_solve([[(0, 1), (1, 2)], [(2, 1)]], [0, 0], ncols=2)
+    with pytest.raises(ValueError):
+        gaussian_solve([[(-1, 1)]], [0], ncols=2)
 
 
 small_frac = st.fractions(
@@ -69,7 +73,14 @@ def test_solvable_systems_are_solved(m, n, data):
     ]
     x0 = [data.draw(small_frac) for _ in range(n)]
     b = matmul(rows, x0)
-    res = gaussian_solve(rows, b)
+    res = solve_dense(rows, b)
     assert res.consistent
     assert matmul(rows, res.x) == b
     assert all(v == 0 for v in res.residual)
+
+
+def test_zero_pairs_are_skipped():
+    res = gaussian_solve([[(0, 0), (1, 2)], [(0, Fraction(0))]], [4, 0], ncols=2)
+    assert res.consistent
+    assert res.x == [Fraction(0), Fraction(2)]
+    assert res.rank == 1

@@ -10,12 +10,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _dense_gauss import dense_gaussian_solve
-from gdcalc._linalg import gaussian_solve
+from _dense_gauss import dense_gaussian_solve, solve_dense
+from gdcalc._linalg import solve_keyed
 
 
 def assert_same(rows, rhs, ncols=None):
-    got = gaussian_solve(rows, rhs, ncols)
+    got = solve_dense(rows, rhs, ncols)
     want = dense_gaussian_solve(rows, rhs, ncols)
     assert got.consistent == want.consistent
     assert got.rank == want.rank
@@ -27,7 +27,7 @@ def assert_same(rows, rhs, ncols=None):
 
 
 # mostly zeros, as in the systems the callers build; zeros come as the int 0
-# (what the callers pass) and as Fraction(0)
+# and as Fraction(0), and the dense-to-pairs adapter leaves both out
 entry = st.one_of(
     st.just(0), st.just(0), st.just(Fraction(0)),
     st.integers(min_value=-3, max_value=3),
@@ -117,3 +117,24 @@ def test_seeded_larger_sparse_systems():
             rhs[j] += rng.choice(vals)
         inconsistent += not assert_same(rows, rhs).consistent
     assert inconsistent > 0
+
+
+@given(st.integers(min_value=0, max_value=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_keyed_columns_match_dense_assembly(ncols, data):
+    """solve_keyed is the dense system with one row per key, in row_key order."""
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    nonzero = st.one_of(
+        st.sampled_from([1, -1, 2, -3]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    )
+    columns = [data.draw(st.dictionaries(keys, nonzero, max_size=5)) for _ in range(ncols)]
+    rhs = data.draw(st.dictionaries(keys, nonzero, max_size=4))
+    row_key = data.draw(st.sampled_from([None, lambda k: (k[1], -k[0])]))
+    got = solve_keyed(columns, rhs, row_key=row_key)
+    order = sorted(set(rhs).union(*columns), key=row_key)
+    rows = [[col.get(k, 0) for col in columns] for k in order]
+    want = dense_gaussian_solve(rows, [rhs.get(k, 0) for k in order], ncols)
+    assert got == want
+    for name in ("x", "residual"):
+        assert [type(v) for v in getattr(got, name)] == [type(v) for v in getattr(want, name)]

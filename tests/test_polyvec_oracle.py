@@ -1,0 +1,327 @@
+"""The in-place summing routes against the reference route of ``_ref_polyvec``.
+
+Every multivector and form operation, the cochain evaluator, the solver's
+linear step, the gauge flow and the primitive search must give the same
+terms as the code that summed through ``mv_make``/``poly_add`` copies and
+dense matrices: equal ``terms``, ``Fraction`` coefficients, no stored zeros,
+and no output polynomial shared with an input.
+"""
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _ref_polyvec as ref
+from gdcalc.chevalley import evaluate, phi, structure_cochain
+from gdcalc.deform import (
+    ArtinRing,
+    GaugeParam,
+    _solve_mv_equation,
+    gauge_flow,
+    series_make,
+)
+from gdcalc.exactcore import VarContext
+from gdcalc.hochschild import delta_primitive, hkr, hoch_delta, mdo_make
+from gdcalc.polyvec import (
+    basis_multivectors,
+    contract,
+    d_form,
+    form_make,
+    form_wedge,
+    mv_make,
+    schouten,
+    wedge_mv,
+)
+from gdcalc.twistcheck import make_twisted
+
+CTXS = {n: VarContext(tuple(f"x{i}" for i in range(1, n + 1))) for n in range(1, 5)}
+COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+
+def _frames(n, degrees):
+    return [f for k in degrees for f in itertools.combinations(range(n), k)]
+
+
+def _assert_canonical(got, want):
+    """Equal terms, Fraction coefficients, no stored zeros or empty polynomials."""
+    assert type(got) is type(want)
+    assert got.ctx == want.ctx
+    assert got.terms == want.terms
+    for poly in got.terms.values():
+        assert poly
+        for c in poly.values():
+            assert type(c) is Fraction and c != 0
+
+
+def _assert_no_alias(out, *inputs):
+    """No polynomial dict of the output is one of the inputs' dicts."""
+    held = {id(p) for x in inputs for p in x.terms.values()}
+    assert not any(id(p) in held for p in out.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# strategies: raw term lists with duplicates, ints, zeros and exact cancellations
+
+
+@st.composite
+def raw_terms(draw, n, degrees, max_terms=4, max_deg=2, cancel=True):
+    """Terms with repeated frames and int coefficients; with ``cancel``, also
+    zeros and negated copies of some terms, which cancel exactly."""
+    frames = _frames(n, degrees)
+    exps = st.tuples(*([st.integers(0, max_deg)] * n))
+    coeff = st.sampled_from(COEFFS + [0] if cancel else COEFFS)
+    poly = st.dictionaries(exps, coeff, min_size=0 if cancel else 1, max_size=3)
+    terms = draw(
+        st.lists(st.tuples(st.sampled_from(frames), poly), min_size=0 if cancel else 1, max_size=max_terms)
+    )
+    if cancel:
+        for frame, p in list(terms):
+            if draw(st.booleans()):
+                terms.append((frame, {e: -c for e, c in p.items()}))
+    return draw(st.permutations(terms))
+
+
+def multivectors(n, degrees=None, **kw):
+    """Mixed-degree multivectors; mostly nonzero (sums may still cancel)."""
+    degrees = range(n + 1) if degrees is None else degrees
+    return raw_terms(n, degrees, cancel=False, **kw).map(lambda ts: mv_make(CTXS[n], ts))
+
+
+def forms(n, degrees=None, **kw):
+    degrees = range(n + 1) if degrees is None else degrees
+    return raw_terms(n, degrees, cancel=False, **kw).map(lambda ts: form_make(CTXS[n], ts))
+
+
+dims = st.integers(1, 4)
+
+
+# ---------------------------------------------------------------------------
+# constructors
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(st.just(n), raw_terms(n, range(n + 1)))))
+def test_make_matches_reference(case):
+    n, terms = case
+    ctx = CTXS[n]
+    got = mv_make(ctx, terms)
+    _assert_canonical(got, ref.mv_make(ctx, terms))
+    assert not any(got.terms[f] is p for f, p in terms if f in got.terms)
+    _assert_canonical(form_make(ctx, terms), ref.form_make(ctx, terms))
+
+
+def test_make_drops_exact_cancellations():
+    ctx = CTXS[2]
+    p = {(1, 0): Fraction(1, 2), (0, 2): -3}
+    neg = {e: -c for e, c in p.items()}
+    for make in (mv_make, form_make):
+        assert make(ctx, [((0,), p), ((0, 1), p), ((0,), neg)]).terms == {
+            (0, 1): {(1, 0): Fraction(1, 2), (0, 2): Fraction(-3)}
+        }
+        assert make(ctx, [((0,), p), ((0,), neg)]).terms == {}
+        assert make(ctx, [([1], {(0, 0): 0})]).terms == {}
+
+
+@pytest.mark.parametrize("make", [mv_make, form_make, ref.mv_make, ref.form_make])
+def test_make_rejects_polynomials_over_different_variable_counts(make):
+    ctx = CTXS[2]
+    with pytest.raises(ValueError, match="different variable counts"):
+        make(ctx, [((0,), {(1, 0): 1}), ((0,), {(1, 0, 0): 1})])
+
+
+def test_make_keeps_frame_validation():
+    with pytest.raises(ValueError):
+        mv_make(CTXS[2], [((1, 0), {(0, 0): 1})])
+    with pytest.raises(ValueError):
+        form_make(CTXS[2], [((2,), {(0, 0): 1})])
+
+
+# ---------------------------------------------------------------------------
+# wedge, bracket, d, contraction
+
+
+def _pair(make):
+    return dims.flatmap(lambda n: st.tuples(make(n), make(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair(multivectors), _pair(forms))
+def test_wedges_match_reference(mvs, fms):
+    a, b = mvs
+    got = wedge_mv(a, b)
+    _assert_canonical(got, ref.wedge_mv(a, b))
+    _assert_no_alias(got, a, b)
+    f, g = fms
+    _assert_canonical(form_wedge(f, g), ref.form_wedge(f, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair(multivectors))
+def test_schouten_matches_reference(pair):
+    a, b = pair
+    got = schouten(a, b)
+    _assert_canonical(got, ref.schouten(a, b))
+    _assert_no_alias(got, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(forms(n, [1]), multivectors(n), forms(n))))
+def test_contract_and_d_match_reference(case):
+    alpha, v, w = case
+    got = contract(alpha, v)
+    _assert_canonical(got, ref.contract(alpha, v))
+    _assert_no_alias(got, alpha, v)
+    dw = d_form(w)
+    _assert_canonical(dw, ref.d_form(w))
+    _assert_no_alias(dw, w)
+
+
+def test_bracket_and_wedge_cancellations_are_dropped():
+    ctx = CTXS[3]
+    euler = mv_make(ctx, [((0,), {(1, 0, 0): 1})])
+    assert schouten(euler, euler).terms == {}
+    theta = mv_make(ctx, [((1,), {(0, 2, 1): Fraction(2, 3)})])
+    assert wedge_mv(theta, theta).terms == {}
+    exact = d_form(form_make(ctx, [((), {(1, 1, 0): 1})]))
+    assert d_form(exact).terms == {}
+
+
+# ---------------------------------------------------------------------------
+# the cochain evaluator and the contraction kernel
+
+
+@st.composite
+def phi_cases(draw):
+    n = draw(dims)
+    k = draw(st.integers(0, min(n, 3)))
+    omega = draw(forms(n, [k], max_terms=2, max_deg=1))
+    args = tuple(draw(multivectors(n, range(1, n + 1), max_terms=4, max_deg=1)) for _ in range(k))
+    return k, omega, args
+
+
+@settings(max_examples=120, deadline=None)
+@given(phi_cases())
+def test_phi_evaluation_matches_reference(case):
+    k, omega, args = case
+    got = evaluate(phi(omega, k), args)
+    _assert_canonical(got, ref.evaluate(ref.phi(omega, k), args))
+    _assert_no_alias(got, omega, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair(multivectors))
+def test_structure_cochain_evaluation_matches_reference(pair):
+    m = structure_cochain(pair[0].ctx)
+    _assert_canonical(evaluate(m, pair), ref.evaluate(m, pair))
+
+
+# ---------------------------------------------------------------------------
+# the solver's linear step, the gauge flow, the primitive search
+
+
+def _random_mv(rng, n, degrees, terms=3, max_deg=1):
+    frames = _frames(n, degrees)
+    monos = list(itertools.product(range(max_deg + 1), repeat=n))
+    return mv_make(
+        CTXS[n],
+        [(rng.choice(frames), {rng.choice(monos): rng.choice(COEFFS)}) for _ in range(terms)],
+    )
+
+
+def _assert_same_solution(got, want):
+    g_consistent, g_x, g_residual = got
+    w_consistent, w_x, w_residual = want
+    assert g_consistent == w_consistent
+    assert g_x == w_x
+    assert [type(v) for v in g_x] == [type(v) for v in w_x]
+    _assert_canonical(g_residual, w_residual)
+
+
+def test_solve_mv_equation_matches_reference_seeded():
+    rng = random.Random(5150)
+    inconsistent = 0
+    for case in range(80):
+        n = 1 + case % 4
+        ctx = CTXS[n]
+        cols = [_random_mv(rng, n, range(n + 1), rng.randint(0, 3)) for _ in range(rng.randint(0, 7))]
+        if cols and rng.random() < 0.5:
+            # a combination of the columns, so the system is consistent
+            rhs = ref.mv_make(ctx, [])
+            for c in cols:
+                rhs = ref.mv_add(rhs, ref.mv_scale(c, rng.choice(COEFFS + [0])))
+        else:
+            rhs = _random_mv(rng, n, range(n + 1), rng.randint(0, 4))
+        got = _solve_mv_equation(cols, rhs, ctx)
+        _assert_same_solution(got, ref._solve_mv_equation(cols, rhs, ctx))
+        inconsistent += not got[0]
+    assert inconsistent > 0
+
+
+def test_mc_solve_columns_match_reference():
+    """The solver's own columns: 2[π₁, b] over the degree-≤1 bivector basis."""
+    ctx = CTXS[4]
+    pi1 = mv_make(ctx, [((0, 1), {(0, 0, 0, 0): 1}), ((2, 3), {(0, 0, 0, 0): 1})])
+    basis = basis_multivectors(ctx, 1, (2,))
+    cols = [ref.mv_scale(schouten(pi1, b), 2) for b in basis]
+    rhs = mv_make(ctx, [((0, 1, 3), {(0, 0, 0, 0): Fraction(-6)}), ((1, 2, 3), {(1, 0, 0, 0): 2})])
+    _assert_same_solution(
+        _solve_mv_equation(cols, rhs, ctx), ref._solve_mv_equation(cols, rhs, ctx)
+    )
+
+
+def _structures():
+    one3, one4 = {(0, 0, 0): Fraction(1)}, {(0, 0, 0, 0): Fraction(1)}
+    return [
+        make_twisted(form_make(CTXS[2], [])),
+        make_twisted(form_make(CTXS[3], [((0, 1, 2), one3)])),
+        make_twisted(form_make(CTXS[4], [((0, 1, 2), one4)])),
+    ]
+
+
+def test_gauge_flow_matches_reference_seeded():
+    rng = random.Random(8128)
+    for case in range(24):
+        S = _structures()[case % 4 % 3]
+        n = S.ctx.n
+        ring = ArtinRing(2 + case % 3)  # the s²-terms of the cubic part need order 4
+        orders = range(1, ring.truncation + 1)
+        gamma = series_make(ring, {k: _random_mv(rng, n, [2], rng.randint(1, 2)) for k in orders})
+        xi = GaugeParam(ring, {k: _random_mv(rng, n, [1], rng.randint(0, 2)) for k in orders})
+        got = gauge_flow(S, gamma, xi)
+        want = ref.gauge_flow(S, gamma, xi)
+        assert got.ring == want.ring
+        assert set(got.coeffs) == set(want.coeffs)
+        for k, v in got.coeffs.items():
+            _assert_canonical(v, want.coeffs[k])
+
+
+def _assert_same_primitive(got, want):
+    assert (got.found, got.rank) == (want.found, want.rank)
+    assert got.candidate.terms == want.candidate.terms
+    assert got.residual.terms == want.residual.terms
+    assert (got.primitive is None) == (want.primitive is None)
+
+
+def test_delta_primitive_matches_dense_reference():
+    ctx2 = CTXS[2]
+    bivector = mv_make(ctx2, [((0, 1), {(0, 0): 1})])
+    op = mdo_make(ctx2, 1, [(((1, 0),), {(1, 1): Fraction(2, 3)}), (((0, 2),), {(0, 0): -1})])
+    cases = [
+        (hkr(bivector), 2, 2),  # not exact: an inconsistent system
+        (hoch_delta(op), 2, 2),  # exact by construction
+        (hoch_delta(op), 1, 1),  # exact, but outside these bounds
+    ]
+    for T, poly_degree, op_order in cases:
+        got = delta_primitive(T, poly_degree=poly_degree, op_order=op_order)
+        want = ref.delta_primitive(T, poly_degree=poly_degree, op_order=op_order)
+        _assert_same_primitive(got, want)
+    assert [delta_primitive(T, poly_degree=p, op_order=o).found for T, p, o in cases] == [
+        False,
+        True,
+        False,
+    ]

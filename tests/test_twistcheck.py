@@ -21,11 +21,10 @@ from gdcalc.polyvec import (
     mv_sub,
     schouten,
 )
+from _ref_cochains import RelationBounds, linfty_relations_check
 from gdcalc.twistcheck import (
     NotClosedError,
-    RelationBounds,
     is_twisted_poisson,
-    linfty_relations_check,
     make_twisted,
     mc_defect,
 )
