@@ -33,7 +33,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ._fastterms import (
     FastCtx,
     TermMap,
-    form_to_fast,
     m_into,
     m_terms,
     odd_mask,
@@ -46,7 +45,7 @@ from ._fastterms import (
     wedge_into,
 )
 from .exactcore import Exponents, VarContext, format_rat, monomials_upto, poly_from_terms
-from .polyvec import DiffForm, d_form, form_degree, form_make
+from .polyvec import DiffForm, d_form, form_degree, form_make, to_termmap
 
 __all__ = [
     "CheckReport",
@@ -410,7 +409,7 @@ def lemma_differential(
     checked = trivial = 0
     for mask, exps, e in _monomial_forms(fc, form_degree_max, coeff_degree):
         alpha = form_make(ctx, [(fc.bits[mask], poly_from_terms(n, [(1, exps)]))])
-        dform_fast = form_to_fast(fc, d_form(alpha))
+        dform_fast = to_termmap(fc, d_form(alpha))
         form_terms = {(mask, exps): 1}
         phis = _PhiSubsetCache(pool, form_terms)
         r = e + 1
@@ -623,7 +622,7 @@ def linfty_mixed(
     fc = FastCtx(ctx.n)
     els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
     pool = _Pool(fc, els)
-    Hfast = form_to_fast(fc, H)
+    Hfast = to_termmap(fc, H)
     phis = _PhiSubsetCache(pool, Hfast)
     need = _coframe_need(fc, H)
     checked = trivial = 0
@@ -685,7 +684,7 @@ def linfty_ternary(
     fc = FastCtx(ctx.n)
     els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
     pool = _Pool(fc, els)
-    Hfast = form_to_fast(fc, H)
+    Hfast = to_termmap(fc, H)
     phis = _PhiSubsetCache(pool, Hfast)
     need = _coframe_need(fc, H)
     checked = trivial = 0

@@ -1,65 +1,86 @@
-"""Low-overhead term engine backing the exhaustive sweep suites.
+"""The term engine: the Schouten bracket, the wedge and the contraction cochain.
 
-Multivector terms are keyed by (frame bitmask, exponent tuple) with plain
-integer coefficients; frame sign bookkeeping is table-driven per context.
-The contraction cochain takes its signs from a per-context frame table:
-the value of a coframe on unit frames, with every slot matching and its
-Koszul sign summed, is computed once per (coframe mask, argument masks,
-degrees) pattern on first use.  Unshuffle signs come from `subset_plan`,
-one table per (arity, subset size) indexed by the odd-degree mask of the
-argument tuple (`odd_mask`).  Summing happens in the producers: the
-bracket, the structure operation, the wedge and the contraction each add
-`scale` times their value straight into a caller's accumulator
-(`schouten_into`, `m_into`, `wedge_into`, `phi_into`), and `tm_add_into`
-adds a finished TermMap; the value-returning forms are thin wrappers over
-them.  Every producer drops cancelled coefficients, so a TermMap is zero
+Terms are keyed by (frame bitmask, exponent tuple) with integer coefficients
+(`Fraction` where the denominator is not 1).  This is the only implementation
+of the bracket, the wedge and the contraction: `polyvec` and `chevalley`
+convert their terms at the boundary, the sweeps of `_fastsweep` call it
+directly, and `tests/_ref_polyvec.py` keeps an independent tuple-frame route
+as the oracle.
+
+The sign tables (`pop`, `bits`, `merge` and the bracket's plan for each pair
+of frames) depend on the masks alone: contexts of one dimension share them,
+and they fill entry by entry on first use, so a context is cheap at any
+dimension.  The value memos (`_dcache`, `_ecache` and `_ftable`, the
+contraction's matching sum per (coframe mask, argument masks, degrees)
+pattern) belong to one context: a sweep, a `phi(omega)` cochain, or one
+bracket, wedge or contraction call.  Unshuffle signs come from `subset_plan`,
+indexed by the odd-degree mask of the argument tuple (`odd_mask`).  The
+producers add `scale` times their value straight into a caller's accumulator
+(`schouten_into`, `m_into`, `wedge_into`, `phi_into`; `tm_add_into` adds a
+finished TermMap) and drop cancelled coefficients, so a TermMap is zero
 exactly when it is empty.
-Everything here reimplements, at term granularity, operations that already
-exist on PolyVector/Cochain — the slow structures remain the reference
-route, and the test suite pins this module against them on randomized
-inputs.  Sweep drivers are the only intended consumers.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .exactcore import Exponents, koszul_sign, koszul_unshuffle_sign
-from .polyvec import DiffForm, PolyVector, mv_make
 
 TermKey = Tuple[int, Exponents]
 TermMap = Dict[TermKey, int]  # coefficients are ints (Fractions tolerated)
 
-class FastCtx:
-    """Per-dimension sign tables for bitmask frames."""
 
-    __slots__ = (
-        "n", "pop", "bits", "merge", "zero_exps", "_dcache", "_ecache", "_ftable"
-    )
+class _Table(dict):
+    """A dict that computes a missing entry from its key on first use."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _bit_tuple(m: int) -> Tuple[int, ...]:
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+def _merge_sign(m1: int, m2: int) -> int:
+    """Sign taking theta(m1) ^ theta(m2) to theta(m1 | m2); 0 when the frames overlap.
+
+    The parity of the pairs (i in m1, j in m2) with j < i: the
+    transpositions that interleave the two blocks.
+    """
+    if m1 & m2:
+        return 0
+    inv = 0
+    for i in _bit_tuple(m1):
+        inv += (m2 & ((1 << i) - 1)).bit_count()
+    return -1 if inv & 1 else 1
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_tables(n: int):
+    """pop, bits, merge and bracket-plan tables for dimension n, all filled on first use."""
+    merge = _Table(lambda m1: _Table(functools.partial(_merge_sign, m1)))
+    return _Table(int.bit_count), _Table(_bit_tuple), merge, _Table(lambda m1: {})
+
+
+class FastCtx:
+    """Shared sign tables for bitmask frames plus this context's value memos."""
+
+    __slots__ = ("n", "pop", "bits", "merge", "_plans", "_dcache", "_ecache", "_ftable")
 
     def __init__(self, n: int):
         self.n = n
-        size = 1 << n
-        self.pop = [bin(m).count("1") for m in range(size)]
-        self.bits = [tuple(i for i in range(n) if m >> i & 1) for m in range(size)]
-        merge: List[List[int]] = [[0] * size for _ in range(size)]
-        for m1 in range(size):
-            for m2 in range(size):
-                if m1 & m2:
-                    continue
-                inv = 0
-                for i in self.bits[m1]:
-                    inv += self.pop[m2 & ((1 << i) - 1)]
-                merge[m1][m2] = -1 if inv & 1 else 1
-        self.merge = merge
-        self.zero_exps = (0,) * n
-        self._dcache: Dict[Tuple[Exponents, int], Optional[Tuple[int, Exponents]]] = {}
-        self._ecache: Dict[Tuple[Exponents, Exponents], Exponents] = {}
-        self._ftable: Dict[
-            Tuple[int, Tuple[int, ...], Tuple[int, ...]], Optional[Tuple[int, int]]
-        ] = {}
+        self.pop, self.bits, self.merge, self._plans = _shared_tables(n)
+        # (exps, i) -> derivative, (e1, e2) -> sum, (comask, masks, degs) -> frame entry
+        self._dcache, self._ecache, self._ftable = {}, {}, {}
 
     def mask_of(self, frame: Sequence[int]) -> int:
         m = 0
@@ -86,28 +107,6 @@ class FastCtx:
         return hit
 
 
-# ---------------------------------------------------------------------------
-# conversion
-
-
-def to_fast(fc: FastCtx, v: PolyVector) -> TermMap:
-    out: TermMap = {}
-    for frame, poly in v.terms.items():
-        m = fc.mask_of(frame)
-        for exps, c in poly.items():
-            out[(m, exps)] = int(c) if c.denominator == 1 else c
-    return out
-
-
-def from_fast(fc: FastCtx, ctx, tm: TermMap) -> PolyVector:
-    grouped: Dict[Tuple[int, ...], Dict[Exponents, Fraction]] = {}
-    for (m, exps), c in tm.items():
-        if not c:
-            continue
-        grouped.setdefault(fc.bits[m], {})[exps] = Fraction(c)
-    return mv_make(ctx, list(grouped.items()))
-
-
 def tm_add_into(acc: TermMap, tm: TermMap, s=1) -> None:
     for k, c in tm.items():
         v = acc.get(k, 0) + c * s
@@ -118,48 +117,69 @@ def tm_add_into(acc: TermMap, tm: TermMap, s=1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Schouten bracket and the structure operation at term level
+# Schouten bracket, the structure operation and the wedge
 
 
-def _half_into(fc: FastCtx, m1, e1, c1, m2, e2, c2, sign, acc: TermMap) -> None:
-    """Accumulate sign * D(a, b) for single terms a, b."""
-    merge = fc.merge
-    pop = fc.pop
+def _half_plan(fc: FastCtx, m1: int, m2: int, sign: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(i, output mask, sign) for each index i of m1 that D(theta(m1), theta(m2)) keeps.
+
+    D(a, b) = sum_i (a dtheta_i^R) . d(b)/dx_i: the right derivative at
+    position pos of a length-k frame carries (-1)^(k-pos-1), and the reduced
+    frame is merged with m2 (indices that overlap drop out).
+    """
+    plan = []
     k1m1 = fc.pop[m1] - 1
     for i in fc.bits[m1]:
-        d = fc.derive(e2, i)
-        if d is None:
-            continue
-        factor, e2d = d
         im = 1 << i
         red = m1 ^ im
-        ms = merge[red][m2]
-        if not ms:
-            continue
-        # right derivative at position pos carries (-1)^(k-pos-1)
-        s = sign * ms * factor
-        if (k1m1 - pop[red & (im - 1)]) & 1:
-            s = -s
-        key = (red | m2, fc.eadd(e1, e2d))
-        v = acc.get(key, 0) + c1 * c2 * s
-        if v:
-            acc[key] = v
-        else:
-            acc.pop(key, None)
+        s = fc.merge[red][m2]
+        if s:
+            if (k1m1 - fc.pop[red & (im - 1)]) & 1:
+                s = -s
+            plan.append((i, red | m2, s * sign))
+    return tuple(plan)
+
+
+def _bracket_plans(fc: FastCtx, m1: int, m2: int):
+    """The two half plans of [theta(m1), theta(m2)], the second with its sign folded in."""
+    flip = -1 if ((fc.pop[m1] - 1) * (fc.pop[m2] - 1)) & 1 else 1
+    return _half_plan(fc, m1, m2, 1), _half_plan(fc, m2, m1, -flip)
 
 
 def schouten_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> None:
-    """Add scale * [A, B] into acc, mirroring the PolyVector route term by term."""
-    pop = fc.pop
+    """Add scale * [A, B] into acc.
+
+    [a, b] = D(a, b) - (-1)^{(|a|-1)(|b|-1)} D(b, a) on single terms, summed
+    bilinearly; the frame signs of each pair of frames come from the shared
+    plan table (`_bracket_plans`).
+    """
+    plans = fc._plans
+    derive = fc.derive
+    eadd = fc.eadd
     for (m1, e1), c1 in A.items():
+        row = plans[m1]
         for (m2, e2), c2 in B.items():
-            _half_into(fc, m1, e1, c1, m2, e2, c2, scale, acc)
-            flip = -scale if ((pop[m1] - 1) * (pop[m2] - 1)) & 1 else scale
-            _half_into(fc, m2, e2, c2, m1, e1, c1, -flip, acc)
+            try:
+                ab, ba = row[m2]
+            except KeyError:
+                ab, ba = row[m2] = _bracket_plans(fc, m1, m2)
+            c = c1 * c2 * scale
+            # D(a, b) differentiates b's coefficient, D(b, a) a's
+            for plan, ek, ed in ((ab, e1, e2), (ba, e2, e1)):
+                for i, om, s in plan:
+                    d = derive(ed, i)
+                    if d is None:
+                        continue
+                    key = (om, eadd(ek, d[1]))
+                    v = acc.get(key, 0) + c * s * d[0]
+                    if v:
+                        acc[key] = v
+                    else:
+                        acc.pop(key, None)
 
 
 def schouten_terms(fc: FastCtx, A: TermMap, B: TermMap) -> TermMap:
-    """[A, B] mirroring the PolyVector route term by term."""
+    """[A, B] as a fresh TermMap."""
     acc: TermMap = {}
     schouten_into(fc, A, B, 1, acc)
     return acc
@@ -178,7 +198,7 @@ def m_terms(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int) -> TermMap:
 
 
 def wedge_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> None:
-    """Add scale * (A ^ B) into acc, frames merged with the context's merge signs."""
+    """Add scale * (A ^ B) into acc, frames merged with the shared merge signs."""
     merge = fc.merge
     eadd = fc.eadd
     for (m1, e1), c1 in A.items():
@@ -232,15 +252,6 @@ def subset_plan(r: int, k: int):
 
 # ---------------------------------------------------------------------------
 # the contraction cochain at term level
-
-
-def form_to_fast(fc: FastCtx, omega: DiffForm) -> Dict[Tuple[int, Exponents], int]:
-    out: Dict[Tuple[int, Exponents], int] = {}
-    for coframe, poly in omega.terms.items():
-        m = fc.mask_of(coframe)
-        for exps, c in poly.items():
-            out[(m, exps)] = int(c) if c.denominator == 1 else c
-    return out
 
 
 def _frame_entry(

@@ -31,8 +31,11 @@ Sign conventions (fixed package-wide, see docs/sign-ledger.md):
 The library evaluates compositions and brackets only at term level, in the
 sweeps of ``_fastsweep``; the test suite keeps an evaluator-level
 composition, bracket and differential as their independent reference.
-Kernels sum their terms in place (``exactcore.add_term_into``) and build
-one result.
+Both kernels run on the term engine: the structure cochain through
+``polyvec.schouten``, and the contraction cochain's kernel converts its
+arguments with ``polyvec.to_termmap`` and sums ``_fastterms.phi_into`` into
+one TermMap, with one engine context (and so one frame table) per
+``phi(omega)`` cochain.
 """
 from __future__ import annotations
 
@@ -40,18 +43,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactcore import VarContext, add_term_into, koszul_sign, poly_mul
+from ._fastterms import FastCtx, TermMap, phi_into
+from .exactcore import VarContext
 from .polyvec import (
     DiffForm,
     PolyVector,
     _add_mv_into,
     form_degree,
-    mv_func,
-    mv_is_zero,
+    from_termmap,
     mv_scale,
     mv_zero,
     schouten,
-    wedge_mv,
+    to_termmap,
 )
 
 __all__ = [
@@ -130,18 +133,6 @@ def structure_cochain(ctx: VarContext) -> Cochain:
     return Cochain(ctx, 2, 1, kernel, name="m")
 
 
-def _contract_coord(j: int, v: PolyVector) -> PolyVector:
-    """<dx_j, v> without building the one-form."""
-    out: Dict = {}
-    for frame, poly in v.terms.items():
-        try:
-            pos = frame.index(j)
-        except ValueError:
-            continue
-        add_term_into(out, frame[:pos] + frame[pos + 1 :], poly, -1 if pos % 2 else 1)
-    return PolyVector(v.ctx, out)
-
-
 def phi(omega: DiffForm, arity: Optional[int] = None) -> Cochain:
     """The contraction cochain of a homogeneous k-form.
 
@@ -158,39 +149,14 @@ def phi(omega: DiffForm, arity: Optional[int] = None) -> Cochain:
     if arity is not None and arity != k:
         raise ValueError(f"arity {arity} contradicts form degree {k}")
     ctx = omega.ctx
-    coframes = list(omega.terms.items())
-
-    if k == 0:
-        ((_, g0),) = coframes
-
-        def kernel0(args: Tuple[PolyVector, ...]) -> PolyVector:
-            return mv_func(ctx, g0)
-
-        return Cochain(ctx, 0, -2, kernel0, name="phi", source_form=omega)
+    fc = FastCtx(ctx.n)
+    form = to_termmap(fc, omega)
 
     def kernel(args: Tuple[PolyVector, ...]) -> PolyVector:
-        degs = [_degree_of(a) for a in args]
-        total: Dict = {}
-        for coframe, g in coframes:
-            # contractions of each coordinate differential against each slot
-            table = [[_contract_coord(j, a) for a in args] for j in coframe]
-            for sigma in itertools.permutations(range(k)):
-                wedge: Optional[PolyVector] = None
-                for pos in range(k):
-                    piece = table[pos][sigma[pos]]
-                    if mv_is_zero(piece):
-                        wedge = None
-                        break
-                    wedge = piece if wedge is None else wedge_mv(wedge, piece)
-                    if mv_is_zero(wedge):
-                        wedge = None
-                        break
-                if wedge is None:
-                    continue
-                exponent = sum((k - 1 - pos) * degs[sigma[pos]] for pos in range(k))
-                sign = koszul_sign(degs, sigma) * (-1 if exponent % 2 else 1)
-                for frame, q in wedge.terms.items():
-                    add_term_into(total, frame, poly_mul(q, g), sign)
-        return PolyVector(ctx, total)
+        acc: TermMap = {}
+        phi_into(
+            fc, form, [to_termmap(fc, a) for a in args], [_degree_of(a) for a in args], 1, acc
+        )
+        return from_termmap(PolyVector, ctx, fc, acc)
 
     return Cochain(ctx, k, k - 2, kernel, name="phi", source_form=omega)

@@ -5,9 +5,8 @@ increasing tuple of variable indices (the wedge of the corresponding
 coordinate derivations) to a polynomial coefficient. Differential forms are
 stored the same way over coframes (wedges of coordinate differentials).
 
-The Schouten bracket is computed through Grassmann calculus: writing a
-k-vector as a polynomial in odd generators theta_i (one per coordinate
-derivation), the bracket is
+The Schouten bracket is the Grassmann-calculus one: writing a k-vector as a
+polynomial in odd generators theta_i (one per coordinate derivation),
 
     [a, b] = D(a, b) - (-1)^{(|a|-1)(|b|-1)} D(b, a),
     D(a, b) = sum_i (a dtheta_i^R) . d(b)/dx_i,
@@ -17,17 +16,23 @@ coordinate frames this reproduces the classical expansion of the bracket of
 decomposable multivectors, extends the commutator of vector fields, and is
 a biderivation of the wedge — properties the test-suite checks exactly.
 
-``mv_make``/``form_make`` are the validating constructors for caller-supplied
-terms.  The operations sum the terms they produce in place through
-``exactcore.add_term_into`` and build each result once.
+The bracket, the wedges and the one-form contraction are thin adapters over
+the term engine ``_fastterms``: ``to_termmap`` converts the operands'
+terms to bitmask TermMaps, the engine sums the result in place, and
+``from_termmap`` builds it once.  ``mv_make``/``form_make`` are the
+validating constructors for caller-supplied terms; every ``PolyVector`` and
+``DiffForm`` checks its frames and that each exponent tuple has one entry
+per variable of its context.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._fastterms import FastCtx, TermMap, phi_into, schouten_into, wedge_into
 from .exactcore import (
     Poly,
     VarContext,
@@ -35,7 +40,6 @@ from .exactcore import (
     monomials_upto,
     partial_derive,
     poly_is_zero,
-    poly_mul,
     poly_neg,
     poly_scale,
 )
@@ -74,12 +78,19 @@ __all__ = [
 ]
 
 
-def _validate_frames(ctx: VarContext, terms: Dict[Frame, Poly]) -> None:
-    for frame in terms:
-        if any(not 0 <= i < ctx.n for i in frame):
+def _validate_terms(ctx: VarContext, terms: Dict[Frame, Poly]) -> None:
+    n = ctx.n
+    for frame, poly in terms.items():
+        if any(not 0 <= i < n for i in frame):
             raise ValueError(f"frame index out of range in {frame!r}")
         if any(a >= b for a, b in zip(frame, frame[1:])):
             raise ValueError(f"frame must be strictly increasing: {frame!r}")
+        for exps in poly:
+            if len(exps) != n:
+                raise ValueError(
+                    "polynomials built over different variable counts: "
+                    f"{exps!r} in a {n}-variable context"
+                )
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ class PolyVector:
     terms: Dict[Frame, Poly]
 
     def __post_init__(self) -> None:
-        _validate_frames(self.ctx, self.terms)
+        _validate_terms(self.ctx, self.terms)
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,7 @@ class DiffForm:
     terms: Dict[Frame, Poly]
 
     def __post_init__(self) -> None:
-        _validate_frames(self.ctx, self.terms)
+        _validate_terms(self.ctx, self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +127,7 @@ def _collect(terms: Iterable[Tuple[Frame, Poly]]) -> Dict[Frame, Poly]:
     """Sum caller-supplied terms into a fresh zero-free map of Fraction coefficients."""
     out: Dict[Frame, Poly] = {}
     for frame, poly in terms:
-        frame = tuple(frame)
-        acc = out.get(frame)
-        if acc and poly and len(next(iter(acc))) != len(next(iter(poly))):
-            raise ValueError("polynomials built over different variable counts")
-        add_term_into(out, frame, {e: Fraction(c) for e, c in poly.items() if c})
+        add_term_into(out, tuple(frame), {e: Fraction(c) for e, c in poly.items() if c})
     return out
 
 
@@ -219,95 +226,52 @@ def form_degree(a: DiffForm) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# wedge products
+# the term-engine boundary
 
 
-def _merge_frames(f1: Frame, f2: Frame) -> Optional[Tuple[int, Frame]]:
-    """Merge two increasing frames; return (sign, merged) or None on overlap.
+def to_termmap(fc: FastCtx, v) -> TermMap:
+    """The terms of a PolyVector or DiffForm keyed by (frame mask, exponents).
 
-    The sign is the parity of the number of pairs (i in f1, j in f2) with
-    j < i — the transpositions needed to interleave the blocks.
+    A coefficient whose denominator is 1 is stored as an int.
     """
-    if not f1:
-        return 1, f2
-    if not f2:
-        return 1, f1
-    inv = 0
-    merged: List[int] = []
-    i = j = 0
-    while i < len(f1) and j < len(f2):
-        a, b = f1[i], f2[j]
-        if a == b:
-            return None
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            inv += len(f1) - i
-            j += 1
-    merged.extend(f1[i:])
-    merged.extend(f2[j:])
-    return (-1 if inv % 2 else 1), tuple(merged)
-
-
-def _wedge_terms(a, b) -> Dict[Frame, Poly]:
-    """Terms of a ^ b, for two multivectors or two forms."""
-    if a.ctx != b.ctx:
-        raise ValueError("context mismatch")
-    out: Dict[Frame, Poly] = {}
-    for f1, p1 in a.terms.items():
-        for f2, p2 in b.terms.items():
-            m = _merge_frames(f1, f2)
-            if m is not None:
-                sign, merged = m
-                add_term_into(out, merged, poly_mul(p1, p2), sign)
+    out: TermMap = {}
+    for frame, poly in v.terms.items():
+        m = fc.mask_of(frame)
+        for exps, c in poly.items():
+            out[(m, exps)] = int(c) if c.denominator == 1 else c
     return out
 
 
-def wedge_mv(a: PolyVector, b: PolyVector) -> PolyVector:
-    return PolyVector(a.ctx, _wedge_terms(a, b))
+def from_termmap(cls, ctx: VarContext, fc: FastCtx, tm: TermMap):
+    """Build a cls (PolyVector or DiffForm) from a TermMap, coefficients as Fractions."""
+    terms: Dict[Frame, Poly] = {}
+    bits = fc.bits
+    for (m, exps), c in tm.items():
+        if c:
+            terms.setdefault(bits[m], {})[exps] = Fraction(c)
+    return cls(ctx, terms)
 
 
-def form_wedge(a: DiffForm, b: DiffForm) -> DiffForm:
-    return DiffForm(a.ctx, _wedge_terms(a, b))
+def _binary(into, a, b):
+    """a op b for the engine's summing form of a bilinear operation."""
+    if a.ctx != b.ctx:
+        raise ValueError("context mismatch")
+    fc = FastCtx(a.ctx.n)
+    acc: TermMap = {}
+    into(fc, to_termmap(fc, a), to_termmap(fc, b), 1, acc)
+    return from_termmap(type(a), a.ctx, fc, acc)
 
 
 # ---------------------------------------------------------------------------
-# Schouten bracket
+# wedge products and the Schouten bracket
 
 
-def _right_theta_derivative(frame: Frame, i: int) -> Optional[Tuple[int, Frame]]:
-    """Right derivative of the Grassmann monomial theta_frame by theta_i.
-
-    Returns (sign, frame without i); the right derivative of a length-k
-    monomial at 1-based position p carries (-1)^(k-p).
-    """
-    try:
-        pos = frame.index(i)
-    except ValueError:
-        return None
-    k = len(frame)
-    sign = -1 if (k - pos - 1) % 2 else 1
-    return sign, frame[:pos] + frame[pos + 1 :]
+def wedge_mv(a: PolyVector, b: PolyVector) -> PolyVector:
+    return _binary(wedge_into, a, b)
 
 
-def _half_bracket_into(
-    out: Dict[Frame, Poly], f1: Frame, p1: Poly, f2: Frame, p2: Poly, factor: int
-) -> None:
-    """Add factor·D(a,b) into out for single terms a = p1 theta_{f1}, b = p2 theta_{f2}."""
-    for i in f1:
-        dp2 = partial_derive(p2, i)
-        if poly_is_zero(dp2):
-            continue
-        rd = _right_theta_derivative(f1, i)
-        assert rd is not None
-        sign, reduced = rd
-        m = _merge_frames(reduced, f2)
-        if m is None:
-            continue
-        msign, merged = m
-        add_term_into(out, merged, poly_mul(p1, dp2), factor * sign * msign)
+def form_wedge(a: DiffForm, b: DiffForm) -> DiffForm:
+    return _binary(wedge_into, a, b)
 
 
 def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
@@ -316,15 +280,7 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
     Degree |a|+|b|-1; graded antisymmetric with respect to the shifted
     degrees: [a,b] = -(-1)^{(|a|-1)(|b|-1)} [b,a].
     """
-    if a.ctx != b.ctx:
-        raise ValueError("context mismatch")
-    out: Dict[Frame, Poly] = {}
-    for f1, p1 in a.terms.items():
-        for f2, p2 in b.terms.items():
-            _half_bracket_into(out, f1, p1, f2, p2, 1)
-            flip = -1 if ((len(f1) - 1) * (len(f2) - 1)) % 2 else 1
-            _half_bracket_into(out, f2, p2, f1, p1, -flip)
-    return PolyVector(a.ctx, out)
+    return _binary(schouten_into, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +288,17 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
 
 
 def d_form(w: DiffForm) -> DiffForm:
+    """dw = sum_i dx_i ^ d(w)/dx_i; dx_i moves past the coframe indices below i."""
     out: Dict[Frame, Poly] = {}
     for coframe, poly in w.terms.items():
         for i in range(w.ctx.n):
+            if i in coframe:
+                continue
             dp = partial_derive(poly, i)
             if poly_is_zero(dp):
                 continue
-            m = _merge_frames((i,), coframe)
-            if m is not None:
-                sign, merged = m
-                add_term_into(out, merged, dp, sign)
+            pos = bisect.bisect(coframe, i)
+            add_term_into(out, coframe[:pos] + (i,) + coframe[pos:], dp, -1 if pos % 2 else 1)
     return DiffForm(w.ctx, out)
 
 
@@ -349,23 +306,19 @@ def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
     """Left interior pairing of a one-form against a multivector.
 
     <alpha, X_1 ^ ... ^ X_k> = sum_i (-1)^(i-1) alpha(X_i) X_1 ^ ... ^ X_k
-    with slot i removed; A-bilinear in both arguments.
+    with slot i removed; A-bilinear in both arguments.  This is the
+    contraction cochain of alpha on one argument, whose sign does not
+    depend on the argument's degree (declared 0 here, so mixed-degree v
+    is fine).
     """
     if alpha.ctx != v.ctx:
         raise ValueError("context mismatch")
     if any(len(c) != 1 for c in alpha.terms):
         raise ValueError("contract expects a homogeneous one-form")
-    out: Dict[Frame, Poly] = {}
-    for coframe, g in alpha.terms.items():
-        j = coframe[0]
-        for frame, f in v.terms.items():
-            try:
-                pos = frame.index(j)
-            except ValueError:
-                continue
-            reduced = frame[:pos] + frame[pos + 1 :]
-            add_term_into(out, reduced, poly_mul(g, f), -1 if pos % 2 else 1)
-    return PolyVector(v.ctx, out)
+    fc = FastCtx(v.ctx.n)
+    acc: TermMap = {}
+    phi_into(fc, to_termmap(fc, alpha), [to_termmap(fc, v)], (0,), 1, acc)
+    return from_termmap(PolyVector, v.ctx, fc, acc)
 
 
 def i_func_mv(a: Poly, v: PolyVector) -> PolyVector:

@@ -5,7 +5,9 @@
 (once in ``gdcalc.twistcheck``) are kept here verbatim.  They compose
 cochains through the generic evaluator, independently of the bitmask sweeps
 in ``gdcalc._fastsweep`` that the library runs, so the tests can pin those
-sweeps against a second route.  Test-only.
+sweeps against a second route.  The evaluator and the structure cochain
+they compose come from ``_ref_polyvec`` (the tuple-frame bracket), so no
+comparison runs the library's term engine on both sides.  Test-only.
 """
 from __future__ import annotations
 
@@ -13,13 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from gdcalc.chevalley import (
-    Cochain,
-    _degree_of,
-    cochain_zero,
-    evaluate,
-    structure_cochain,
-)
+from _ref_polyvec import _degree_of, evaluate, structure_cochain
+from gdcalc.chevalley import Cochain, cochain_zero
 from gdcalc.exactcore import koszul_unshuffle_sign
 from gdcalc.polyvec import (
     PolyVector,

@@ -29,7 +29,6 @@ from gdcalc._fastsweep import (
 from gdcalc._fastterms import (
     FastCtx,
     TermMap,
-    form_to_fast,
     m_terms,
     phi_eval,
     schouten_terms,
@@ -37,6 +36,7 @@ from gdcalc._fastterms import (
 )
 from gdcalc.exactcore import Exponents, VarContext, poly_from_terms
 from gdcalc.polyvec import DiffForm, d_form, form_degree, form_make
+from gdcalc.polyvec import to_termmap as form_to_fast
 
 
 def unshuffle_sign_fast(degs: Sequence[int], subset: Sequence[int]) -> int:

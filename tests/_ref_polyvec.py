@@ -2,7 +2,8 @@
 
 The parent revision's ``mv_make``, ``form_make``, ``wedge_mv``,
 ``form_wedge``, ``schouten``, ``contract`` and ``d_form`` (``polyvec``),
-``evaluate`` with the ``phi`` kernel (``chevalley``), ``_solve_mv_equation``
+``evaluate`` with the ``phi`` kernel and the structure cochain
+(``chevalley``), ``_solve_mv_equation``
 and ``gauge_flow`` (``deform``) and ``delta_primitive`` with its dense
 system assembly (``hochschild``), kept verbatim with the helpers they call.
 Every sum goes through ``mv_make``/``poly_add`` copies, and the linear
@@ -294,6 +295,17 @@ def evaluate(c: Cochain, args: Sequence[PolyVector]) -> PolyVector:
 def _degree_of(v: PolyVector) -> int:
     # kernels only ever see single-degree nonzero arguments
     return len(next(iter(v.terms)))
+
+
+def structure_cochain(ctx: VarContext) -> Cochain:
+    """The arity-2 cochain m(a,b) = (-1)^{|a|-1}[a,b] over this module's bracket."""
+
+    def kernel(args: Tuple[PolyVector, ...]) -> PolyVector:
+        a, b = args
+        sign = -1 if (_degree_of(a) - 1) % 2 else 1
+        return mv_scale(schouten(a, b), sign)
+
+    return Cochain(ctx, 2, 1, kernel, name="m")
 
 
 def _contract_coord(j: int, v: PolyVector) -> PolyVector:

@@ -30,17 +30,14 @@ from gdcalc._fastsweep import (
     schouten_jacobi,
     schouten_leibniz,
 )
+import _ref_polyvec as ref
 from gdcalc._fastterms import (
     FastCtx,
-    form_to_fast,
-    from_fast,
     m_terms,
     phi_eval,
     schouten_terms,
     tm_add_into,
-    to_fast,
 )
-from gdcalc.chevalley import evaluate, phi
 from gdcalc.cli import main as cli_main
 from gdcalc.deform import ArtinRing, GaugeParam, defect_series, gauge_flow, mc_solve, series_make
 from gdcalc.exactcore import VarContext, monomials_upto, poly_from_terms
@@ -60,13 +57,16 @@ from gdcalc.hochschild import (
     mult_cochain,
 )
 from gdcalc.polyvec import (
+    PolyVector,
     form_make,
+    from_termmap,
     mv_eq,
     mv_frame,
     mv_homogeneous_degree,
     mv_is_zero,
     mv_make,
     schouten,
+    to_termmap,
 )
 from gdcalc.twistcheck import is_twisted_poisson, make_twisted, mc_defect
 
@@ -448,21 +448,21 @@ def test_criterion_7_twisted_oracle(capsys):
     for ctx, H, pi, expect in instances:
         S = make_twisted(H)
         verdict = is_twisted_poisson(S, pi)
-        # route one: the structure-cochain engine, sides compared whole
-        lhs = schouten(pi, pi)
-        rhs = evaluate(phi(H, arity=3), (pi, pi, pi))
+        # route one: the tuple-frame reference engine, sides compared whole
+        lhs = ref.schouten(pi, pi)
+        rhs = ref.evaluate(ref.phi(H, arity=3), (pi, pi, pi))
         sides_match = mv_eq(lhs, rhs)
         defect = mc_defect(S, pi)
         # route two: the bitmask engine, term by term
         fc = FastCtx(ctx.n)
-        P = to_fast(fc, pi)
+        P = to_termmap(fc, pi)
         lhs_fast = schouten_terms(fc, P, P)
-        rhs_fast = phi_eval(fc, form_to_fast(fc, H), [P, P, P], [2, 2, 2])
-        routes_agree = lhs_fast == to_fast(fc, lhs) and rhs_fast == to_fast(fc, rhs)
+        rhs_fast = phi_eval(fc, to_termmap(fc, H), [P, P, P], [2, 2, 2])
+        routes_agree = lhs_fast == to_termmap(fc, lhs) and rhs_fast == to_termmap(fc, rhs)
         acc = {}
         tm_add_into(acc, lhs_fast)
         tm_add_into(acc, rhs_fast, -1)
-        defect_agrees = mv_eq(from_fast(fc, ctx, acc), defect)
+        defect_agrees = mv_eq(from_termmap(PolyVector, ctx, fc, acc), defect)
         inst_ok = verdict == expect == sides_match and routes_agree and defect_agrees
         ok = ok and inst_ok
         details.append(f"{'true' if verdict else 'false'}")

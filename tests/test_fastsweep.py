@@ -1,4 +1,9 @@
-"""Sweep drivers must agree with the generic cochain route and pass at small scale."""
+"""Sweep drivers must agree with the tuple-frame cochain route and pass at small scale.
+
+The reference side of each comparison is built from ``_ref_polyvec`` (its
+bracket, ``phi`` kernel and evaluator) and ``_ref_cochains``, so the term
+engine the sweeps run on is never compared with itself.
+"""
 from __future__ import annotations
 
 import itertools
@@ -20,16 +25,16 @@ from gdcalc._fastsweep import (
     schouten_leibniz,
     sweep_elements,
 )
-from gdcalc._fastterms import FastCtx, from_fast, to_fast
+from gdcalc._fastterms import FastCtx
 from _ref_cochains import (
     RelationBounds,
     cochain_bracket,
     cochain_differential,
     linfty_relations_check,
 )
-from gdcalc.chevalley import evaluate, phi, structure_cochain
+from _ref_polyvec import evaluate, phi, structure_cochain
 from gdcalc.exactcore import VarContext, poly_from_terms
-from gdcalc.polyvec import basis_multivectors, form_make, mv_eq
+from gdcalc.polyvec import PolyVector, basis_multivectors, form_make, from_termmap, mv_eq, to_termmap
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("x", "y", "z"))
@@ -97,7 +102,7 @@ def test_fast_differential_matches_cochain_route(data):
     generic = evaluate(
         cochain_differential(phi(alpha, e)), tuple(basis[i] for i in idx)
     )
-    assert mv_eq(from_fast(fc, CTX2, fast), generic)
+    assert mv_eq(from_termmap(PolyVector, CTX2, fc, fast), generic)
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,10 +116,10 @@ def test_fast_linfty_mixed_matches_cochain_route(data):
     generic = evaluate(cochain_bracket(l2, l3), tuple(basis[i] for i in idx))
 
     # mirror the linfty_mixed inner loop on one tuple
-    from gdcalc._fastterms import form_to_fast, m_terms, phi_eval, tm_add_into
+    from gdcalc._fastterms import m_terms, phi_eval, tm_add_into
     from gdcalc.exactcore import koszul_unshuffle_sign
 
-    Hfast = form_to_fast(fc, H3)
+    Hfast = to_termmap(fc, H3)
     degs = [els[i].deg for i in idx]
     args = [dict(els[i].terms) for i in idx]
     acc = {}
@@ -144,7 +149,7 @@ def test_fast_linfty_mixed_matches_cochain_route(data):
                 ),
                 eps,
             )
-    assert mv_eq(from_fast(fc, CTX3, acc), generic)
+    assert mv_eq(from_termmap(PolyVector, CTX3, fc, acc), generic)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The term engine must agree with the reference PolyVector/Cochain routes."""
+"""The term engine must agree with the tuple-frame reference route of ``_ref_polyvec``."""
 from __future__ import annotations
 
 import itertools
@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _ref_polyvec as ref
 from gdcalc._fastterms import (
     FastCtx,
-    form_to_fast,
-    from_fast,
     m_into,
     m_terms,
     phi_eval,
@@ -19,18 +18,29 @@ from gdcalc._fastterms import (
     schouten_into,
     schouten_terms,
     tm_add_into,
-    to_fast,
     wedge_into,
 )
 from gdcalc._fastsweep import Element
-from gdcalc.chevalley import evaluate, phi, structure_cochain
 from gdcalc.exactcore import VarContext, poly_from_terms
-from gdcalc.polyvec import form_make, mv_eq, mv_frame, mv_add, mv_make, schouten, wedge_mv
+from gdcalc.polyvec import (
+    PolyVector,
+    form_make,
+    from_termmap,
+    mv_add,
+    mv_eq,
+    mv_frame,
+    mv_make,
+    to_termmap as to_fast,
+)
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("x", "y", "z"))
 CTX4 = VarContext(("x1", "x2", "x3", "x4"))
 FC2, FC3, FC4 = FastCtx(2), FastCtx(3), FastCtx(4)
+
+
+def from_fast(fc, ctx, tm):
+    return from_termmap(PolyVector, ctx, fc, tm)
 
 
 def _frames(n, degrees):
@@ -80,21 +90,21 @@ def test_fast_roundtrip(v):
 @given(multivectors(CTX3, range(0, 4)), multivectors(CTX3, range(0, 4)))
 def test_fast_schouten_matches_reference_n3(a, b):
     fast = from_fast(FC3, CTX3, schouten_terms(FC3, to_fast(FC3, a), to_fast(FC3, b)))
-    assert mv_eq(fast, schouten(a, b))
+    assert mv_eq(fast, ref.schouten(a, b))
 
 
 @settings(max_examples=60)
 @given(multivectors(CTX4, range(0, 5), max_deg=1), multivectors(CTX4, range(0, 5)))
 def test_fast_schouten_matches_reference_n4(a, b):
     fast = from_fast(FC4, CTX4, schouten_terms(FC4, to_fast(FC4, a), to_fast(FC4, b)))
-    assert mv_eq(fast, schouten(a, b))
+    assert mv_eq(fast, ref.schouten(a, b))
 
 
 @settings(max_examples=120)
 @given(multivectors(CTX3, range(0, 4)), multivectors(CTX3, range(0, 4)))
 def test_fast_wedge_matches_reference_n3(a, b):
     fast = from_fast(FC3, CTX3, _wedge(FC3, to_fast(FC3, a), to_fast(FC3, b)))
-    assert mv_eq(fast, wedge_mv(a, b))
+    assert mv_eq(fast, ref.wedge_mv(a, b))
 
 
 @settings(max_examples=60)
@@ -104,9 +114,9 @@ def test_fast_wedge_matches_reference_n3(a, b):
 )
 def test_fast_structure_op_matches_cochain(ka, b):
     k, a = ka
-    m = structure_cochain(CTX2)
+    m = ref.structure_cochain(CTX2)
     fast = from_fast(FC2, CTX2, m_terms(FC2, to_fast(FC2, a), to_fast(FC2, b), k))
-    assert mv_eq(fast, evaluate(m, (a, b)))
+    assert mv_eq(fast, ref.evaluate(m, (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +139,12 @@ def test_fast_phi_matches_reference_two_form(omega, args):
         CTX3,
         phi_eval(
             FC3,
-            form_to_fast(FC3, omega),
+            to_fast(FC3, omega),
             [to_fast(FC3, a1), to_fast(FC3, a2)],
             [d1, d2],
         ),
     )
-    assert mv_eq(fast, evaluate(phi(omega, 2), (a1, a2)))
+    assert mv_eq(fast, ref.evaluate(ref.phi(omega, 2), (a1, a2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,12 +160,12 @@ def test_fast_phi_matches_reference_three_form(omega, a1, a2, a3):
         CTX3,
         phi_eval(
             FC3,
-            form_to_fast(FC3, omega),
+            to_fast(FC3, omega),
             [to_fast(FC3, a1), to_fast(FC3, a2), to_fast(FC3, a3)],
             [2, 2, 1],
         ),
     )
-    assert mv_eq(fast, evaluate(phi(omega, 3), (a1, a2, a3)))
+    assert mv_eq(fast, ref.evaluate(ref.phi(omega, 3), (a1, a2, a3)))
 
 
 def test_fast_phi_frozen_r4_oracle():
@@ -164,14 +174,14 @@ def test_fast_phi_frozen_r4_oracle():
     pi = mv_add(mv_frame(CTX4, (0, 1)), mv_frame(CTX4, (2, 3)))
     t = to_fast(FC4, pi)
     val = from_fast(
-        FC4, CTX4, phi_eval(FC4, form_to_fast(FC4, H), [t, t, t], [2, 2, 2])
+        FC4, CTX4, phi_eval(FC4, to_fast(FC4, H), [t, t, t], [2, 2, 2])
     )
     assert mv_eq(val, mv_make(CTX4, [((0, 1, 3), poly_from_terms(4, [(6, (0,) * 4)]))]))
 
 
 def test_fast_phi_rejects_degree_mismatch():
     one = poly_from_terms(3, [(1, (0, 0, 0))])
-    H = form_to_fast(FC3, form_make(CTX3, [((0, 1, 2), one)]))
+    H = to_fast(FC3, form_make(CTX3, [((0, 1, 2), one)]))
     with pytest.raises(ValueError):
         phi_eval(FC3, H, [to_fast(FC3, mv_frame(CTX3, (0,)))], [1])
 
@@ -286,7 +296,7 @@ def test_into_forms_drop_exact_cancellations(data):
 
 def test_phi_into_rejects_degree_mismatch_without_touching_acc():
     one = poly_from_terms(3, [(1, (0, 0, 0))])
-    H = form_to_fast(FC3, form_make(CTX3, [((0, 1, 2), one)]))
+    H = to_fast(FC3, form_make(CTX3, [((0, 1, 2), one)]))
     theta = to_fast(FC3, mv_frame(CTX3, (0,)))
     acc = {(0b001, (0, 0, 0)): 3}
     with pytest.raises(ValueError):

@@ -359,6 +359,25 @@ def test_frames_must_strictly_increase():
         mv_make(CTX2, [((0, 0), poly_var(2, 0))])
 
 
+@pytest.mark.parametrize("exps", [(1, 2, 3), (1,), ()])
+def test_exponent_tuples_must_have_one_entry_per_variable(exps):
+    with pytest.raises(ValueError, match="different variable counts: .* in a 2-variable context"):
+        mv_make(CTX2, [((0,), {exps: 1})])
+    with pytest.raises(ValueError, match="different variable counts: .* in a 2-variable context"):
+        form_make(CTX2, [((0,), {exps: 1})])
+    with pytest.raises(ValueError, match="different variable counts: .* in a 2-variable context"):
+        PolyVector(CTX2, {(0,): {exps: Fraction(1)}})
+    with pytest.raises(ValueError, match="different variable counts: .* in a 2-variable context"):
+        DiffForm(CTX2, {(): {exps: Fraction(1)}})
+
+
+def test_bracket_never_sees_a_short_exponent_tuple():
+    # the term engine adds exponent tuples with zip, which would silently drop the
+    # third entry; construction refuses the field before any bracket sees it
+    with pytest.raises(ValueError):
+        schouten(mv_make(CTX2, [((0,), {(1, 2, 3): 1})]), V(CTX2, (1,), [(1, (0, 1))]))
+
+
 def test_mv_component_and_degrees():
     v = mv_add(mv_frame(CTX2, (0,)), mv_frame(CTX2, (0, 1)))
     assert mv_eq(mv_component(v, 1), mv_frame(CTX2, (0,)))
