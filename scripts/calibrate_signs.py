@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from gdcalc.deform import ArtinRing, GaugeParam, defect_series, gauge_flow, series_make
 from gdcalc.exactcore import VarContext, poly_from_terms
-from gdcalc.chevalley import evaluate, phi
+from gdcalc.chevalley import phi_value
 from gdcalc.hochschild import gerstenhaber, hkr, hoch_delta, mdo_scale, mdo_sub, mult_cochain, mdo_eq
 from gdcalc.polyvec import form_make, mv_frame, mv_is_zero, mv_make, schouten
 from gdcalc.twistcheck import make_twisted
@@ -36,7 +36,7 @@ print("  (expect x d/dx - y d/dy; the commutator of the two rotations)")
 print("== contraction-cochain kernel ==")
 h = form_make(CTX3, [((0, 1, 2), one(CTX3))])
 frames = tuple(mv_frame(CTX3, (i,)) for i in range(3))
-val = evaluate(phi(h, arity=3), frames)
+val = phi_value(h, frames)
 show("Phi(dx^dy^dz)(d/dx, d/dy, d/dz)", val.terms)
 print("  (the -1 here is the position-weighted prefactor; +1 would need")
 print("   reversing the slot weighting and breaks the differential lemma)")

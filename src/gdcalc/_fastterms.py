@@ -2,29 +2,30 @@
 
 Terms are keyed by (frame bitmask, exponent tuple) with integer coefficients
 (`Fraction` where the denominator is not 1).  This is the only implementation
-of the bracket, the wedge and the contraction: `polyvec` and `chevalley`
-convert their terms at the boundary, the sweeps of `_fastsweep` call it
-directly, and `tests/_ref_polyvec.py` keeps an independent tuple-frame route
-as the oracle.
+of the bracket, the wedge and the contraction: `polyvec`, `chevalley`,
+`twistcheck` and `deform` convert their terms at the boundary, the sweeps of
+`_fastsweep` call it directly, and `tests/_ref_polyvec.py` keeps an
+independent tuple-frame route as the oracle.
 
 The sign tables (`pop`, `bits`, `merge` and the bracket's plan for each pair
 of frames) depend on the masks alone: contexts of one dimension share them,
 and they fill entry by entry on first use, so a context is cheap at any
 dimension.  The value memos (`_dcache`, `_ecache` and `_ftable`, the
 contraction's matching sum per (coframe mask, argument masks, degrees)
-pattern) belong to one context: a sweep, a `phi(omega)` cochain, or one
-bracket, wedge or contraction call.  Unshuffle signs come from `subset_plan`,
-indexed by the odd-degree mask of the argument tuple (`odd_mask`).  The
-producers add `scale` times their value straight into a caller's accumulator
-(`schouten_into`, `m_into`, `wedge_into`, `phi_into`; `tm_add_into` adds a
-finished TermMap) and drop cancelled coefficients, so a TermMap is zero
-exactly when it is empty.
+pattern) belong to one context: a sweep, or one public call of `polyvec`,
+`chevalley`, `twistcheck` or `deform`.  Unshuffle signs come from
+`subset_plan`, indexed by the odd-degree mask of the argument tuple
+(`odd_mask`).  The producers add `scale` times their value straight into a
+caller's accumulator (`schouten_into`, `m_into`, `wedge_into`, `phi_into`;
+`tm_add_into` adds a finished TermMap) and drop cancelled coefficients, so a
+TermMap is zero exactly when it is empty.  `split_degrees` gives a TermMap's
+homogeneous components, for callers whose arguments mix degrees.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactcore import Exponents, koszul_sign, koszul_unshuffle_sign
 
@@ -114,6 +115,15 @@ def tm_add_into(acc: TermMap, tm: TermMap, s=1) -> None:
             acc[k] = v
         else:
             acc.pop(k, None)
+
+
+def split_degrees(fc: FastCtx, tm: TermMap) -> List[Tuple[int, TermMap]]:
+    """The homogeneous components of tm as (degree, TermMap), by ascending frame degree."""
+    pop = fc.pop
+    parts: Dict[int, TermMap] = {}
+    for key, c in tm.items():
+        parts.setdefault(pop[key[0]], {})[key] = c
+    return sorted(parts.items())
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .. import _fastsweep as fs
-from ..chevalley import evaluate, phi
-from ..deform import ArtinSeries, GaugeParam, defect_series, gauge_equivalent, gauge_flow, mc_solve, series_make
+from ..chevalley import m_value, phi_value
+from ..deform import GaugeParam, defect_series, gauge_equivalent, gauge_flow, mc_solve, series_make
 from ..exactcore import VarContext, poly_add
 from ..hochschild import (
     brace,
@@ -32,11 +32,11 @@ from ..polyvec import (
     d_form,
     form_wedge,
     i_func_mv,
-    mv_make,
+    mv_is_zero,
     schouten,
     wedge_mv,
 )
-from ..twistcheck import NotClosedError, is_twisted_poisson, make_twisted, mc_defect
+from ..twistcheck import NotClosedError, make_twisted, mc_defect
 from . import suites
 from .docfmt import (
     CochainSpec,
@@ -188,23 +188,20 @@ def cmd_phi_eval(args) -> int:
         raise _CliError(f"{args.spec}: expected a form or cochain-spec document")
     mv_docs = [_want(_read_doc(p), "multivector", p) for p in args.multivectors]
     _same_ctx([spec_doc] + mv_docs, [args.spec] + list(args.multivectors))
+    values = [d.payload for d in mv_docs]
     if spec.tag == "m":
-        from ..chevalley import structure_cochain
-
-        c = structure_cochain(spec_doc.ctx)
+        if len(values) != 2:
+            raise _CliError(f"cochain of arity 2 applied to {len(values)} arguments")
+        got = m_value(*values)
     else:
         if spec.arity != len(mv_docs):
             raise _CliError(
                 f"cochain arity {spec.arity} but {len(mv_docs)} arguments given"
             )
         try:
-            c = phi(spec.form, spec.arity)
+            got = phi_value(spec.form, values)
         except ValueError as exc:
             raise _CliError(str(exc)) from None
-    try:
-        got = evaluate(c, tuple(d.payload for d in mv_docs))
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
     _emit(serialize_document(doc_multivector(got)))
     return 0
 
@@ -301,10 +298,11 @@ def cmd_twisted_check(args) -> int:
     h_doc, pi_doc, path = _twisted_inputs(args)
     s = _make_twisted_checked(h_doc, path)
     try:
-        ok = is_twisted_poisson(s, pi_doc.payload)
-        terms = _term_count(mc_defect(s, pi_doc.payload))
+        defect = mc_defect(s, pi_doc.payload)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
+    ok = mv_is_zero(defect)
+    terms = _term_count(defect)
     if args.emit == "json":
         payload = {
             "command": "twisted-check",

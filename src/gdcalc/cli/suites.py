@@ -13,8 +13,8 @@ from importlib import resources
 from typing import Callable, Dict, List, Tuple
 
 from .. import _fastsweep as fs
-from ..chevalley import evaluate, phi
-from ..deform import GaugeParam, defect_series, gauge_flow, mc_solve, series_make
+from ..chevalley import phi_value
+from ..deform import GaugeParam, defect_series, gauge_flow, mc_solve
 from ..exactcore import (
     VarContext,
     monomials_upto,
@@ -45,10 +45,9 @@ from ..polyvec import (
     mv_frame,
     mv_is_zero,
     mv_make,
-    mv_sub,
     schouten,
 )
-from ..twistcheck import is_twisted_poisson, make_twisted, mc_defect
+from ..twistcheck import make_twisted, mc_defect
 from .docfmt import Document, ParseError, parse_document, serialize_document
 
 __all__ = ["CheckLine", "SUITE_NAMES", "run_verify", "render_text", "render_json"]
@@ -295,9 +294,9 @@ def _check_poly_square(doc: Document) -> Tuple[bool, str]:
 def _check_twisted(expected: bool):
     def run(doc: Document) -> Tuple[bool, str]:
         f = doc.payload.fields
-        s = make_twisted(f["h"].payload)
-        got = is_twisted_poisson(s, f["pi"].payload)
-        terms = len(mc_defect(s, f["pi"].payload).terms)
+        defect = mc_defect(make_twisted(f["h"].payload), f["pi"].payload)
+        got = mv_is_zero(defect)
+        terms = len(defect.terms)
         return got is expected, f"twisted-poisson={str(got).lower()} defect-terms={terms}"
 
     return run
@@ -321,9 +320,8 @@ def _check_hkr_bivector(doc: Document) -> Tuple[bool, str]:
 def _check_phi_eval(doc: Document) -> Tuple[bool, str]:
     f = doc.payload.fields
     spec = f["spec"].payload
-    c = phi(spec.form, spec.arity)
     args = tuple(f[k].payload for k in ("arg1", "arg2", "arg3")[: spec.arity])
-    got = evaluate(c, args)
+    got = phi_value(spec.form, args)
     return mv_eq(got, f["expect"].payload), "contraction re-derived"
 
 

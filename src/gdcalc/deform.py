@@ -5,27 +5,31 @@ order by order to solutions of the twisted integrability equation, and gauge
 transformations act through an exactly integrated flow.  All linear algebra
 is exact; reports are deterministic (canonical basis order, free variables
 pinned to zero).
+
+Every public function converts its inputs to TermMaps once, with one term
+engine context for the call (``gauge_equivalent``'s flows and probes share
+it), sums with ``schouten_into``/``phi_into``/``tm_add_into``, hands
+``solve_keyed`` TermMaps as keyed columns, and builds each ``PolyVector``
+once, at exit.  ``_defect`` is the one order-k defect routine.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._linalg import flatten_terms, solve_keyed
-from .chevalley import evaluate
-from .exactcore import grlex_key
+from ._fastterms import FastCtx, TermMap, phi_into, schouten_into, split_degrees, tm_add_into
+from ._linalg import LinearSolution, solve_keyed
+from .exactcore import VarContext, grlex_key
 from .polyvec import (
     PolyVector,
-    _add_mv_into,
     basis_multivectors,
+    from_termmap,
     mv_eq,
     mv_homogeneous_degree,
     mv_is_zero,
-    mv_scale,
-    mv_sub,
-    mv_zero,
-    schouten,
+    to_termmap,
 )
 from .twistcheck import TwistedStructure
 
@@ -105,7 +109,80 @@ class GaugeParam:
 
 
 # ---------------------------------------------------------------------------
+# the term-engine boundary
+
+Terms = Dict[int, TermMap]  # t-order -> coefficient
+
+
+def _engine(S: TwistedStructure) -> Tuple[FastCtx, TermMap]:
+    """One engine context for a call, and the twisting form on it."""
+    fc = FastCtx(S.ctx.n)
+    return fc, to_termmap(fc, S.H)
+
+
+def _terms(fc: FastCtx, coeffs: Mapping[int, PolyVector]) -> Terms:
+    return {k: to_termmap(fc, v) for k, v in coeffs.items()}
+
+
+def _fields(ctx: VarContext, fc: FastCtx, tms: Terms) -> Dict[int, PolyVector]:
+    return {k: from_termmap(PolyVector, ctx, fc, v) for k, v in tms.items()}
+
+
+def _bivector_terms(S: TwistedStructure, fc: FastCtx, series: ArtinSeries) -> Terms:
+    for v in series.coeffs.values():
+        if v.ctx != S.ctx:
+            raise ValueError("context mismatch")
+        if mv_homogeneous_degree(v) != 2:
+            raise ValueError("defect is defined for bivector series")
+    return _terms(fc, series.coeffs)
+
+
+def _diff(a: TermMap, b: TermMap) -> TermMap:
+    """a − b as a fresh TermMap."""
+    acc = dict(a)
+    tm_add_into(acc, b, -1)
+    return acc
+
+
+def _span_sum(x: Sequence[Fraction], tms: Sequence[TermMap]) -> TermMap:
+    """Σ x_b·tms[b], summed in place over the nonzero x_b."""
+    acc: TermMap = {}
+    for coeff, tm in zip(x, tms):
+        if coeff:
+            tm_add_into(acc, tm, coeff)
+    return acc
+
+
+def _solve_terms(fc: FastCtx, cols: Sequence[TermMap], rhs: TermMap) -> LinearSolution:
+    """Solve Σ x_b·cols[b] = rhs; rows ordered by frame degree, frame, grlex monomial."""
+    bits = fc.bits
+    return solve_keyed(
+        cols, rhs, row_key=lambda key: (len(bits[key[0]]), bits[key[0]], grlex_key(key[1]))
+    )
+
+
+# ---------------------------------------------------------------------------
 # the defect series
+
+
+def _defect(fc: FastCtx, H: TermMap, cs: Terms, k: int, scale=1) -> TermMap:
+    """scale times the order-k defect of the bivector coefficients cs.
+
+    Σ_{i+j=k}[π_i,π_j] − Σ_{i+j+l=k} Φ(H)(π_i,π_j,π_l) over ordered index
+    tuples with every index ≥ 1.
+    """
+    acc: TermMap = {}
+    for i in range(1, k):
+        j = k - i
+        if i in cs and j in cs:
+            schouten_into(fc, cs[i], cs[j], scale, acc)
+    if H:
+        for i in range(1, k - 1):
+            for j in range(1, k - i):
+                l = k - i - j
+                if i in cs and j in cs and l in cs:
+                    phi_into(fc, H, [cs[i], cs[j], cs[l]], (2, 2, 2), -scale, acc)
+    return acc
 
 
 def defect_series(S: TwistedStructure, pi: ArtinSeries) -> Dict[int, PolyVector]:
@@ -115,27 +192,9 @@ def defect_series(S: TwistedStructure, pi: ArtinSeries) -> Dict[int, PolyVector]
     ordered index tuples; the series solves the twisted equation modulo
     t^{N+1} exactly when every order vanishes.
     """
-    cs = pi.coeffs
-    for v in cs.values():
-        if v.ctx != S.ctx:
-            raise ValueError("context mismatch")
-        if mv_homogeneous_degree(v) != 2:
-            raise ValueError("defect is defined for bivector series")
-    n_trunc = pi.ring.truncation
-    out: Dict[int, PolyVector] = {}
-    for k in range(1, n_trunc + 1):
-        acc: Dict = {}
-        for i in range(1, k):
-            j = k - i
-            if i in cs and j in cs:
-                _add_mv_into(acc, schouten(cs[i], cs[j]))
-        for i in range(1, k - 1):
-            for j in range(1, k - i):
-                l = k - i - j
-                if l >= 1 and i in cs and j in cs and l in cs:
-                    _add_mv_into(acc, evaluate(S.l3, (cs[i], cs[j], cs[l])), -1)
-        out[k] = PolyVector(S.ctx, acc)
-    return out
+    fc, H = _engine(S)
+    cs = _bivector_terms(S, fc, pi)
+    return _fields(S.ctx, fc, {k: _defect(fc, H, cs, k) for k in range(1, pi.ring.truncation + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +210,14 @@ class SolveReport:
     poly_degree: int
 
 
-def _combination(ctx, x: Sequence[Fraction], vecs: Sequence[PolyVector]) -> PolyVector:
-    """Σ x_b·vecs[b], summed in place over the nonzero x_b."""
-    acc: Dict = {}
-    for coeff, v in zip(x, vecs):
-        if coeff:
-            _add_mv_into(acc, v, coeff)
-    return PolyVector(ctx, acc)
-
-
-def _solve_mv_equation(
-    cols: List[PolyVector], rhs: PolyVector, ctx
-) -> Tuple[bool, List[Fraction], PolyVector]:
-    """Solve Σ x_b·cols[b] = rhs over the span keys; returns (consistent, x, residual)."""
-    res = solve_keyed(
-        [flatten_terms(c.terms) for c in cols],
-        flatten_terms(rhs.terms),
-        row_key=lambda fm: (len(fm[0]), fm[0], grlex_key(fm[1])),
-    )
-    return res.consistent, res.x, mv_sub(rhs, _combination(ctx, res.x, cols))
-
-
 def mc_solve(
     S: TwistedStructure, pi1: PolyVector, N: int, *, poly_degree: int
 ) -> SolveReport:
     """Extend t·pi1 to a solution modulo t^{N+2}, order by order.
 
     The unknown at step k (2 ≤ k ≤ N) enters the order-(k+1) defect linearly
-    through 2[π₁,π_k]; the right-hand side collects the already-determined
-    bracket and contraction terms.  The unknown ranges over frame-basis
+    through 2[π₁,π_k]; the right-hand side is minus the order-(k+1) defect of
+    the orders already fixed.  The unknown ranges over frame-basis
     bivectors with monomial coefficients of degree ≤ poly_degree.  Greedy:
     obstructions are relative to the lower-order choices already made.
     """
@@ -188,42 +226,35 @@ def mc_solve(
     if not mv_is_zero(pi1) and mv_homogeneous_degree(pi1) != 2:
         raise ValueError("leading term must be a bivector field")
     ring = ArtinRing(N)
-    cs: Dict[int, PolyVector] = {1: pi1}
+    fc, H = _engine(S)
+    p1 = to_termmap(fc, pi1)
+    cs: Terms = {1: p1}
 
-    def report_obstructed(order: int, residual: PolyVector) -> SolveReport:
-        return SolveReport("obstructed", None, order, residual, poly_degree)
+    def report_obstructed(order: int, residual: TermMap) -> SolveReport:
+        residual_mv = from_termmap(PolyVector, S.ctx, fc, residual)
+        return SolveReport("obstructed", None, order, residual_mv, poly_degree)
 
     if N >= 2:
-        defect2 = schouten(pi1, pi1)
-        if not mv_is_zero(defect2):
+        defect2 = _defect(fc, H, cs, 2)
+        if defect2:
             return report_obstructed(2, defect2)
-        basis = list(basis_multivectors(S.ctx, poly_degree, (2,)))
-        cols = [mv_scale(schouten(pi1, b), 2) for b in basis]
+        basis = [to_termmap(fc, b) for b in basis_multivectors(S.ctx, poly_degree, (2,))]
+        cols: List[TermMap] = [{} for _ in basis]
+        for b, col in zip(basis, cols):
+            schouten_into(fc, p1, b, 2, col)
         for k in range(2, N + 1):
-            target = k + 1
-            acc: Dict = {}
-            for i in range(2, target - 1):
-                j = target - i
-                if j >= 2 and i in cs and j in cs:
-                    _add_mv_into(acc, schouten(cs[i], cs[j]), -1)
-            for i in range(1, target - 1):
-                for j in range(1, target - i):
-                    l = target - i - j
-                    if l >= 1 and i in cs and j in cs and l in cs:
-                        _add_mv_into(acc, evaluate(S.l3, (cs[i], cs[j], cs[l])))
-            rhs = PolyVector(S.ctx, acc)
-            consistent, x, linear_residual = _solve_mv_equation(cols, rhs, S.ctx)
-            pik = _combination(S.ctx, x, basis)
-            if not consistent:
+            rhs = _defect(fc, H, cs, k + 1, -1)
+            res = _solve_terms(fc, cols, rhs)
+            if not res.consistent:
                 # order-(k+1) defect at the best candidate
-                return report_obstructed(target, mv_scale(linear_residual, -1))
-            if not mv_is_zero(pik):
+                return report_obstructed(k + 1, _diff(_span_sum(res.x, cols), rhs))
+            pik = _span_sum(res.x, basis)
+            if pik:
                 cs[k] = pik
 
-    solution = series_make(ring, cs)
-    check = defect_series(S, solution)
-    if any(not mv_is_zero(v) for v in check.values()):
+    if any(_defect(fc, H, cs, k) for k in range(1, N + 1)):
         raise RuntimeError("internal error: solved series fails its own defect check")
+    solution = series_make(ring, _fields(S.ctx, fc, cs))
     return SolveReport("solved", solution, None, None, poly_degree)
 
 
@@ -231,20 +262,47 @@ def mc_solve(
 # gauge flow
 
 
-def _sum_by_key(
-    ctx, parts: Iterable[Tuple[Hashable, PolyVector, Fraction]]
-) -> Dict[Hashable, PolyVector]:
-    """Σ factor·v for each key over (key, v, factor) parts; keys that cancel are dropped."""
-    acc: Dict[Hashable, Dict] = {}
-    for key, v, factor in parts:
-        terms = _add_mv_into(acc.setdefault(key, {}), v, factor)
-        if not terms:
-            del acc[key]
-    return {key: PolyVector(ctx, terms) for key, terms in acc.items()}
+def _flow(fc: FastCtx, H: TermMap, gamma: Terms, xi: Terms, n_trunc: int) -> Terms:
+    """The flowed coefficients of gamma under the vector fields xi, empty ones dropped.
 
+    The state maps (s-power, t-order) to a TermMap.  Coefficients of gamma
+    may have any degrees, so the state is split by frame degree before the
+    contraction; each ξ coefficient is a vector field.
+    """
+    base = {(0, k): v for k, v in gamma.items() if v}
 
-def _state_eq(a, b) -> bool:
-    return set(a) == set(b) and all(mv_eq(a[k], b[k]) for k in a)
+    def step(state):
+        """base + ∫₀ˢ rhs(state); s^m·v integrates to s^{m+1}·v/(m+1)."""
+        out = {key: dict(v) for key, v in base.items()}
+        parts = {key: split_degrees(fc, v) for key, v in state.items()} if H else {}
+        for a, xv in xi.items():
+            for (m, b), gv in state.items():
+                if a + b <= n_trunc:
+                    acc = out.setdefault((m + 1, a + b), {})
+                    # an int scale at m = 0 keeps integral coefficients ints
+                    schouten_into(fc, xv, gv, Fraction(-1, m + 1) if m else -1, acc)
+            for (m1, b1), p1 in parts.items():
+                for (m2, b2), p2 in parts.items():
+                    if a + b1 + b2 <= n_trunc:
+                        m = m1 + m2 + 1
+                        acc = out.setdefault((m, a + b1 + b2), {})
+                        for (d1, g1), (d2, g2) in itertools.product(p1, p2):
+                            phi_into(fc, H, [xv, g1, g2], (1, d1, d2), Fraction(-3, 2 * m), acc)
+        return {key: v for key, v in out.items() if v}
+
+    current = base
+    for _ in range(n_trunc + 2):
+        updated = step(current)
+        if updated == current:
+            break
+        current = updated
+    else:
+        raise RuntimeError("internal error: flow iteration failed to stabilize")
+
+    totals: Terms = {}
+    for (_, k), v in current.items():
+        tm_add_into(totals.setdefault(k, {}), v)
+    return {k: v for k, v in totals.items() if v}
 
 
 def gauge_flow(S: TwistedStructure, gamma: ArtinSeries, xi: GaugeParam) -> ArtinSeries:
@@ -257,44 +315,12 @@ def gauge_flow(S: TwistedStructure, gamma: ArtinSeries, xi: GaugeParam) -> Artin
     """
     if xi.ring != gamma.ring:
         raise ValueError("series and gauge parameter use different truncations")
-    for v in xi.coeffs.values():
+    for v in itertools.chain(xi.coeffs.values(), gamma.coeffs.values()):
         if v.ctx != S.ctx:
             raise ValueError("context mismatch")
-    for v in gamma.coeffs.values():
-        if v.ctx != S.ctx:
-            raise ValueError("context mismatch")
-    n_trunc = gamma.ring.truncation
-    ctx = S.ctx
-
-    # state: (s-power, t-order) -> multivector
-    base = {(0, k): v for k, v in gamma.coeffs.items() if v.terms}
-
-    def step(state):
-        """Parts of base + ∫₀ˢ rhs(state); s^m·v integrates to s^{m+1}·v/(m+1)."""
-        for key, v in base.items():
-            yield key, v, 1
-        for a, xv in xi.coeffs.items():
-            for (m, b), gv in state.items():
-                if a + b <= n_trunc:
-                    yield (m + 1, a + b), schouten(xv, gv), Fraction(-1, m + 1)
-            for (m1, b1), g1 in state.items():
-                for (m2, b2), g2 in state.items():
-                    if a + b1 + b2 <= n_trunc:
-                        m = m1 + m2 + 1
-                        val = evaluate(S.l3, (xv, g1, g2))
-                        yield (m, a + b1 + b2), val, Fraction(-3, 2 * m)
-
-    current = base
-    for _ in range(n_trunc + 2):
-        updated = _sum_by_key(ctx, step(current))
-        if _state_eq(updated, current):
-            break
-        current = updated
-    else:
-        raise RuntimeError("internal error: flow iteration failed to stabilize")
-
-    totals = _sum_by_key(ctx, ((k, v, 1) for (_, k), v in current.items()))
-    return series_make(gamma.ring, totals)
+    fc, H = _engine(S)
+    moved = _flow(fc, H, _terms(fc, gamma.coeffs), _terms(fc, xi.coeffs), gamma.ring.truncation)
+    return series_make(gamma.ring, _fields(S.ctx, fc, moved))
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +347,37 @@ def gauge_equivalent(
     """
     if g1.ring != g2.ring:
         raise ValueError("series use different truncations")
-    for g in (g1, g2):
-        if any(not mv_is_zero(v) for v in defect_series(S, g).values()):
-            raise ValueError("gauge equivalence needs solutions of the equation")
     ring = g1.ring
-    ctx = S.ctx
-    zero = mv_zero(ctx)
-    if not mv_eq(g1.coeffs.get(1, zero), g2.coeffs.get(1, zero)):
+    n_trunc = ring.truncation
+    fc, H = _engine(S)
+    ends = []
+    for g in (g1, g2):
+        cs = _bivector_terms(S, fc, g)
+        if any(_defect(fc, H, cs, k) for k in range(1, n_trunc + 1)):
+            raise ValueError("gauge equivalence needs solutions of the equation")
+        ends.append(cs)
+    start, target = ends
+    if start.get(1, {}) != target.get(1, {}):
         return GaugeReport(False, None, poly_degree)
 
-    basis = list(basis_multivectors(ctx, poly_degree, (1,)))
-    xi_coeffs: Dict[int, PolyVector] = {}
-    for m in range(2, ring.truncation + 1):
-        flowed = gauge_flow(S, g1, GaugeParam(ring, dict(xi_coeffs)))
-        current = flowed.coeffs.get(m, zero)
-        delta = mv_sub(g2.coeffs.get(m, zero), current)
-        if mv_is_zero(delta):
+    basis = [to_termmap(fc, b) for b in basis_multivectors(S.ctx, poly_degree, (1,))]
+    xi: Terms = {}
+    for m in range(2, n_trunc + 1):
+        current = _flow(fc, H, start, xi, n_trunc).get(m, {})
+        delta = _diff(target.get(m, {}), current)
+        if not delta:
             continue
-        cols = []
-        for b in basis:
-            probe = dict(xi_coeffs)
-            probe[m - 1] = b
-            probed = gauge_flow(S, g1, GaugeParam(ring, probe))
-            cols.append(mv_sub(probed.coeffs.get(m, zero), current))
-        consistent, x, _ = _solve_mv_equation(cols, delta, ctx)
-        if not consistent:
+        cols = [
+            _diff(_flow(fc, H, start, {**xi, m - 1: b}, n_trunc).get(m, {}), current)
+            for b in basis
+        ]
+        res = _solve_terms(fc, cols, delta)
+        if not res.consistent:
             return GaugeReport(False, None, poly_degree)
-        v = _combination(ctx, x, basis)
-        if not mv_is_zero(v):
-            xi_coeffs[m - 1] = v
+        v = _span_sum(res.x, basis)
+        if v:
+            xi[m - 1] = v
 
-    witness = GaugeParam(ring, xi_coeffs)
-    if not series_eq(gauge_flow(S, g1, witness), g2):
+    if _flow(fc, H, start, xi, n_trunc) != target:
         raise RuntimeError("internal error: assembled witness fails its self-check")
-    return GaugeReport(True, witness, poly_degree)
+    return GaugeReport(True, GaugeParam(ring, _fields(S.ctx, fc, xi)), poly_degree)

@@ -131,13 +131,6 @@ def _collect(terms: Iterable[Tuple[Frame, Poly]]) -> Dict[Frame, Poly]:
     return out
 
 
-def _add_mv_into(out: Dict[Frame, Poly], v, factor=1) -> Dict[Frame, Poly]:
-    """Add factor·v (a PolyVector or DiffForm) into the term map out; returns out."""
-    for frame, poly in v.terms.items():
-        add_term_into(out, frame, poly, factor)
-    return out
-
-
 def mv_make(ctx: VarContext, terms: Iterable[Tuple[Frame, Poly]]) -> PolyVector:
     """Validating constructor: sums the given terms, dropping whatever cancels."""
     return PolyVector(ctx, _collect(terms))

@@ -1,12 +1,12 @@
 """Twisted bracket structures on polynomial multivector fields.
 
 A closed 3-form H deforms the graded Lie structure of the Schouten bracket
-into a pair (l2, l3): the binary operation stays the (sign-adjusted) bracket,
-while the ternary operation contracts arguments into H.  This module builds
-the pair and evaluates the quadratic-cubic integrability defect of a
-bivector; the compatibility relations between l2 and l3 are swept on
-spanning sets by ``_fastsweep`` (``linfty_jacobi``, ``linfty_mixed``,
-``linfty_ternary``).
+into a pair (l2, l3): l2 stays the sign-adjusted bracket (``m_value``) and
+l3 contracts arguments into H (``phi_value`` of H), so a
+``TwistedStructure`` carries just the checked form.  ``mc_defect`` sums the
+quadratic-cubic defect of a bivector on the term engine; the l2/l3
+compatibility relations are swept by ``_fastsweep`` (``linfty_jacobi``,
+``linfty_mixed``, ``linfty_ternary``).
 
 Sign conventions are documented in docs/sign-ledger.md.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chevalley import Cochain, evaluate, phi, structure_cochain
+from ._fastterms import FastCtx, TermMap, phi_into, schouten_into
 from .exactcore import VarContext
 from .polyvec import (
     DiffForm,
@@ -22,10 +22,10 @@ from .polyvec import (
     d_form,
     form_degree,
     form_is_zero,
+    from_termmap,
     mv_homogeneous_degree,
     mv_is_zero,
-    mv_sub,
-    schouten,
+    to_termmap,
 )
 
 __all__ = [
@@ -51,14 +51,14 @@ class NotClosedError(ValueError):
 
 @dataclass(frozen=True)
 class TwistedStructure:
+    """The (l2, l3) pair twisted by the closed 3-form H, carried by H itself."""
+
     ctx: VarContext
     H: DiffForm
-    l2: Cochain
-    l3: Cochain
 
 
 def make_twisted(H: DiffForm) -> TwistedStructure:
-    """Build the (l2, l3) pair twisted by a closed 3-form H.
+    """Check H and build the (l2, l3) pair it twists.
 
     Raises ValueError if H is not homogeneous of degree 3 (the zero form is
     allowed and yields a vanishing ternary operation), and NotClosedError
@@ -69,16 +69,11 @@ def make_twisted(H: DiffForm) -> TwistedStructure:
     dH = d_form(H)
     if not form_is_zero(dH):
         raise NotClosedError(dH)
-    return TwistedStructure(
-        ctx=H.ctx,
-        H=H,
-        l2=structure_cochain(H.ctx),
-        l3=phi(H, arity=3),
-    )
+    return TwistedStructure(ctx=H.ctx, H=H)
 
 
 def mc_defect(S: TwistedStructure, pi: PolyVector) -> PolyVector:
-    """Integrability defect [pi,pi] - l3(pi,pi,pi) of a bivector field.
+    """Integrability defect [pi,pi] - phi(H)(pi,pi,pi) of a bivector field.
 
     Vanishing of the defect is the twisted integrability condition; it is
     quadratic in pi through the bracket and cubic through the contraction
@@ -90,7 +85,14 @@ def mc_defect(S: TwistedStructure, pi: PolyVector) -> PolyVector:
         return pi
     if mv_homogeneous_degree(pi) != 2:
         raise ValueError("defect is defined for homogeneous degree-2 fields")
-    return mv_sub(schouten(pi, pi), evaluate(S.l3, (pi, pi, pi)))
+    fc = FastCtx(S.ctx.n)
+    P = to_termmap(fc, pi)
+    acc: TermMap = {}
+    schouten_into(fc, P, P, 1, acc)
+    H = to_termmap(fc, S.H)
+    if H:
+        phi_into(fc, H, [P, P, P], (2, 2, 2), -1, acc)
+    return from_termmap(PolyVector, S.ctx, fc, acc)
 
 
 def is_twisted_poisson(S: TwistedStructure, pi: PolyVector) -> bool:

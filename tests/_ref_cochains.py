@@ -5,9 +5,14 @@
 (once in ``gdcalc.twistcheck``) are kept here verbatim.  They compose
 cochains through the generic evaluator, independently of the bitmask sweeps
 in ``gdcalc._fastsweep`` that the library runs, so the tests can pin those
-sweeps against a second route.  The evaluator and the structure cochain
-they compose come from ``_ref_polyvec`` (the tuple-frame bracket), so no
-comparison runs the library's term engine on both sides.  Test-only.
+sweeps against a second route.  The cochain type, the evaluator and the
+structure cochain they compose come from ``_ref_polyvec`` (the tuple-frame
+bracket), so no comparison runs the library's term engine on both sides.
+
+``phi_cochain`` and ``m_cochain`` wrap the library's own values
+(``gdcalc.chevalley.phi_value`` and ``m_value``) as cochains, so the
+identity tests that compose, bracket and evaluate cochains still exercise
+the library kernels.  Test-only.
 """
 from __future__ import annotations
 
@@ -15,12 +20,14 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from _ref_polyvec import _degree_of, evaluate, structure_cochain
-from gdcalc.chevalley import Cochain, cochain_zero
-from gdcalc.exactcore import koszul_unshuffle_sign
+from _ref_polyvec import Cochain, _degree_of, cochain_zero, evaluate, structure_cochain
+from gdcalc.chevalley import m_value, phi_value
+from gdcalc.exactcore import VarContext, koszul_unshuffle_sign
 from gdcalc.polyvec import (
+    DiffForm,
     PolyVector,
     basis_multivectors,
+    form_degree,
     mv_add,
     mv_homogeneous_degree,
     mv_is_zero,
@@ -28,6 +35,35 @@ from gdcalc.polyvec import (
     mv_sub,
     mv_zero,
 )
+
+
+# ---------------------------------------------------------------------------
+# the library's kernels as cochains
+
+
+def phi_cochain(omega: DiffForm, arity: Optional[int] = None) -> Cochain:
+    """``phi_value(omega, ·)`` as a cochain of arity k and degree k-2.
+
+    The arity of a k-form is k; the zero form needs it supplied.  Refuses
+    what ``_ref_polyvec.phi`` refuses.
+    """
+    k = form_degree(omega)
+    if k is None:
+        if omega.terms:
+            raise ValueError("phi expects a homogeneous form")
+        if arity is None:
+            raise ValueError("zero form: arity must be supplied explicitly")
+        k = arity
+    elif arity is not None and arity != k:
+        raise ValueError(f"arity {arity} contradicts form degree {k}")
+    return Cochain(
+        omega.ctx, k, k - 2, lambda args: phi_value(omega, args), name="phi", source_form=omega
+    )
+
+
+def m_cochain(ctx: VarContext) -> Cochain:
+    """``m_value`` as the arity-2 structure cochain of degree 1."""
+    return Cochain(ctx, 2, 1, lambda args: m_value(*args), name="m")
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ each coordinate against each argument term, enumerates every slot
 assignment with its Koszul sign and wedges the contracted frames left to
 right.  It is slow and kept only as an independent oracle for
 ``gdcalc._fastterms.phi_eval``; ``tests/test_fastterms_oracle.py`` pins
-the library against it.
+the library against it.  Frames, contraction signs and wedge signs are
+worked out here on index tuples, without the engine's ``FastCtx`` tables.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from gdcalc._fastterms import FastCtx, TermMap
 from gdcalc.exactcore import Exponents
@@ -29,6 +30,33 @@ def koszul_sign_fast(degs: Sequence[int], perm: Sequence[int]) -> int:
     return -1 if exponent & 1 else 1
 
 
+def _frame(m: int) -> Tuple[int, ...]:
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+def _mask(frame: Sequence[int]) -> int:
+    return sum(1 << i for i in frame)
+
+
+def _merge(f1: Tuple[int, ...], f2: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """(sign, merged frame) of theta(f1) ^ theta(f2); None when the frames share an index.
+
+    The sign counts the pairs (i in f1, j in f2) with j < i.
+    """
+    if set(f1) & set(f2):
+        return None
+    inv = sum(1 for i in f1 for j in f2 if j < i)
+    return (-1 if inv % 2 else 1), tuple(sorted(f1 + f2))
+
+
+def _contract(j: int, frame: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """<dx_j, theta(frame)>: (sign, frame without j), the sign (-1)^position of j."""
+    if j not in frame:
+        return None
+    pos = frame.index(j)
+    return (-1 if pos % 2 else 1), frame[:pos] + frame[pos + 1 :]
+
+
 def phi_eval(
     fc: FastCtx,
     form_terms: Dict[Tuple[int, Exponents], int],
@@ -39,29 +67,26 @@ def phi_eval(
 
     Signs mirror the evaluator route: Koszul sign of the permutation on the
     argument degrees times (-1)^{sum (k-1-pos)*deg(sigma(pos))}, then the
-    left-to-right wedge of single-coordinate contractions.
+    left-to-right wedge of single-coordinate contractions.  ``fc`` is
+    accepted for the library's signature and not read.
     """
     k = len(args)
-    merge = fc.merge
-    pop = fc.pop
     total: TermMap = {}
     for (comask, fexps), fcoeff in form_terms.items():
-        cobits = fc.bits[comask]
+        cobits = _frame(comask)
         if len(cobits) != k:
             raise ValueError("form degree does not match argument count")
         # tab[pos][slot]: contractions of coordinate cobits[pos] against slot
         tab = []
         skip = False
         for j in cobits:
-            jb = 1 << j
-            low = jb - 1
             row = []
             for a in args:
-                lst = [
-                    (m ^ jb, e, -c if pop[m & low] & 1 else c)
-                    for (m, e), c in a.items()
-                    if m & jb
-                ]
+                lst = []
+                for (m, e), c in a.items():
+                    hit = _contract(j, _frame(m))
+                    if hit is not None:
+                        lst.append((hit[1], e, hit[0] * c))
                 row.append(lst)
             if not any(row):
                 skip = True
@@ -78,20 +103,21 @@ def phi_eval(
             for pos in range(k):
                 exponent += (k - 1 - pos) * degs[sigma[pos]]
             s0 = koszul_sign_fast(degs, sigma) * (-1 if exponent & 1 else 1)
-            prods = [(0, fexps, fcoeff * s0)]
+            prods = [((), fexps, fcoeff * s0)]
             for pos in range(k):
                 r = tab[pos][sigma[pos]]
                 nxt = []
-                for am, ae, ac in prods:
-                    for bm, be, bc in r:
-                        ms = merge[am][bm]
-                        if ms:
-                            nxt.append((am | bm, fc.eadd(ae, be), ac * bc * ms))
+                for af, ae, ac in prods:
+                    for bf, be, bc in r:
+                        merged = _merge(af, bf)
+                        if merged is not None:
+                            ms, mf = merged
+                            nxt.append((mf, tuple(x + y for x, y in zip(ae, be)), ac * bc * ms))
                 prods = nxt
                 if not prods:
                     break
-            for m, e, c in prods:
-                key = (m, e)
+            for f, e, c in prods:
+                key = (_mask(f), e)
                 v = total.get(key, 0) + c
                 if v:
                     total[key] = v

@@ -1,25 +1,36 @@
 """Reference multivector route: the summing code the library replaced.
 
-The parent revision's ``mv_make``, ``form_make``, ``wedge_mv``,
+The parent revisions' ``mv_make``, ``form_make``, ``wedge_mv``,
 ``form_wedge``, ``schouten``, ``contract`` and ``d_form`` (``polyvec``),
-``evaluate`` with the ``phi`` kernel and the structure cochain
-(``chevalley``), ``_solve_mv_equation``
-and ``gauge_flow`` (``deform``) and ``delta_primitive`` with its dense
-system assembly (``hochschild``), kept verbatim with the helpers they call.
-Every sum goes through ``mv_make``/``poly_add`` copies, and the linear
-systems are dense ``m×n`` lists solved by the dense oracle of
-``_dense_gauss`` (the solver those lists were written for).  Slow and
-test-only: ``tests/test_polyvec_oracle.py`` pins the library against it.
+the ``Cochain`` evaluator with the ``phi`` kernel and the structure cochain
+(``chevalley``), ``defect_series``, ``mc_solve``, ``_solve_mv_equation``,
+``gauge_flow`` and ``gauge_equivalent`` (``deform``) and
+``delta_primitive`` with its dense system assembly (``hochschild``), kept
+verbatim with the helpers they call.  The one change is that the deform
+routines contract with this module's own ``phi(S.H, 3)``, since a
+``TwistedStructure`` carries only its form.  Every sum goes through
+``mv_make``/``poly_add`` copies, and the linear systems are dense ``m×n``
+lists solved by the dense oracle of ``_dense_gauss`` (the solver those
+lists were written for).  Slow and test-only: ``tests/test_polyvec_oracle.py``
+pins the library against it.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from _dense_gauss import dense_gaussian_solve as gaussian_solve
-from gdcalc.chevalley import Cochain, cochain_zero
-from gdcalc.deform import ArtinSeries, GaugeParam, series_make
+from gdcalc.deform import (
+    ArtinRing,
+    ArtinSeries,
+    GaugeParam,
+    GaugeReport,
+    SolveReport,
+    series_eq,
+    series_make,
+)
 from gdcalc.exactcore import (
     Poly,
     VarContext,
@@ -41,7 +52,16 @@ from gdcalc.hochschild import (
     hoch_delta,
     mdo_sub,
 )
-from gdcalc.polyvec import DiffForm, Frame, PolyVector, form_degree, mv_eq, mv_is_zero
+from gdcalc.polyvec import (
+    DiffForm,
+    Frame,
+    PolyVector,
+    basis_multivectors,
+    form_degree,
+    mv_eq,
+    mv_homogeneous_degree,
+    mv_is_zero,
+)
 from gdcalc.twistcheck import TwistedStructure
 
 
@@ -267,6 +287,31 @@ def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
 # ---------------------------------------------------------------------------
 # chevalley
 
+Kernel = Callable[[Tuple[PolyVector, ...]], PolyVector]
+
+
+@dataclass(frozen=True)
+class Cochain:
+    """A multilinear graded-symmetric operation carried as an evaluator.
+
+    ``degree`` is the total cochain degree entering bracket signs: the
+    output's shifted degree minus the sum of the inputs' shifted degrees,
+    plus (arity - 1).
+    """
+
+    ctx: VarContext
+    arity: int
+    degree: int
+    kernel: Kernel
+    name: str = ""
+    # for cochains contracted out of a form: the form itself, so callers can
+    # prune evaluations that must vanish for frame-support reasons
+    source_form: Optional["DiffForm"] = None
+
+
+def cochain_zero(ctx: VarContext, arity: int, degree: int = 0) -> Cochain:
+    return Cochain(ctx, arity, degree, lambda args: mv_zero(ctx), name="0")
+
 
 def _homogeneous_components(v: PolyVector) -> List[PolyVector]:
     by_deg: Dict[int, Dict] = {}
@@ -441,6 +486,7 @@ def gauge_flow(S: TwistedStructure, gamma: ArtinSeries, xi: GaugeParam) -> Artin
             raise ValueError("context mismatch")
     n_trunc = gamma.ring.truncation
     three_halves = Fraction(3, 2)
+    l3 = phi(S.H, arity=3)
 
     # state: (s-power, t-order) -> multivector
     base = {(0, k): v for k, v in gamma.coeffs.items()}
@@ -465,7 +511,7 @@ def gauge_flow(S: TwistedStructure, gamma: ArtinSeries, xi: GaugeParam) -> Artin
             for (m1, b1), g1 in state.items():
                 for (m2, b2), g2 in state.items():
                     if a + b1 + b2 <= n_trunc:
-                        val = evaluate(S.l3, (xv, g1, g2))
+                        val = evaluate(l3, (xv, g1, g2))
                         put((m1 + m2, a + b1 + b2), mv_scale(val, -three_halves))
         return out
 
@@ -488,6 +534,158 @@ def gauge_flow(S: TwistedStructure, gamma: ArtinSeries, xi: GaugeParam) -> Artin
         cur = totals.get(k)
         totals[k] = mv_add(cur, v) if cur is not None else v
     return series_make(gamma.ring, totals)
+
+
+def _add_mv_into(out: Dict[Frame, Poly], v, factor=1) -> Dict[Frame, Poly]:
+    """Add factor·v (a PolyVector or DiffForm) into the term map out; returns out."""
+    for frame, poly in v.terms.items():
+        _add_term(out, frame, poly, factor)
+    return out
+
+
+def _combination(ctx, x: Sequence[Fraction], vecs: Sequence[PolyVector]) -> PolyVector:
+    """Σ x_b·vecs[b], summed in place over the nonzero x_b."""
+    acc: Dict = {}
+    for coeff, v in zip(x, vecs):
+        if coeff:
+            _add_mv_into(acc, v, coeff)
+    return PolyVector(ctx, acc)
+
+
+def defect_series(S: TwistedStructure, pi: ArtinSeries) -> Dict[int, PolyVector]:
+    """Order-by-order integrability defect of the series, orders 1..N.
+
+    Order k carries Σ_{i+j=k}[π_i,π_j] − Σ_{i+j+l=k} l3(π_i,π_j,π_l) over
+    ordered index tuples; the series solves the twisted equation modulo
+    t^{N+1} exactly when every order vanishes.
+    """
+    l3 = phi(S.H, arity=3)
+    cs = pi.coeffs
+    for v in cs.values():
+        if v.ctx != S.ctx:
+            raise ValueError("context mismatch")
+        if mv_homogeneous_degree(v) != 2:
+            raise ValueError("defect is defined for bivector series")
+    n_trunc = pi.ring.truncation
+    out: Dict[int, PolyVector] = {}
+    for k in range(1, n_trunc + 1):
+        acc: Dict = {}
+        for i in range(1, k):
+            j = k - i
+            if i in cs and j in cs:
+                _add_mv_into(acc, schouten(cs[i], cs[j]))
+        for i in range(1, k - 1):
+            for j in range(1, k - i):
+                l = k - i - j
+                if l >= 1 and i in cs and j in cs and l in cs:
+                    _add_mv_into(acc, evaluate(l3, (cs[i], cs[j], cs[l])), -1)
+        out[k] = PolyVector(S.ctx, acc)
+    return out
+
+
+def mc_solve(
+    S: TwistedStructure, pi1: PolyVector, N: int, *, poly_degree: int
+) -> SolveReport:
+    """Extend t·pi1 to a solution modulo t^{N+2}, order by order.
+
+    The unknown at step k (2 ≤ k ≤ N) enters the order-(k+1) defect linearly
+    through 2[π₁,π_k]; the right-hand side collects the already-determined
+    bracket and contraction terms.  The unknown ranges over frame-basis
+    bivectors with monomial coefficients of degree ≤ poly_degree.  Greedy:
+    obstructions are relative to the lower-order choices already made.
+    """
+    l3 = phi(S.H, arity=3)
+    if pi1.ctx != S.ctx:
+        raise ValueError("context mismatch")
+    if not mv_is_zero(pi1) and mv_homogeneous_degree(pi1) != 2:
+        raise ValueError("leading term must be a bivector field")
+    ring = ArtinRing(N)
+    cs: Dict[int, PolyVector] = {1: pi1}
+
+    def report_obstructed(order: int, residual: PolyVector) -> SolveReport:
+        return SolveReport("obstructed", None, order, residual, poly_degree)
+
+    if N >= 2:
+        defect2 = schouten(pi1, pi1)
+        if not mv_is_zero(defect2):
+            return report_obstructed(2, defect2)
+        basis = list(basis_multivectors(S.ctx, poly_degree, (2,)))
+        cols = [mv_scale(schouten(pi1, b), 2) for b in basis]
+        for k in range(2, N + 1):
+            target = k + 1
+            acc: Dict = {}
+            for i in range(2, target - 1):
+                j = target - i
+                if j >= 2 and i in cs and j in cs:
+                    _add_mv_into(acc, schouten(cs[i], cs[j]), -1)
+            for i in range(1, target - 1):
+                for j in range(1, target - i):
+                    l = target - i - j
+                    if l >= 1 and i in cs and j in cs and l in cs:
+                        _add_mv_into(acc, evaluate(l3, (cs[i], cs[j], cs[l])))
+            rhs = PolyVector(S.ctx, acc)
+            consistent, x, linear_residual = _solve_mv_equation(cols, rhs, S.ctx)
+            pik = _combination(S.ctx, x, basis)
+            if not consistent:
+                # order-(k+1) defect at the best candidate
+                return report_obstructed(target, mv_scale(linear_residual, -1))
+            if not mv_is_zero(pik):
+                cs[k] = pik
+
+    solution = series_make(ring, cs)
+    check = defect_series(S, solution)
+    if any(not mv_is_zero(v) for v in check.values()):
+        raise RuntimeError("internal error: solved series fails its own defect check")
+    return SolveReport("solved", solution, None, None, poly_degree)
+
+
+def gauge_equivalent(
+    S: TwistedStructure, g1: ArtinSeries, g2: ArtinSeries, *, poly_degree: int
+) -> GaugeReport:
+    """Search for ξ with gauge_flow(g1, ξ) = g2, order by order.
+
+    Both inputs must solve the twisted equation.  The flow never moves the
+    first-order coefficient, so differing leading terms are immediately
+    inequivalent.  At each order m ≥ 2 the dependence on ξ_{m−1} is affine;
+    the linear part is probed by whole-flow evaluations on basis fields and
+    solved exactly.  False means: no witness within these bounds.
+    """
+    if g1.ring != g2.ring:
+        raise ValueError("series use different truncations")
+    for g in (g1, g2):
+        if any(not mv_is_zero(v) for v in defect_series(S, g).values()):
+            raise ValueError("gauge equivalence needs solutions of the equation")
+    ring = g1.ring
+    ctx = S.ctx
+    zero = mv_zero(ctx)
+    if not mv_eq(g1.coeffs.get(1, zero), g2.coeffs.get(1, zero)):
+        return GaugeReport(False, None, poly_degree)
+
+    basis = list(basis_multivectors(ctx, poly_degree, (1,)))
+    xi_coeffs: Dict[int, PolyVector] = {}
+    for m in range(2, ring.truncation + 1):
+        flowed = gauge_flow(S, g1, GaugeParam(ring, dict(xi_coeffs)))
+        current = flowed.coeffs.get(m, zero)
+        delta = mv_sub(g2.coeffs.get(m, zero), current)
+        if mv_is_zero(delta):
+            continue
+        cols = []
+        for b in basis:
+            probe = dict(xi_coeffs)
+            probe[m - 1] = b
+            probed = gauge_flow(S, g1, GaugeParam(ring, probe))
+            cols.append(mv_sub(probed.coeffs.get(m, zero), current))
+        consistent, x, _ = _solve_mv_equation(cols, delta, ctx)
+        if not consistent:
+            return GaugeReport(False, None, poly_degree)
+        v = _combination(ctx, x, basis)
+        if not mv_is_zero(v):
+            xi_coeffs[m - 1] = v
+
+    witness = GaugeParam(ring, xi_coeffs)
+    if not series_eq(gauge_flow(S, g1, witness), g2):
+        raise RuntimeError("internal error: assembled witness fails its self-check")
+    return GaugeReport(True, witness, poly_degree)
 
 # ---------------------------------------------------------------------------
 # hochschild

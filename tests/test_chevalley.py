@@ -6,6 +6,12 @@ cochains bracket to zero — are the calibration anchor for every sign in
 this package. They are spot-checked here on hand-picked mixed-degree
 instances and exhaustively swept (small contexts) further down; the
 acceptance suite re-runs them at full bounds.
+
+The cochains here are the library's values ``phi_value`` and ``m_value``
+wrapped as test-side cochains (``_ref_cochains.phi_cochain``/``m_cochain``)
+and evaluated by the reference evaluator, so every identity still runs the
+library kernels; the ``phi_value``/``m_value`` checks on mixed-degree
+arguments and refused inputs call the library directly.
 """
 from __future__ import annotations
 
@@ -17,14 +23,15 @@ from typing import Optional, Tuple
 import pytest
 
 from gdcalc.exactcore import koszul_sign, poly_from_terms, poly_var
-from _ref_cochains import cochain_bracket, cochain_compose, cochain_differential
-from gdcalc.chevalley import (
-    Cochain,
-    cochain_zero,
-    evaluate,
-    phi,
-    structure_cochain,
+from _ref_cochains import (
+    cochain_bracket,
+    cochain_compose,
+    cochain_differential,
+    m_cochain as structure_cochain,
+    phi_cochain as phi,
 )
+from _ref_polyvec import Cochain, cochain_zero, evaluate
+from gdcalc.chevalley import m_value, phi_value
 from gdcalc.polyvec import (
     PolyVector,
     VarContext,
@@ -79,6 +86,8 @@ def test_phi_arity_one_is_contraction():
     for frame in [(0,), (1,), (0, 1)]:
         v = mv_frame(CTX2, frame)
         assert mv_eq(evaluate(c, (v,)), contract(alpha, v))
+    mixed = mv_add(mv_frame(CTX2, (0,)), mv_frame(CTX2, (0, 1)))
+    assert mv_eq(phi_value(alpha, (mixed,)), contract(alpha, mixed))
 
 
 def test_phi_degree_zero_form_is_the_function():
@@ -86,6 +95,7 @@ def test_phi_degree_zero_form_is_the_function():
     c = phi(form_make(CTX2, [((), f)]))
     assert c.arity == 0
     assert mv_eq(evaluate(c, ()), mv_func(CTX2, f))
+    assert mv_eq(phi_value(form_make(CTX2, [((), f)]), ()), mv_func(CTX2, f))
 
 
 def test_phi_top_form_on_repeated_decomposable_bivector_vanishes():
@@ -127,12 +137,17 @@ def test_phi_zero_form_needs_explicit_arity():
     assert mv_is_zero(evaluate(c, (mv_frame(CTX3, (0,)),) * 3))
     with pytest.raises(ValueError):
         phi(z)
+    # phi_value takes the arity from its arguments, so the zero form gives zero on any number
+    for k in range(4):
+        assert mv_is_zero(phi_value(z, (mv_frame(CTX3, (0,)),) * k))
 
 
 def test_phi_rejects_mixed_degree_form():
     mixed = form_make(CTX2, [((0,), ONE2), ((0, 1), ONE2)])
     with pytest.raises(ValueError):
         phi(mixed)
+    with pytest.raises(ValueError, match="phi expects a homogeneous form"):
+        phi_value(mixed, (mv_frame(CTX2, (0,)),))
 
 
 def test_evaluator_is_multilinear_over_components():
@@ -145,6 +160,16 @@ def test_evaluator_is_multilinear_over_components():
         evaluate(c, (pi, pi, pi)),
         mv_add(evaluate(c, (p1, pi, pi)), evaluate(c, (p2, pi, pi))),
     )
+    # phi_value splits mixed-degree arguments by frame degree itself
+    v = mv_add(mv_frame(CTX4, (0,)), mv_make(CTX4, [((1, 3), poly_var(4, 2))]))
+    w = mv_add(mv_frame(CTX4, (1, 2)), mv_frame(CTX4, (0, 1, 3)))
+    parts = [mv_frame(CTX4, (0,)), mv_make(CTX4, [((1, 3), poly_var(4, 2))])]
+    assert mv_eq(
+        phi_value(H, (v, w, pi)),
+        mv_add(phi_value(H, (parts[0], w, pi)), phi_value(H, (parts[1], w, pi))),
+    )
+    assert mv_eq(phi_value(H, (v, w, pi)), evaluate(c, (v, w, pi)))
+    assert not mv_is_zero(phi_value(H, (v, w, pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +185,12 @@ def test_m_spec_values():
     assert mv_is_zero(evaluate(m, (f, g)))
     pi = mv_frame(CTX2, (0, 1))
     assert mv_is_zero(evaluate(m, (pi, pi)))
+    # mixed degrees: m_value sums (-1)^{|a_i|-1}[a_i, b] over a's components
+    mixed = mv_add(dx, f)
+    assert mv_eq(m_value(mixed, f), mv_add(m_value(dx, f), m_value(f, f)))
+    assert mv_eq(m_value(mixed, mv_add(f, pi)), evaluate(m, (mixed, mv_add(f, pi))))
+    with pytest.raises(ValueError, match="context mismatch"):
+        m_value(dx, mv_frame(CTX3, (0,)))
 
 
 def test_m_graded_symmetry_unshifted_koszul():
@@ -415,5 +446,9 @@ def test_arity_mismatch_rejected():
     F = phi(form_make(CTX2, [((0,), ONE2)]))
     with pytest.raises(ValueError):
         evaluate(F, (mv_frame(CTX2, (0,)), mv_frame(CTX2, (1,))))
+    with pytest.raises(ValueError, match="arity 2 contradicts form degree 1"):
+        phi_value(form_make(CTX2, [((0,), ONE2)]), (mv_frame(CTX2, (0,)), mv_frame(CTX2, (1,))))
+    with pytest.raises(ValueError, match="context mismatch"):
+        phi_value(form_make(CTX2, [((0,), ONE2)]), (mv_frame(CTX3, (0,)),))
     with pytest.raises(ValueError):
         cochain_equal_on_basis(F, m_of(CTX2), poly_degree=1, mv_degree=1)

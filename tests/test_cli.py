@@ -358,6 +358,50 @@ def test_gauge_flow_command_matches_fixture(tmp_path):
     assert parse_document(out).payload.coeffs == fields["b"].payload.coeffs
 
 
+MIXED_GAUGE = """gdt 1
+context x y z
+problem gauge
+field h form
+term 1 @ 0 1 2 : 0 0 0
+field series artin-series 3
+order 1
+term 1 @ 0 1 2 : 0 0 0
+term 1 @ 0 1 : 1 0 0
+field xi artin-series 3
+order 1
+term 1 @ 2 : 1 0 0
+order 2
+term 2 @ 0 : 0 1 0
+end
+"""
+
+
+def test_gauge_flow_command_on_mixed_degree_series(tmp_path):
+    """A trivector at order 1 enters the cubic term with its own degree.
+
+    The bytes are those of the evaluator route the flow replaced; taking
+    every series coefficient for a bivector in the contraction loses the
+    order-3 trivector term.
+    """
+    prob = tmp_path / "mixed.gdt"
+    prob.write_text(MIXED_GAUGE, encoding="utf-8")
+    assert run_cli(tmp_path, "gauge", str(prob)) == (
+        "gdt 1\n"
+        "context x y z\n"
+        "artin-series 3\n"
+        "order 1\n"
+        "term 1 @ 0 1 : 1 0 0\n"
+        "term 1 @ 0 1 2 : 0 0 0\n"
+        "order 2\n"
+        "term -1 @ 1 2 : 1 0 0\n"
+        "order 3\n"
+        "term -2 @ 0 1 : 0 1 0\n"
+        "term -3 @ 0 1 : 3 0 0\n"
+        "term -6 @ 0 1 2 : 2 0 0\n"
+        "end\n"
+    )
+
+
 def test_verify_deform_suite_deterministic(tmp_path):
     out1 = run_cli(tmp_path, "verify", "--suite", "deform")
     out2 = run_cli(tmp_path, "verify", "--suite", "deform")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gdcalc.chevalley import evaluate
+from gdcalc.chevalley import phi_value
 from gdcalc.exactcore import VarContext, poly_from_terms, poly_var
 from gdcalc.deform import (
     ArtinRing,
@@ -133,7 +133,7 @@ def test_solve_r4_order_two_with_linear_coefficients():
     assert rep.status == "solved"
     pi2 = rep.solution.coeffs[2]
     lhs = mv_scale(schouten(PI1_R4, pi2), 2)
-    rhs = evaluate(S4.l3, (PI1_R4, PI1_R4, PI1_R4))
+    rhs = phi_value(S4.H, (PI1_R4, PI1_R4, PI1_R4))
     assert mv_eq(lhs, rhs)
     # frozen canonical output (first-nonzero pivot, free variables at zero)
     canonical = mv_make(

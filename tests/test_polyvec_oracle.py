@@ -1,13 +1,15 @@
 """The in-place summing routes against the reference route of ``_ref_polyvec``.
 
-Every multivector and form operation, the cochain evaluator, the solver's
-linear step, the gauge flow and the primitive search must give the same
-terms as the code that summed through ``mv_make``/``poly_add`` copies and
-dense matrices: equal ``terms``, ``Fraction`` coefficients, no stored zeros,
-and no output polynomial shared with an input.
+Every multivector and form operation, the contraction and structure
+cochains, the solver's linear step, the gauge flow and the primitive search
+must give the same terms as the code that summed through
+``mv_make``/``poly_add`` copies and dense matrices: equal ``terms``,
+``Fraction`` coefficients, no stored zeros, and no output polynomial shared
+with an input.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -17,24 +19,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _ref_polyvec as ref
-from gdcalc.chevalley import evaluate, phi, structure_cochain
+from gdcalc._fastterms import FastCtx, tm_add_into
+from gdcalc.chevalley import m_value, phi_value
 from gdcalc.deform import (
     ArtinRing,
     GaugeParam,
-    _solve_mv_equation,
+    _solve_terms,
+    _span_sum,
+    defect_series,
+    gauge_equivalent,
     gauge_flow,
+    mc_solve,
     series_make,
 )
 from gdcalc.exactcore import VarContext
 from gdcalc.hochschild import delta_primitive, hkr, hoch_delta, mdo_make
 from gdcalc.polyvec import (
+    PolyVector,
     basis_multivectors,
     contract,
     d_form,
     form_make,
     form_wedge,
+    from_termmap,
     mv_make,
+    mv_scale,
     schouten,
+    to_termmap,
     wedge_mv,
 )
 from gdcalc.twistcheck import make_twisted
@@ -192,7 +203,7 @@ def test_bracket_and_wedge_cancellations_are_dropped():
 
 
 # ---------------------------------------------------------------------------
-# the cochain evaluator and the contraction kernel
+# the contraction and structure cochains
 
 
 @st.composite
@@ -208,7 +219,7 @@ def phi_cases(draw):
 @given(phi_cases())
 def test_phi_evaluation_matches_reference(case):
     k, omega, args = case
-    got = evaluate(phi(omega, k), args)
+    got = phi_value(omega, args)
     _assert_canonical(got, ref.evaluate(ref.phi(omega, k), args))
     _assert_no_alias(got, omega, *args)
 
@@ -216,8 +227,9 @@ def test_phi_evaluation_matches_reference(case):
 @settings(max_examples=100, deadline=None)
 @given(_pair(multivectors))
 def test_structure_cochain_evaluation_matches_reference(pair):
-    m = structure_cochain(pair[0].ctx)
-    _assert_canonical(evaluate(m, pair), ref.evaluate(m, pair))
+    got = m_value(*pair)
+    _assert_canonical(got, ref.evaluate(ref.structure_cochain(pair[0].ctx), pair))
+    _assert_no_alias(got, *pair)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +243,17 @@ def _random_mv(rng, n, degrees, terms=3, max_deg=1):
         CTXS[n],
         [(rng.choice(frames), {rng.choice(monos): rng.choice(COEFFS)}) for _ in range(terms)],
     )
+
+
+def _solve_mv_equation(cols, rhs, ctx):
+    """The library's keyed solve on the TermMaps of cols and rhs, as
+    (consistent, x, rhs − Σ x_b·cols[b])."""
+    fc = FastCtx(ctx.n)
+    tcols = [to_termmap(fc, c) for c in cols]
+    res = _solve_terms(fc, tcols, to_termmap(fc, rhs))
+    residual = to_termmap(fc, rhs)
+    tm_add_into(residual, _span_sum(res.x, tcols), -1)
+    return res.consistent, res.x, from_termmap(PolyVector, ctx, fc, residual)
 
 
 def _assert_same_solution(got, want):
@@ -298,6 +321,124 @@ def test_gauge_flow_matches_reference_seeded():
         assert set(got.coeffs) == set(want.coeffs)
         for k, v in got.coeffs.items():
             _assert_canonical(v, want.coeffs[k])
+
+
+def _assert_same_series(got, want):
+    assert got.ring == want.ring
+    assert set(got.coeffs) == set(want.coeffs)
+    for k, v in got.coeffs.items():
+        _assert_canonical(v, want.coeffs[k])
+
+
+def test_gauge_flow_on_mixed_degrees_matches_reference_seeded():
+    """Series coefficients of every degree: each enters the cubic term with its own.
+
+    The cubic term first acts at order 3, on the order-1 coefficient.
+    """
+    rng = random.Random(4096)
+    for case in range(12):
+        S = _structures()[1 + case % 2]
+        n = S.ctx.n
+        ring = ArtinRing(3)
+        orders = range(1, ring.truncation + 1)
+        gamma = series_make(
+            ring, {k: _random_mv(rng, n, range(n + 1), rng.randint(2, 4)) for k in orders}
+        )
+        xi = GaugeParam(ring, {k: _random_mv(rng, n, [1], rng.randint(1, 2)) for k in orders})
+        _assert_same_series(gauge_flow(S, gamma, xi), ref.gauge_flow(S, gamma, xi))
+
+
+def _assert_same_solve(got, want):
+    assert (got.status, got.order, got.poly_degree) == (want.status, want.order, want.poly_degree)
+    assert (got.residual is None) == (want.residual is None)
+    if got.residual is not None:
+        _assert_canonical(got.residual, want.residual)
+    assert (got.solution is None) == (want.solution is None)
+    if got.solution is not None:
+        _assert_same_series(got.solution, want.solution)
+
+
+def test_mc_solve_and_defect_series_match_reference_seeded():
+    """Four-variable leading terms a·∂₁∧∂₂ + b·∂₃∧∂₄ (+ c·∂₁∧∂₃) under constant 3-forms:
+    corrections at several orders, obstructions at orders 3 and 4, and at order 2
+    when a linear term is added."""
+    rng = random.Random(2718)
+    ctx = CTXS[4]
+    zero = (0, 0, 0, 0)
+    outcomes = collections.Counter()
+    for case in range(16):
+        H = form_make(ctx, [(rng.choice([(0, 1, 2), (0, 1, 3), (1, 2, 3)]), {zero: rng.choice(COEFFS)})])
+        S = make_twisted(H)
+        terms = [((0, 1), {zero: rng.choice(COEFFS)}), ((2, 3), {zero: rng.choice(COEFFS)})]
+        if case % 2:
+            terms.append(((0, 2), {zero: rng.choice(COEFFS)}))
+        if case % 8 == 7:
+            terms.append(((1, 3), {(1, 0, 0, 0): 1}))
+        pi1 = mv_make(ctx, terms)
+        N, deg = 2 + case // 2 % 2, case // 4 % 3
+        got = mc_solve(S, pi1, N, poly_degree=deg)
+        _assert_same_solve(got, ref.mc_solve(S, pi1, N, poly_degree=deg))
+        outcomes[got.status, got.order] += 1
+        series = got.solution or series_make(
+            ArtinRing(N), {k: _random_mv(rng, 4, [2], 2) for k in range(1, N + 1)}
+        )
+        want = ref.defect_series(S, series)
+        got_defect = defect_series(S, series)
+        assert set(got_defect) == set(want)
+        for k, v in got_defect.items():
+            _assert_canonical(v, want[k])
+    assert outcomes["solved", None] and outcomes["obstructed", 2]
+    assert outcomes["obstructed", 3] and outcomes["obstructed", 4]
+
+
+def _assert_same_gauge(got, want):
+    assert (got.equivalent, got.poly_degree) == (want.equivalent, want.poly_degree)
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None:
+        assert got.witness.ring == want.witness.ring
+        assert set(got.witness.coeffs) == set(want.witness.coeffs)
+        for k, v in got.witness.coeffs.items():
+            _assert_canonical(v, want.witness.coeffs[k])
+
+
+def test_gauge_equivalent_matches_reference_seeded():
+    """Pairs built by a flow, by an extra t² term and by differing leading terms.
+
+    f·∂x∧∂y series are solutions for H = 0 at n=2 and for H = dx∧dy∧dz at
+    n=3 (they are Poisson and never reach ∂z), and so are their flows.
+    """
+    rng = random.Random(1729)
+    verdicts = collections.Counter()
+    for case in range(16):
+        S = _structures()[case % 2]
+        n = S.ctx.n
+        ring = ArtinRing(2 + case % 3 // 2)
+        plane = [rng.choice(COEFFS)] + [0] * n
+        g1 = series_make(
+            ring,
+            {
+                k: mv_make(S.ctx, [((0, 1), {(0,) * n: c})])
+                for k, c in zip(range(1, ring.truncation + 1), plane)
+            },
+        )
+        kind = case % 4
+        if kind < 2:
+            # one term of total degree ≤ 1 per order, inside the search's bounds
+            fields = basis_multivectors(S.ctx, 1, (1,))
+            xi = GaugeParam(
+                ring, {k: mv_scale(rng.choice(fields), rng.choice(COEFFS)) for k in range(1, 2 + kind)}
+            )
+            g2 = gauge_flow(S, g1, xi)
+        elif kind == 2:
+            extra = mv_make(S.ctx, [((0, 1), {(1,) + (0,) * (n - 1): rng.choice(COEFFS)})])
+            g2 = series_make(ring, {**g1.coeffs, 2: extra})
+        else:
+            g2 = series_make(ring, {**g1.coeffs, 1: mv_make(S.ctx, [((0, 1), {(0,) * n: 7})])})
+        deg = 1 - case // 12
+        got = gauge_equivalent(S, g1, g2, poly_degree=deg)
+        _assert_same_gauge(got, ref.gauge_equivalent(S, g1, g2, poly_degree=deg))
+        verdicts[got.equivalent, bool(got.witness and got.witness.coeffs)] += 1
+    assert verdicts[True, True] and verdicts[False, False]
 
 
 def _assert_same_primitive(got, want):
