@@ -12,15 +12,20 @@ solver) is built on the primitives in this module:
 
 All operations are pure: inputs are never mutated, outputs are freshly
 built dicts in canonical form (no explicit zero coefficients are ever
-stored).  The one exception is ``add_term_into``, the in-place accumulator
-with which multivectors, forms, cochain values and multidifferential
-operators sum their ``(key, polynomial)`` terms: it adds into a map the
-caller owns and leaves its ``poly`` argument untouched.
+stored).  The exceptions are the two in-place accumulators, which add into
+a map the caller owns and leave their polynomial arguments untouched:
+``add_term_into``, with which multivectors, forms, cochain values and
+multidifferential operators sum their ``(key, polynomial)`` terms, and
+``mul_into``, which adds a product of two polynomials into a polynomial
+(``poly_mul`` is ``mul_into`` on a fresh dict, and the Hochschild braces
+multiply-accumulate through it).  A factor of ±1 is applied by copying or
+negating, never by a ``Fraction`` multiplication.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
@@ -36,6 +41,7 @@ __all__ = [
     "koszul_sign",
     "koszul_unshuffle_sign",
     "monomials_upto",
+    "mul_into",
     "parse_rat",
     "partial_derive",
     "poly_add",
@@ -144,40 +150,55 @@ def poly_scale(p: Poly, c) -> Poly:
     c = Fraction(c)
     if c == 0:
         return {}
+    if c == 1:
+        return dict(p)
+    if c == -1:
+        return poly_neg(p)
     return {exps: c * v for exps, v in p.items()}
+
+
+def mul_into(out: Poly, p: Poly, q: Poly) -> None:
+    """Add p·q into the polynomial out in place, dropping whatever cancels.
+
+    Each product term costs one multiplication, and one addition only when
+    its monomial is already in ``out``.  ``p`` and ``q`` are never mutated;
+    they must be over the same variables (``poly_mul`` checks that) and
+    must not be ``out`` itself.
+    """
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exps = tuple(map(add, e1, e2))
+            v = out.get(exps)
+            if v is None:
+                out[exps] = c1 * c2
+            else:
+                v = v + c1 * c2
+                if v:
+                    out[exps] = v
+                else:
+                    del out[exps]
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
     _check_compatible(p, q)
     out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            acc = out.get(exps, _ZERO) + c1 * c2
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
+    mul_into(out, p, q)
     return out
 
 
 def partial_derive(p: Poly, i: int) -> Poly:
-    """Exact partial derivative with respect to the i-th variable."""
+    """Exact partial derivative with respect to the i-th variable.
+
+    An index outside the variables raises ``IndexError``; a negative index
+    is refused for the zero polynomial too, whose variable count is unknown.
+    """
+    if i < 0 or (p and i >= len(next(iter(p)))):
+        raise IndexError(f"variable index {i} out of range")
     out: Poly = {}
     for exps, c in p.items():
-        if not 0 <= i < len(exps):
-            raise IndexError(f"variable index {i} out of range")
         e = exps[i]
-        if e == 0:
-            continue
-        new = exps[:i] + (e - 1,) + exps[i + 1 :]
-        acc = out.get(new, _ZERO) + c * e
-        if acc:
-            out[new] = acc
-        else:
-            out.pop(new, None)
-    if not p:
-        return {}
+        if e:  # distinct monomials stay distinct, so nothing collides
+            out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
     return out
 
 
@@ -185,20 +206,22 @@ def add_term_into(out: Dict[Hashable, Poly], key: Hashable, poly: Poly, factor=1
     """Add factor·poly into out[key] in place, dropping whatever cancels.
 
     The polynomials stored in ``out`` are owned by it; ``poly`` is never
-    mutated.  The factor is multiplied in only when it is not 1.
+    mutated.  A factor of 1 copies the coefficients and −1 negates them;
+    any other factor is multiplied in.
     """
     if not poly or not factor:
         return
+    if factor == 1:
+        terms = poly.items()
+    elif factor == -1:
+        terms = [(e, -c) for e, c in poly.items()]
+    else:
+        terms = [(e, c * factor) for e, c in poly.items()]
     acc = out.get(key)
     if acc is None:
-        if factor == 1:
-            out[key] = dict(poly)
-        else:
-            out[key] = {e: c * factor for e, c in poly.items()}
+        out[key] = dict(terms)
         return
-    for e, c in poly.items():
-        if factor != 1:
-            c = c * factor
+    for e, c in terms:
         v = acc.get(e)
         if v is None:
             acc[e] = c

@@ -13,13 +13,23 @@ Signs are documented in docs/sign-ledger.md.
 
 Validation happens at the boundary.  ``mdo_make`` is the public constructor
 and checks every term it is given.  The operations (``hoch_delta``,
-``brace``, ``gerstenhaber``, ``cup``, ``mdo_add``/``mdo_sub``) check the
-multi-indices of each input operator once on entry, so an operator built
-directly as a ``MultiDiffOp`` is refused with ``ValueError`` just the same;
-the terms they produce are well formed by construction and are summed in
-place by ``exactcore.add_term_into``, the package's one accumulator, without
-a second check.  The primitive search hands its keyed columns to
-``_linalg.solve_keyed``.
+``brace``, ``gerstenhaber``, ``cup``, ``mdo_add``/``mdo_sub``) check each
+input operator once on entry (its slot counts, each distinct multi-index,
+and the variable count of its coefficients), so an operator built directly
+as a ``MultiDiffOp`` is refused with ``ValueError`` just the same; the terms
+they produce are well formed by construction and are summed in place by the
+accumulators of ``exactcore`` without a second check.  ``gerstenhaber``
+checks each operand once, not once per brace.
+
+A brace is one fused kernel, ``_brace_into``.  The insertion options of an
+operator into a slot of order β are computed once per call and block, with
+the multinomial multiplicity of the split, and for the first block the
+block sign, already multiplied into the derived coefficient; the last block
+is multiplied straight into the output map by ``exactcore.mul_into``.  So a
+product term costs one ``Fraction`` multiplication, plus one addition when
+it lands on a monomial already present.  The bracket calls the kernel twice
+into one map, the second time with the sign of ``E{D}`` folded in.  The
+primitive search hands its keyed columns to ``_linalg.solve_keyed``.
 """
 from __future__ import annotations
 
@@ -27,7 +37,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._linalg import flatten_terms, solve_keyed
@@ -37,7 +48,7 @@ from .exactcore import (
     VarContext,
     add_term_into,
     monomials_upto,
-    partial_derive,
+    mul_into,
     poly_add,
     poly_from_terms,
     poly_is_zero,
@@ -87,16 +98,19 @@ def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
     if len(orders) != arity:
         raise ValueError(f"orders tuple has {len(orders)} slots, arity is {arity}")
     for beta in orders:
-        if len(beta) != ctx.n or any(e < 0 for e in beta):
+        if len(beta) != ctx.n or min(beta, default=0) < 0:
             raise ValueError(f"bad multi-index {beta!r} for {ctx.n} variables")
 
 
 def _check_op(D: MultiDiffOp) -> None:
-    """Validate an operator handed to an operation; each distinct multi-index once."""
+    """Validate an operator handed to an operation: slot counts, coefficient
+    variable counts, and each distinct multi-index once."""
     betas = set()
-    for orders in D.terms:
+    for orders, p in D.terms.items():
         if len(orders) != D.arity:
             _validate_orders(D.ctx, D.arity, orders)
+        if p and len(next(iter(p))) != D.ctx.n:
+            raise ValueError(f"coefficient of {orders!r} is not over {D.ctx.n} variables")
         betas.update(orders)
     for beta in betas:
         _validate_orders(D.ctx, 1, (beta,))
@@ -178,13 +192,25 @@ def mdo_is_zero(a: MultiDiffOp) -> bool:
     return not a.terms
 
 
-def poly_derive_multi(p: Poly, beta: Exponents) -> Poly:
-    for i, e in enumerate(beta):
-        for _ in range(e):
-            p = partial_derive(p, i)
-            if poly_is_zero(p):
-                return p
-    return p
+def poly_derive_multi(p: Poly, beta: Exponents, factor: int = 1) -> Poly:
+    """factor·∂^β p in one pass.
+
+    Each surviving term is multiplied once, by factor times the falling
+    factorials e!/(e−b)! of its exponents; derived monomials cannot collide.
+    β must have one non-negative entry per variable, else ``ValueError``
+    (the zero polynomial has no variable count, so only the signs are
+    checked there).
+    """
+    if min(beta, default=0) < 0 or (p and len(next(iter(p))) != len(beta)):
+        raise ValueError(f"bad multi-index {beta!r} for the polynomial's variables")
+    out: Poly = {}
+    for exps, c in p.items():
+        m = factor
+        for e, b in zip(exps, beta):
+            m *= perm(e, b)
+        if m:
+            out[tuple(map(sub, exps, beta))] = c if m == 1 else c * m
+    return out
 
 
 def apply_mdo(D: MultiDiffOp, args: Sequence[Poly]) -> Poly:
@@ -253,8 +279,8 @@ def _multinomial_splits(
     beta: Exponents, parts: int
 ) -> Tuple[Tuple[Tuple[Exponents, ...], int], ...]:
     """(part-tuple, multiplicity) over splits of beta into `parts` multi-indices."""
-    if parts == 1:
-        return (((beta,), 1),)
+    if parts == 0:
+        return () if any(beta) else (((), 1),)
     return tuple(
         ((gamma,) + tail, mult * mult2)
         for gamma, rest, mult in _binomial_splits(beta)
@@ -262,32 +288,74 @@ def _multinomial_splits(
     )
 
 
-def _insertion_options(E: MultiDiffOp, beta: Exponents) -> List[Tuple[Orders, Poly, int]]:
-    """Ways to insert E into a slot of order beta: (slot orders, coefficient, multiplicity).
+def _insertion_options(E: MultiDiffOp, beta: Exponents, sign: int) -> List[Tuple[Orders, Poly]]:
+    """Ways to insert E into a slot of order beta: (slot orders, coefficient).
 
-    Each is a split of beta over E's coefficient and E's own slots, for
-    every term of E; splits that differentiate the coefficient away are left out.
+    Each is a split of beta into γ for E's coefficient and the rest over
+    E's own slots, for every term of E; the coefficient is sign times the
+    split's multiplicity times ∂^γ of E's coefficient, derived once per
+    distinct factor.  Splits that differentiate the coefficient away are
+    left out.
     """
     options = []
     for e_orders, e_coeff in E.terms.items():
-        for split, mult in _multinomial_splits(beta, E.arity + 1):
-            derived = poly_derive_multi(e_coeff, split[0])
-            if poly_is_zero(derived):
-                continue
-            slots = tuple(
-                tuple(g + d for g, d in zip(go, do)) for go, do in zip(e_orders, split[1:])
-            )
-            options.append((slots, derived, mult))
+        for gamma, rest, mult in _binomial_splits(beta):
+            derived: Dict[int, Poly] = {}
+            for split, mult2 in _multinomial_splits(rest, E.arity):
+                factor = sign * mult * mult2
+                if factor not in derived:
+                    derived[factor] = poly_derive_multi(e_coeff, gamma, factor)
+                    if not derived[factor]:
+                        break  # ∂^γ kills the coefficient, whatever the factor
+                slots = tuple(tuple(map(add, go, do)) for go, do in zip(e_orders, split))
+                options.append((slots, derived[factor]))
     return options
 
 
-def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
-    """Insertion of the given cochains into slots of D, in order, summed with signs.
+def _brace_into(
+    out: Dict[Orders, Poly], D: MultiDiffOp, inserts: Sequence[MultiDiffOp], sign: int
+) -> None:
+    """Add sign·D{inserts} into out; the operands are already checked.
 
     Each insertion block sitting at slot p with j blocks before it carries
-    (arity−1)·(p−j) into the overall sign exponent: the count of plain
-    (unconsumed) slots to its left weighted by the block's shifted degree.
+    (arity−1)·(p−j) into the sign exponent: the count of plain (unconsumed)
+    slots to its left weighted by the block's shifted degree.  The block
+    sign rides on the options of the first block, the last block is
+    multiplied straight into ``out``, and earlier blocks of a multi-insert
+    brace are multiplied out first.
     """
+    options_at: Dict[Tuple[int, Exponents, int], List[Tuple[Orders, Poly]]] = {}
+    for positions in itertools.combinations(range(D.arity), len(inserts)):
+        eps = sum((inserts[j].arity - 1) * (p - j) for j, p in enumerate(positions))
+        block_sign = -sign if eps % 2 else sign
+        last = positions[-1]
+        for orders, c in D.terms.items():
+            tail = orders[last + 1 :]
+            per_block_options = []
+            for j, p in enumerate(positions):
+                key = (j, orders[p], block_sign if j == 0 else 1)
+                if key not in options_at:
+                    options_at[key] = _insertion_options(inserts[j], *key[1:])
+                per_block_options.append(options_at[key])
+            for choice in itertools.product(*per_block_options[:-1]):
+                coeff, head, start = c, (), 0
+                for p, (slots, extra) in zip(positions, choice):
+                    coeff = poly_mul(coeff, extra)
+                    head += orders[start:p] + slots
+                    start = p + 1
+                head += orders[start:last]
+                for slots, extra in per_block_options[-1]:
+                    new_orders = head + slots + tail
+                    acc = out.get(new_orders)
+                    if acc is None:
+                        acc = out[new_orders] = {}
+                    mul_into(acc, coeff, extra)
+                    if not acc:
+                        del out[new_orders]
+
+
+def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
+    """Insertion of the given cochains into slots of D, in order, summed with signs."""
     m = len(inserts)
     if m > D.arity:
         raise ValueError("too many insertion arguments")
@@ -299,33 +367,9 @@ def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
         _check_op(E)
     if m == 0:
         return D
-    out_arity = D.arity + sum(E.arity for E in inserts) - m
     out: Dict[Orders, Poly] = {}
-    options_at: Dict[Tuple[int, Exponents], List[Tuple[Orders, Poly, int]]] = {}
-    for positions in itertools.combinations(range(D.arity), m):
-        eps = sum(
-            (inserts[j].arity - 1) * (p - j) for j, p in enumerate(positions)
-        )
-        block_sign = -1 if eps % 2 else 1
-        for orders, c in D.terms.items():
-            per_block_options = []
-            for j, p in enumerate(positions):
-                key = (j, orders[p])
-                if key not in options_at:
-                    options_at[key] = _insertion_options(inserts[j], orders[p])
-                per_block_options.append(options_at[key])
-            for choice in itertools.product(*per_block_options):
-                coeff, factor = c, block_sign
-                for _, extra, mult in choice:
-                    coeff = poly_mul(coeff, extra)
-                    factor *= mult
-                new_orders: Orders = ()
-                start = 0
-                for p, (slots, _, _) in zip(positions, choice):
-                    new_orders += orders[start:p] + slots
-                    start = p + 1
-                add_term_into(out, new_orders + orders[start:], coeff, factor)
-    return MultiDiffOp(D.ctx, out_arity, out)
+    _brace_into(out, D, inserts, 1)
+    return MultiDiffOp(D.ctx, D.arity + sum(E.arity for E in inserts) - m, out)
 
 
 def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
@@ -335,10 +379,14 @@ def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     out_arity = D.arity + E.arity - 1
     if out_arity < 0:  # two 0-ary cochains commute
         return mdo_zero(D.ctx, 0)
-    fg = brace(D, [E]) if D.arity > 0 else mdo_zero(D.ctx, out_arity)
-    gf = brace(E, [D]) if E.arity > 0 else mdo_zero(E.ctx, out_arity)
-    sign = -1 if ((D.arity - 1) * (E.arity - 1)) % 2 else 1
-    return _combine(fg, gf, -sign)
+    _check_op(D)
+    _check_op(E)
+    out: Dict[Orders, Poly] = {}
+    if D.arity:
+        _brace_into(out, D, [E], 1)
+    if E.arity:
+        _brace_into(out, E, [D], 1 if ((D.arity - 1) * (E.arity - 1)) % 2 else -1)
+    return MultiDiffOp(D.ctx, out_arity, out)
 
 
 def cup(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:

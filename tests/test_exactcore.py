@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from gdcalc.exactcore import (
     VarContext,
+    add_term_into,
     format_rat,
     grlex_key,
     koszul_sign,
     koszul_unshuffle_sign,
     monomials_upto,
+    mul_into,
     parse_rat,
     partial_derive,
     poly_add,
@@ -97,6 +99,58 @@ def test_mul_associates_and_distributes(p, q, r):
     assert poly_mul(p, poly_add(q, r)) == poly_add(poly_mul(p, q), poly_mul(p, r))
 
 
+@settings(max_examples=60)
+@given(polys(2, 2, 3), polys(2, 2, 3), polys(2, 2, 3))
+def test_mul_into_accumulates_in_place(acc, p, q):
+    out = dict(acc)
+    before = (dict(p), dict(q))
+    mul_into(out, p, q)
+    assert out == poly_add(acc, poly_mul(p, q))
+    assert all(type(c) is Fraction and c for c in out.values())
+    assert (p, q) == before
+
+
+def test_mul_into_drops_what_cancels():
+    x = poly_var(1, 0)
+    out = {(1,): Fraction(-1), (0,): Fraction(5)}
+    mul_into(out, x, poly_const(1, 1))
+    assert out == {(0,): Fraction(5)}
+
+
+UNIT_POLY = {(1, 0): Fraction(2, 3), (0, 2): Fraction(-5)}
+
+
+@pytest.mark.parametrize("factor", [1, -1, Fraction(1), Fraction(-1)])
+def test_scale_by_unit_copies(factor):
+    p = dict(UNIT_POLY)
+    got = poly_scale(p, factor)
+    assert got == {e: factor * c for e, c in UNIT_POLY.items()}
+    assert all(type(c) is Fraction and c for c in got.values())
+    assert got is not p
+    got[(9, 9)] = Fraction(1)
+    assert p == UNIT_POLY
+
+
+@pytest.mark.parametrize("factor", [1, -1, 3])
+def test_add_term_into_by_unit_owns_its_maps(factor):
+    p = dict(UNIT_POLY)
+    out = {}
+    add_term_into(out, "k", p, factor)  # a new key: a copy, never p itself
+    assert out["k"] == {e: factor * c for e, c in UNIT_POLY.items()}
+    assert out["k"] is not p
+    out["k"][(9, 9)] = Fraction(1)
+    assert p == UNIT_POLY
+    add_term_into(out, "k", p, -factor)  # an existing key: what cancels is dropped
+    assert out == {"k": {(9, 9): Fraction(1)}}
+    add_term_into(out, "k", {(9, 9): Fraction(-1)}, 1)
+    assert out == {}
+    assert p == UNIT_POLY
+    for f in (factor, -factor):
+        add_term_into(out, "k", p, f)
+        assert all(type(c) is Fraction and c for c in out.get("k", {}).values())
+    assert out == {}
+
+
 @given(polys(3))
 def test_stored_coefficients_are_reduced_and_nonzero(p):
     for exps, c in p.items():
@@ -130,6 +184,17 @@ def test_partial_exact_rational():
 def test_partial_index_out_of_range():
     with pytest.raises(IndexError):
         partial_derive(poly_var(2, 0), 2)
+
+
+@pytest.mark.parametrize("p", [poly_var(2, 0), poly_zero()], ids=["nonzero", "zero"])
+def test_partial_negative_index_refused(p):
+    with pytest.raises(IndexError):
+        partial_derive(p, -1)
+
+
+def test_partial_of_zero_polynomial_is_zero():
+    # the zero polynomial carries no variable count, so only the sign of the index is checked
+    assert partial_derive(poly_zero(), 0) == {}
 
 
 @settings(max_examples=60)

@@ -32,6 +32,7 @@ from gdcalc.hochschild import (
     mdo_sub,
     mdo_zero,
     mult_cochain,
+    poly_derive_multi,
 )
 from gdcalc.polyvec import i_func_mv, mv_frame, mv_func, mv_is_zero, mv_make, schouten
 
@@ -89,6 +90,7 @@ MALFORMED = {
     "short-multi-index": MultiDiffOp(CTX2, 1, {((1,),): ONE2}),
     "negative-entry": MultiDiffOp(CTX2, 1, {((1, -1),): ONE2}),
     "wrong-slot-count": MultiDiffOp(CTX2, 2, {((1, 0),): ONE2}),
+    "coefficient-variable-count": MultiDiffOp(CTX2, 1, {((1, 0),): {(1, 0, 0): Fraction(1)}}),
 }
 
 
@@ -112,6 +114,19 @@ def test_operations_validate_their_inputs(name):
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("beta", [(1, 0, 0), (1,), (), (1, -1)])
+def test_derive_multi_refuses_bad_multi_index(beta):
+    with pytest.raises(ValueError):
+        poly_derive_multi(X, beta)
+
+
+def test_derive_multi_on_zero_polynomial():
+    # no variable count to compare with, but a negative entry is wrong for any count
+    assert poly_derive_multi({}, (1, 0, 0)) == {}
+    with pytest.raises(ValueError):
+        poly_derive_multi({}, (0, -1))
 
 
 # ---------------------------------------------------------------------------

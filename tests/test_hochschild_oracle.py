@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import _ref_hochschild as ref
 from gdcalc import hochschild as hs
-from gdcalc.exactcore import VarContext, monomials_upto, poly_from_terms
+from gdcalc.exactcore import VarContext, monomials_upto, poly_from_terms, poly_scale
 from gdcalc.polyvec import mv_make
 
 CTXS = {n: VarContext(tuple(f"x{i + 1}" for i in range(n))) for n in (1, 2, 3)}
@@ -66,6 +66,8 @@ def check_operations(A, B, C):
         assert_same(hs.brace(A, [B]), ref.brace(A, [B]))
     if A.arity >= 2:
         assert_same(hs.brace(A, [B, C]), ref.brace(A, [B, C]))
+    if A.arity >= 3:  # only the first of the three blocks carries the block sign
+        assert_same(hs.brace(A, [B, C, B]), ref.brace(A, [B, C, B]))
 
 
 @given(
@@ -92,6 +94,21 @@ def test_engine_matches_reference_seeded():
                 B = make_operator(rng.choice, n, arity_b)
                 C = make_operator(rng.choice, n, arity_a)
                 check_operations(A, B, C)
+
+
+def test_derive_multi_matches_repeated_partials():
+    """One pass with falling factorials against one partial derivative at a time."""
+    rng = random.Random(20092)
+    for n in (1, 2, 3):
+        betas = list(monomials_upto(n, 3))  # includes β = 0 and orders above the exponents
+        for _ in range(40):
+            terms = [(rng.choice(COEFFS), rng.choice(MONOS[n])) for _ in range(rng.randint(0, 4))]
+            p = poly_from_terms(n, terms)
+            beta = rng.choice(betas)
+            for factor in (1, -1, rng.choice((-6, -2, 3, 12))):
+                got = hs.poly_derive_multi(p, beta, factor)
+                assert got == poly_scale(ref.poly_derive_multi(p, beta), factor)
+                assert all(type(c) is Fraction and c for c in got.values())
 
 
 def test_hkr_matches_reference_on_every_degree():
