@@ -2,7 +2,10 @@
 
 Each sweep enumerates canonical basis tuples in a fixed deterministic
 order, prunes tuples on which every term of the identity is forced to
-vanish structurally, and evaluates the identity exactly.
+vanish structurally, and evaluates the identity exactly.  One loop,
+`_drive`, runs them all from blocks of (tuple source, prune, evaluate,
+witness): pruned tuples count as `trivial`, evaluated ones as `checked`,
+and the first tuple with a nonzero value is the witness.
 
 Two prunes are used.  Grading: a bracket term's output degree is fixed by
 the degrees of its inputs, and a degree outside 0..n cannot be
@@ -11,35 +14,38 @@ sides of the identity are the empty map.  Coverage: every value produced
 by the contraction cochain of a form carries only frame indices drawn
 from its arguments, and contracts away one full coframe of the form, so
 a tuple whose frame union misses the coframe evaluates to zero in every
-composition.  Pruned tuples are reported in `trivial`; evaluated tuples
-in `checked`.
+composition.  Kernels skip zero contractions inside a tuple the same way.
 
-Repetition across tuples is aggressively memoized (bracket pairs,
-contraction values on argument subsets); the caches are per-sweep and do
-not change what is checked.  Unshuffle signs are read from the parity
-table of `_fastterms.subset_plan`: each checked tuple's odd-degree mask is
-computed once and selects the row of signs for all its subsets.  Terms of
-an identity are accumulated in place (`schouten_into`, `m_into`,
-`wedge_into`, `phi_into` add a signed value straight into the tuple's
-accumulator).
+Every sweep element is one unit term x^e theta_m, so every product is a
+short sum of unit terms.  A sweep's `_Pool` interns each term key (frame
+mask, exponents) as a small int id, elements first, and reads degree and
+mask off the id.  A unit product is computed once by `_fastterms`'
+producers and memoised as a tuple of (id, coefficient): in one table per
+element keyed by the other id for the Schouten sweeps, in tables keyed by
+packed id tuples (`_Packed`) for the sweeps through `_kernel`.  m(x, y) =
+(-1)^{|x|-1}[x, y] is the bracket read by sign, and a kernel sums memoised
+values into an {id: coefficient} accumulator, so a nested value such as
+[[a, b], c] costs lookups only.  Memos live for one sweep, Leibniz's
+[a, .] for the row of a and lemma_differential's contraction for its
+form.  Unshuffle signs come from `_fastterms.subset_plan`, folded with
+each sweep's own signs into one row per odd-degree mask.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._fastterms import (
     FastCtx,
     TermMap,
-    m_into,
-    m_terms,
+    _Table,
     odd_mask,
     phi_eval,
     phi_into,
     schouten_into,
-    schouten_terms,
     subset_plan,
     tm_add_into,
     wedge_into,
@@ -130,31 +136,225 @@ def _witness(
     return f"({tup}) -> {format_terms(names, fc, value)}"
 
 
-class _Pool:
-    """Shared element tables plus memoized pair operations."""
+# ---------------------------------------------------------------------------
+# interned unit terms and their memoised products
 
-    def __init__(self, fc: FastCtx, elements: Sequence[Element]):
+Value = Tuple[Tuple[int, int], ...]  # (id, coefficient) pairs
+_SHIFT = 32  # ids stay below 2**32, so packed id tuples do not collide
+_LOW = (1 << _SHIFT) - 1
+
+
+def _pack(ids: Iterable[int]) -> int:
+    key = 0
+    for x in ids:
+        key = key << _SHIFT | x
+    return key
+
+
+class _Packed(_Table):
+    """A unit product on arity-k tuples of ids, memoised by the packed ids.
+
+    `table[key]` memoises and `table.fill(key)` does not.  `need` holds the
+    frame indices that a nonzero value needs among its arguments' frames:
+    for a contraction, the coframe indices all terms of its form share
+    (coverage), so kernels skip a lookup whose arguments miss one.
+    """
+
+    __slots__ = ("k", "need", "form")
+
+
+class _Pool:
+    """One sweep's interned unit terms and their unit products."""
+
+    def __init__(self, names: Sequence[str], fc: FastCtx, elements: Sequence[Element]):
+        self.names = names
         self.fc = fc
         self.els = elements
-        self.tms = [dict(el.terms) for el in elements]
-        self.degs = [el.deg for el in elements]
-        self.masks = [el.mask for el in elements]
-        self._brackets: Dict[Tuple[int, int], TermMap] = {}
-        self._mpairs: Dict[Tuple[int, int], TermMap] = {}
+        self.ids: Dict[Tuple[int, Exponents], int] = {}
+        self.keys: List[Tuple[int, Exponents]] = []  # id -> (mask, exps)
+        self.deg: List[int] = []  # id -> frame degree
+        self.mask: List[int] = []  # id -> frame mask
+        self._values: Dict[Value, Value] = {}  # one shared copy of each value
+        for el in elements:
+            self.intern((el.mask, el.exps))
 
-    def bracket(self, i: int, j: int) -> TermMap:
-        got = self._brackets.get((i, j))
+    def intern(self, key: Tuple[int, Exponents]) -> int:
+        got = self.ids.get(key)
         if got is None:
-            got = schouten_terms(self.fc, self.tms[i], self.tms[j])
-            self._brackets[(i, j)] = got
+            got = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.deg.append(self.fc.pop[key[0]])
+            self.mask.append(key[0])
         return got
 
-    def m_pair(self, i: int, j: int) -> TermMap:
-        got = self._mpairs.get((i, j))
-        if got is None:
-            got = m_terms(self.fc, self.tms[i], self.tms[j], self.degs[i])
-            self._mpairs[(i, j)] = got
-        return got
+    def _value(self, tm: TermMap) -> Value:
+        value = tuple([(self.intern(k), c) for k, c in tm.items()])
+        return self._values.setdefault(value, value)
+
+    def bracket(self, x: int, y: int) -> Value:
+        acc: TermMap = {}
+        schouten_into(self.fc, {self.keys[x]: 1}, {self.keys[y]: 1}, 1, acc)
+        return self._value(acc)
+
+    def wedge(self, x: int, y: int) -> Value:
+        acc: TermMap = {}
+        wedge_into(self.fc, {self.keys[x]: 1}, {self.keys[y]: 1}, 1, acc)
+        return self._value(acc)
+
+    def by_right(self, product) -> List[_Table]:
+        """For each element z, the memo t -> product(t, z)."""
+        return [_Table(lambda t, z=z: product(t, z)) for z in range(len(self.els))]
+
+    def packed(self, product, k: int) -> _Packed:
+        """The memo pack(ids) -> product(*ids) on arity-k id tuples."""
+        table = _Packed(lambda key: product(*[key >> _SHIFT * (k - 1 - s) & _LOW for s in range(k)]))
+        table.k, table.need = k, 0
+        return table
+
+    def contraction(self, form_terms: TermMap, k: int) -> _Packed:
+        def phi(*ids: int) -> Value:
+            acc: TermMap = {}
+            args = [{self.keys[x]: 1} for x in ids]
+            phi_into(self.fc, form_terms, args, [self.deg[x] for x in ids], 1, acc)
+            return self._value(acc)
+
+        table = self.packed(phi, k)
+        table.form = form_terms
+        if form_terms:
+            table.need = functools.reduce(int.__and__, [m for m, _ in form_terms])
+        return table
+
+    def termmap(self, acc: Dict[int, int]) -> TermMap:
+        """An {id: coefficient} accumulator as a TermMap, zeros dropped."""
+        return {self.keys[t]: c for t, c in acc.items() if c}
+
+    def witness(self, idx: Sequence[int], acc: Dict[int, int]) -> str:
+        return _witness(self.names, self.fc, [self.els[i] for i in idx], self.termmap(acc))
+
+
+def _sweep_pool(ctx: VarContext, poly_degree: int, mv_degree: int) -> _Pool:
+    fc = FastCtx(ctx.n)
+    return _Pool(ctx.names, fc, sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1)))
+
+
+def _graded_prune(pool: _Pool, shift: int, need: int = 0):
+    """Prune a tuple whose value degree sum(deg) - shift is outside 0..n, or
+    whose frame union misses a coframe index in `need`."""
+    deg, masks, n = pool.deg, pool.mask, pool.fc.n
+
+    def prune(idx: Sequence[int]) -> bool:
+        sd = union = 0
+        for x in idx:
+            sd += deg[x]
+            union |= masks[x]
+        return not 0 <= sd - shift <= n or bool(need & ~union)
+
+    return prune
+
+
+def _signed_plan(r: int, k: int, sign) -> List[List[tuple]]:
+    """subset_plan(r, k) with its signs folded in, one row per odd-degree mask.
+
+    rows[par] lists (subset, rest, eps * sign(par, subset)): the unshuffle
+    sign eps times the sweep's own sign, which may depend on the parities
+    of the slots (the bits of par).
+    """
+    plan, signs = subset_plan(r, k)
+    return [
+        [(t, rest, eps * sign(par, t)) for (t, rest), eps in zip(plan, signs[par])]
+        for par in range(1 << r)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the kernels
+
+
+def _kernel(pool: _Pool, *parts):
+    """evaluate(idx): s v outer(t, x_rest) summed over the parts (rows, inner,
+    outer), the rows (subset, rest, s) of the tuple's odd-degree mask and
+    the terms (t, v) of inner(x_subset); inner and outer are `_Packed` memos."""
+    deg, mask = pool.deg, pool.mask
+
+    def evaluate(idx):
+        par = odd_mask([deg[x] for x in idx])
+        masks = [mask[x] for x in idx]
+        acc: Dict[int, int] = {}
+        for rows, inner, outer in parts:
+            for subset, rest, s in rows[par]:
+                cover = 0
+                for q in subset:
+                    cover |= masks[q]
+                if inner.need & ~cover:
+                    continue
+                key = 0  # _pack, inlined
+                for q in subset:
+                    key = key << _SHIFT | idx[q]
+                value = inner[key]
+                if not value:
+                    continue
+                tail = cover = 0
+                for q in rest:
+                    tail = tail << _SHIFT | idx[q]
+                    cover |= masks[q]
+                shift = _SHIFT * len(rest)
+                for t, v in value:
+                    if outer.need & ~(mask[t] | cover):
+                        continue
+                    v *= s
+                    for u, w in outer[t << shift | tail]:
+                        acc[u] = acc.get(u, 0) + v * w
+        return acc
+
+    return evaluate
+
+
+def _nested_brackets(pool: _Pool, rows):
+    """evaluate(idx) on a triple: s [[x_a, x_b], x_c] summed over the rows
+    ((a, b), (c,), s) of its odd-degree mask.  The Jacobi sweeps do little
+    work on each of many tuples, so this is _kernel inlined, with the
+    bracket memo in one table per element, keyed by the other id."""
+    deg, br = pool.deg, pool.by_right(pool.bracket)
+
+    def evaluate(idx):
+        i, j, k = idx
+        acc: Dict[int, int] = {}
+        for (a, b), (c,), s in rows[deg[i] & 1 | (deg[j] & 1) << 1 | (deg[k] & 1) << 2]:
+            br_c = br[idx[c]]
+            for t, v in br[idx[b]][idx[a]]:
+                v *= s
+                for u, w in br_c[t]:
+                    acc[u] = acc.get(u, 0) + v * w
+        return acc
+
+    return evaluate
+
+
+# ---------------------------------------------------------------------------
+# the sweep loop
+
+
+Block = Tuple[Iterable, object, object, object]  # (tuples, prune, evaluate, witness)
+
+
+def _drive(name: str, blocks: Iterable[Block]) -> CheckReport:
+    """Run a sweep's blocks in order and report on the first tuple that fails.
+
+    Each block gives its tuple source, `prune(idx)` (true: count the tuple
+    as trivial and skip it), `evaluate(idx)` (the identity's value, a dict
+    that is zero when every coefficient is) and `witness(idx, value)`.
+    """
+    checked = trivial = 0
+    for tuples, prune, evaluate, witness in blocks:
+        for idx in tuples:
+            if prune(idx):
+                trivial += 1
+                continue
+            checked += 1
+            acc = evaluate(idx)
+            if any(acc.values()):
+                return CheckReport(name, False, checked, trivial, witness(idx, acc))
+    return CheckReport(name, True, checked, trivial, None)
 
 
 # ---------------------------------------------------------------------------
@@ -165,96 +365,84 @@ def schouten_antisymmetry(
     ctx: VarContext, *, poly_degree: int = 2, mv_degree: int = 3
 ) -> CheckReport:
     """[a,b] = -(-1)^{(|a|-1)(|b|-1)}[b,a] over all basis pairs."""
-    fc = FastCtx(ctx.n)
-    els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
-    pool = _Pool(fc, els)
-    checked = trivial = 0
-    for i, j in itertools.combinations_with_replacement(range(len(els)), 2):
-        a, b = els[i], els[j]
-        if a.deg + b.deg - 1 > ctx.n:
-            trivial += 1
-            continue
-        checked += 1
-        acc = dict(pool.bracket(i, j))
-        flip = -1 if ((a.deg - 1) * (b.deg - 1)) & 1 else 1
-        tm_add_into(acc, pool.bracket(j, i), flip)
-        if acc:
-            return CheckReport(
-                "schouten-antisymmetry",
-                False,
-                checked,
-                trivial,
-                _witness(ctx.names, fc, (a, b), acc),
-            )
-    return CheckReport("schouten-antisymmetry", True, checked, trivial, None)
+    pool = _sweep_pool(ctx, poly_degree, mv_degree)
+    deg, lim = pool.deg, ctx.n + 1
+    br = pool.by_right(pool.bracket)
+
+    def evaluate(idx):
+        i, j = idx
+        acc = dict(br[j][i])
+        flip = -1 if ((deg[i] - 1) * (deg[j] - 1)) & 1 else 1
+        for t, c in br[i][j]:
+            acc[t] = acc.get(t, 0) + flip * c
+        return acc
+
+    tuples = itertools.combinations_with_replacement(range(len(pool.els)), 2)
+    prune = lambda idx: deg[idx[0]] + deg[idx[1]] > lim  # noqa: E731
+    return _drive("schouten-antisymmetry", [(tuples, prune, evaluate, pool.witness)])
 
 
 def schouten_jacobi(
     ctx: VarContext, *, poly_degree: int = 2, mv_degree: int = 3
 ) -> CheckReport:
     """Cyclic graded Jacobi over all basis triples (shifted-degree signs)."""
-    fc = FastCtx(ctx.n)
-    els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
-    pool = _Pool(fc, els)
-    checked = trivial = 0
-    n = ctx.n
-    for i, j, k in itertools.combinations_with_replacement(range(len(els)), 3):
-        a, b, c = els[i], els[j], els[k]
-        if a.deg + b.deg + c.deg - 2 > n:
-            trivial += 1
-            continue
-        checked += 1
-        acc: TermMap = {}
-        s1 = -1 if ((a.deg - 1) * (c.deg - 1)) & 1 else 1
-        schouten_into(fc, pool.bracket(i, j), pool.tms[k], s1, acc)
-        s2 = -1 if ((b.deg - 1) * (a.deg - 1)) & 1 else 1
-        schouten_into(fc, pool.bracket(j, k), pool.tms[i], s2, acc)
-        s3 = -1 if ((c.deg - 1) * (b.deg - 1)) & 1 else 1
-        schouten_into(fc, pool.bracket(k, i), pool.tms[j], s3, acc)
-        if acc:
-            return CheckReport(
-                "schouten-jacobi",
-                False,
-                checked,
-                trivial,
-                _witness(ctx.names, fc, (a, b, c), acc),
-            )
-    return CheckReport("schouten-jacobi", True, checked, trivial, None)
+    pool = _sweep_pool(ctx, poly_degree, mv_degree)
+    deg, lim = pool.deg, ctx.n + 2
+    # [[a,b],c] (-1)^{(|a|-1)(|c|-1)} and its two cyclic shifts
+    cyclic = (((0, 1), (2,)), ((1, 2), (0,)), ((2, 0), (1,)))
+    rows = [
+        [(xy, z, -1 if not (par >> xy[0] | par >> z[0]) & 1 else 1) for xy, z in cyclic]
+        for par in range(8)
+    ]
+    tuples = itertools.combinations_with_replacement(range(len(pool.els)), 3)
+    prune = lambda idx: deg[idx[0]] + deg[idx[1]] + deg[idx[2]] > lim  # noqa: E731
+    return _drive("schouten-jacobi", [(tuples, prune, _nested_brackets(pool, rows), pool.witness)])
 
 
 def schouten_leibniz(
     ctx: VarContext, *, poly_degree: int = 2, mv_degree: int = 3
 ) -> CheckReport:
     """[a, b^c] = [a,b]^c + (-1)^{(|a|-1)|b|} b^[a,c] over basis triples."""
-    fc = FastCtx(ctx.n)
-    els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
-    pool = _Pool(fc, els)
-    checked = trivial = 0
-    n = ctx.n
-    idx = range(len(els))
-    for i in idx:
-        a = els[i]
-        for j, k in itertools.combinations_with_replacement(idx, 2):
-            b, c = els[j], els[k]
-            if a.deg + b.deg + c.deg - 1 > n:
-                trivial += 1
-                continue
-            checked += 1
-            bc: TermMap = {}
-            wedge_into(fc, pool.tms[j], pool.tms[k], 1, bc)
-            acc = schouten_terms(fc, pool.tms[i], bc)
-            wedge_into(fc, pool.bracket(i, j), pool.tms[k], -1, acc)
-            sgn = -1 if ((a.deg - 1) * b.deg) & 1 else 1
-            wedge_into(fc, pool.tms[j], pool.bracket(i, k), -sgn, acc)
-            if acc:
-                return CheckReport(
-                    "schouten-leibniz",
-                    False,
-                    checked,
-                    trivial,
-                    _witness(ctx.names, fc, (a, b, c), acc),
-                )
-    return CheckReport("schouten-leibniz", True, checked, trivial, None)
+    pool = _sweep_pool(ctx, poly_degree, mv_degree)
+    deg, lim = pool.deg, ctx.n + 1
+    ids = range(len(pool.els))
+    wd_left = [_Table(functools.partial(pool.wedge, x)) for x in ids]
+    wd_right = pool.by_right(pool.wedge)
+    pairs = list(itertools.combinations_with_replacement(ids, 2))
+
+    def row(i: int) -> Block:
+        """The tuples (a, b, c) of one a, enumerated as the pairs (b, c)."""
+        br_a = _Table(functools.partial(pool.bracket, i))  # [a, .], for this row only
+        lim_a = lim - deg[i]
+        # [a, b^c] - [a,b]^c - (-1)^{(|a|-1)|b|} b^[a,c], the last sign by b
+        sign = [1 if ((deg[i] - 1) * deg[j]) & 1 else -1 for j in ids]
+
+        def evaluate(jk):
+            j, k = jk
+            acc: Dict[int, int] = {}
+            wd_j = wd_left[j]
+            for t, c in wd_j[k]:
+                for u, d in br_a[t]:
+                    acc[u] = acc.get(u, 0) + c * d
+            wd_k = wd_right[k]
+            for t, c in br_a[j]:
+                for u, d in wd_k[t]:
+                    acc[u] = acc.get(u, 0) - c * d
+            s = sign[j]
+            for t, c in br_a[k]:
+                c *= s
+                for u, d in wd_j[t]:
+                    acc[u] = acc.get(u, 0) + c * d
+            return acc
+
+        return (
+            pairs,
+            lambda jk: deg[jk[0]] + deg[jk[1]] > lim_a,
+            evaluate,
+            lambda jk, acc: pool.witness((i,) + jk, acc),
+        )
+
+    return _drive("schouten-leibniz", (row(i) for i in ids))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +464,7 @@ def _monomial_forms(
 
 
 def _lemma_pool(
-    fc: FastCtx, tuple_poly_degree: int, mv_degree: int
+    ctx: VarContext, fc: FastCtx, tuple_poly_degree: int, mv_degree: int
 ) -> Tuple[_Pool, int]:
     """Frame elements first, then the non-constant (dressed) elements.
 
@@ -286,7 +474,7 @@ def _lemma_pool(
     cap = range(min(mv_degree, fc.n) + 1)
     frames = sweep_elements(fc, 0, cap)
     dressed = [el for el in sweep_elements(fc, tuple_poly_degree, cap) if any(el.exps)]
-    return _Pool(fc, frames + dressed), len(frames)
+    return _Pool(ctx.names, fc, frames + dressed), len(frames)
 
 
 def _lemma_index_tuples(
@@ -310,80 +498,30 @@ def _lemma_index_tuples(
             yield (d,) + rest
 
 
-class _PhiSubsetCache:
-    """Contraction-cochain values on element subsets, keyed by indices."""
+@functools.lru_cache(maxsize=None)
+def _differential_rows(e: int):
+    """The signed plans of [m, phi(alpha)] for a form of degree e >= 1.
 
-    def __init__(self, pool: _Pool, form_terms: Dict[Tuple[int, Exponents], int]):
-        self.pool = pool
-        self.form_terms = form_terms
-        self.store: Dict[Tuple[int, ...], TermMap] = {}
-
-    def value(self, ids: Tuple[int, ...]) -> TermMap:
-        got = self.store.get(ids)
-        if got is None:
-            pool = self.pool
-            got = phi_eval(
-                pool.fc,
-                self.form_terms,
-                [pool.tms[i] for i in ids],
-                [pool.degs[i] for i in ids],
-            )
-            self.store[ids] = got
-        return got
-
-
-def _differential_of_phi(
-    fc: FastCtx,
-    mask: int,
-    exps: Exponents,
-    e: int,
-    args: Sequence[TermMap],
-    degs: Sequence[int],
-    *,
-    phi_subset=None,
-    m_pair=None,
-) -> TermMap:
-    """[m, phi(alpha)] on one argument tuple, for alpha = x^exps dx(mask).
-
-    `phi_subset` / `m_pair` let a sweep supply memoized inner values; both
-    default to direct evaluation.
+    Inner rows (subset, (rest,), s): s m(phi(alpha)(subset), x_rest), with
+    m's sign (-1)^{|t|-1} for |t| = sum of the subset's degrees - e.  Outer
+    rows ((x, y), rest, s): s phi(alpha)(m(x_x, x_y), rest), with m's sign
+    (-1)^{|x_x|-1} and the outer sign -(-1)^(e-2).
     """
-    form_terms = {(mask, exps): 1}
-    r = e + 1
-    if e == 0:
-        return m_terms(fc, {(0, exps): 1}, args[0], 0)
-    acc: TermMap = {}
-    outer_sign = 1 if e & 1 else -1  # -(-1)^(e-2)
-    par = odd_mask(degs)
-    plan, signs = subset_plan(r, e)
-    for (subset, (rest,)), eps in zip(plan, signs[par]):
-        if phi_subset is not None:
-            inner = phi_subset(subset)
-        else:
-            inner = phi_eval(
-                fc, form_terms, [args[s] for s in subset], [degs[s] for s in subset]
-            )
-        if not inner:
-            continue
-        inner_deg = sum([degs[s] for s in subset]) - e
-        m_into(fc, inner, args[rest], inner_deg, eps, acc)
-    plan, signs = subset_plan(r, 2)
-    for ((s1, s2), rest), eps in zip(plan, signs[par]):
-        if m_pair is not None:
-            inner = m_pair(s1, s2)
-        else:
-            inner = m_terms(fc, args[s1], args[s2], degs[s1])
-        if not inner:
-            continue
-        phi_into(
-            fc,
-            form_terms,
-            [inner] + [args[s] for s in rest],
-            [degs[s1] + degs[s2] - 1] + [degs[s] for s in rest],
-            eps * outer_sign,
-            acc,
-        )
-    return acc
+    outer = 1 if e & 1 else -1
+    inner = _signed_plan(e + 1, e, lambda par, t: 1 if sum(par >> q for q in t) + e & 1 else -1)
+    pairs = _signed_plan(e + 1, 2, lambda par, t: outer if par >> t[0] & 1 else -outer)
+    return inner, pairs
+
+
+def _differential_of_phi(pool: _Pool, alpha: _Packed, br: _Packed):
+    """evaluate(idx): [m, phi(alpha)] on the unit terms idx, for a one-term
+    form alpha, given its contraction table and `pool.packed(pool.bracket, 2)`."""
+    if alpha.k == 0:  # m(f, a) for the function f, of degree 0: sign -1
+        ((_, exps),) = alpha.form
+        f = pool.intern((0, exps))
+        return lambda idx: {u: -d for u, d in br[f << _SHIFT | idx[0]]}
+    inner, pairs = _differential_rows(alpha.k)
+    return _kernel(pool, (inner, alpha, br), (pairs, br, alpha))
 
 
 def lemma_differential(
@@ -404,51 +542,33 @@ def lemma_differential(
     """
     fc = FastCtx(ctx.n)
     n = ctx.n
-    pool, n_frames = _lemma_pool(fc, tuple_poly_degree, mv_degree)
+    pool, n_frames = _lemma_pool(ctx, fc, tuple_poly_degree, mv_degree)
     n_dressed = len(pool.els) - n_frames
-    checked = trivial = 0
-    for mask, exps, e in _monomial_forms(fc, form_degree_max, coeff_degree):
-        alpha = form_make(ctx, [(fc.bits[mask], poly_from_terms(n, [(1, exps)]))])
-        dform_fast = to_termmap(fc, d_form(alpha))
-        form_terms = {(mask, exps): 1}
-        phis = _PhiSubsetCache(pool, form_terms)
-        r = e + 1
-        for idx in _lemma_index_tuples(n_frames, n_dressed, r):
-            union = 0
-            sd = 0
-            for i in idx:
-                union |= pool.masks[i]
-                sd += pool.degs[i]
-            out_deg = sd - e - 1
-            if out_deg < 0 or out_deg > n or (mask & ~union):
-                trivial += 1
-                continue
-            checked += 1
-            args = [pool.tms[i] for i in idx]
-            degs = [pool.degs[i] for i in idx]
-            acc = _differential_of_phi(
-                fc,
-                mask,
-                exps,
-                e,
-                args,
-                degs,
-                phi_subset=lambda sub: phis.value(tuple([idx[s] for s in sub])),
-                m_pair=lambda s1, s2: pool.m_pair(idx[s1], idx[s2]),
-            )
-            if dform_fast:
-                phi_into(fc, dform_fast, args, degs, -1, acc)
-            if acc:
-                els = tuple(pool.els[i] for i in idx)
-                label = f"{_mono_label(ctx.names, exps)}*dx({fc.bits[mask]})"
-                return CheckReport(
-                    "lemma-differential",
-                    False,
-                    checked,
-                    trivial,
-                    f"form {label}: " + _witness(ctx.names, fc, els, acc),
-                )
-    return CheckReport("lemma-differential", True, checked, trivial, None)
+    br = pool.packed(pool.bracket, 2)
+
+    def block(mask: int, exps: Exponents, e: int) -> Block:
+        alpha_form = form_make(ctx, [(fc.bits[mask], poly_from_terms(n, [(1, exps)]))])
+        dform = to_termmap(fc, d_form(alpha_form))
+        differential = _differential_of_phi(pool, pool.contraction({(mask, exps): 1}, e), br)
+        dphi = pool.contraction(dform, e + 1)
+
+        def evaluate(idx):
+            acc = differential(idx)
+            if dform:  # every tuple is new, so phi(d alpha) is not memoised
+                for u, d in dphi.fill(_pack(idx)):
+                    acc[u] = acc.get(u, 0) - d
+            return acc
+
+        label = f"form {_mono_label(ctx.names, exps)}*dx({fc.bits[mask]}): "
+        return (
+            _lemma_index_tuples(n_frames, n_dressed, e + 1),
+            _graded_prune(pool, e + 1, mask),
+            evaluate,
+            lambda idx, acc: label + pool.witness(idx, acc),
+        )
+
+    forms = _monomial_forms(fc, form_degree_max, coeff_degree)
+    return _drive("lemma-differential", (block(*f) for f in forms))
 
 
 def lemma_bracket_vanishes(
@@ -469,72 +589,32 @@ def lemma_bracket_vanishes(
     """
     fc = FastCtx(ctx.n)
     n = ctx.n
-    frames = sweep_elements(fc, 0, range(min(mv_degree, n) + 1))
-    pool = _Pool(fc, frames)
+    pool = _Pool(ctx.names, fc, sweep_elements(fc, 0, range(min(mv_degree, n) + 1)))
     forms = _monomial_forms(fc, form_degree_max, coeff_degree, min_degree=1)
-    caches = [_PhiSubsetCache(pool, {(mask, exps): 1}) for mask, exps, _ in forms]
-    checked = trivial = 0
-    for fi in range(len(forms)):
-        amask, aexps, ea = forms[fi]
-        phis_a = caches[fi]
-        terms_a = phis_a.form_terms
-        for fj in range(fi, len(forms)):
-            bmask, bexps, eb = forms[fj]
-            phis_b = caches[fj]
-            terms_b = phis_b.form_terms
-            r = ea + eb - 1
-            need = amask | bmask
-            sign = -1 if ((ea - 2) * (eb - 2)) & 1 else 1
-            plan_b, signs_b = subset_plan(r, eb)
-            plan_a, signs_a = subset_plan(r, ea)
-            for idx in itertools.combinations_with_replacement(range(len(frames)), r):
-                union = 0
-                sd = 0
-                for i in idx:
-                    union |= pool.masks[i]
-                    sd += pool.degs[i]
-                out_deg = sd - ea - eb
-                if out_deg < 0 or out_deg > n or (need & ~union):
-                    trivial += 1
-                    continue
-                checked += 1
-                degs = [pool.degs[i] for i in idx]
-                par = odd_mask(degs)
-                acc: TermMap = {}
-                for (subset, rest), eps in zip(plan_b, signs_b[par]):
-                    inner = phis_b.value(tuple([idx[s] for s in subset]))
-                    if inner:
-                        phi_into(
-                            fc,
-                            terms_a,
-                            [inner] + [pool.tms[idx[s]] for s in rest],
-                            [sum([degs[s] for s in subset]) - eb] + [degs[s] for s in rest],
-                            eps,
-                            acc,
-                        )
-                for (subset, rest), eps in zip(plan_a, signs_a[par]):
-                    inner = phis_a.value(tuple([idx[s] for s in subset]))
-                    if inner:
-                        phi_into(
-                            fc,
-                            terms_b,
-                            [inner] + [pool.tms[idx[s]] for s in rest],
-                            [sum([degs[s] for s in subset]) - ea] + [degs[s] for s in rest],
-                            -sign * eps,
-                            acc,
-                        )
-                if acc:
-                    la = f"{_mono_label(ctx.names, aexps)}*dx({fc.bits[amask]})"
-                    lb = f"{_mono_label(ctx.names, bexps)}*dx({fc.bits[bmask]})"
-                    els = tuple(pool.els[i] for i in idx)
-                    return CheckReport(
-                        "lemma-bracket",
-                        False,
-                        checked,
-                        trivial,
-                        f"forms {la}, {lb}: " + _witness(ctx.names, fc, els, acc),
-                    )
-    return CheckReport("lemma-bracket", True, checked, trivial, None)
+    phis = [pool.contraction({(cof, exps): 1}, e) for cof, exps, e in forms]
+
+    def block(fi: int, fj: int) -> Block:
+        (amask, aexps, ea), (bmask, bexps, eb) = forms[fi], forms[fj]
+        r = ea + eb - 1
+        sign = -1 if ((ea - 2) * (eb - 2)) & 1 else 1
+        # phi(alpha)(phi(beta)(subset), rest) - sign phi(beta)(phi(alpha)(subset), rest)
+        evaluate = _kernel(
+            pool,
+            (_signed_plan(r, eb, lambda par, t: 1), phis[fj], phis[fi]),
+            (_signed_plan(r, ea, lambda par, t: -sign), phis[fi], phis[fj]),
+        )
+        la = f"{_mono_label(ctx.names, aexps)}*dx({fc.bits[amask]})"
+        lb = f"{_mono_label(ctx.names, bexps)}*dx({fc.bits[bmask]})"
+        label = f"forms {la}, {lb}: "
+        return (
+            itertools.combinations_with_replacement(range(len(pool.els)), r),
+            _graded_prune(pool, ea + eb, amask | bmask),
+            evaluate,
+            lambda idx, acc: label + pool.witness(idx, acc),
+        )
+
+    pairs = itertools.combinations_with_replacement(range(len(forms)), 2)
+    return _drive("lemma-bracket", (block(fi, fj) for fi, fj in pairs))
 
 
 def lemma_pairing_on_vectors(ctx: VarContext, *, coeff_degree: int = 2) -> CheckReport:
@@ -542,24 +622,17 @@ def lemma_pairing_on_vectors(ctx: VarContext, *, coeff_degree: int = 2) -> Check
     fc = FastCtx(ctx.n)
     n = ctx.n
     monos = list(monomials_upto(n, coeff_degree))
-    checked = 0
-    for i in range(n):
-        for g in monos:
-            for j in range(n):
-                for h in monos:
-                    checked += 1
-                    val = phi_eval(fc, {(1 << i, g): 1}, [{((1 << j), h): 1}], [1])
-                    expect: TermMap = {(0, fc.eadd(g, h)): 1} if i == j else {}
-                    tm_add_into(val, expect, -1)
-                    if val:
-                        return CheckReport(
-                            "lemma-pairing",
-                            False,
-                            checked,
-                            0,
-                            f"dx{i} against theta{j} with monos {g},{h}",
-                        )
-    return CheckReport("lemma-pairing", True, checked, 0, None)
+
+    def evaluate(idx):
+        i, g, j, h = idx
+        val = phi_eval(fc, {(1 << i, g): 1}, [{((1 << j), h): 1}], [1])
+        expect: TermMap = {(0, fc.eadd(g, h)): 1} if i == j else {}
+        tm_add_into(val, expect, -1)
+        return val
+
+    tuples = itertools.product(range(n), monos, range(n), monos)
+    witness = lambda idx, acc: f"dx{idx[0]} against theta{idx[2]} with monos {idx[1]},{idx[3]}"  # noqa: E731
+    return _drive("lemma-pairing", [(tuples, lambda idx: False, evaluate, witness)])
 
 
 # ---------------------------------------------------------------------------
@@ -569,161 +642,54 @@ def lemma_pairing_on_vectors(ctx: VarContext, *, coeff_degree: int = 2) -> Check
 def linfty_jacobi(
     ctx: VarContext, H: DiffForm, *, poly_degree: int = 2, mv_degree: int = 3
 ) -> CheckReport:
-    """[l2, l2] = 0 on basis triples (H enters the other relations only)."""
-    fc = FastCtx(ctx.n)
-    els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
-    pool = _Pool(fc, els)
-    checked = trivial = 0
-    n = ctx.n
-    plan, signs = subset_plan(3, 2)
-    tms = pool.tms
-    for idx in itertools.combinations_with_replacement(range(len(els)), 3):
-        degs = [pool.degs[i] for i in idx]
-        out_deg = sum(degs) - 2
-        if out_deg < 0 or out_deg > n:
-            trivial += 1
-            continue
-        checked += 1
-        acc: TermMap = {}
-        par = odd_mask(degs)
-        for ((s1, s2), (rest,)), eps in zip(plan, signs[par]):
-            inner = pool.m_pair(idx[s1], idx[s2])
-            if not inner:
-                continue
-            m_into(fc, inner, tms[idx[rest]], degs[s1] + degs[s2] - 1, 2 * eps, acc)
-        if acc:
-            els3 = tuple(els[i] for i in idx)
-            return CheckReport(
-                "linfty-jacobi",
-                False,
-                checked,
-                trivial,
-                _witness(ctx.names, fc, els3, acc),
-            )
-    return CheckReport("linfty-jacobi", True, checked, trivial, None)
+    """[l2, l2] = 0 on basis triples (H enters the other relations only).
+
+    m(m(x, y), z) on unit terms, with m(a, b) = (-1)^{|a|-1}[a, b]: the
+    nested brackets of `schouten_jacobi` under other signs.
+    """
+    pool = _sweep_pool(ctx, poly_degree, mv_degree)
+    # m(m(x, y), z) = (-1)^{|x|-1} (-1)^{|x|+|y|} [[x, y], z] = (-1)^{|y|-1} [[x, y], z]
+    rows = _signed_plan(3, 2, lambda par, t: 2 if par >> t[1] & 1 else -2)
+    tuples = itertools.combinations_with_replacement(range(len(pool.els)), 3)
+    evaluate = _nested_brackets(pool, rows)
+    return _drive("linfty-jacobi", [(tuples, _graded_prune(pool, 2), evaluate, pool.witness)])
 
 
-def _coframe_need(fc: FastCtx, H: DiffForm) -> Optional[int]:
-    """Smallest coverage requirement: intersection works only for one coframe."""
+def _coframe_need(fc: FastCtx, H: DiffForm) -> int:
+    """Coverage requirement: the coframe of a one-term form, else none (0)."""
     masks = [fc.mask_of(cof) for cof in H.terms]
-    if not masks:
-        return 0
-    if len(masks) == 1:
-        return masks[0]
-    return None
+    return masks[0] if len(masks) == 1 else 0
+
+
+def _ternary_setup(ctx: VarContext, H: DiffForm, poly_degree: int, mv_degree: int):
+    if form_degree(H) not in (None, 3):
+        raise ValueError("the ternary operation takes a 3-form")
+    pool = _sweep_pool(ctx, poly_degree, mv_degree)
+    return pool, pool.contraction(to_termmap(pool.fc, H), 3), _coframe_need(pool.fc, H)
 
 
 def linfty_mixed(
     ctx: VarContext, H: DiffForm, *, poly_degree: int = 1, mv_degree: int = 3
 ) -> CheckReport:
     """[l2, l3] = 0 on basis 4-tuples; fails when H is not closed."""
-    if form_degree(H) not in (None, 3):
-        raise ValueError("the ternary operation takes a 3-form")
-    fc = FastCtx(ctx.n)
-    els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
-    pool = _Pool(fc, els)
-    Hfast = to_termmap(fc, H)
-    phis = _PhiSubsetCache(pool, Hfast)
-    need = _coframe_need(fc, H)
-    checked = trivial = 0
-    n = ctx.n
-    plan3, signs3 = subset_plan(4, 3)
-    plan2, signs2 = subset_plan(4, 2)
-    tms = pool.tms
-    for idx in itertools.combinations_with_replacement(range(len(els)), 4):
-        union = 0
-        sd = 0
-        for i in idx:
-            union |= pool.masks[i]
-            sd += pool.degs[i]
-        out_deg = sd - 4
-        if out_deg < 0 or out_deg > n or (need is not None and (need & ~union)):
-            trivial += 1
-            continue
-        checked += 1
-        degs = [pool.degs[i] for i in idx]
-        par = odd_mask(degs)
-        acc: TermMap = {}
-        # l2 . l3 + l3 . l2  (the bracket sign is -(-1)^{1*1} = +)
-        for ((a, b, c), (rest,)), eps in zip(plan3, signs3[par]):
-            inner = phis.value((idx[a], idx[b], idx[c]))
-            if not inner:
-                continue
-            inner_deg = degs[a] + degs[b] + degs[c] - 3
-            m_into(fc, inner, tms[idx[rest]], inner_deg, eps, acc)
-        for ((a, b), (c, d)), eps in zip(plan2, signs2[par]):
-            inner = pool.m_pair(idx[a], idx[b])
-            if not inner:
-                continue
-            phi_into(
-                fc,
-                Hfast,
-                [inner, tms[idx[c]], tms[idx[d]]],
-                [degs[a] + degs[b] - 1, degs[c], degs[d]],
-                eps,
-                acc,
-            )
-        if acc:
-            cur = tuple(els[i] for i in idx)
-            return CheckReport(
-                "linfty-mixed",
-                False,
-                checked,
-                trivial,
-                _witness(ctx.names, fc, cur, acc),
-            )
-    return CheckReport("linfty-mixed", True, checked, trivial, None)
+    pool, phi, need = _ternary_setup(ctx, H, poly_degree, mv_degree)
+    # l2 . l3 + l3 . l2 (the bracket sign is -(-1)^{1*1} = +), with
+    # m(t, x) = (-1)^{|t|-1}[t, x] for |t| = |x_a| + |x_b| + |x_c| - 3 and
+    # m(x_a, x_b) = (-1)^{|x_a|-1}[x_a, x_b]
+    rows3 = _signed_plan(4, 3, lambda par, t: -1 if sum(par >> q for q in t) & 1 else 1)
+    rows2 = _signed_plan(4, 2, lambda par, t: 1 if par >> t[0] & 1 else -1)
+    br = pool.packed(pool.bracket, 2)
+    evaluate = _kernel(pool, (rows3, phi, br), (rows2, br, phi))
+    tuples = itertools.combinations_with_replacement(range(len(pool.els)), 4)
+    return _drive("linfty-mixed", [(tuples, _graded_prune(pool, 4, need), evaluate, pool.witness)])
 
 
 def linfty_ternary(
     ctx: VarContext, H: DiffForm, *, poly_degree: int = 0, mv_degree: int = 3
 ) -> CheckReport:
     """[l3, l3] = 0 on basis 5-tuples."""
-    if form_degree(H) not in (None, 3):
-        raise ValueError("the ternary operation takes a 3-form")
-    fc = FastCtx(ctx.n)
-    els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
-    pool = _Pool(fc, els)
-    Hfast = to_termmap(fc, H)
-    phis = _PhiSubsetCache(pool, Hfast)
-    need = _coframe_need(fc, H)
-    checked = trivial = 0
-    n = ctx.n
-    plan, signs = subset_plan(5, 3)
-    tms = pool.tms
-    for idx in itertools.combinations_with_replacement(range(len(els)), 5):
-        union = 0
-        sd = 0
-        for i in idx:
-            union |= pool.masks[i]
-            sd += pool.degs[i]
-        out_deg = sd - 6
-        if out_deg < 0 or out_deg > n or (need is not None and (need & ~union)):
-            trivial += 1
-            continue
-        checked += 1
-        degs = [pool.degs[i] for i in idx]
-        par = odd_mask(degs)
-        acc: TermMap = {}
-        for ((a, b, c), (d, e)), eps in zip(plan, signs[par]):
-            inner = phis.value((idx[a], idx[b], idx[c]))
-            if not inner:
-                continue
-            phi_into(
-                fc,
-                Hfast,
-                [inner, tms[idx[d]], tms[idx[e]]],
-                [degs[a] + degs[b] + degs[c] - 3, degs[d], degs[e]],
-                2 * eps,
-                acc,
-            )
-        if acc:
-            cur = tuple(els[i] for i in idx)
-            return CheckReport(
-                "linfty-ternary",
-                False,
-                checked,
-                trivial,
-                _witness(ctx.names, fc, cur, acc),
-            )
-    return CheckReport("linfty-ternary", True, checked, trivial, None)
+    pool, phi, need = _ternary_setup(ctx, H, poly_degree, mv_degree)
+    rows = _signed_plan(5, 3, lambda par, t: 2)
+    evaluate = _kernel(pool, (rows, phi, phi))
+    tuples = itertools.combinations_with_replacement(range(len(pool.els)), 5)
+    return _drive("linfty-ternary", [(tuples, _graded_prune(pool, 6, need), evaluate, pool.witness)])

@@ -124,9 +124,8 @@ def mdo_make(
     for orders, poly in terms:
         orders = tuple(tuple(b) for b in orders)
         _validate_orders(ctx, arity, orders)
-        acc = out.get(orders)
-        if acc and poly and len(next(iter(acc))) != len(next(iter(poly))):
-            raise ValueError("polynomials built over different variable counts")
+        if any(len(e) != ctx.n for e in poly):
+            raise ValueError(f"coefficient of {orders!r} is not over {ctx.n} variables")
         add_term_into(out, orders, {e: Fraction(c) for e, c in poly.items() if c})
     return MultiDiffOp(ctx, arity, out)
 

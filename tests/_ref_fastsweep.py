@@ -5,24 +5,26 @@ signs moved to ``_fastterms.subset_plan``'s parity table and the terms of
 an identity were accumulated in place.  Each subset's sign is recomputed
 by ``unshuffle_sign_fast`` (a private copy of the old routine), and every
 bracket or contraction value is built as its own TermMap before being
-added into the accumulator.  Slow, and kept only as an independent oracle
+added into the accumulator.  The antisymmetry and Leibniz sweeps, and
+the memo classes ``_Pool`` and ``_PhiSubsetCache`` that all of them use,
+are verbatim copies of the code the library ran before its sweeps moved
+to interned term ids and memoised unit products: every sweep here keeps
+per-element TermMaps and evaluates each tuple with the general
+``_fastterms`` producers.  Slow, and kept only as an independent oracle
 for ``gdcalc._fastsweep``; ``tests/test_fastsweep_oracle.py`` pins the
 library's reports against these.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from gdcalc._fastsweep import (
     CheckReport,
-    _coframe_need,
+    Element,
     _lemma_index_tuples,
-    _lemma_pool,
     _mono_label,
     _monomial_forms,
-    _PhiSubsetCache,
-    _Pool,
     _witness,
     sweep_elements,
 )
@@ -33,6 +35,7 @@ from gdcalc._fastterms import (
     phi_eval,
     schouten_terms,
     tm_add_into,
+    wedge_into,
 )
 from gdcalc.exactcore import Exponents, VarContext, poly_from_terms
 from gdcalc.polyvec import DiffForm, d_form, form_degree, form_make
@@ -48,6 +51,107 @@ def unshuffle_sign_fast(degs: Sequence[int], subset: Sequence[int]) -> int:
                 if j not in chosen and degs[j] & 1:
                     exponent += 1
     return -1 if exponent & 1 else 1
+
+
+class _Pool:
+    """Shared element tables plus memoized pair operations."""
+
+    def __init__(self, fc: FastCtx, elements: Sequence[Element]):
+        self.fc = fc
+        self.els = elements
+        self.tms = [dict(el.terms) for el in elements]
+        self.degs = [el.deg for el in elements]
+        self.masks = [el.mask for el in elements]
+        self._brackets: Dict[Tuple[int, int], TermMap] = {}
+        self._mpairs: Dict[Tuple[int, int], TermMap] = {}
+
+    def bracket(self, i: int, j: int) -> TermMap:
+        got = self._brackets.get((i, j))
+        if got is None:
+            got = schouten_terms(self.fc, self.tms[i], self.tms[j])
+            self._brackets[(i, j)] = got
+        return got
+
+    def m_pair(self, i: int, j: int) -> TermMap:
+        got = self._mpairs.get((i, j))
+        if got is None:
+            got = m_terms(self.fc, self.tms[i], self.tms[j], self.degs[i])
+            self._mpairs[(i, j)] = got
+        return got
+
+
+class _PhiSubsetCache:
+    """Contraction-cochain values on element subsets, keyed by indices."""
+
+    def __init__(self, pool: _Pool, form_terms: Dict[Tuple[int, Exponents], int]):
+        self.pool = pool
+        self.form_terms = form_terms
+        self.store: Dict[Tuple[int, ...], TermMap] = {}
+
+    def value(self, ids: Tuple[int, ...]) -> TermMap:
+        got = self.store.get(ids)
+        if got is None:
+            pool = self.pool
+            got = phi_eval(
+                pool.fc,
+                self.form_terms,
+                [pool.tms[i] for i in ids],
+                [pool.degs[i] for i in ids],
+            )
+            self.store[ids] = got
+        return got
+
+
+def _lemma_pool(
+    fc: FastCtx, tuple_poly_degree: int, mv_degree: int
+) -> Tuple[_Pool, int]:
+    """Frame elements first, then the non-constant (dressed) elements.
+
+    Returns the pool and the count of pure-frame elements; tuples built
+    from it carry at most one dressed slot.
+    """
+    cap = range(min(mv_degree, fc.n) + 1)
+    frames = sweep_elements(fc, 0, cap)
+    dressed = [el for el in sweep_elements(fc, tuple_poly_degree, cap) if any(el.exps)]
+    return _Pool(fc, frames + dressed), len(frames)
+
+
+def _coframe_need(fc: FastCtx, H: DiffForm) -> Optional[int]:
+    """Smallest coverage requirement: intersection works only for one coframe."""
+    masks = [fc.mask_of(cof) for cof in H.terms]
+    if not masks:
+        return 0
+    if len(masks) == 1:
+        return masks[0]
+    return None
+
+
+def schouten_antisymmetry(
+    ctx: VarContext, *, poly_degree: int = 2, mv_degree: int = 3
+) -> CheckReport:
+    """[a,b] = -(-1)^{(|a|-1)(|b|-1)}[b,a] over all basis pairs."""
+    fc = FastCtx(ctx.n)
+    els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
+    pool = _Pool(fc, els)
+    checked = trivial = 0
+    for i, j in itertools.combinations_with_replacement(range(len(els)), 2):
+        a, b = els[i], els[j]
+        if a.deg + b.deg - 1 > ctx.n:
+            trivial += 1
+            continue
+        checked += 1
+        acc = dict(pool.bracket(i, j))
+        flip = -1 if ((a.deg - 1) * (b.deg - 1)) & 1 else 1
+        tm_add_into(acc, pool.bracket(j, i), flip)
+        if acc:
+            return CheckReport(
+                "schouten-antisymmetry",
+                False,
+                checked,
+                trivial,
+                _witness(ctx.names, fc, (a, b), acc),
+            )
+    return CheckReport("schouten-antisymmetry", True, checked, trivial, None)
 
 
 def schouten_jacobi(
@@ -81,6 +185,41 @@ def schouten_jacobi(
                 _witness(ctx.names, fc, (a, b, c), acc),
             )
     return CheckReport("schouten-jacobi", True, checked, trivial, None)
+
+
+def schouten_leibniz(
+    ctx: VarContext, *, poly_degree: int = 2, mv_degree: int = 3
+) -> CheckReport:
+    """[a, b^c] = [a,b]^c + (-1)^{(|a|-1)|b|} b^[a,c] over basis triples."""
+    fc = FastCtx(ctx.n)
+    els = sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1))
+    pool = _Pool(fc, els)
+    checked = trivial = 0
+    n = ctx.n
+    idx = range(len(els))
+    for i in idx:
+        a = els[i]
+        for j, k in itertools.combinations_with_replacement(idx, 2):
+            b, c = els[j], els[k]
+            if a.deg + b.deg + c.deg - 1 > n:
+                trivial += 1
+                continue
+            checked += 1
+            bc: TermMap = {}
+            wedge_into(fc, pool.tms[j], pool.tms[k], 1, bc)
+            acc = schouten_terms(fc, pool.tms[i], bc)
+            wedge_into(fc, pool.bracket(i, j), pool.tms[k], -1, acc)
+            sgn = -1 if ((a.deg - 1) * b.deg) & 1 else 1
+            wedge_into(fc, pool.tms[j], pool.bracket(i, k), -sgn, acc)
+            if acc:
+                return CheckReport(
+                    "schouten-leibniz",
+                    False,
+                    checked,
+                    trivial,
+                    _witness(ctx.names, fc, (a, b, c), acc),
+                )
+    return CheckReport("schouten-leibniz", True, checked, trivial, None)
 
 
 def _differential_of_phi(

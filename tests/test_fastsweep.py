@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gdcalc._fastsweep import (
     _differential_of_phi,
+    _Pool,
     lemma_bracket_vanishes,
     lemma_differential,
     lemma_pairing_on_vectors,
@@ -96,9 +97,9 @@ def test_fast_differential_matches_cochain_route(data):
     alpha = form_make(CTX2, [(coframe, poly_from_terms(2, [(1, mono)]))])
     pick = st.integers(0, len(els) - 1)
     idx = [data.draw(pick) for _ in range(e + 1)]
-    args = [dict(els[i].terms) for i in idx]
-    degs = [els[i].deg for i in idx]
-    fast = _differential_of_phi(fc, fc.mask_of(coframe), mono, e, args, degs)
+    pool = _Pool(CTX2.names, fc, els)
+    table = pool.contraction({(fc.mask_of(coframe), mono): 1}, e)
+    fast = pool.termmap(_differential_of_phi(pool, table, pool.packed(pool.bracket, 2))(idx))
     generic = evaluate(
         cochain_differential(phi(alpha, e)), tuple(basis[i] for i in idx)
     )

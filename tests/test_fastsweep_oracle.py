@@ -1,12 +1,14 @@
 """The sweep drivers against the per-subset reference in ``_ref_fastsweep``.
 
-The library reads unshuffle signs from ``subset_plan``'s parity table and
-adds every term of an identity straight into the tuple's accumulator; the
-reference recomputes each subset's sign and builds every value as its own
-TermMap.  Whole reports (verdict, ``checked``, ``trivial``, witness) must
-be equal.  Every 3-form is closed at n <= 3, so the failing reports, whose
-witnesses are compared byte for byte, come from seeded non-closed 3-forms
-with ``Fraction`` coefficients at n=4 with constant tuple elements.
+The library sums memoised products of interned unit terms, with unshuffle
+signs read from ``subset_plan``'s parity table; the reference recomputes
+each subset's sign and builds every value as its own TermMap from the
+elements' TermMaps.  Whole reports (verdict, ``checked``, ``trivial``,
+witness) must be equal.  Every 3-form is closed at n <= 3, so the failing
+reports, whose witnesses are compared byte for byte, come from seeded
+non-closed 3-forms with ``Fraction`` coefficients at n=4 with constant
+tuple elements, and, for the Schouten sweeps, from a frame sign flipped in
+the merge table that both sides read.
 """
 import itertools
 import random
@@ -16,6 +18,7 @@ import pytest
 
 import _ref_fastsweep as ref
 from gdcalc import _fastsweep as fs
+from gdcalc import _fastterms
 from gdcalc._fastterms import FastCtx, odd_mask, subset_plan
 from gdcalc.exactcore import VarContext, koszul_unshuffle_sign, monomials_upto, poly_from_terms
 from gdcalc.polyvec import d_form, form_is_zero, form_make
@@ -62,6 +65,10 @@ H3_DRESSED = three_form(3, [((0, 1, 2), Fraction(-2, 3), (1, 0, 1))])
         ("lemma_differential", 3, dict(coeff_degree=1, tuple_poly_degree=1)),
         ("lemma_bracket_vanishes", 2, dict(coeff_degree=2)),
         ("lemma_bracket_vanishes", 3, dict(coeff_degree=0)),
+        ("schouten_antisymmetry", 2, dict(poly_degree=2)),
+        ("schouten_antisymmetry", 3, dict(poly_degree=2)),
+        ("schouten_leibniz", 2, dict(poly_degree=2)),
+        ("schouten_leibniz", 3, dict(poly_degree=1)),
     ],
 )
 def test_lemma_and_schouten_sweeps_match_reference(name, n, kwargs):
@@ -100,17 +107,22 @@ def test_linfty_sweeps_match_reference_on_seeded_forms():
 
 
 def test_differential_of_phi_matches_reference_without_memos():
+    # the library kernel on interned ids and memo tables against the
+    # reference, which evaluates each value as its own TermMap
     rng = random.Random(5)
     fc = FastCtx(3)
     els = fs.sweep_elements(fc, 1, range(4))
+    pool = fs._Pool(CTX[3].names, fc, els)
+    br = pool.packed(pool.bracket, 2)
     for _ in range(200):
         e = rng.randint(0, 3)
         mask = rng.choice([fc.mask_of(c) for c in itertools.combinations(range(3), e)])
         exps = tuple(rng.randint(0, 1) for _ in range(3))
-        picked = [rng.choice(els) for _ in range(e + 1)]
-        args = [dict(el.terms) for el in picked]
-        degs = [el.deg for el in picked]
-        got = fs._differential_of_phi(fc, mask, exps, e, args, degs)
+        idx = [rng.randrange(len(els)) for _ in range(e + 1)]
+        differential = fs._differential_of_phi(pool, pool.contraction({(mask, exps): 1}, e), br)
+        got = pool.termmap(differential(idx))
+        args = [dict(els[i].terms) for i in idx]
+        degs = [els[i].deg for i in idx]
         assert got == ref._differential_of_phi(fc, mask, exps, e, args, degs)
 
 
@@ -125,3 +137,33 @@ def test_subset_plan_matches_unshuffle_sign(r):
             par = sum(1 << s for s, d in enumerate(degs) if d % 2)
             assert odd_mask(degs) == par
             assert list(signs[par]) == [koszul_unshuffle_sign(degs, t) for t, _ in plan]
+
+
+@pytest.fixture
+def flipped_frame_sign(monkeypatch):
+    """theta(0,1) ^ theta(2) merged with the wrong sign, in every table built meanwhile.
+
+    The bracket and the wedge read their frame signs from the shared merge
+    table, so the Jacobi and Leibniz identities fail on tuples that use
+    it.  The shared tables are dropped before and after, so no other test
+    sees them.
+    """
+    merge_sign = _fastterms._merge_sign
+
+    def flipped(m1, m2):
+        s = merge_sign(m1, m2)
+        return -s if (m1, m2) == (0b011, 0b100) else s
+
+    monkeypatch.setattr(_fastterms, "_merge_sign", flipped)
+    _fastterms._shared_tables.cache_clear()
+    yield
+    _fastterms._shared_tables.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["schouten_jacobi", "schouten_leibniz"])
+def test_failing_witness_matches_reference(flipped_frame_sign, name):
+    got = getattr(fs, name)(CTX[3], poly_degree=1)
+    want = getattr(ref, name)(CTX[3], poly_degree=1)
+    assert not got.passed and got.trivial > 0
+    assert (got.checked, got.trivial) == (want.checked, want.trivial)
+    assert got.witness.encode() == want.witness.encode()

@@ -85,6 +85,13 @@ def test_arity_mismatch_rejected():
         apply_mdo(DX, (X, Y))
 
 
+@pytest.mark.parametrize("exps", [(1, 0, 0), (1,)])
+def test_coefficient_variable_count_rejected_at_construction(exps):
+    coeff = {(0, 1): Fraction(1), exps: Fraction(2)}
+    with pytest.raises(ValueError, match="not over 2 variables"):
+        mdo_make(CTX2, 1, [(((1, 0),), coeff)])
+
+
 # operators built directly, bypassing mdo_make's per-term check
 MALFORMED = {
     "short-multi-index": MultiDiffOp(CTX2, 1, {((1,),): ONE2}),
