@@ -221,6 +221,8 @@ def mc_solve(
     bivectors with monomial coefficients of degree ≤ poly_degree.  Greedy:
     obstructions are relative to the lower-order choices already made.
     """
+    if poly_degree < 0:
+        raise ValueError(f"poly_degree must be non-negative, got {poly_degree}")
     if pi1.ctx != S.ctx:
         raise ValueError("context mismatch")
     if not mv_is_zero(pi1) and mv_homogeneous_degree(pi1) != 2:
@@ -345,6 +347,8 @@ def gauge_equivalent(
     the linear part is probed by whole-flow evaluations on basis fields and
     solved exactly.  False means: no witness within these bounds.
     """
+    if poly_degree < 0:
+        raise ValueError(f"poly_degree must be non-negative, got {poly_degree}")
     if g1.ring != g2.ring:
         raise ValueError("series use different truncations")
     ring = g1.ring

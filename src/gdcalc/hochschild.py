@@ -15,21 +15,32 @@ Validation happens at the boundary.  ``mdo_make`` is the public constructor
 and checks every term it is given.  The operations (``hoch_delta``,
 ``brace``, ``gerstenhaber``, ``cup``, ``mdo_add``/``mdo_sub``) check each
 input operator once on entry (its slot counts, each distinct multi-index,
-and the variable count of its coefficients), so an operator built directly
-as a ``MultiDiffOp`` is refused with ``ValueError`` just the same; the terms
-they produce are well formed by construction and are summed in place by the
-accumulators of ``exactcore`` without a second check.  ``gerstenhaber``
-checks each operand once, not once per brace.
+the variable count of its coefficients, and that each coefficient is a
+nonzero ``int`` or ``Fraction`` in a nonempty polynomial), so an operator
+built directly as a ``MultiDiffOp`` is refused with ``ValueError`` just the
+same; the terms they produce are well formed by construction and are summed
+in place by the accumulators of ``exactcore`` without a second check.
+``gerstenhaber`` checks each operand once, not once per brace.
+
+The producers (``hoch_delta``, ``brace``, ``gerstenhaber``, ``cup`` and
+``hkr``) compute on integer numerators.  The walk that checks an operand
+also takes the lcm d of its coefficient denominators (``hkr`` takes it over
+the field's coefficients); the kernels run on
+the copy with coefficients multiplied by d, all ints, and each output
+coefficient is divided once by the product of the operands' d (times k! for
+``hkr``), as a reduced ``Fraction``.  So the kernels make no ``Fraction``
+arithmetic, and the results keep the representation of every other
+operator: reduced ``Fraction`` coefficients and no stored zeros.
 
 A brace is one fused kernel, ``_brace_into``.  The insertion options of an
 operator into a slot of order β are computed once per call and block, with
 the multinomial multiplicity of the split, and for the first block the
 block sign, already multiplied into the derived coefficient; the last block
 is multiplied straight into the output map by ``exactcore.mul_into``.  So a
-product term costs one ``Fraction`` multiplication, plus one addition when
-it lands on a monomial already present.  The bracket calls the kernel twice
-into one map, the second time with the sign of ``E{D}`` folded in.  The
-primitive search hands its keyed columns to ``_linalg.solve_keyed``.
+product term costs one int multiplication, plus one addition when it lands
+on a monomial already present.  The bracket calls the kernel twice into one
+map, the second time with the sign of ``E{D}`` folded in.  The primitive
+search hands its keyed columns to ``_linalg.solve_keyed``.
 """
 from __future__ import annotations
 
@@ -37,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm, prod
 from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -102,18 +113,54 @@ def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
             raise ValueError(f"bad multi-index {beta!r} for {ctx.n} variables")
 
 
-def _check_op(D: MultiDiffOp) -> None:
+def _check_op(D: MultiDiffOp) -> int:
     """Validate an operator handed to an operation: slot counts, coefficient
-    variable counts, and each distinct multi-index once."""
+    variable counts, each distinct multi-index once, and each coefficient
+    (a nonzero ``int`` or ``Fraction``, in a nonempty polynomial).  Returns
+    the lcm of the coefficient denominators."""
     betas = set()
+    den = 1
     for orders, p in D.terms.items():
         if len(orders) != D.arity:
             _validate_orders(D.ctx, D.arity, orders)
-        if p and len(next(iter(p))) != D.ctx.n:
+        if not p:
+            raise ValueError(f"coefficient of {orders!r} is the empty polynomial")
+        if len(next(iter(p))) != D.ctx.n:
             raise ValueError(f"coefficient of {orders!r} is not over {D.ctx.n} variables")
+        for c in p.values():
+            if type(c) is not Fraction and type(c) is not int:
+                raise ValueError(f"coefficient {c!r} of {orders!r} is not an int or a Fraction")
+            num, d = c.as_integer_ratio()
+            if not num:
+                raise ValueError(f"coefficient of {orders!r} stores a zero")
+            if den % d:
+                den = lcm(den, d)
         betas.update(orders)
     for beta in betas:
         _validate_orders(D.ctx, 1, (beta,))
+    return den
+
+
+def _numerators(D: MultiDiffOp, den: int) -> MultiDiffOp:
+    """den·D with int coefficients; den is a multiple of every denominator of D."""
+    return MultiDiffOp(D.ctx, D.arity, {
+        orders: _poly_numerators(p, den) for orders, p in D.terms.items()
+    })
+
+
+def _poly_numerators(p: Poly, den: int) -> Poly:
+    out = {}
+    for e, c in p.items():
+        num, d = c.as_integer_ratio()
+        out[e] = num * (den // d)
+    return out
+
+
+def _over(ctx: VarContext, arity: int, out: Dict[Orders, Poly], den: int) -> MultiDiffOp:
+    """The operator with the int coefficients of out divided by den, reduced."""
+    return MultiDiffOp(ctx, arity, {
+        orders: {e: Fraction(v, den) for e, v in p.items()} for orders, p in out.items()
+    })
 
 
 def mdo_make(
@@ -253,12 +300,12 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
                       + (−1)^{k+1} D(…,a_k)·a_{k+1},
     with the slot splits expanded through the product rule.
     """
-    _check_op(D)
+    den = _check_op(D)
     k = D.arity
     zero = (0,) * D.ctx.n
     end_sign = -1 if (k + 1) % 2 else 1
     out: Dict[Orders, Poly] = {}
-    for orders, c in D.terms.items():
+    for orders, c in _numerators(D, den).terms.items():
         add_term_into(out, (zero,) + orders, c)
         add_term_into(out, orders + (zero,), c, end_sign)
         for i in range(1, k + 1):
@@ -266,7 +313,7 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
             sign = -1 if i % 2 else 1
             for gamma, rest, mult in _binomial_splits(orders[i - 1]):
                 add_term_into(out, head + (gamma, rest) + tail, c, sign * mult)
-    return MultiDiffOp(D.ctx, k + 1, out)
+    return _over(D.ctx, k + 1, out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +408,15 @@ def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
     for E in inserts:
         if E.ctx != D.ctx:
             raise ValueError("context mismatch")
-    _check_op(D)
-    for E in inserts:
-        _check_op(E)
+    den = _check_op(D)
+    dens = [_check_op(E) for E in inserts]
     if m == 0:
         return D
     out: Dict[Orders, Poly] = {}
-    _brace_into(out, D, inserts, 1)
-    return MultiDiffOp(D.ctx, D.arity + sum(E.arity for E in inserts) - m, out)
+    _brace_into(
+        out, _numerators(D, den), [_numerators(E, d) for E, d in zip(inserts, dens)], 1
+    )
+    return _over(D.ctx, D.arity + sum(E.arity for E in inserts) - m, out, den * prod(dens))
 
 
 def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
@@ -378,27 +426,27 @@ def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     out_arity = D.arity + E.arity - 1
     if out_arity < 0:  # two 0-ary cochains commute
         return mdo_zero(D.ctx, 0)
-    _check_op(D)
-    _check_op(E)
+    d_den, e_den = _check_op(D), _check_op(E)
+    D, E = _numerators(D, d_den), _numerators(E, e_den)
     out: Dict[Orders, Poly] = {}
     if D.arity:
         _brace_into(out, D, [E], 1)
     if E.arity:
         _brace_into(out, E, [D], 1 if ((D.arity - 1) * (E.arity - 1)) % 2 else -1)
-    return MultiDiffOp(D.ctx, out_arity, out)
+    return _over(D.ctx, out_arity, out, d_den * e_den)
 
 
 def cup(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     """(D∪E)(a₁,…) = D(a₁,…,a_k)·E(a_{k+1},…); agrees with μ{D,E}."""
     if D.ctx != E.ctx:
         raise ValueError("context mismatch")
-    _check_op(D)
-    _check_op(E)
+    d_den, e_den = _check_op(D), _check_op(E)
+    e_terms = _numerators(E, e_den).terms
     out: Dict[Orders, Poly] = {}
-    for do, dc in D.terms.items():
-        for eo, ec in E.terms.items():
+    for do, dc in _numerators(D, d_den).terms.items():
+        for eo, ec in e_terms.items():
             add_term_into(out, do + eo, poly_mul(dc, ec))
-    return MultiDiffOp(D.ctx, D.arity + E.arity, out)
+    return _over(D.ctx, D.arity + E.arity, out, d_den * e_den)
 
 
 def i_func_hoch(a: Poly, D: MultiDiffOp) -> MultiDiffOp:
@@ -420,9 +468,10 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
     if k is None:
         raise ValueError("expected a homogeneous multivector field")
     n = pi.ctx.n
-    norm = Fraction(1, factorial(k))
+    den = lcm(*(c.denominator for f in pi.terms.values() for c in f.values()))
     out: Dict[Orders, Poly] = {}
     for frame, f in pi.terms.items():
+        f = _poly_numerators(f, den)
         for sigma in itertools.permutations(range(k)):
             inv = sum(
                 1
@@ -435,8 +484,8 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
                 tuple(1 if v == frame[sigma[q]] else 0 for v in range(n))
                 for q in range(k)
             )
-            add_term_into(out, orders, f, norm * sgn)
-    return MultiDiffOp(pi.ctx, k, out)
+            add_term_into(out, orders, f, sgn)
+    return _over(pi.ctx, k, out, den * factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +531,12 @@ def delta_primitive(
     bounded by ``op_order`` and whose coefficients are monomials of degree at
     most ``poly_degree``; the linear system matches coefficients of δξ and T
     exactly.  When inconsistent, the canonical near-solution and its residual
-    are reported instead.
+    are reported instead.  A negative bound is refused with ``ValueError``.
     """
+    if poly_degree < 0 or op_order < 0:
+        raise ValueError(
+            f"bounds must be non-negative, got poly_degree={poly_degree}, op_order={op_order}"
+        )
     if T.arity == 0:
         raise ValueError("0-ary cochains have no primitive space")
     ctx = T.ctx

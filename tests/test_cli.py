@@ -437,3 +437,165 @@ def test_entry_point_subprocess_roundtrip(tmp_path):
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
     assert "term 1 @ 0 : 1 0" in r1.stdout
+
+
+# ---------------------------------------------------------------------------
+# pinned hoch output
+
+# Operands with mixed denominators (1/2, -2/3, 5/7); the expected stdout of
+# each command below is pinned byte for byte.
+HOCH_DOCS = {
+    "a": (
+        "gdt 1\n"
+        "context x y\n"
+        "multidiffop 2\n"
+        "term 1/2 : 1 0 @ 1 0 | 0 1\n"
+        "term -2/3 : 0 1 @ 0 0 | 1 0\n"
+        "term 5/7 : 1 1 @ 1 1 | 0 0\n"
+        "end\n"
+    ),
+    "b": (
+        "gdt 1\n"
+        "context x y\n"
+        "multidiffop 1\n"
+        "term -2/3 : 0 2 @ 1 0\n"
+        "term 5/7 : 1 0 @ 0 1\n"
+        "term 1/2 : 0 0 @ 2 0\n"
+        "end\n"
+    ),
+    "c": (
+        "gdt 1\n"
+        "context x y\n"
+        "multidiffop 1\n"
+        "term 5/7 : 1 0 @ 0 1\n"
+        "term 1/2 : 0 1 @ 1 0\n"
+        "end\n"
+    ),
+    "v": (
+        "gdt 1\n"
+        "context x y z\n"
+        "multivector\n"
+        "term 5/7 @ 0 1 2 : 1 0 0\n"
+        "term -2/3 @ 0 1 2 : 0 1 1\n"
+        "end\n"
+    ),
+}
+
+HOCH_PINNED = [
+    (
+        ["gb", "a", "b"],
+        "gdt 1\n"
+        "context x y\n"
+        "multidiffop 2\n"
+        "term -10/21 : 0 1 @ 0 0 | 0 1\n"
+        "term 10/21 : 1 0 @ 0 0 | 1 0\n"
+        "term 5/14 : 1 0 @ 0 1 | 0 1\n"
+        "term 25/49 : 1 1 @ 0 2 | 0 0\n"
+        "term 1/3 : 0 2 @ 1 0 | 0 1\n"
+        "term -2/3 : 1 1 @ 1 0 | 1 0\n"
+        "term -1/2 : 0 0 @ 1 0 | 1 1\n"
+        "term 2/3 : 0 1 @ 1 0 | 2 0\n"
+        "term -25/49 : 2 0 @ 1 1 | 0 0\n"
+        "term 10/21 : 0 3 @ 1 1 | 0 0\n"
+        "term -5/7 : 0 1 @ 1 1 | 1 0\n"
+        "term -20/21 : 1 2 @ 2 0 | 0 0\n"
+        "term -1/2 : 0 0 @ 2 0 | 0 1\n"
+        "term -1/2 : 1 0 @ 2 0 | 1 1\n"
+        "term -5/7 : 0 1 @ 2 1 | 0 0\n"
+        "term -5/7 : 1 1 @ 2 1 | 1 0\n"
+        "end\n"
+    ),
+    (
+        ["brace", "a", "b", "c"],
+        "gdt 1\n"
+        "context x y\n"
+        "multidiffop 2\n"
+        "term -50/147 : 1 1 @ 0 1 | 0 1\n"
+        "term 25/98 : 2 0 @ 0 1 | 0 2\n"
+        "term 5/28 : 1 0 @ 0 1 | 1 0\n"
+        "term 5/28 : 1 1 @ 0 1 | 1 1\n"
+        "term -50/147 : 2 1 @ 0 1 | 1 1\n"
+        "term -5/21 : 1 2 @ 0 1 | 2 0\n"
+        "term 125/343 : 2 1 @ 0 2 | 0 1\n"
+        "term 25/98 : 1 2 @ 0 2 | 1 0\n"
+        "term 20/63 : 0 3 @ 1 0 | 0 1\n"
+        "term 20/63 : 1 3 @ 1 0 | 1 1\n"
+        "term 2/9 : 0 4 @ 1 0 | 2 0\n"
+        "term 25/98 : 3 0 @ 1 1 | 0 2\n"
+        "term 5/28 : 2 0 @ 1 1 | 1 0\n"
+        "term 5/28 : 2 1 @ 1 1 | 1 1\n"
+        "term 125/343 : 3 1 @ 1 2 | 0 1\n"
+        "term 25/98 : 2 2 @ 1 2 | 1 0\n"
+        "term -5/21 : 0 1 @ 2 0 | 0 1\n"
+        "term -100/147 : 2 2 @ 2 0 | 0 1\n"
+        "term -5/21 : 2 2 @ 2 0 | 0 2\n"
+        "term -1/6 : 1 2 @ 2 0 | 1 0\n"
+        "term -10/21 : 1 3 @ 2 0 | 1 0\n"
+        "term -5/21 : 1 1 @ 2 0 | 1 1\n"
+        "term -1/6 : 1 3 @ 2 0 | 1 1\n"
+        "term -1/6 : 0 2 @ 2 0 | 2 0\n"
+        "term -50/147 : 2 3 @ 2 1 | 0 1\n"
+        "term -5/21 : 1 4 @ 2 1 | 1 0\n"
+        "term 5/28 : 2 0 @ 3 0 | 0 2\n"
+        "term 1/8 : 1 0 @ 3 0 | 1 0\n"
+        "term 1/8 : 1 1 @ 3 0 | 1 1\n"
+        "term 25/98 : 2 1 @ 3 1 | 0 1\n"
+        "term 5/28 : 1 2 @ 3 1 | 1 0\n"
+        "end\n"
+    ),
+    (
+        ["cup", "a", "b"],
+        "gdt 1\n"
+        "context x y\n"
+        "multidiffop 3\n"
+        "term -10/21 : 1 1 @ 0 0 | 1 0 | 0 1\n"
+        "term 4/9 : 0 3 @ 0 0 | 1 0 | 1 0\n"
+        "term -1/3 : 0 1 @ 0 0 | 1 0 | 2 0\n"
+        "term 5/14 : 2 0 @ 1 0 | 0 1 | 0 1\n"
+        "term -1/3 : 1 2 @ 1 0 | 0 1 | 1 0\n"
+        "term 1/4 : 1 0 @ 1 0 | 0 1 | 2 0\n"
+        "term 25/49 : 2 1 @ 1 1 | 0 0 | 0 1\n"
+        "term -10/21 : 1 3 @ 1 1 | 0 0 | 1 0\n"
+        "term 5/14 : 1 1 @ 1 1 | 0 0 | 2 0\n"
+        "end\n"
+    ),
+    (
+        ["delta", "a"],
+        "gdt 1\n"
+        "context x y\n"
+        "multidiffop 3\n"
+        "term -2/3 : 0 1 @ 0 0 | 0 0 | 1 0\n"
+        "term -5/7 : 1 1 @ 0 1 | 1 0 | 0 0\n"
+        "term -5/7 : 1 1 @ 1 0 | 0 1 | 0 0\n"
+        "term -5/7 : 1 1 @ 1 1 | 0 0 | 0 0\n"
+        "end\n"
+    ),
+    (
+        ["hkr", "v"],
+        "gdt 1\n"
+        "context x y z\n"
+        "multidiffop 3\n"
+        "term -5/42 : 1 0 0 @ 0 0 1 | 0 1 0 | 1 0 0\n"
+        "term 1/9 : 0 1 1 @ 0 0 1 | 0 1 0 | 1 0 0\n"
+        "term 5/42 : 1 0 0 @ 0 0 1 | 1 0 0 | 0 1 0\n"
+        "term -1/9 : 0 1 1 @ 0 0 1 | 1 0 0 | 0 1 0\n"
+        "term 5/42 : 1 0 0 @ 0 1 0 | 0 0 1 | 1 0 0\n"
+        "term -1/9 : 0 1 1 @ 0 1 0 | 0 0 1 | 1 0 0\n"
+        "term -5/42 : 1 0 0 @ 0 1 0 | 1 0 0 | 0 0 1\n"
+        "term 1/9 : 0 1 1 @ 0 1 0 | 1 0 0 | 0 0 1\n"
+        "term -5/42 : 1 0 0 @ 1 0 0 | 0 0 1 | 0 1 0\n"
+        "term 1/9 : 0 1 1 @ 1 0 0 | 0 0 1 | 0 1 0\n"
+        "term 5/42 : 1 0 0 @ 1 0 0 | 0 1 0 | 0 0 1\n"
+        "term -1/9 : 0 1 1 @ 1 0 0 | 0 1 0 | 0 0 1\n"
+        "end\n"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expect", HOCH_PINNED, ids=[a[0] for a, _ in HOCH_PINNED])
+def test_hoch_commands_pinned_bytes(tmp_path, argv, expect):
+    paths = {n: tmp_path / f"{n}.gdt" for n in HOCH_DOCS}
+    for n, p in paths.items():
+        p.write_text(HOCH_DOCS[n], encoding="utf-8")
+    sub, names = argv[0], argv[1:]
+    assert run_cli(tmp_path, "hoch", sub, *(str(paths[n]) for n in names)) == expect

@@ -152,6 +152,13 @@ def test_solve_r4_obstructed_at_constant_coefficients():
     assert rep.solution is None
 
 
+def test_solve_refuses_negative_degree():
+    # a negative bound searches nothing; it must not read as "obstructed"
+    assert mc_solve(S4, PI1_R4, 2, poly_degree=1).status == "solved"
+    with pytest.raises(ValueError):
+        mc_solve(S4, PI1_R4, 2, poly_degree=-1)
+
+
 def test_solve_n_equals_one_is_always_solved():
     bad = mv_add(
         mv_frame(CTX3, (0, 1)), mv_make(CTX3, [((0, 2), poly_var(3, 0))])
@@ -266,6 +273,13 @@ def test_scaled_series_not_equivalent():
     rep = gauge_equivalent(S2, g1, g2, poly_degree=2)
     assert not rep.equivalent
     assert rep.witness is None
+
+
+def test_equivalence_refuses_negative_degree():
+    ring = ArtinRing(2)
+    g = series_make(ring, {1: mv_frame(CTX2, (0, 1))})
+    with pytest.raises(ValueError):
+        gauge_equivalent(S2, g, g, poly_degree=-1)
 
 
 def test_equivalence_requires_solutions():

@@ -98,6 +98,9 @@ MALFORMED = {
     "negative-entry": MultiDiffOp(CTX2, 1, {((1, -1),): ONE2}),
     "wrong-slot-count": MultiDiffOp(CTX2, 2, {((1, 0),): ONE2}),
     "coefficient-variable-count": MultiDiffOp(CTX2, 1, {((1, 0),): {(1, 0, 0): Fraction(1)}}),
+    "stored-zero-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {(0, 0): Fraction(0)}}),
+    "empty-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {}}),
+    "float-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {(0, 0): 0.5}}),
 }
 
 
@@ -415,6 +418,14 @@ def test_primitive_round_trip():
     res = delta_primitive(T, poly_degree=2, op_order=2)
     assert res.found
     assert mdo_eq(hoch_delta(res.primitive), T)
+
+
+@pytest.mark.parametrize("poly_degree, op_order", [(-1, 2), (2, -1), (-1, -1)])
+def test_primitive_refuses_negative_bounds(poly_degree, op_order):
+    # a negative bound searches nothing; it must not read as "no primitive"
+    T = hoch_delta(op(CTX2, 1, [(Y, ((2, 0),))]))
+    with pytest.raises(ValueError):
+        delta_primitive(T, poly_degree=poly_degree, op_order=op_order)
 
 
 def test_primitive_of_zero_is_zero():

@@ -4,7 +4,9 @@ The library validates each input operator once and sums terms in place; the
 reference re-validates and re-copies every produced term.  Both must give
 equal ``terms`` with ``Fraction`` coefficients and no stored zeros, on
 operators at n=1-3 with arity 0-3, slot orders and coefficient degrees up to
-2, one to four terms, and alternations of fields (coefficients 1/k!).
+2, one to four terms, and alternations of fields (coefficients 1/k!).  The
+coefficient denominators 1, 2, 3, 5, 6 and 7 make a call's common
+denominator run well past 6, and meet the k! of the alternations.
 """
 import itertools
 import random
@@ -20,7 +22,7 @@ from gdcalc.polyvec import mv_make
 
 CTXS = {n: VarContext(tuple(f"x{i + 1}" for i in range(n))) for n in (1, 2, 3)}
 MONOS = {n: list(monomials_upto(n, 2)) for n in CTXS}
-COEFFS = [Fraction(a, d) for a in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 6)]
+COEFFS = [Fraction(a, d) for a in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 5, 6, 7)]
 
 
 def assert_same(got, want):
@@ -94,6 +96,17 @@ def test_engine_matches_reference_seeded():
                 B = make_operator(rng.choice, n, arity_b)
                 C = make_operator(rng.choice, n, arity_a)
                 check_operations(A, B, C)
+
+
+def test_odd_arity_self_bracket_vanishes():
+    """[A, A] = A{A} − A{A} for odd arity: every term cancels, nothing is stored."""
+    rng = random.Random(20093)
+    for n in (1, 2, 3):
+        for arity in (1, 3):
+            for _ in range(4):
+                A = make_operator(rng.choice, n, arity)
+                got = hs.gerstenhaber(A, A)
+                assert (got.ctx, got.arity, got.terms) == (A.ctx, 2 * arity - 1, {})
 
 
 def test_derive_multi_matches_repeated_partials():
