@@ -7,10 +7,17 @@ is exact; reports are deterministic (canonical basis order, free variables
 pinned to zero).
 
 Every public function converts its inputs to TermMaps once, with one term
-engine context for the call (``gauge_equivalent``'s flows and probes share
-it), sums with ``schouten_into``/``phi_into``/``tm_add_into``, hands
-``solve_keyed`` TermMaps as keyed columns, and builds each ``PolyVector``
-once, at exit.  ``_defect`` is the one order-k defect routine.
+engine context for the call (``gauge_equivalent``'s flows share it), sums
+with ``schouten_into``/``phi_into``/``tm_add_into``, hands ``solve_keyed``
+TermMaps as keyed columns, and builds each ``PolyVector`` once, at exit.
+``_defect`` is the one order-k defect routine.
+
+The flow is built in one pass by t-order (``_flow``): ξ has t-order ≥ 1, so
+the flow's entries of t-order k read only entries of lower t-order, and each
+is final when it is first computed.  The same order count gives
+``gauge_equivalent`` its columns in closed form: at order m, ξ_{m−1} paired
+with γ_j lands at order m−1+j, which is m only for j = 1, and the cubic term
+lands at order ≥ m+1, so ξ_{m−1} moves order m by −[ξ_{m−1}, γ₁] alone.
 """
 from __future__ import annotations
 
@@ -267,53 +274,52 @@ def mc_solve(
 def _flow(fc: FastCtx, H: TermMap, gamma: Terms, xi: Terms, n_trunc: int) -> Terms:
     """The flowed coefficients of gamma under the vector fields xi, empty ones dropped.
 
-    The state maps (s-power, t-order) to a TermMap.  Coefficients of gamma
-    may have any degrees, so the state is split by frame degree before the
-    contraction; each ξ coefficient is a vector field.
+    The flow's state maps (s-power m, t-order k) to a TermMap and is the
+    fixed point of state = gamma + ∫₀ˢ rhs(state), where s^m·v integrates to
+    s^{m+1}·v/(m+1).  Every ξ coefficient and every state entry has t-order
+    ≥ 1, so the entries of t-order k read only entries of lower t-order: the
+    bracket −[ξ_a, ·] reads t-order k−a, and the cubic term
+    −(3/2)·l3(ξ_a, ·, ·) reads t-orders b1, b2 with a+b1+b2 = k.  One pass
+    over k = 1..N therefore builds the fixed point exactly, each entry from
+    final ones.  Coefficients of gamma may have any degrees, so each finished
+    entry is split by frame degree once, for the contraction; each ξ
+    coefficient is a vector field.
     """
-    base = {(0, k): v for k, v in gamma.items() if v}
-
-    def step(state):
-        """base + ∫₀ˢ rhs(state); s^m·v integrates to s^{m+1}·v/(m+1)."""
-        out = {key: dict(v) for key, v in base.items()}
-        parts = {key: split_degrees(fc, v) for key, v in state.items()} if H else {}
+    rows: Dict[int, List[Tuple[int, TermMap]]] = {}  # t-order -> [(s-power, entry)]
+    parts: Dict[int, List[Tuple[int, List[Tuple[int, TermMap]]]]] = {}  # the same, split
+    totals: Terms = {}
+    for k in range(1, n_trunc + 1):
+        out: Dict[int, TermMap] = {0: gamma[k]} if gamma.get(k) else {}
         for a, xv in xi.items():
-            for (m, b), gv in state.items():
-                if a + b <= n_trunc:
-                    acc = out.setdefault((m + 1, a + b), {})
-                    # an int scale at m = 0 keeps integral coefficients ints
-                    schouten_into(fc, xv, gv, Fraction(-1, m + 1) if m else -1, acc)
-            for (m1, b1), p1 in parts.items():
-                for (m2, b2), p2 in parts.items():
-                    if a + b1 + b2 <= n_trunc:
+            for m, gv in rows.get(k - a, ()):
+                # an int scale at m = 0 keeps integral coefficients ints
+                schouten_into(fc, xv, gv, Fraction(-1, m + 1) if m else -1, out.setdefault(m + 1, {}))
+            for b1 in range(1, k - a):
+                for m1, p1 in parts.get(b1, ()):
+                    for m2, p2 in parts.get(k - a - b1, ()):
                         m = m1 + m2 + 1
-                        acc = out.setdefault((m, a + b1 + b2), {})
+                        acc = out.setdefault(m, {})
                         for (d1, g1), (d2, g2) in itertools.product(p1, p2):
                             phi_into(fc, H, [xv, g1, g2], (1, d1, d2), Fraction(-3, 2 * m), acc)
-        return {key: v for key, v in out.items() if v}
-
-    current = base
-    for _ in range(n_trunc + 2):
-        updated = step(current)
-        if updated == current:
-            break
-        current = updated
-    else:
-        raise RuntimeError("internal error: flow iteration failed to stabilize")
-
-    totals: Terms = {}
-    for (_, k), v in current.items():
-        tm_add_into(totals.setdefault(k, {}), v)
-    return {k: v for k, v in totals.items() if v}
+        rows[k] = [(m, v) for m, v in out.items() if v]
+        if H:
+            parts[k] = [(m, split_degrees(fc, v)) for m, v in rows[k]]
+        total: TermMap = {}
+        for _, v in rows[k]:
+            tm_add_into(total, v)
+        if total:
+            totals[k] = total
+    return totals
 
 
 def gauge_flow(S: TwistedStructure, gamma: ArtinSeries, xi: GaugeParam) -> ArtinSeries:
     """Integrate dγ/ds = −[ξ,γ] − (3/2)·l3(ξ,γ,γ) from s=0 to s=1, exactly.
 
-    Nilpotence of t makes the flow polynomial in s, so Picard iteration on
-    the s-polynomial state reaches a fixed point within the truncation order.
-    The cubic coefficient is pinned by the requirement that the flow carry
-    solutions of the twisted equation to solutions (checked in the suite).
+    Nilpotence of t makes the flow polynomial in s.  Its s-polynomial state
+    is built in one pass by t-order (``_flow``): ξ raises the t-order, so each
+    order reads only orders already final.  The cubic coefficient is pinned
+    by the requirement that the flow carry solutions of the twisted equation
+    to solutions (checked in the suite).
     """
     if xi.ring != gamma.ring:
         raise ValueError("series and gauge parameter use different truncations")
@@ -343,9 +349,14 @@ def gauge_equivalent(
 
     Both inputs must solve the twisted equation.  The flow never moves the
     first-order coefficient, so differing leading terms are immediately
-    inequivalent.  At each order m ≥ 2 the dependence on ξ_{m−1} is affine;
-    the linear part is probed by whole-flow evaluations on basis fields and
-    solved exactly.  False means: no witness within these bounds.
+    inequivalent.  At each order m ≥ 2 the flow's order-m coefficient is
+    affine in ξ_{m−1} with linear part b ↦ −[b, γ₁]: ξ_{m−1} paired with γ_j
+    lands at order m−1+j, which is m only for j = 1, the cubic term lands at
+    order ≥ m+1, and γ₁ is the only state entry of t-order 1.  So the columns
+    −[b, γ₁] over the basis fields b are built once, in closed form; at each
+    order only the flow of the ξ fixed so far is evaluated, and the system is
+    solved exactly.  The assembled witness is checked by one more flow.
+    False means: no witness within these bounds.
     """
     if poly_degree < 0:
         raise ValueError(f"poly_degree must be non-negative, got {poly_degree}")
@@ -365,16 +376,16 @@ def gauge_equivalent(
         return GaugeReport(False, None, poly_degree)
 
     basis = [to_termmap(fc, b) for b in basis_multivectors(S.ctx, poly_degree, (1,))]
+    # ξ_{m−1} moves order m by −[ξ_{m−1}, γ₁] alone, at every m
+    cols: List[TermMap] = [{} for _ in basis]
+    for b, col in zip(basis, cols):
+        schouten_into(fc, b, start.get(1, {}), -1, col)
     xi: Terms = {}
     for m in range(2, n_trunc + 1):
         current = _flow(fc, H, start, xi, n_trunc).get(m, {})
         delta = _diff(target.get(m, {}), current)
         if not delta:
             continue
-        cols = [
-            _diff(_flow(fc, H, start, {**xi, m - 1: b}, n_trunc).get(m, {}), current)
-            for b in basis
-        ]
         res = _solve_terms(fc, cols, delta)
         if not res.consistent:
             return GaugeReport(False, None, poly_degree)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
 Poly = Dict[Exponents, Fraction]
@@ -46,6 +46,7 @@ __all__ = [
     "partial_derive",
     "poly_add",
     "poly_const",
+    "poly_exact",
     "poly_from_terms",
     "poly_is_zero",
     "poly_mul",
@@ -78,7 +79,7 @@ def poly_zero() -> Poly:
 
 
 def poly_const(n: int, c) -> Poly:
-    c = Fraction(c)
+    c = _exact(c)
     if c == 0:
         return {}
     return {(0,) * n: c}
@@ -93,11 +94,35 @@ def poly_var(n: int, i: int) -> Poly:
     return {tuple(e): Fraction(1)}
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; ValueError unless c is an int or a Fraction.
+
+    Fraction() would store a float as its binary value (0.1 becomes
+    3602879701896397/36028797018963968), so constructors refuse one.
+    """
+    if type(c) is not int and type(c) is not Fraction:
+        raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
+    return Fraction(c)
+
+
+def poly_exact(p: Mapping[Exponents, object]) -> Poly:
+    """A fresh copy of p with Fraction coefficients and no zeros; floats are refused."""
+    out: Poly = {}
+    for e, c in p.items():
+        c = _exact(c)
+        if c:
+            out[e] = c
+    return out
+
+
 def poly_from_terms(n: int, terms: Iterable[Tuple[object, Exponents]]) -> Poly:
-    """Build a polynomial from (coefficient, exponents) pairs, canonicalizing."""
+    """Build a polynomial from (coefficient, exponents) pairs, canonicalizing.
+
+    Each coefficient must be an int or a Fraction.
+    """
     out: Poly = {}
     for c, exps in terms:
-        c = Fraction(c)
+        c = _exact(c)
         exps = tuple(exps)
         if len(exps) != n:
             raise ValueError(f"exponent tuple {exps!r} has wrong length (n={n})")

@@ -61,6 +61,7 @@ from .exactcore import (
     monomials_upto,
     mul_into,
     poly_add,
+    poly_exact,
     poly_from_terms,
     poly_is_zero,
     poly_mul,
@@ -166,14 +167,17 @@ def _over(ctx: VarContext, arity: int, out: Dict[Orders, Poly], den: int) -> Mul
 def mdo_make(
     ctx: VarContext, arity: int, terms: Iterable[Tuple[Orders, Poly]]
 ) -> MultiDiffOp:
-    """Validating constructor: checks and canonicalizes every given term."""
+    """Validating constructor: checks and canonicalizes every given term.
+
+    Each coefficient must be an int or a Fraction.
+    """
     out: Dict[Orders, Poly] = {}
     for orders, poly in terms:
         orders = tuple(tuple(b) for b in orders)
         _validate_orders(ctx, arity, orders)
         if any(len(e) != ctx.n for e in poly):
             raise ValueError(f"coefficient of {orders!r} is not over {ctx.n} variables")
-        add_term_into(out, orders, {e: Fraction(c) for e, c in poly.items() if c})
+        add_term_into(out, orders, poly_exact(poly))
     return MultiDiffOp(ctx, arity, out)
 
 

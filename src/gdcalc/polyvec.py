@@ -39,6 +39,7 @@ from .exactcore import (
     add_term_into,
     monomials_upto,
     partial_derive,
+    poly_exact,
     poly_is_zero,
     poly_neg,
     poly_scale,
@@ -124,10 +125,13 @@ def mv_zero(ctx: VarContext) -> PolyVector:
 
 
 def _collect(terms: Iterable[Tuple[Frame, Poly]]) -> Dict[Frame, Poly]:
-    """Sum caller-supplied terms into a fresh zero-free map of Fraction coefficients."""
+    """Sum caller-supplied terms into a fresh zero-free map of Fraction coefficients.
+
+    A coefficient that is not an int or a Fraction raises ValueError.
+    """
     out: Dict[Frame, Poly] = {}
     for frame, poly in terms:
-        add_term_into(out, tuple(frame), {e: Fraction(c) for e, c in poly.items() if c})
+        add_term_into(out, tuple(frame), poly_exact(poly))
     return out
 
 
@@ -143,8 +147,7 @@ def mv_func(ctx: VarContext, poly: Poly) -> PolyVector:
 
 def mv_frame(ctx: VarContext, frame: Frame, coeff: Fraction = Fraction(1)) -> PolyVector:
     """The constant-coefficient wedge of coordinate derivations."""
-    p: Poly = {(0,) * ctx.n: Fraction(coeff)} if coeff else {}
-    return mv_make(ctx, [(tuple(frame), p)])
+    return mv_make(ctx, [(tuple(frame), {(0,) * ctx.n: coeff})])
 
 
 def form_zero(ctx: VarContext) -> DiffForm:

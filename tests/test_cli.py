@@ -1,4 +1,5 @@
 """Document format round-trips, command behavior, and exit-code contract."""
+import json
 import subprocess
 import sys
 
@@ -273,8 +274,6 @@ def test_non_vacuous_sweep_still_passes(tmp_path):
 
 @pytest.mark.parametrize("degree", ["0", "1"])
 def test_lemma_json_echoes_bounds(tmp_path, degree):
-    import json
-
     out = run_cli(tmp_path, "lemma-check", "--dim", "2", "--bounds-degree", degree, "--emit", "json")
     payload = json.loads(out)
     assert payload["bounds"] == f"--dim 2 --bounds-degree {degree}"
@@ -283,8 +282,6 @@ def test_lemma_json_echoes_bounds(tmp_path, degree):
 
 
 def test_linfty_json_echoes_bounds(tmp_path):
-    import json
-
     h = write_doc(tmp_path, "h3.gdt", doc_form(form_make(CTX3, [((0, 1, 2), ONE3)])))
     out = run_cli(tmp_path, "linfty-check", h, "--bounds-degree", "0", "--emit", "json")
     assert out.startswith('{"bounds":"--bounds-degree 0","checks":[')
@@ -410,8 +407,6 @@ def test_verify_deform_suite_deterministic(tmp_path):
 
 
 def test_verify_json_is_valid_and_deterministic(tmp_path):
-    import json
-
     out1 = run_cli(tmp_path, "verify", "--suite", "schouten", "--emit", "json")
     out2 = run_cli(tmp_path, "verify", "--suite", "schouten", "--emit", "json")
     assert out1 == out2
@@ -599,3 +594,128 @@ def test_hoch_commands_pinned_bytes(tmp_path, argv, expect):
         p.write_text(HOCH_DOCS[n], encoding="utf-8")
     sub, names = argv[0], argv[1:]
     assert run_cli(tmp_path, "hoch", sub, *(str(paths[n]) for n in names)) == expect
+
+
+# `gauge` and `gauge-equiv` at n=3 under H = 2/3 dx^dy^dz, truncations 3 and 4.
+# The series a is decomposable, so it solves the twisted equation, and so do
+# its flows.  XI moves a to MOVED; the search finds a witness of degree <= 1.
+# x^2 d_z moves a to FAR: its order-2 change has quadratic coefficients, and
+# [b, a_1] is linear for every field b of degree <= 1, so no witness exists
+# within --bounds-degree 1.  The cubic term of the flow acts from order 3 on.
+# The bytes were recorded before the flow became one pass by t-order.
+GAUGE_A = "order 1\nterm 1 @ 0 1 : 0 0 1\nterm -1/2 @ 0 1 : 1 0 0\norder 2\nterm 3 @ 0 1 : 0 1 0\n"
+GAUGE_XI = "order 1\nterm 1 @ 2 : 1 0 0\nterm 1/2 @ 0 : 0 0 1\norder 2\nterm -2 @ 1 : 0 0 0\n"
+GAUGE_MOVED_3 = (
+    "order 1\n"
+    "term 1 @ 0 1 : 0 0 1\n"
+    "term -1/2 @ 0 1 : 1 0 0\n"
+    "order 2\n"
+    "term 1/4 @ 0 1 : 0 0 1\n"
+    "term 3 @ 0 1 : 0 1 0\n"
+    "term -1 @ 0 1 : 1 0 0\n"
+    "term -1 @ 1 2 : 0 0 1\n"
+    "term 1/2 @ 1 2 : 1 0 0\n"
+    "order 3\n"
+    "term 1/2 @ 0 1 : 0 0 1\n"
+    "term -1/4 @ 0 1 : 1 0 0\n"
+    "term -2 @ 0 1 : 1 0 2\n"
+    "term 2 @ 0 1 : 2 0 1\n"
+    "term -1/2 @ 0 1 : 3 0 0\n"
+    "term -1/4 @ 1 2 : 0 0 1\n"
+    "term -3 @ 1 2 : 0 1 0\n"
+    "term 1 @ 1 2 : 1 0 0\n"
+)
+GAUGE_MOVED = {
+    3: GAUGE_MOVED_3,
+    4: GAUGE_MOVED_3 + (
+        "order 4\n"
+        "term 6 @ 0 1 : 0 0 0\n"
+        "term 1/12 @ 0 1 : 0 0 1\n"
+        "term 3/4 @ 0 1 : 0 1 0\n"
+        "term -1/3 @ 0 1 : 1 0 0\n"
+        "term 1 @ 0 1 : 0 0 3\n"
+        "term -2 @ 0 1 : 1 0 2\n"
+        "term -12 @ 0 1 : 1 1 1\n"
+        "term 19/4 @ 0 1 : 2 0 1\n"
+        "term 6 @ 0 1 : 2 1 0\n"
+        "term -2 @ 0 1 : 3 0 0\n"
+        "term -1/3 @ 1 2 : 0 0 1\n"
+        "term 1/6 @ 1 2 : 1 0 0\n"
+        "term 2 @ 1 2 : 1 0 2\n"
+        "term -2 @ 1 2 : 2 0 1\n"
+        "term 1/2 @ 1 2 : 3 0 0\n"
+    ),
+}
+GAUGE_FAR_3 = (
+    "order 1\n"
+    "term 1 @ 0 1 : 0 0 1\n"
+    "term -1/2 @ 0 1 : 1 0 0\n"
+    "order 2\n"
+    "term 3 @ 0 1 : 0 1 0\n"
+    "term -1 @ 0 1 : 2 0 0\n"
+    "term -2 @ 1 2 : 1 0 1\n"
+    "term 1 @ 1 2 : 2 0 0\n"
+    "order 3\n"
+    "term -2 @ 0 1 : 2 0 2\n"
+    "term 2 @ 0 1 : 3 0 1\n"
+    "term -1/2 @ 0 1 : 4 0 0\n"
+    "term -6 @ 1 2 : 1 1 0\n"
+    "term 2 @ 1 2 : 3 0 0\n"
+)
+GAUGE_FAR = {
+    3: GAUGE_FAR_3,
+    4: GAUGE_FAR_3 + (
+        "order 4\n"
+        "term -12 @ 0 1 : 2 1 1\n"
+        "term 6 @ 0 1 : 3 1 0\n"
+        "term 4 @ 0 1 : 4 0 1\n"
+        "term -2 @ 0 1 : 5 0 0\n"
+        "term 4 @ 1 2 : 3 0 2\n"
+        "term -4 @ 1 2 : 4 0 1\n"
+        "term 1 @ 1 2 : 5 0 0\n"
+    ),
+}
+GAUGE_H = "field h form\nterm 2/3 @ 0 1 2 : 0 0 0\n"
+GAUGE_WITNESS = {
+    3: "order 1\nterm 1/2 @ 0 : 0 0 1\nterm 1 @ 2 : 1 0 0\n",
+    4: "order 1\nterm 1/2 @ 0 : 0 0 1\nterm 1 @ 2 : 1 0 0\norder 3\nterm 12 @ 0 : 0 0 0\n",
+}
+
+
+def _gauge_pinned_cases():
+    head = "gdt 1\ncontext x y z\n"
+    cases = []
+    for N in (3, 4):
+        series = f"artin-series {N}\n"
+        doc = (
+            f"{head}problem gauge\n{GAUGE_H}field series {series}{GAUGE_A}"
+            f"field xi {series}{GAUGE_XI}end\n"
+        )
+        cases.append((f"gauge-N{N}", doc, ["gauge"], 0, f"{head}{series}{GAUGE_MOVED[N]}end\n"))
+        witness = f"{head}{series}{GAUGE_WITNESS[N]}end\n"
+        for verdict, b, tail, code, payload in (
+            ("true", GAUGE_MOVED[N], "witness\n" + witness, 0, json.dumps(witness)),
+            ("false", GAUGE_FAR[N], "", 1, "null"),
+        ):
+            doc = f"{head}problem gauge-pair\nfield a {series}{GAUGE_A}field b {series}{b}{GAUGE_H}end\n"
+            for emit, want in (
+                ("text", f"gauge-equiv report\nequivalent {verdict}\n{tail}"),
+                (
+                    "json",
+                    f'{{"command":"gauge-equiv","equivalent":{verdict},'
+                    f'"poly_degree":1,"witness":{payload}}}\n',
+                ),
+            ):
+                argv = ["gauge-equiv", "--bounds-degree", "1", "--emit", emit]
+                cases.append((f"gauge-equiv-{verdict}-N{N}-{emit}", doc, argv, code, want))
+    return cases
+
+
+GAUGE_PINNED = _gauge_pinned_cases()
+
+
+@pytest.mark.parametrize("name, doc, argv, code, expect", GAUGE_PINNED, ids=[c[0] for c in GAUGE_PINNED])
+def test_gauge_commands_pinned_bytes(tmp_path, name, doc, argv, code, expect):
+    path = tmp_path / "p.gdt"
+    path.write_text(doc, encoding="utf-8")
+    assert run_cli(tmp_path, argv[0], str(path), *argv[1:], expect=code) == expect

@@ -75,6 +75,13 @@ def test_mul_exact_rational_coefficients():
     assert poly_mul(half_x, two_thirds_y) == {(1, 1): expected_coeff}
 
 
+@pytest.mark.parametrize("c", [0.1, 0.0, "1/2", True])
+def test_poly_from_terms_refuses_inexact_coefficients(c):
+    """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10."""
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        poly_from_terms(2, [(1, (1, 0)), (c, (0, 0))])
+
+
 def test_canonical_form_drops_zero_terms():
     p = poly_from_terms(1, [(1, (2,)), (-1, (2,))])
     assert p == {}

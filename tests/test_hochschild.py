@@ -92,6 +92,12 @@ def test_coefficient_variable_count_rejected_at_construction(exps):
         mdo_make(CTX2, 1, [(((1, 0),), coeff)])
 
 
+@pytest.mark.parametrize("c", [0.1, 0.0, "1/2"])
+def test_inexact_coefficient_rejected_at_construction(c):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        mdo_make(CTX2, 1, [(((1, 0),), {(0, 1): 1, (0, 0): c})])
+
+
 # operators built directly, bypassing mdo_make's per-term check
 MALFORMED = {
     "short-multi-index": MultiDiffOp(CTX2, 1, {((1,),): ONE2}),

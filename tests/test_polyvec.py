@@ -56,6 +56,13 @@ def V(ctx, frame, coeff_terms):
     return mv_make(ctx, [(frame, poly_from_terms(ctx.n, coeff_terms))])
 
 
+@pytest.mark.parametrize("make", [mv_make, form_make])
+@pytest.mark.parametrize("c", [0.1, 0.0, "1/2"])
+def test_make_refuses_inexact_coefficients(make, c):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        make(CTX2, [((0,), {(1, 0): Fraction(1, 2), (0, 0): c})])
+
+
 # ---------------------------------------------------------------------------
 # wedge
 

@@ -30,6 +30,7 @@ from gdcalc.deform import (
     gauge_equivalent,
     gauge_flow,
     mc_solve,
+    series_eq,
     series_make,
 )
 from gdcalc.exactcore import VarContext
@@ -307,11 +308,16 @@ def _structures():
 
 
 def test_gauge_flow_matches_reference_seeded():
+    """Truncations 2-4 on all three structures, then truncation 5 with H ≠ 0."""
     rng = random.Random(8128)
-    for case in range(24):
-        S = _structures()[case % 4 % 3]
+    for case in range(32):
+        if case < 24:
+            S = _structures()[case % 4 % 3]
+            ring = ArtinRing(2 + case % 3)  # the s²-terms of the cubic part need order 4
+        else:
+            S = _structures()[1 + case % 2]
+            ring = ArtinRing(5)
         n = S.ctx.n
-        ring = ArtinRing(2 + case % 3)  # the s²-terms of the cubic part need order 4
         orders = range(1, ring.truncation + 1)
         gamma = series_make(ring, {k: _random_mv(rng, n, [2], rng.randint(1, 2)) for k in orders})
         xi = GaugeParam(ring, {k: _random_mv(rng, n, [1], rng.randint(0, 2)) for k in orders})
@@ -333,19 +339,51 @@ def _assert_same_series(got, want):
 def test_gauge_flow_on_mixed_degrees_matches_reference_seeded():
     """Series coefficients of every degree: each enters the cubic term with its own.
 
-    The cubic term first acts at order 3, on the order-1 coefficient.
+    The cubic term first acts at order 3, on the order-1 coefficient; from
+    truncation 4 on it also reads flowed entries of higher s-power.
     """
     rng = random.Random(4096)
-    for case in range(12):
+    for case in range(20):
         S = _structures()[1 + case % 2]
         n = S.ctx.n
-        ring = ArtinRing(3)
+        ring = ArtinRing(3 if case < 12 else 4 + case % 2)
         orders = range(1, ring.truncation + 1)
         gamma = series_make(
             ring, {k: _random_mv(rng, n, range(n + 1), rng.randint(2, 4)) for k in orders}
         )
         xi = GaugeParam(ring, {k: _random_mv(rng, n, [1], rng.randint(1, 2)) for k in orders})
         _assert_same_series(gauge_flow(S, gamma, xi), ref.gauge_flow(S, gamma, xi))
+
+
+def test_gauge_columns_are_minus_the_bracket_with_gamma1_seeded():
+    """flow(ξ + b·t^{m−1})_m − flow(ξ)_m = −[b, γ₁], on the reference flow.
+
+    ξ_{m−1} paired with γ_j lands at order m−1+j, the cubic term at order
+    ≥ m+1, and γ₁ is the only state entry of t-order 1; so at order m,
+    whatever ξ is, b enters through −[b, γ₁] alone.  ``gauge_equivalent``
+    takes its columns from this identity rather than from flows.
+    """
+    rng = random.Random(6174)
+    moved = 0
+    for case in range(8):
+        S = _structures()[1 + case % 2]
+        n, zero = S.ctx.n, ref.mv_zero(S.ctx)
+        ring = ArtinRing(3 + case // 2 % 2)
+        orders = range(1, ring.truncation + 1)
+        gamma = series_make(
+            ring, {k: _random_mv(rng, n, range(n + 1), rng.randint(1, 3)) for k in orders}
+        )
+        xi = {k: _random_mv(rng, n, [1], rng.randint(0, 2)) for k in orders}
+        flowed = ref.gauge_flow(S, gamma, GaugeParam(ring, xi))
+        for m in range(2, ring.truncation + 1):
+            b = _random_mv(rng, n, [1], 2)
+            probe = {**xi, m - 1: ref.mv_add(xi[m - 1], b)}
+            probed = ref.gauge_flow(S, gamma, GaugeParam(ring, probe))
+            got = ref.mv_sub(probed.coeffs.get(m, zero), flowed.coeffs.get(m, zero))
+            want = ref.mv_scale(ref.schouten(b, gamma.coeffs.get(1, zero)), -1)
+            _assert_canonical(got, want)
+            moved += bool(want.terms)
+    assert moved > 0
 
 
 def _assert_same_solve(got, want):
@@ -439,6 +477,36 @@ def test_gauge_equivalent_matches_reference_seeded():
         _assert_same_gauge(got, ref.gauge_equivalent(S, g1, g2, poly_degree=deg))
         verdicts[got.equivalent, bool(got.witness and got.witness.coeffs)] += 1
     assert verdicts[True, True] and verdicts[False, False]
+
+    # truncation 4, linear coefficients under H = dx∧dy∧dz, where the cubic
+    # term of the flow acts; x²·∂z at order 1 moves order 2 out of reach
+    S, flat = _structures()[1], make_twisted(form_make(CTXS[3], []))
+    ring = ArtinRing(4)
+    monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    fields = basis_multivectors(S.ctx, 1, (1,))
+    verdicts.clear()
+    cubic = 0
+    for case in range(6):
+        g1 = series_make(
+            ring,
+            {
+                k: mv_make(S.ctx, [((0, 1), {m: rng.choice(COEFFS) for m in rng.sample(monos, 2)})])
+                for k in (1, 2)
+            },
+        )
+        if case % 3 == 2:
+            far = mv_make(S.ctx, [((2,), {(2, 0, 0): rng.choice(COEFFS)})])
+            xi = GaugeParam(ring, {1: far})
+        else:
+            xi = GaugeParam(
+                ring, {k: mv_scale(rng.choice(fields), rng.choice(COEFFS)) for k in range(1, 4 - case % 3)}
+            )
+        g2 = gauge_flow(S, g1, xi)
+        cubic += not series_eq(g2, gauge_flow(flat, g1, xi))
+        got = gauge_equivalent(S, g1, g2, poly_degree=1)
+        _assert_same_gauge(got, ref.gauge_equivalent(S, g1, g2, poly_degree=1))
+        verdicts[got.equivalent] += 1
+    assert cubic and verdicts[True] and verdicts[False]
 
 
 def _assert_same_primitive(got, want):
