@@ -81,7 +81,7 @@ gb = gerstenhaber(hkr(f), hkr(pi))
 br = hkr(schouten(f, pi))
 show("[hkr y, hkr dx^dy]", gb.terms)
 show("hkr([y, dx^dy])", br.terms)
-diff = mdo_sub(gb, mdo_scale(br, (-1) ** ((0 - 1) * (2 - 1))))
+diff = mdo_sub(gb, mdo_scale(br, -1 if ((0 - 1) * (2 - 1)) % 2 else 1))
 show("difference with the decalage factor", diff.terms or "0")
 print("  (without the factor the defect is -2 d/dx in arity 1, where only")
 print("   the zero cochain is exact — the ledger's degree-0 caveat)")

@@ -7,27 +7,43 @@ explicit consistency verdict.
 Input: callers describe a system by its columns, each a ``{equation key:
 value}`` map of its nonzero coefficients, and the right-hand side as one
 more such map (``flatten_terms`` makes one from a map of polynomials, one
-equation per coefficient); ``solve_keyed`` sorts the equation keys into rows and hands
-``gaussian_solve`` each row as a list of ``(column, value)`` pairs, its
-nonzero entries only.  Internally each row is a ``{column: Fraction}`` dict
-and a column → row-id index records which rows have a nonzero in each
-column, so pivot searches and eliminations touch nonzeros only.  The
-callers' largest systems have hundreds of rows and columns and are well
-under 1% nonzero.
+equation per coefficient); ``solve_keyed`` sorts the equation keys into rows
+and hands ``gaussian_solve`` each row as a list of ``(column, value)``
+pairs, its nonzero entries only.  Every entry and right-hand side must be
+an ``int`` or a ``Fraction``; anything else (a float above all, whose binary
+value ``Fraction`` would take) is refused with ``ValueError``.  The callers'
+largest systems have hundreds of rows and columns and are well under 1%
+nonzero.
+
+Integer rows: each row and its right-hand side are scaled once, by the lcm
+of their denominators, to ints, held as a ``{column: int}`` dict, and a
+column → row-id index records which rows have a nonzero in each column, so
+pivot searches and eliminations touch nonzeros only.  Clearing a pivot
+column from a row with entry f, against the pivot row with entry p there,
+replaces the row by s·row − t·(pivot row) with s/t = p/f in lowest terms and
+s > 0, and then divides the row and its right-hand side by the gcd of their
+entries.  So the elimination makes no ``Fraction`` arithmetic, and every
+row stays a nonzero multiple of the row a ``Fraction`` elimination would
+hold: the same nonzero pattern, so the same pivots, rank and consistency
+verdict.
 
 Pivot rule: columns are taken left to right.  The pivot for a column is the
 first row, in the current swapped order at or below position ``r``, with a
-nonzero entry there; it is swapped into position ``r``, scaled to 1, and the
-column is cleared from every other row, above and below.  Rows past the last
-pivot must then have zero right-hand side for the system to be consistent.
-The rule fixes which rows are selected, so for an inconsistent system ``x``
-solves the subsystem of the selected rows; callers report that ``x`` and its
-residual.
+nonzero entry there; it is swapped into position ``r`` (but not scaled),
+and the column is cleared from every other row, above and below.  Rows past
+the last pivot must then have zero right-hand side for the system to be
+consistent.  At the end each pivot row has a nonzero entry a in its pivot
+column, none in the other pivot columns, and right-hand side b, so the
+pivot's variable is read off as ``Fraction(b, a)``.  The rule fixes which
+rows are selected, so for an inconsistent system ``x`` solves the subsystem
+of the selected rows; callers report that ``x`` and its residual, which is
+computed from the rows as given.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = ["LinearSolution", "flatten_terms", "gaussian_solve", "solve_keyed"]
@@ -66,6 +82,16 @@ def solve_keyed(
     return gaussian_solve(rows, [rhs.get(key, 0) for key in keys], ncols=len(columns))
 
 
+def _check_exact(v, what: str) -> None:
+    """Refuse anything but an int or a Fraction.
+
+    ``Fraction()`` would take a float at its binary value (0.1 becomes
+    3602879701896397/36028797018963968), so the solver refuses one.
+    """
+    if type(v) is not int and type(v) is not Fraction:
+        raise ValueError(f"{what} {v!r} is not an int or a Fraction")
+
+
 def gaussian_solve(
     rows: Sequence[Sequence[Tuple[int, Fraction]]],
     rhs: Sequence[Fraction],
@@ -73,7 +99,8 @@ def gaussian_solve(
 ) -> LinearSolution:
     """Solve rows @ x = rhs exactly, each row given as (column, value) pairs.
 
-    Columns not named in a row are zero there.  Returns the particular
+    Columns not named in a row are zero there.  Entries and right-hand sides
+    must be ints or Fractions, else ``ValueError``.  Returns the particular
     solution with every free variable set to zero.  When the system is
     inconsistent, ``consistent`` is False and ``x`` still holds the
     least-committal candidate obtained by ignoring the violated equations,
@@ -83,16 +110,27 @@ def gaussian_solve(
     if len(rhs) != m:
         raise ValueError("matrix/right-hand-side size mismatch")
     original: List[Dict[int, Fraction]] = []
+    a: List[Dict[int, int]] = []
+    b: List[int] = []
     col_rows: List[Set[int]] = [set() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        entries = {j: Fraction(v) for j, v in row if v}
+    for i, (row, rv) in enumerate(zip(rows, rhs)):
+        entries = {}
+        for j, v in row:
+            _check_exact(v, "entry")
+            if v:
+                if not 0 <= j < ncols:
+                    raise ValueError(f"column {j} outside a {ncols}-column system")
+                entries[j] = v
         original.append(entries)
+        _check_exact(rv, "right-hand side")
+        den = rv.denominator
+        for v in entries.values():
+            if den % v.denominator:
+                den = lcm(den, v.denominator)
+        a.append({j: v.numerator * (den // v.denominator) for j, v in entries.items()})
+        b.append(rv.numerator * (den // rv.denominator))
         for j in entries:
-            if not 0 <= j < ncols:
-                raise ValueError(f"column {j} outside a {ncols}-column system")
             col_rows[j].add(i)
-    a = [dict(entries) for entries in original]
-    b = [Fraction(v) for v in rhs]
 
     # order[pos] is the row id at position pos; where[id] is its position
     order = list(range(m))
@@ -110,31 +148,44 @@ def gaussian_solve(
         order[r], order[pos] = p, q
         where[p], where[q] = r, pos
 
-        inv = 1 / a[p][col]
-        prow = {j: v * inv for j, v in a[p].items()}
-        a[p] = prow
-        bp = b[p] = b[p] * inv
+        prow = a[p]
+        pv = prow[col]
+        rest = [(j, v) for j, v in prow.items() if j != col]
+        bp = b[p]
         targets = col_rows[col]
         col_rows[col] = {p}
         for i in targets:
             if i == p:
                 continue
+            # row ← s·row − t·prow with s/t = pv/f in lowest terms, s > 0
             row = a[i]
-            f = row[col]
-            for j, v in prow.items():
+            f = row.pop(col)
+            g = gcd(pv, f)
+            if pv < 0:
+                g = -g
+            s, t = pv // g, f // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
+            for j, v in rest:
                 w = row.get(j)
                 if w is None:
-                    row[j] = -f * v
+                    row[j] = -t * v
                     col_rows[j].add(i)
                 else:
-                    w -= f * v
+                    w -= t * v
                     if w:
                         row[j] = w
                     else:
                         del row[j]
                         col_rows[j].discard(i)
-            if bp:
-                b[i] -= f * bp
+            bi = s * b[i] - t * bp
+            g = gcd(bi, *row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+                bi //= g
+            b[i] = bi
         pivots.append((col, p))
         r += 1
 
@@ -142,12 +193,13 @@ def gaussian_solve(
     x = [Fraction(0)] * ncols
     nonzero: Dict[int, Fraction] = {}
     for col, p in pivots:
-        x[col] = b[p]
         if b[p]:
-            nonzero[col] = b[p]
+            x[col] = nonzero[col] = Fraction(b[p], a[p][col])
 
-    residual = [
-        rv - sum((v * nonzero[j] for j, v in entries.items() if j in nonzero), Fraction(0))
-        for entries, rv in zip(original, rhs)
-    ]
+    residual: List[Fraction] = []
+    for entries, rv in zip(original, rhs):
+        for j, v in entries.items():
+            if j in nonzero:
+                rv -= v * nonzero[j]
+        residual.append(rv if type(rv) is Fraction else Fraction(rv))
     return LinearSolution(consistent=consistent, x=x, rank=r, residual=residual)

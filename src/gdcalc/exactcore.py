@@ -36,6 +36,7 @@ __all__ = [
     "Poly",
     "VarContext",
     "add_term_into",
+    "exact_scalar",
     "format_rat",
     "grlex_key",
     "koszul_sign",
@@ -79,7 +80,7 @@ def poly_zero() -> Poly:
 
 
 def poly_const(n: int, c) -> Poly:
-    c = _exact(c)
+    c = exact_scalar(c)
     if c == 0:
         return {}
     return {(0,) * n: c}
@@ -94,7 +95,7 @@ def poly_var(n: int, i: int) -> Poly:
     return {tuple(e): Fraction(1)}
 
 
-def _exact(c) -> Fraction:
+def exact_scalar(c) -> Fraction:
     """c as a Fraction; ValueError unless c is an int or a Fraction.
 
     Fraction() would store a float as its binary value (0.1 becomes
@@ -109,7 +110,7 @@ def poly_exact(p: Mapping[Exponents, object]) -> Poly:
     """A fresh copy of p with Fraction coefficients and no zeros; floats are refused."""
     out: Poly = {}
     for e, c in p.items():
-        c = _exact(c)
+        c = exact_scalar(c)
         if c:
             out[e] = c
     return out
@@ -122,7 +123,7 @@ def poly_from_terms(n: int, terms: Iterable[Tuple[object, Exponents]]) -> Poly:
     """
     out: Poly = {}
     for c, exps in terms:
-        c = _exact(c)
+        c = exact_scalar(c)
         exps = tuple(exps)
         if len(exps) != n:
             raise ValueError(f"exponent tuple {exps!r} has wrong length (n={n})")
@@ -172,7 +173,8 @@ def poly_sub(p: Poly, q: Poly) -> Poly:
 
 
 def poly_scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
+    """c·p; c must be an int or a Fraction, else ``ValueError``."""
+    c = exact_scalar(c)
     if c == 0:
         return {}
     if c == 1:

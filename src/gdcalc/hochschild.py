@@ -39,8 +39,16 @@ block sign, already multiplied into the derived coefficient; the last block
 is multiplied straight into the output map by ``exactcore.mul_into``.  So a
 product term costs one int multiplication, plus one addition when it lands
 on a monomial already present.  The bracket calls the kernel twice into one
-map, the second time with the sign of ``E{D}`` folded in.  The primitive
-search hands its keyed columns to ``_linalg.solve_keyed``.
+map, the second time with the sign of ``E{D}`` folded in.
+
+The primitive search builds its columns directly.  δ never touches a
+coefficient, so the image of the candidate x^m·∂^{β₁}⊗…⊗∂^{β_k} is the
+image of ∂^{β₁}⊗…⊗∂^{β_k} with the monomial m attached to every key.  It
+computes one int image per slot-order tuple with ``hoch_delta``'s kernel,
+``_delta_into``, and fans it out over the monomials as keyed columns for
+``_linalg.solve_keyed``; the candidate is built from the nonzero solution
+entries.  The target is checked once, and the residual is
+T − ``hoch_delta``(candidate).
 """
 from __future__ import annotations
 
@@ -58,6 +66,7 @@ from .exactcore import (
     Poly,
     VarContext,
     add_term_into,
+    exact_scalar,
     monomials_upto,
     mul_into,
     poly_add,
@@ -228,7 +237,8 @@ def mdo_sub(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
 
 
 def mdo_scale(a: MultiDiffOp, c) -> MultiDiffOp:
-    c = Fraction(c)
+    """c·a; c must be an int or a Fraction, else ``ValueError``."""
+    c = exact_scalar(c)
     if c == 0:
         return mdo_zero(a.ctx, a.arity)
     return MultiDiffOp(a.ctx, a.arity, {o: poly_scale(p, c) for o, p in a.terms.items()})
@@ -297,6 +307,21 @@ def _binomial_splits(beta: Exponents) -> Tuple[Tuple[Exponents, Exponents, int],
     return tuple(out)
 
 
+def _delta_into(
+    out: Dict[Orders, Poly], terms: Dict[Orders, Poly], arity: int, zero: Exponents
+) -> None:
+    """Add δ of the given terms of one arity into out, unchecked."""
+    end_sign = -1 if (arity + 1) % 2 else 1
+    for orders, c in terms.items():
+        add_term_into(out, (zero,) + orders, c)
+        add_term_into(out, orders + (zero,), c, end_sign)
+        for i in range(1, arity + 1):
+            head, tail = orders[: i - 1], orders[i:]
+            sign = -1 if i % 2 else 1
+            for gamma, rest, mult in _binomial_splits(orders[i - 1]):
+                add_term_into(out, head + (gamma, rest) + tail, c, sign * mult)
+
+
 def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
     """Simplicial differential: multiply in front, split each slot, multiply behind.
 
@@ -305,19 +330,9 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
     with the slot splits expanded through the product rule.
     """
     den = _check_op(D)
-    k = D.arity
-    zero = (0,) * D.ctx.n
-    end_sign = -1 if (k + 1) % 2 else 1
     out: Dict[Orders, Poly] = {}
-    for orders, c in _numerators(D, den).terms.items():
-        add_term_into(out, (zero,) + orders, c)
-        add_term_into(out, orders + (zero,), c, end_sign)
-        for i in range(1, k + 1):
-            head, tail = orders[: i - 1], orders[i:]
-            sign = -1 if i % 2 else 1
-            for gamma, rest, mult in _binomial_splits(orders[i - 1]):
-                add_term_into(out, head + (gamma, rest) + tail, c, sign * mult)
-    return _over(D.ctx, k + 1, out, den)
+    _delta_into(out, _numerators(D, den).terms, D.arity, (0,) * D.ctx.n)
+    return _over(D.ctx, D.arity + 1, out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +527,6 @@ class PrimitiveResult:
     rank: int
 
 
-def _candidate_basis(
-    ctx: VarContext, arity: int, poly_degree: int, op_order: int
-) -> List[MultiDiffOp]:
-    multiindices = list(monomials_upto(ctx.n, op_order))
-    monos = list(monomials_upto(ctx.n, poly_degree))
-    basis = []
-    for orders in itertools.product(multiindices, repeat=arity):
-        for mono in monos:
-            basis.append(
-                mdo_make(ctx, arity, [(tuple(orders), poly_from_terms(ctx.n, [(1, mono)]))])
-            )
-    return basis
-
-
 def delta_primitive(
     T: MultiDiffOp, *, poly_degree: int, op_order: int
 ) -> PrimitiveResult:
@@ -543,17 +544,29 @@ def delta_primitive(
         )
     if T.arity == 0:
         raise ValueError("0-ary cochains have no primitive space")
+    _check_op(T)
     ctx = T.ctx
-    basis = _candidate_basis(ctx, T.arity - 1, poly_degree, op_order)
-    images = [hoch_delta(b) for b in basis]
+    zero = (0,) * ctx.n
+    monos = list(monomials_upto(ctx.n, poly_degree))
+    one = {zero: 1}
+    # δ leaves coefficients alone: the image of x^mono·∂^orders is that of
+    # ∂^orders with mono attached to every key, one image per orders tuple
+    basis: List[Tuple[Orders, Exponents]] = []
+    columns: List[Dict[Tuple[Orders, Exponents], int]] = []
+    for orders in itertools.product(monomials_upto(ctx.n, op_order), repeat=T.arity - 1):
+        image: Dict[Orders, Poly] = {}
+        _delta_into(image, {orders: one}, T.arity - 1, zero)
+        for mono in monos:
+            basis.append((orders, mono))
+            columns.append({(key, mono): p[zero] for key, p in image.items()})
 
-    res = solve_keyed([flatten_terms(img.terms) for img in images], flatten_terms(T.terms))
+    res = solve_keyed(columns, flatten_terms(T.terms))
     acc: Dict[Orders, Poly] = {}
-    for coeff, b in zip(res.x, basis):
-        for orders, p in b.terms.items():
-            add_term_into(acc, orders, p, coeff)
+    for (orders, mono), coeff in zip(basis, res.x):
+        if coeff:
+            acc.setdefault(orders, {})[mono] = coeff
     candidate = MultiDiffOp(ctx, T.arity - 1, acc)
-    residual = mdo_sub(T, hoch_delta(candidate))
+    residual = _combine(T, hoch_delta(candidate), -1)
     found = res.consistent
     return PrimitiveResult(
         found=found,

@@ -37,6 +37,7 @@ from .exactcore import (
     Poly,
     VarContext,
     add_term_into,
+    exact_scalar,
     monomials_upto,
     partial_derive,
     poly_exact,
@@ -178,7 +179,8 @@ def mv_sub(a: PolyVector, b: PolyVector) -> PolyVector:
 
 
 def mv_scale(a: PolyVector, c) -> PolyVector:
-    c = Fraction(c)
+    """c·a; c must be an int or a Fraction, else ``ValueError``."""
+    c = exact_scalar(c)
     if c == 0:
         return mv_zero(a.ctx)
     return PolyVector(a.ctx, {f: poly_scale(p, c) for f, p in a.terms.items()})

@@ -5,10 +5,10 @@ The parent revisions' ``mv_make``, ``form_make``, ``wedge_mv``,
 the ``Cochain`` evaluator with the ``phi`` kernel and the structure cochain
 (``chevalley``), ``defect_series``, ``mc_solve``, ``_solve_mv_equation``,
 ``gauge_flow`` and ``gauge_equivalent`` (``deform``) and
-``delta_primitive`` with its dense system assembly (``hochschild``), kept
-verbatim with the helpers they call.  The one change is that the deform
-routines contract with this module's own ``phi(S.H, 3)``, since a
-``TwistedStructure`` carries only its form.  Every sum goes through
+``delta_primitive`` with its candidate basis and dense system assembly
+(``hochschild``), kept verbatim with the helpers they call.  The one
+change is that the deform routines contract with this module's own
+``phi(S.H, 3)``, since a ``TwistedStructure`` carries only its form.  Every sum goes through
 ``mv_make``/``poly_add`` copies, and the linear systems are dense ``m×n``
 lists solved by the dense oracle of ``_dense_gauss`` (the solver those
 lists were written for).  Slow and test-only: ``tests/test_polyvec_oracle.py``
@@ -37,8 +37,10 @@ from gdcalc.exactcore import (
     add_term_into as _add_term,
     grlex_key,
     koszul_sign,
+    monomials_upto,
     partial_derive,
     poly_add,
+    poly_from_terms,
     poly_is_zero,
     poly_mul,
     poly_neg,
@@ -48,8 +50,8 @@ from gdcalc.hochschild import (
     MultiDiffOp,
     Orders,
     PrimitiveResult,
-    _candidate_basis,
     hoch_delta,
+    mdo_make,
     mdo_sub,
 )
 from gdcalc.polyvec import (
@@ -689,6 +691,20 @@ def gauge_equivalent(
 
 # ---------------------------------------------------------------------------
 # hochschild
+
+
+def _candidate_basis(
+    ctx: VarContext, arity: int, poly_degree: int, op_order: int
+) -> List[MultiDiffOp]:
+    multiindices = list(monomials_upto(ctx.n, op_order))
+    monos = list(monomials_upto(ctx.n, poly_degree))
+    basis = []
+    for orders in itertools.product(multiindices, repeat=arity):
+        for mono in monos:
+            basis.append(
+                mdo_make(ctx, arity, [(tuple(orders), poly_from_terms(ctx.n, [(1, mono)]))])
+            )
+    return basis
 
 
 def delta_primitive(

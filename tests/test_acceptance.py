@@ -336,7 +336,7 @@ def test_criterion_5_formality_shadow(capsys):
             if mv_is_zero(br):
                 defect = gb
             else:
-                s = (-1) ** ((mv_homogeneous_degree(a) - 1) * (mv_homogeneous_degree(b) - 1))
+                s = -1 if ((mv_homogeneous_degree(a) - 1) * (mv_homogeneous_degree(b) - 1)) % 2 else 1
                 defect = mdo_sub(gb, mdo_scale(hkr(br), s))
             if defect.arity == 0:
                 assert mdo_is_zero(defect), (a.terms, b.terms)

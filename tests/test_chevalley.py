@@ -72,7 +72,7 @@ def sch_m(a, b):
     if mv_is_zero(a):
         return a
     da = mv_homogeneous_degree(a)
-    return mv_scale(schouten(a, b), (-1) ** (da - 1))
+    return mv_scale(schouten(a, b), -1 if (da - 1) % 2 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,14 @@ def test_poly_from_terms_refuses_inexact_coefficients(c):
         poly_from_terms(2, [(1, (1, 0)), (c, (0, 0))])
 
 
+@pytest.mark.parametrize("c", [0.1, 0.0, "1/2"])
+def test_poly_scale_refuses_inexact_scalars(c):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        poly_scale({(0, 0): Fraction(1)}, c)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        poly_scale({}, c)
+
+
 def test_canonical_form_drops_zero_terms():
     p = poly_from_terms(1, [(1, (2,)), (-1, (2,))])
     assert p == {}

@@ -98,6 +98,14 @@ def test_inexact_coefficient_rejected_at_construction(c):
         mdo_make(CTX2, 1, [(((1, 0),), {(0, 1): 1, (0, 0): c})])
 
 
+@pytest.mark.parametrize("c", [0.1, 0.0, "1/2"])
+def test_mdo_scale_refuses_inexact_scalars(c):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        mdo_scale(DXX, c)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        mdo_scale(mdo_zero(CTX2, 1), c)
+
+
 # operators built directly, bypassing mdo_make's per-term check
 MALFORMED = {
     "short-multi-index": MultiDiffOp(CTX2, 1, {((1,),): ONE2}),

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _dense_gauss import solve_dense
-from gdcalc._linalg import gaussian_solve
+from gdcalc._linalg import gaussian_solve, solve_keyed
 
 
 def matmul(rows, x):
@@ -84,3 +84,16 @@ def test_zero_pairs_are_skipped():
     assert res.consistent
     assert res.x == [Fraction(0), Fraction(2)]
     assert res.rank == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, "1/2", True])
+def test_inexact_entries_are_refused(bad):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        gaussian_solve([[(0, bad)]], [1], 1)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        gaussian_solve([[(0, 1)]], [bad], 1)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        solve_keyed([{"a": bad}], {"a": 1})
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        solve_keyed([{"a": 1}], {"a": bad})

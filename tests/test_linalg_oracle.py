@@ -119,6 +119,28 @@ def test_seeded_larger_sparse_systems():
     assert inconsistent > 0
 
 
+def test_seeded_rational_pivots():
+    """No entry is ±1, so every elimination step cross-multiplies two rows and
+    the common factors that it leaves behind are divided out."""
+    rng = random.Random(20261)
+    vals = [2, -3, 4, 6, -9, Fraction(2, 3), Fraction(-5, 4), Fraction(7, 6), Fraction(3, 10)]
+    fractional = inconsistent = 0
+    for _ in range(40):
+        m, n = rng.randint(2, 18), rng.randint(2, 18)
+        density = rng.choice([0.2, 0.4, 0.7])
+        rows = [[rng.choice(vals) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        x0 = [rng.choice(vals) if rng.random() < 0.6 else 0 for _ in range(n)]
+        rhs = [sum(v * xj for v, xj in zip(row, x0)) for row in rows]
+        if rng.random() < 0.4:
+            i = rng.randrange(m)
+            rows.append([2 * v for v in rows[i]])
+            rhs.append(2 * rhs[i] + rng.choice(vals))
+        res = assert_same(rows, rhs)
+        fractional += any(v.denominator > 1 for v in res.x)
+        inconsistent += not res.consistent
+    assert fractional > 0 and inconsistent > 0
+
+
 @given(st.integers(min_value=0, max_value=6), st.data())
 @settings(max_examples=100, deadline=None)
 def test_keyed_columns_match_dense_assembly(ncols, data):

@@ -63,6 +63,14 @@ def test_make_refuses_inexact_coefficients(make, c):
         make(CTX2, [((0,), {(1, 0): Fraction(1, 2), (0, 0): c})])
 
 
+@pytest.mark.parametrize("c", [0.1, 0.0, "1/2"])
+def test_mv_scale_refuses_inexact_scalars(c):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        mv_scale(mv_frame(CTX2, (0,)), c)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        mv_scale(mv_zero(CTX2), c)
+
+
 # ---------------------------------------------------------------------------
 # wedge
 

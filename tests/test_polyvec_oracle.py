@@ -34,7 +34,7 @@ from gdcalc.deform import (
     series_make,
 )
 from gdcalc.exactcore import VarContext
-from gdcalc.hochschild import delta_primitive, hkr, hoch_delta, mdo_make
+from gdcalc.hochschild import delta_primitive, hkr, hoch_delta, mdo_add, mdo_make
 from gdcalc.polyvec import (
     PolyVector,
     basis_multivectors,
@@ -520,10 +520,22 @@ def test_delta_primitive_matches_dense_reference():
     ctx2 = CTXS[2]
     bivector = mv_make(ctx2, [((0, 1), {(0, 0): 1})])
     op = mdo_make(ctx2, 1, [(((1, 0),), {(1, 1): Fraction(2, 3)}), (((0, 2),), {(0, 0): -1})])
+    # arity 2 with coefficients 3/4 and -5/7, and an arity-3 class over
+    # three variables whose hkr coefficient is (2/3)/3! = 1/9
+    op2 = mdo_make(ctx2, 2, [
+        (((1, 0), (0, 1)), {(1, 0): Fraction(3, 4)}),
+        (((0, 0), (1, 0)), {(0, 1): Fraction(-5, 7), (0, 0): 2}),
+    ])
+    ctx3 = CTXS[3]
+    trivector = hkr(mv_make(ctx3, [((0, 1, 2), {(1, 0, 0): Fraction(2, 3)})]))
+    op3 = mdo_make(ctx3, 2, [(((0, 1, 0), (0, 0, 1)), {(0, 1, 0): Fraction(-7, 5)})])
     cases = [
         (hkr(bivector), 2, 2),  # not exact: an inconsistent system
         (hoch_delta(op), 2, 2),  # exact by construction
         (hoch_delta(op), 1, 1),  # exact, but outside these bounds
+        (hoch_delta(op2), 1, 1),  # arity 3, exact within the bounds
+        (hoch_delta(op2), 1, 0),  # arity 3, exact, but outside these bounds
+        (mdo_add(trivector, hoch_delta(op3)), 1, 1),  # arity 3, not exact
     ]
     for T, poly_degree, op_order in cases:
         got = delta_primitive(T, poly_degree=poly_degree, op_order=op_order)
@@ -532,5 +544,8 @@ def test_delta_primitive_matches_dense_reference():
     assert [delta_primitive(T, poly_degree=p, op_order=o).found for T, p, o in cases] == [
         False,
         True,
+        False,
+        True,
+        False,
         False,
     ]
