@@ -5,28 +5,27 @@ violation, twisted-check false, no primitive, not gauge-equivalent),
 2 malformed input (parse or schema error; message names the line) or a
 refused bound (negative, or a sweep that would check nothing).
 All successful outputs are byte-deterministic for fixed inputs.
+
+Imports follow the commands.  Without a bytecode cache every process
+compiles each module it imports, and that compile time is most of a
+small command's run, so this module loads at import only what every
+command uses: ``docfmt``, ``exactcore``, ``polyvec`` and ``_fastterms``.
+Each handler imports the rest of what it calls at the top of its body:
+``phi-eval`` loads ``chevalley``; ``twisted-check`` loads ``twistcheck``;
+``mc-defect``, ``defect-series``, ``mc-solve``, ``gauge`` and
+``gauge-equiv`` load ``deform`` (with ``twistcheck`` and ``_linalg``);
+``hoch`` loads ``hochschild`` (with ``_linalg``); ``lemma-check`` and
+``linfty-check`` load ``_fastsweep``; ``verify`` loads ``suites`` and
+through it everything.  ``json`` is loaded only for ``--emit json``.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .. import _fastsweep as fs
-from ..chevalley import m_value, phi_value
-from ..deform import GaugeParam, defect_series, gauge_equivalent, gauge_flow, mc_solve, series_make
 from ..exactcore import VarContext, poly_add
-from ..hochschild import (
-    brace,
-    cup,
-    delta_primitive,
-    gerstenhaber,
-    hkr,
-    hoch_delta,
-    i_func_hoch,
-)
 from ..polyvec import (
     contract,
     d_form,
@@ -36,8 +35,6 @@ from ..polyvec import (
     schouten,
     wedge_mv,
 )
-from ..twistcheck import NotClosedError, make_twisted, mc_defect
-from . import suites
 from .docfmt import (
     CochainSpec,
     Document,
@@ -50,6 +47,9 @@ from .docfmt import (
     parse_document,
     serialize_document,
 )
+
+if TYPE_CHECKING:
+    from .._fastsweep import CheckReport
 
 __all__ = ["main"]
 
@@ -88,6 +88,12 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
+def _emit_json(payload: dict) -> None:
+    import json
+
+    _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def _term_count(v) -> int:
     return sum(len(p) for p in v.terms.values())
 
@@ -103,6 +109,8 @@ def _problem_fields(doc: Document, path: str, names: Sequence[str]) -> Dict[str,
 
 
 def _make_twisted_checked(form_doc: Document, path: str):
+    from ..twistcheck import NotClosedError, make_twisted
+
     try:
         return make_twisted(form_doc.payload)
     except NotClosedError as exc:
@@ -179,6 +187,8 @@ def cmd_ia(args) -> int:
 
 
 def cmd_phi_eval(args) -> int:
+    from ..chevalley import m_value, phi_value
+
     spec_doc = _read_doc(args.spec)
     if spec_doc.kind == "form":
         spec = CochainSpec("phi", len(args.multivectors), spec_doc.payload)
@@ -211,7 +221,7 @@ def cmd_phi_eval(args) -> int:
 
 
 def _render_checks(
-    title: str, reports: List[fs.CheckReport], emit: str, bounds: str
+    title: str, reports: List[CheckReport], emit: str, bounds: str
 ) -> int:
     """Print the sweep reports; a sweep that checked nothing is refused, not passed."""
     for r in reports:
@@ -234,7 +244,7 @@ def _render_checks(
             ],
             "result": "PASS" if not failed else "FAIL",
         }
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit_json(payload)
     else:
         lines = [f"{title} report"]
         for r in reports:
@@ -250,6 +260,12 @@ def _render_checks(
 
 
 def cmd_lemma_check(args) -> int:
+    from .._fastsweep import (
+        lemma_bracket_vanishes,
+        lemma_differential,
+        lemma_pairing_on_vectors,
+    )
+
     n = args.dim
     if n < 1:
         raise _CliError("--dim must be at least 1")
@@ -257,27 +273,32 @@ def cmd_lemma_check(args) -> int:
     deg = args.bounds_degree
     fmax = min(3, n)
     reports = [
-        fs.lemma_differential(ctx, form_degree_max=fmax, coeff_degree=deg),
-        fs.lemma_bracket_vanishes(
+        lemma_differential(ctx, form_degree_max=fmax, coeff_degree=deg),
+        lemma_bracket_vanishes(
             ctx, form_degree_max=fmax, coeff_degree=deg if n <= 3 else 0
         ),
-        fs.lemma_pairing_on_vectors(ctx, coeff_degree=deg),
+        lemma_pairing_on_vectors(ctx, coeff_degree=deg),
     ]
     bounds = f"--dim {n} --bounds-degree {deg}"
     return _render_checks("lemma-check", reports, args.emit, bounds)
 
 
 def cmd_linfty_check(args) -> int:
+    from .._fastsweep import linfty_jacobi, linfty_mixed, linfty_ternary
+
     h = _want(_read_doc(args.form), "form", args.form)
+    degrees = sorted({len(frame) for frame in h.payload.terms})
+    if degrees not in ([], [3]):
+        raise _CliError(
+            f"{args.form}: linfty-check takes a 3-form, found terms of degree "
+            + ", ".join(str(k) for k in degrees)
+        )
     c = args.bounds_degree
-    try:
-        reports = [
-            fs.linfty_jacobi(h.ctx, h.payload, poly_degree=min(2, c)),
-            fs.linfty_mixed(h.ctx, h.payload, poly_degree=min(1, c)),
-            fs.linfty_ternary(h.ctx, h.payload, poly_degree=min(0, c)),
-        ]
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    reports = [
+        linfty_jacobi(h.ctx, h.payload, poly_degree=min(2, c)),
+        linfty_mixed(h.ctx, h.payload, poly_degree=min(1, c)),
+        linfty_ternary(h.ctx, h.payload, poly_degree=min(0, c)),
+    ]
     return _render_checks("linfty-check", reports, args.emit, f"--bounds-degree {c}")
 
 
@@ -295,6 +316,8 @@ def _twisted_inputs(args) -> tuple:
 
 
 def cmd_twisted_check(args) -> int:
+    from ..twistcheck import mc_defect
+
     h_doc, pi_doc, path = _twisted_inputs(args)
     s = _make_twisted_checked(h_doc, path)
     try:
@@ -309,7 +332,7 @@ def cmd_twisted_check(args) -> int:
             "twisted_poisson": ok,
             "defect_terms": terms,
         }
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit_json(payload)
     else:
         _emit(
             "twisted-check report\n"
@@ -328,6 +351,8 @@ def _series_problem(args, field: str) -> tuple:
 
 
 def cmd_mc_defect(args) -> int:
+    from ..deform import defect_series
+
     doc, h_doc, s_doc = _series_problem(args, "series")
     s = _make_twisted_checked(h_doc, args.problem)
     try:
@@ -343,7 +368,7 @@ def cmd_mc_defect(args) -> int:
             "order_terms": {str(k): v for k, v in counts.items()},
             "zero": all_zero,
         }
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit_json(payload)
     else:
         lines = ["mc-defect report", f"truncation {s_doc.payload.ring.truncation}"]
         for k, v in counts.items():
@@ -354,6 +379,8 @@ def cmd_mc_defect(args) -> int:
 
 
 def cmd_defect_series(args) -> int:
+    from ..deform import defect_series, series_make
+
     doc, h_doc, s_doc = _series_problem(args, "series")
     s = _make_twisted_checked(h_doc, args.problem)
     try:
@@ -366,6 +393,8 @@ def cmd_defect_series(args) -> int:
 
 
 def cmd_mc_solve(args) -> int:
+    from ..deform import defect_series, mc_solve
+
     doc = _read_doc(args.problem)
     f = _problem_fields(doc, args.problem, ("h", "pi1"))
     h_doc = _want(f["h"], "form", args.problem)
@@ -387,7 +416,7 @@ def cmd_mc_solve(args) -> int:
                 "residual_terms": {str(k): v for k, v in counts.items()},
                 "solution": sol_text,
             }
-            _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            _emit_json(payload)
         else:
             lines = ["mc-solve report", f"status {rep.status}", f"poly-degree {rep.poly_degree}"]
             for k, v in counts.items():
@@ -405,7 +434,7 @@ def cmd_mc_solve(args) -> int:
             "residual_terms": {str(rep.order): _term_count(rep.residual)},
             "residual": res_doc,
         }
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit_json(payload)
     else:
         lines = [
             "mc-solve report",
@@ -420,6 +449,8 @@ def cmd_mc_solve(args) -> int:
 
 
 def cmd_gauge(args) -> int:
+    from ..deform import GaugeParam, gauge_flow
+
     doc = _read_doc(args.problem)
     f = _problem_fields(doc, args.problem, ("h", "series", "xi"))
     h_doc = _want(f["h"], "form", args.problem)
@@ -438,6 +469,8 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_gauge_equiv(args) -> int:
+    from ..deform import gauge_equivalent, series_make
+
     doc = _read_doc(args.problem)
     f = _problem_fields(doc, args.problem, ("a", "b", "h"))
     h_doc = _want(f["h"], "form", args.problem)
@@ -461,7 +494,7 @@ def cmd_gauge_equiv(args) -> int:
             "poly_degree": rep.poly_degree,
             "witness": wit_text,
         }
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit_json(payload)
     else:
         lines = ["gauge-equiv report", f"equivalent {str(rep.equivalent).lower()}"]
         if wit_text is not None:
@@ -481,6 +514,16 @@ def _read_mdo(path: str):
 
 
 def cmd_hoch(args) -> int:
+    from ..hochschild import (
+        brace,
+        cup,
+        delta_primitive,
+        gerstenhaber,
+        hkr,
+        hoch_delta,
+        i_func_hoch,
+    )
+
     sub = args.hoch_cmd
     if sub == "delta":
         d = _read_mdo(args.files[0])
@@ -512,7 +555,11 @@ def cmd_hoch(args) -> int:
         return 0
     if sub == "hkr":
         v = _want(_read_doc(args.files[0]), "multivector", args.files[0])
-        _emit(serialize_document(doc_multidiffop(hkr(v.payload))))
+        try:
+            got = hkr(v.payload)
+        except ValueError as exc:
+            raise _CliError(f"{args.files[0]}: {exc}") from None
+        _emit(serialize_document(doc_multidiffop(got)))
         return 0
     if sub == "primitive":
         d = _read_mdo(args.files[0])
@@ -532,7 +579,7 @@ def cmd_hoch(args) -> int:
                 else None,
                 "residual_terms": 0 if res.found else _term_count(res.residual),
             }
-            _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            _emit_json(payload)
         else:
             lines = ["primitive report", f"found {str(res.found).lower()}", f"rank {res.rank}"]
             if res.found:
@@ -550,6 +597,8 @@ def cmd_hoch(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+
     lines = suites.run_verify(args.suite)
     if args.emit == "json":
         _emit(suites.render_json(args.suite, lines))

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..deform import ArtinRing, ArtinSeries, series_make
 from ..exactcore import (
     Exponents,
     Poly,
@@ -51,8 +50,11 @@ from ..exactcore import (
     grlex_key,
     parse_rat,
 )
-from ..hochschild import MultiDiffOp, mdo_make
 from ..polyvec import DiffForm, PolyVector, form_make, mv_make
+
+if TYPE_CHECKING:
+    from ..deform import ArtinSeries
+    from ..hochschild import MultiDiffOp
 
 __all__ = [
     "ParseError",
@@ -72,8 +74,10 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
+# Operator and series payloads name their types as strings: their modules
+# are imported only by the parse functions that build them (see gdcalc.cli).
 Payload = Union[
-    Poly, PolyVector, DiffForm, MultiDiffOp, ArtinSeries, "CochainSpec", "Problem"
+    Poly, PolyVector, DiffForm, "MultiDiffOp", "ArtinSeries", "CochainSpec", "Problem"
 ]
 
 
@@ -236,6 +240,8 @@ def _frame_payload(
 def _parse_mdo_terms(
     lines: _Lines, ctx: VarContext, arity: int, stop: Sequence[str]
 ) -> MultiDiffOp:
+    from ..hochschild import mdo_make
+
     n = ctx.n
     acc: Dict[Tuple[Exponents, ...], Dict[Exponents, Fraction]] = {}
     while True:
@@ -280,6 +286,8 @@ def _parse_mdo_terms(
 
 
 def _parse_series(lines: _Lines, ctx: VarContext, truncation: int) -> ArtinSeries:
+    from ..deform import ArtinRing, series_make
+
     if truncation < 1:
         raise ParseError(lines.last_no, "truncation must be at least 1")
     ring = ArtinRing(truncation)

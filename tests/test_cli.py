@@ -292,13 +292,90 @@ def test_linfty_json_echoes_bounds(tmp_path):
     assert text.endswith("result PASS\n")
 
 
+@pytest.mark.parametrize(
+    "frames",
+    [[(0, 1)], [(0, 1), (0, 1, 2)]],
+    ids=["two-form", "degrees-2-and-3"],
+)
+def test_linfty_refuses_other_degrees_before_sweeping(tmp_path, capsys, monkeypatch, frames):
+    import gdcalc._fastsweep as fs
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the degree check")
+
+    for name in ("linfty_jacobi", "linfty_mixed", "linfty_ternary"):
+        monkeypatch.setattr(fs, name, no_sweep)
+    h = write_doc(tmp_path, "h.gdt", doc_form(form_make(CTX3, [(f, ONE3) for f in frames])))
+    assert main(["linfty-check", h]) == 2
+    out, err = capsys.readouterr()
+    degrees = ", ".join(str(len(f)) for f in frames)
+    assert out == ""
+    assert err == f"error: {h}: linfty-check takes a 3-form, found terms of degree {degrees}\n"
+
+
+def test_hkr_refuses_inhomogeneous_multivector(tmp_path, capsys):
+    v = write_doc(tmp_path, "v.gdt", doc_multivector(mv_make(CTX2, [((0, 1), ONE2), ((0,), X)])))
+    assert main(["hoch", "hkr", v]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {v}: expected a homogeneous multivector field\n"
+
+
+_BASE_MODULES = {
+    "gdcalc", "gdcalc._fastterms", "gdcalc.cli", "gdcalc.cli.docfmt", "gdcalc.exactcore",
+    "gdcalc.polyvec",
+}
+_DEFORM_MODULES = {"gdcalc.deform", "gdcalc.twistcheck", "gdcalc._linalg"}
+
+# What a fresh process has imported of gdcalc after one command (None: no
+# command, just ``import gdcalc.cli``); the argv names corpus files.
+IMPORT_SURFACE = [
+    (None, 0, set()),
+    (["poly", "poly-square.gdt"], 2, set()),
+    (["phi-eval", "phi-spec.gdt"], 2, {"gdcalc.chevalley"}),
+    (["twisted-check", "twisted-true-r3.gdt"], 0, {"gdcalc.twistcheck"}),
+    (["mc-defect", "series-r4.gdt"], 0, _DEFORM_MODULES),
+    (["gauge-equiv", "gauge-pair.gdt"], 0, _DEFORM_MODULES),
+    (["hoch", "delta", "hkr-bivector.gdt"], 0, {"gdcalc.hochschild", "gdcalc._linalg"}),
+    (["lemma-check", "--dim", "1", "--bounds-degree", "0"], 2, {"gdcalc._fastsweep"}),
+]
+
+_PROBE = """
+import contextlib, io, sys
+import gdcalc.cli
+argv = sys.argv[1:]
+code = 0
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = gdcalc.cli.main(argv)
+print(code, "json" in sys.modules, *sorted(m for m in sys.modules if m.startswith("gdcalc")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, extra", IMPORT_SURFACE, ids=[" ".join((a or ["import"])[:2]) for a, _, _ in IMPORT_SURFACE]
+)
+def test_command_imports_only_what_it_runs(argv, code, extra):
+    """Without a bytecode cache each process compiles what it imports."""
+    import importlib.resources as res
+
+    corpus = res.files("gdcalc.corpus")
+    args = [str(corpus / a) if a.endswith(".gdt") else a for a in argv or []]
+    r = subprocess.run([sys.executable, "-c", _PROBE, *args], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    got_code, got_json, *modules = r.stdout.split()
+    assert (int(got_code), got_json) == (code, "False")
+    assert set(modules) == _BASE_MODULES | extra
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys):
     """The parser is built once per process; reusing it must not change any run."""
     import importlib.resources as res
 
     from gdcalc.cli import _build_parser
 
-    poly = str(res.files("gdcalc.corpus") / "poly-square.gdt")
+    corpus = res.files("gdcalc.corpus")
+    poly = str(corpus / "poly-square.gdt")
     runs = [
         ["poly", poly],
         ["lemma-check", "--dim", "two"],  # usage error, SystemExit 2
@@ -306,6 +383,12 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         ["lemma-check", "--dim", "1", "--bounds-degree", "0"],  # refused, exit 2
         ["lemma-check", "--dim", "2", "--bounds-degree", "0"],
         ["hoch", "delta"],  # usage error: missing operand
+        ["poly", poly],
+        # one command from each import group
+        ["hoch", "delta", str(corpus / "hkr-bivector.gdt")],
+        ["twisted-check", str(corpus / "twisted-true-r3.gdt")],
+        ["phi-eval", str(corpus / "phi-spec.gdt")],  # a problem document, exit 2
+        ["gauge-equiv", str(corpus / "gauge-pair.gdt")],
         ["poly", poly],
     ]
     fresh = {}
