@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Where the benchmark's `hochschild` workload spends its time, by identity family.
+
+    PYTHONPATH=src python3 scripts/hoch_costs.py [--seed 1] [--repeat 3]
+
+Builds one seed's `hochschild` tasks as `perfbench/run.py --workload
+hochschild` does (by importing `perfbench/workloads.py`, which it does not
+modify), runs the whole task list `--repeat` times in this process, and
+keeps each task's best wall time.  For each identity family (the task
+name, such as `jacobi-n2` or `contraction-n3`) it prints the task count,
+the number of tasks whose verdict check failed on the first run, and the
+total and median of the best times in ms.  Comparing two checkouts' tables
+shows which identities a change sped up, without a profiler.  The workload
+writes no documents; the `Files` directory it is handed is a temporary one,
+removed at exit.  Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import collections
+import gc
+import os
+import random
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1, help="workload seed, as perfbench/run.py --seed")
+    ap.add_argument("--repeat", type=int, default=3, help="runs of the task list; each task's best is kept")
+    args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    work = tempfile.mkdtemp(prefix="hoch_costs-")
+    try:
+        tasks = workloads.hochschild(random.Random(f"hochschild:{args.seed}"), workloads.Files(work))
+        best = [float("inf")] * len(tasks)
+        failed = [False] * len(tasks)
+        for rep in range(args.repeat):
+            gc.collect()
+            for i, task in enumerate(tasks):
+                t0 = time.perf_counter()
+                out = task.call()
+                best[i] = min(best[i], time.perf_counter() - t0)
+                if rep == 0:
+                    failed[i] = task.check(out) is not None
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    times = collections.defaultdict(list)
+    fails = collections.Counter()
+    for task, dt, bad in zip(tasks, best, failed):
+        times[task.name].append(dt * 1e3)
+        fails[task.name] += bad
+    rows = sorted(times.items(), key=lambda kv: -sum(kv[1]))
+    rows.append(("total", [dt * 1e3 for dt in best]))
+    fails["total"] = sum(failed)
+    print(f"{'family':<28}{'tasks':>6}{'failed':>7}{'total_ms':>10}{'median_ms':>10}")
+    for name, ms in rows:
+        print(f"{name:<28}{len(ms):>6}{fails[name]:>7}{sum(ms):>10.1f}{statistics.median(ms):>10.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

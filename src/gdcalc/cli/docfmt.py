@@ -243,7 +243,7 @@ def _parse_mdo_terms(
     from ..hochschild import mdo_make
 
     n = ctx.n
-    acc: Dict[Tuple[Exponents, ...], Dict[Exponents, Fraction]] = {}
+    terms = []  # mdo_make merges repeated monomials and drops what cancels
     while True:
         row = lines.peek()
         if row is None or row[1][0] in stop:
@@ -275,13 +275,7 @@ def _parse_mdo_terms(
                     no, f"expected {arity} order blocks, got {len(blocks)}"
                 )
             orders = tuple(_exps(b, n, no) for b in blocks)
-        slot = acc.setdefault(orders, {})
-        slot[e] = slot.get(e, Fraction(0)) + coeff
-    terms = []
-    for orders, monos in acc.items():
-        p = _poly_of(monos)
-        if p:
-            terms.append((orders, p))
+        terms.append((orders, {e: coeff}))
     return mdo_make(ctx, arity, terms)
 
 
@@ -442,8 +436,7 @@ def _ser_frame_lines(terms: Dict[Tuple[int, ...], Poly]) -> List[str]:
 
 def _ser_mdo_lines(D: MultiDiffOp) -> List[str]:
     out = []
-    for orders in sorted(D.terms):
-        p = D.terms[orders]
+    for orders, p in sorted(D.terms.items()):  # each orders tuple once, so no dict compares
         blocks = " | ".join(" ".join(str(x) for x in o) for o in orders)
         suffix = f" @ {blocks}" if D.arity else ""
         for e in sorted(p, key=_mono_key):

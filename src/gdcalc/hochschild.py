@@ -11,26 +11,26 @@ expanded with multinomial coefficients of exponent multi-indices), so
 operator identities are checked structurally, not on sample arguments.
 Signs are documented in docs/sign-ledger.md.
 
-Validation happens at the boundary.  ``mdo_make`` is the public constructor
-and checks every term it is given.  The operations (``hoch_delta``,
-``brace``, ``gerstenhaber``, ``cup``, ``mdo_add``/``mdo_sub``) check each
-input operator once on entry (its slot counts, each distinct multi-index,
-the variable count of its coefficients, and that each coefficient is a
-nonzero ``int`` or ``Fraction`` in a nonempty polynomial), so an operator
-built directly as a ``MultiDiffOp`` is refused with ``ValueError`` just the
-same; the terms they produce are well formed by construction and are summed
-in place by the accumulators of ``exactcore`` without a second check.
-``gerstenhaber`` checks each operand once, not once per brace.
+An operator stores one coefficient form: int numerators over one positive
+common denominator, which need not be the least.  Reading ``terms`` builds
+the map {slot orders: coefficient polynomial} with reduced ``Fraction``
+coefficients and no stored zeros, fresh on every read.  ``mdo_make`` checks
+every term it is given and returns the int form.  An operator built directly
+as ``MultiDiffOp(ctx, arity, terms)`` keeps that map unchecked until its
+first use: then ``_check_op`` checks its slot counts, each distinct
+multi-index, the variable count of every coefficient monomial, and that
+each coefficient is a nonzero ``int`` or ``Fraction`` in a nonempty
+polynomial, refusing a malformed operator with ``ValueError``, and the map
+is replaced by its int form.  Every public function that takes an operator
+goes through that first-use step, and no operator is checked again after it.
 
-The producers (``hoch_delta``, ``brace``, ``gerstenhaber``, ``cup`` and
-``hkr``) compute on integer numerators.  The walk that checks an operand
-also takes the lcm d of its coefficient denominators (``hkr`` takes it over
-the field's coefficients); the kernels run on
-the copy with coefficients multiplied by d, all ints, and each output
-coefficient is divided once by the product of the operands' d (times k! for
-``hkr``), as a reduced ``Fraction``.  So the kernels make no ``Fraction``
-arithmetic, and the results keep the representation of every other
-operator: reduced ``Fraction`` coefficients and no stored zeros.
+The producers (``hoch_delta``, ``brace``, ``gerstenhaber``, ``cup``,
+``hkr``, ``mdo_add``/``mdo_sub``, ``mdo_neg``, ``mdo_scale`` and
+``delta_primitive``) compute on the numerators and return their kernels'
+int output with its denominator: the product of the operands'
+denominators, their lcm for a sum, q times it for a scale by p/q, and the
+field's lcm times k! for ``hkr``.  So chained operations make no
+``Fraction`` arithmetic at all.
 
 A brace is one fused kernel, ``_brace_into``.  The insertion options of an
 operator into a slot of order β are computed once per call and block, with
@@ -46,9 +46,9 @@ coefficient, so the image of the candidate x^m·∂^{β₁}⊗…⊗∂^{β_k} i
 image of ∂^{β₁}⊗…⊗∂^{β_k} with the monomial m attached to every key.  It
 computes one int image per slot-order tuple with ``hoch_delta``'s kernel,
 ``_delta_into``, and fans it out over the monomials as keyed columns for
-``_linalg.solve_keyed``; the candidate is built from the nonzero solution
-entries.  The target is checked once, and the residual is
-T − ``hoch_delta``(candidate).
+``_linalg.solve_keyed``.  The right-hand side is the target's numerators,
+so the candidate is the nonzero solution entries over the target's
+denominator, and the residual is T − ``hoch_delta``(candidate).
 """
 from __future__ import annotations
 
@@ -74,8 +74,6 @@ from .exactcore import (
     poly_from_terms,
     poly_is_zero,
     poly_mul,
-    poly_neg,
-    poly_scale,
 )
 from .polyvec import PolyVector, mv_homogeneous_degree, mv_is_zero
 
@@ -106,13 +104,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MultiDiffOp:
-    """Sum of terms coeff(x)·∂^{orders[0]}⊗…⊗∂^{orders[arity-1]}."""
+    """Sum of terms coeff(x)·∂^{orders[0]}⊗…⊗∂^{orders[arity-1]}; ``terms`` is
+    read-only, and the map given here is checked on first use."""
 
-    ctx: VarContext
-    arity: int
-    terms: Dict[Orders, Poly]
+    __slots__ = ("ctx", "arity", "_nums", "_den")
+
+    def __init__(self, ctx: VarContext, arity: int, terms: Dict[Orders, Poly]):
+        # a zero denominator marks a map not yet checked
+        self.ctx, self.arity, self._nums, self._den = ctx, arity, terms, 0
+
+    @property
+    def terms(self) -> Dict[Orders, Poly]:
+        nums, den = _ints(self)
+        return {o: {e: Fraction(v, den) for e, v in p.items()} for o, p in nums.items()}
+
+    def __eq__(self, other):
+        return mdo_eq(self, other) if isinstance(other, MultiDiffOp) else NotImplemented
+
+    def __repr__(self) -> str:
+        terms = self.terms if self._den else self._nums
+        return f"MultiDiffOp({self.ctx!r}, {self.arity!r}, {terms!r})"
+
+
+def _op(ctx: VarContext, arity: int, nums: Dict[Orders, Poly], den: int) -> MultiDiffOp:
+    """The operator with int numerators nums over den, well formed by construction."""
+    D = MultiDiffOp(ctx, arity, nums)
+    D._den = den
+    return D
+
+
+def _ints(D: MultiDiffOp) -> Tuple[Dict[Orders, Poly], int]:
+    """D's int numerators and denominator; checks and converts an unchecked map."""
+    if not D._den:
+        den = _check_op(D)
+        D._nums, D._den = {o: _poly_numerators(p, den) for o, p in D._nums.items()}, den
+    return D._nums, D._den
 
 
 def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
@@ -124,20 +151,20 @@ def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
 
 
 def _check_op(D: MultiDiffOp) -> int:
-    """Validate an operator handed to an operation: slot counts, coefficient
-    variable counts, each distinct multi-index once, and each coefficient
-    (a nonzero ``int`` or ``Fraction``, in a nonempty polynomial).  Returns
-    the lcm of the coefficient denominators."""
+    """Validate the unchecked map of D: slot counts, each distinct multi-index
+    once, the variable count of every coefficient monomial, and each
+    coefficient (a nonzero ``int`` or ``Fraction``, in a nonempty
+    polynomial).  Returns the lcm of the coefficient denominators."""
     betas = set()
     den = 1
-    for orders, p in D.terms.items():
+    for orders, p in D._nums.items():
         if len(orders) != D.arity:
             _validate_orders(D.ctx, D.arity, orders)
         if not p:
             raise ValueError(f"coefficient of {orders!r} is the empty polynomial")
-        if len(next(iter(p))) != D.ctx.n:
-            raise ValueError(f"coefficient of {orders!r} is not over {D.ctx.n} variables")
-        for c in p.values():
+        for e, c in p.items():
+            if len(e) != D.ctx.n:
+                raise ValueError(f"coefficient of {orders!r} is not over {D.ctx.n} variables")
             if type(c) is not Fraction and type(c) is not int:
                 raise ValueError(f"coefficient {c!r} of {orders!r} is not an int or a Fraction")
             num, d = c.as_integer_ratio()
@@ -151,26 +178,12 @@ def _check_op(D: MultiDiffOp) -> int:
     return den
 
 
-def _numerators(D: MultiDiffOp, den: int) -> MultiDiffOp:
-    """den·D with int coefficients; den is a multiple of every denominator of D."""
-    return MultiDiffOp(D.ctx, D.arity, {
-        orders: _poly_numerators(p, den) for orders, p in D.terms.items()
-    })
-
-
 def _poly_numerators(p: Poly, den: int) -> Poly:
     out = {}
     for e, c in p.items():
         num, d = c.as_integer_ratio()
         out[e] = num * (den // d)
     return out
-
-
-def _over(ctx: VarContext, arity: int, out: Dict[Orders, Poly], den: int) -> MultiDiffOp:
-    """The operator with the int coefficients of out divided by den, reduced."""
-    return MultiDiffOp(ctx, arity, {
-        orders: {e: Fraction(v, den) for e, v in p.items()} for orders, p in out.items()
-    })
 
 
 def mdo_make(
@@ -184,14 +197,14 @@ def mdo_make(
     for orders, poly in terms:
         orders = tuple(tuple(b) for b in orders)
         _validate_orders(ctx, arity, orders)
-        if any(len(e) != ctx.n for e in poly):
-            raise ValueError(f"coefficient of {orders!r} is not over {ctx.n} variables")
         add_term_into(out, orders, poly_exact(poly))
-    return MultiDiffOp(ctx, arity, out)
+    D = MultiDiffOp(ctx, arity, out)
+    _ints(D)
+    return D
 
 
 def mdo_zero(ctx: VarContext, arity: int) -> MultiDiffOp:
-    return MultiDiffOp(ctx, arity, {})
+    return _op(ctx, arity, {}, 1)
 
 
 def mdo_from_poly(ctx: VarContext, p: Poly) -> MultiDiffOp:
@@ -205,51 +218,50 @@ def mult_cochain(ctx: VarContext) -> MultiDiffOp:
     return mdo_make(ctx, 2, [(((zero, zero)), poly_from_terms(ctx.n, [(1, zero)]))])
 
 
-def _combine(a: MultiDiffOp, b: MultiDiffOp, factor: int) -> MultiDiffOp:
-    """a + factor·b for operators of one shape, without validation."""
-    out: Dict[Orders, Poly] = {}
-    for orders, p in a.terms.items():
-        add_term_into(out, orders, p)
-    for orders, p in b.terms.items():
-        add_term_into(out, orders, p, factor)
-    return MultiDiffOp(a.ctx, a.arity, out)
-
-
-def _checked_pair(a: MultiDiffOp, b: MultiDiffOp) -> None:
+def _add_ints(a: MultiDiffOp, b: MultiDiffOp, sign: int) -> MultiDiffOp:
+    """a + sign·b over the lcm of the two denominators."""
     if a.ctx != b.ctx or a.arity != b.arity:
         raise ValueError("cochain shape mismatch")
-    _check_op(a)
-    _check_op(b)
+    (a_nums, a_den), (b_nums, b_den) = _ints(a), _ints(b)
+    den = lcm(a_den, b_den)
+    out: Dict[Orders, Poly] = {}
+    for orders, p in a_nums.items():
+        add_term_into(out, orders, p, den // a_den)
+    for orders, p in b_nums.items():
+        add_term_into(out, orders, p, sign * (den // b_den))
+    return _op(a.ctx, a.arity, out, den)
 
 
 def mdo_add(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
-    _checked_pair(a, b)
-    return _combine(a, b, 1)
+    return _add_ints(a, b, 1)
 
 
 def mdo_neg(a: MultiDiffOp) -> MultiDiffOp:
-    return MultiDiffOp(a.ctx, a.arity, {o: poly_neg(p) for o, p in a.terms.items()})
+    return mdo_scale(a, -1)
 
 
 def mdo_sub(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
-    _checked_pair(a, b)
-    return _combine(a, b, -1)
+    return _add_ints(a, b, -1)
 
 
 def mdo_scale(a: MultiDiffOp, c) -> MultiDiffOp:
     """c·a; c must be an int or a Fraction, else ``ValueError``."""
     c = exact_scalar(c)
+    nums, den = _ints(a)
     if c == 0:
         return mdo_zero(a.ctx, a.arity)
-    return MultiDiffOp(a.ctx, a.arity, {o: poly_scale(p, c) for o, p in a.terms.items()})
+    m = c.numerator
+    out = {o: {e: v * m for e, v in p.items()} for o, p in nums.items()}
+    return _op(a.ctx, a.arity, out, den * c.denominator)
 
 
 def mdo_eq(a: MultiDiffOp, b: MultiDiffOp) -> bool:
-    return a.ctx == b.ctx and a.arity == b.arity and a.terms == b.terms
+    _ints(a), _ints(b)
+    return a.ctx == b.ctx and a.arity == b.arity and not _add_ints(a, b, -1)._nums
 
 
 def mdo_is_zero(a: MultiDiffOp) -> bool:
-    return not a.terms
+    return not _ints(a)[0]
 
 
 def poly_derive_multi(p: Poly, beta: Exponents, factor: int = 1) -> Poly:
@@ -329,10 +341,10 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
                       + (−1)^{k+1} D(…,a_k)·a_{k+1},
     with the slot splits expanded through the product rule.
     """
-    den = _check_op(D)
+    nums, den = _ints(D)
     out: Dict[Orders, Poly] = {}
-    _delta_into(out, _numerators(D, den).terms, D.arity, (0,) * D.ctx.n)
-    return _over(D.ctx, D.arity + 1, out, den)
+    _delta_into(out, nums, D.arity, (0,) * D.ctx.n)
+    return _op(D.ctx, D.arity + 1, out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +375,7 @@ def _insertion_options(E: MultiDiffOp, beta: Exponents, sign: int) -> List[Tuple
     left out.
     """
     options = []
-    for e_orders, e_coeff in E.terms.items():
+    for e_orders, e_coeff in E._nums.items():
         for gamma, rest, mult in _binomial_splits(beta):
             derived: Dict[int, Poly] = {}
             for split, mult2 in _multinomial_splits(rest, E.arity):
@@ -380,7 +392,7 @@ def _insertion_options(E: MultiDiffOp, beta: Exponents, sign: int) -> List[Tuple
 def _brace_into(
     out: Dict[Orders, Poly], D: MultiDiffOp, inserts: Sequence[MultiDiffOp], sign: int
 ) -> None:
-    """Add sign·D{inserts} into out; the operands are already checked.
+    """Add sign·D{inserts} into out; the operands are in int form.
 
     Each insertion block sitting at slot p with j blocks before it carries
     (arity−1)·(p−j) into the sign exponent: the count of plain (unconsumed)
@@ -394,7 +406,7 @@ def _brace_into(
         eps = sum((inserts[j].arity - 1) * (p - j) for j, p in enumerate(positions))
         block_sign = -sign if eps % 2 else sign
         last = positions[-1]
-        for orders, c in D.terms.items():
+        for orders, c in D._nums.items():
             tail = orders[last + 1 :]
             per_block_options = []
             for j, p in enumerate(positions):
@@ -427,49 +439,43 @@ def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
     for E in inserts:
         if E.ctx != D.ctx:
             raise ValueError("context mismatch")
-    den = _check_op(D)
-    dens = [_check_op(E) for E in inserts]
+    den = _ints(D)[1] * prod(_ints(E)[1] for E in inserts)
     if m == 0:
         return D
     out: Dict[Orders, Poly] = {}
-    _brace_into(
-        out, _numerators(D, den), [_numerators(E, d) for E, d in zip(inserts, dens)], 1
-    )
-    return _over(D.ctx, D.arity + sum(E.arity for E in inserts) - m, out, den * prod(dens))
+    _brace_into(out, D, inserts, 1)
+    return _op(D.ctx, D.arity + sum(E.arity for E in inserts) - m, out, den)
 
 
 def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     """[D,E] = D{E} − (−1)^{(k_D−1)(k_E−1)} E{D}; a 0-ary outer term vanishes."""
     if D.ctx != E.ctx:
         raise ValueError("context mismatch")
+    den = _ints(D)[1] * _ints(E)[1]
     out_arity = D.arity + E.arity - 1
     if out_arity < 0:  # two 0-ary cochains commute
         return mdo_zero(D.ctx, 0)
-    d_den, e_den = _check_op(D), _check_op(E)
-    D, E = _numerators(D, d_den), _numerators(E, e_den)
     out: Dict[Orders, Poly] = {}
     if D.arity:
         _brace_into(out, D, [E], 1)
     if E.arity:
         _brace_into(out, E, [D], 1 if ((D.arity - 1) * (E.arity - 1)) % 2 else -1)
-    return _over(D.ctx, out_arity, out, d_den * e_den)
+    return _op(D.ctx, out_arity, out, den)
 
 
 def cup(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     """(D∪E)(a₁,…) = D(a₁,…,a_k)·E(a_{k+1},…); agrees with μ{D,E}."""
     if D.ctx != E.ctx:
         raise ValueError("context mismatch")
-    d_den, e_den = _check_op(D), _check_op(E)
-    e_terms = _numerators(E, e_den).terms
-    out: Dict[Orders, Poly] = {}
-    for do, dc in _numerators(D, d_den).terms.items():
-        for eo, ec in e_terms.items():
-            add_term_into(out, do + eo, poly_mul(dc, ec))
-    return _over(D.ctx, D.arity + E.arity, out, d_den * e_den)
+    (d_nums, d_den), (e_nums, e_den) = _ints(D), _ints(E)
+    # distinct slot-order pairs give distinct keys; no product of nonzero polys is 0
+    out = {do + eo: poly_mul(dc, ec) for do, dc in d_nums.items() for eo, ec in e_nums.items()}
+    return _op(D.ctx, D.arity + E.arity, out, d_den * e_den)
 
 
 def i_func_hoch(a: Poly, D: MultiDiffOp) -> MultiDiffOp:
     """Alternating insertion of the function a: Σ_i (−1)^i D(…,a_i, a, a_{i+1},…)."""
+    _ints(D)
     if D.arity == 0:
         return mdo_zero(D.ctx, 0)
     return brace(D, [mdo_from_poly(D.ctx, a)])
@@ -504,7 +510,7 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
                 for q in range(k)
             )
             add_term_into(out, orders, f, sgn)
-    return _over(pi.ctx, k, out, den * factorial(k))
+    return _op(pi.ctx, k, out, den * factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +550,7 @@ def delta_primitive(
         )
     if T.arity == 0:
         raise ValueError("0-ary cochains have no primitive space")
-    _check_op(T)
+    t_nums, t_den = _ints(T)
     ctx = T.ctx
     zero = (0,) * ctx.n
     monos = list(monomials_upto(ctx.n, poly_degree))
@@ -560,13 +566,14 @@ def delta_primitive(
             basis.append((orders, mono))
             columns.append({(key, mono): p[zero] for key, p in image.items()})
 
-    res = solve_keyed(columns, flatten_terms(T.terms))
+    # the system is linear, so solving for t_den·T gives t_den times the solution
+    res = solve_keyed(columns, flatten_terms(t_nums))
     acc: Dict[Orders, Poly] = {}
-    for (orders, mono), coeff in zip(basis, res.x):
-        if coeff:
-            acc.setdefault(orders, {})[mono] = coeff
-    candidate = MultiDiffOp(ctx, T.arity - 1, acc)
-    residual = _combine(T, hoch_delta(candidate), -1)
+    for (orders, mono), x in zip(basis, res.x):
+        if x:
+            acc.setdefault(orders, {})[mono] = x
+    candidate = mdo_scale(MultiDiffOp(ctx, T.arity - 1, acc), Fraction(1, t_den))
+    residual = mdo_sub(T, hoch_delta(candidate))
     found = res.consistent
     return PrimitiveResult(
         found=found,

@@ -28,6 +28,7 @@ from gdcalc.hochschild import (
     mdo_from_poly,
     mdo_is_zero,
     mdo_make,
+    mdo_neg,
     mdo_scale,
     mdo_sub,
     mdo_zero,
@@ -115,13 +116,14 @@ MALFORMED = {
     "stored-zero-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {(0, 0): Fraction(0)}}),
     "empty-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {}}),
     "float-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {(0, 0): 0.5}}),
+    "float-coefficient-0-ary": MultiDiffOp(CTX2, 0, {(): {(0, 0): 0.5}}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_operations_validate_their_inputs(name):
     bad = MALFORMED[name]
-    same_shape = IDENT if bad.arity == 1 else DX_DY
+    same_shape = {0: mdo_from_poly(CTX2, X), 1: IDENT, 2: DX_DY}[bad.arity]
     calls = [
         lambda: hoch_delta(bad),
         lambda: brace(bad, [DX]),
@@ -134,10 +136,33 @@ def test_operations_validate_their_inputs(name):
         lambda: mdo_add(same_shape, bad),
         lambda: mdo_sub(bad, same_shape),
         lambda: mdo_sub(same_shape, bad),
+        lambda: mdo_neg(bad),
+        lambda: mdo_scale(bad, 2),
+        lambda: mdo_is_zero(bad),
+        lambda: mdo_eq(bad, bad),
+        lambda: bad == bad,
+        lambda: bad.terms,
+        lambda: apply_mdo(bad, [X] * bad.arity),
+        lambda: gerstenhaber(bad, bad),  # 0-ary operands too, whose bracket is zero
+        lambda: i_func_hoch(X, bad),
+        lambda: delta_primitive(bad, poly_degree=1, op_order=1),
     ]
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_terms_is_a_fresh_map():
+    """Writing to a map read from an operator, or to the map it was built from
+    after its first use, changes nothing and slips nothing past the check."""
+    given = {((1, 0),): {(0, 0): Fraction(1, 2)}}
+    D = MultiDiffOp(CTX2, 1, given)
+    half_dx = mdo_scale(DX, Fraction(1, 2))
+    assert mdo_eq(D, half_dx)
+    given[((1, 0),)][(0, 0)] = 0.5
+    D.terms[((1, 0),)][(0, 0)] = 0.5
+    assert D.terms == {((1, 0),): {(0, 0): Fraction(1, 2)}}
+    assert D == half_dx and hoch_delta(D) == mdo_scale(hoch_delta(DX), Fraction(1, 2))
 
 
 @pytest.mark.parametrize("beta", [(1, 0, 0), (1,), (), (1, -1)])

@@ -7,10 +7,15 @@ operators at n=1-3 with arity 0-3, slot orders and coefficient degrees up to
 2, one to four terms, and alternations of fields (coefficients 1/k!).  The
 coefficient denominators 1, 2, 3, 5, 6 and 7 make a call's common
 denominator run well past 6, and meet the k! of the alternations.
+
+Operators pass between operations in their int form (numerators over a
+denominator that need not be the least); the chained cases feed outputs
+into further operations and read every coefficient back.
 """
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,3 +138,69 @@ def test_hkr_matches_reference_on_every_degree():
                 (f, poly_from_terms(n, [(rng.choice(COEFFS), rng.choice(MONOS[n]))])) for f in frames
             ])
             assert_same(hs.hkr(pi), ref.hkr(pi))
+
+
+def assert_canonical(op):
+    """Every coefficient read back is a reduced int or Fraction: no stored
+    zero, no empty polynomial."""
+    for p in op.terms.values():
+        assert p
+        for c in p.values():
+            assert type(c) in (int, Fraction) and c
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def jacobi(m, A, B, C):
+    """([A,[B,C]], [[A,B],C] ± [B,[A,C]], their difference) with module m's operations."""
+    s = -1 if ((A.arity - 1) * (B.arity - 1)) % 2 else 1
+    lhs = m.gerstenhaber(A, m.gerstenhaber(B, C))
+    rhs = m.mdo_add(m.gerstenhaber(m.gerstenhaber(A, B), C), m.mdo_scale(m.gerstenhaber(B, m.gerstenhaber(A, C)), s))
+    return lhs, rhs, m.mdo_sub(lhs, rhs)
+
+
+def test_jacobi_chains_match_reference_seeded():
+    """Five brackets, a scale, a sum and a difference, each fed the last one's output."""
+    rng = random.Random(20094)
+    for n in (1, 2, 3):
+        for arities in itertools.product((1, 2), repeat=3):
+            if n == 3 and sum(arities) > 4:
+                continue
+            A, B, C = (make_operator(rng.choice, n, k) for k in arities)
+            got, want = jacobi(hs, A, B, C), jacobi(ref, A, B, C)
+            for g, w in zip(got, want):
+                assert_same(g, w)
+                assert_canonical(g)
+            assert hs.mdo_is_zero(got[2]) and got[2].terms == {}
+            assert hs.mdo_eq(got[0], got[1]) and got[0] == got[1]
+
+
+def test_scales_and_mixed_denominators_match_reference_seeded():
+    """Scales by 1/6 and back by 6, sums across producers whose denominators
+    differ (alternations carry 1/k!), and full cancellations."""
+    rng = random.Random(20095)
+    for n in (1, 2, 3):
+        for arity in (1, 2):
+            for _ in range(6):
+                A, C = make_operator(rng.choice, n, arity), make_operator(rng.choice, n, arity)
+                B = make_operator(rng.choice, n, 1)
+                sixth = hs.mdo_scale(A, Fraction(1, 6))
+                assert_same(sixth, ref.mdo_scale(A, Fraction(1, 6)))
+                back = hs.mdo_scale(sixth, 6)
+                assert_same(back, A)
+                assert hs.mdo_eq(back, A) and back == A
+                assert hs.mdo_eq(sixth, A) == (sixth.terms == A.terms)
+
+                mixed = hs.mdo_add(hs.hoch_delta(A), hs.cup(C, B))
+                assert_same(mixed, ref.mdo_add(ref.hoch_delta(A), ref.cup(C, B)))
+                frames = list(itertools.combinations(range(n), arity))
+                pi = mv_make(CTXS[n], [(f, poly_from_terms(n, [(rng.choice(COEFFS), rng.choice(MONOS[n]))])) for f in frames])
+                alt = hs.hkr(pi) if arity <= n else C
+                for got, want in (
+                    (hs.mdo_add(alt, sixth), ref.mdo_add(ref.hkr(pi) if arity <= n else C, sixth)),
+                    (hs.mdo_sub(hs.mdo_add(mixed, hs.hoch_delta(C)), hs.hoch_delta(C)), mixed),
+                    (hs.mdo_sub(mixed, mixed), ref.mdo_zero(A.ctx, arity + 1)),
+                    (hs.mdo_add(alt, hs.mdo_neg(alt)), ref.mdo_zero(A.ctx, arity)),
+                    (hs.mdo_sub(hs.mdo_scale(sixth, 3), hs.mdo_scale(A, Fraction(1, 2))), ref.mdo_zero(A.ctx, arity)),
+                ):
+                    assert_same(got, want)
+                    assert_canonical(got)
