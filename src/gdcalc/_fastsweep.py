@@ -50,8 +50,8 @@ from ._fastterms import (
     tm_add_into,
     wedge_into,
 )
-from .exactcore import Exponents, VarContext, format_rat, monomials_upto, poly_from_terms
-from .polyvec import DiffForm, d_form, form_degree, form_make, to_termmap
+from .exactcore import Exponents, VarContext, format_rat, monomials_upto
+from .polyvec import DiffForm, d_form, form_degree
 
 __all__ = [
     "CheckReport",
@@ -541,14 +541,12 @@ def lemma_differential(
     zero tuples.
     """
     fc = FastCtx(ctx.n)
-    n = ctx.n
     pool, n_frames = _lemma_pool(ctx, fc, tuple_poly_degree, mv_degree)
     n_dressed = len(pool.els) - n_frames
     br = pool.packed(pool.bracket, 2)
 
     def block(mask: int, exps: Exponents, e: int) -> Block:
-        alpha_form = form_make(ctx, [(fc.bits[mask], poly_from_terms(n, [(1, exps)]))])
-        dform = to_termmap(fc, d_form(alpha_form))
+        dform = d_form(DiffForm._wrap(ctx, {(mask, exps): 1}))._tm
         differential = _differential_of_phi(pool, pool.contraction({(mask, exps): 1}, e), br)
         dphi = pool.contraction(dform, e + 1)
 
@@ -655,17 +653,17 @@ def linfty_jacobi(
     return _drive("linfty-jacobi", [(tuples, _graded_prune(pool, 2), evaluate, pool.witness)])
 
 
-def _coframe_need(fc: FastCtx, H: DiffForm) -> int:
+def _coframe_need(H: DiffForm) -> int:
     """Coverage requirement: the coframe of a one-term form, else none (0)."""
-    masks = [fc.mask_of(cof) for cof in H.terms]
-    return masks[0] if len(masks) == 1 else 0
+    masks = {m for m, _ in H._tm}
+    return masks.pop() if len(masks) == 1 else 0
 
 
 def _ternary_setup(ctx: VarContext, H: DiffForm, poly_degree: int, mv_degree: int):
     if form_degree(H) not in (None, 3):
         raise ValueError("the ternary operation takes a 3-form")
     pool = _sweep_pool(ctx, poly_degree, mv_degree)
-    return pool, pool.contraction(to_termmap(pool.fc, H), 3), _coframe_need(pool.fc, H)
+    return pool, pool.contraction(H._tm, 3), _coframe_need(H)
 
 
 def linfty_mixed(

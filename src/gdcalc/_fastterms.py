@@ -2,10 +2,11 @@
 
 Terms are keyed by (frame bitmask, exponent tuple) with integer coefficients
 (`Fraction` where the denominator is not 1).  This is the only implementation
-of the bracket, the wedge and the contraction: `polyvec`, `chevalley`,
-`twistcheck` and `deform` convert their terms at the boundary, the sweeps of
-`_fastsweep` call it directly, and `tests/_ref_polyvec.py` keeps an
-independent tuple-frame route as the oracle.
+of the bracket, the wedge and the contraction: `PolyVector` and `DiffForm`
+hold a TermMap, so `polyvec`, `chevalley`, `twistcheck` and `deform` hand
+their values' maps straight to it, the sweeps of `_fastsweep` call it on
+unit terms, and `tests/_ref_polyvec.py` keeps an independent tuple-frame
+route as the oracle.
 
 The sign tables (`pop`, `bits`, `merge` and the bracket's plan for each pair
 of frames) depend on the masks alone: contexts of one dimension share them,
@@ -188,23 +189,9 @@ def schouten_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> N
                         acc.pop(key, None)
 
 
-def schouten_terms(fc: FastCtx, A: TermMap, B: TermMap) -> TermMap:
-    """[A, B] as a fresh TermMap."""
-    acc: TermMap = {}
-    schouten_into(fc, A, B, 1, acc)
-    return acc
-
-
 def m_into(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int, scale, acc: TermMap) -> None:
     """Add scale * m(A, B) into acc, m(a, b) = (-1)^{|a|-1}[a, b] for |a| = deg_a."""
     schouten_into(fc, A, B, -scale if (deg_a - 1) & 1 else scale, acc)
-
-
-def m_terms(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int) -> TermMap:
-    """m(a, b) = (-1)^{|a|-1}[a, b] for homogeneous a of degree deg_a."""
-    acc: TermMap = {}
-    m_into(fc, A, B, deg_a, 1, acc)
-    return acc
 
 
 def wedge_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> None:

@@ -23,9 +23,9 @@ Sign conventions (fixed package-wide, see docs/sign-ledger.md):
   sweeps of ``_fastsweep`` and the test suite's evaluator-level cochain
   calculus check.
 
-Each call converts its operands with ``polyvec.to_termmap`` once, sums
-``_fastterms.phi_into`` or ``_fastterms.m_into`` into one TermMap with one
-engine context, and builds the result once.
+Each call reads its operands' TermMaps, sums ``_fastterms.phi_into`` or
+``_fastterms.m_into`` into one TermMap with one engine context, and wraps
+that map as the result.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import itertools
 from typing import Sequence
 
 from ._fastterms import FastCtx, TermMap, m_into, phi_into, split_degrees
-from .polyvec import DiffForm, PolyVector, form_degree, from_termmap, to_termmap
+from .polyvec import DiffForm, PolyVector, form_degree
 
 __all__ = ["m_value", "phi_value"]
 
@@ -55,13 +55,12 @@ def phi_value(omega: DiffForm, args: Sequence[PolyVector]) -> PolyVector:
     if any(a.ctx != ctx for a in args):
         raise ValueError("context mismatch")
     fc = FastCtx(ctx.n)
-    form = to_termmap(fc, omega)
     acc: TermMap = {}
-    if form:
-        parts = [split_degrees(fc, to_termmap(fc, a)) for a in args]
+    if omega._tm:
+        parts = [split_degrees(fc, a._tm) for a in args]
         for combo in itertools.product(*parts):
-            phi_into(fc, form, [tm for _, tm in combo], [d for d, _ in combo], 1, acc)
-    return from_termmap(PolyVector, ctx, fc, acc)
+            phi_into(fc, omega._tm, [tm for _, tm in combo], [d for d, _ in combo], 1, acc)
+    return PolyVector._wrap(ctx, acc)
 
 
 def m_value(a: PolyVector, b: PolyVector) -> PolyVector:
@@ -69,8 +68,7 @@ def m_value(a: PolyVector, b: PolyVector) -> PolyVector:
     if a.ctx != b.ctx:
         raise ValueError("context mismatch")
     fc = FastCtx(a.ctx.n)
-    B = to_termmap(fc, b)
     acc: TermMap = {}
-    for deg, A in split_degrees(fc, to_termmap(fc, a)):
-        m_into(fc, A, B, deg, 1, acc)
-    return from_termmap(PolyVector, a.ctx, fc, acc)
+    for deg, A in split_degrees(fc, a._tm):
+        m_into(fc, A, b._tm, deg, 1, acc)
+    return PolyVector._wrap(a.ctx, acc)

@@ -50,7 +50,7 @@ from ..exactcore import (
     grlex_key,
     parse_rat,
 )
-from ..polyvec import DiffForm, PolyVector, form_make, mv_make
+from ..polyvec import DiffForm, PolyVector, form_make, mv_is_zero, mv_make
 
 if TYPE_CHECKING:
     from ..deform import ArtinSeries
@@ -226,17 +226,6 @@ def _parse_frame_terms(
         slot[e] = slot.get(e, Fraction(0)) + coeff
 
 
-def _frame_payload(
-    ctx: VarContext, acc: Dict[Tuple[int, ...], Dict[Exponents, Fraction]], make
-):
-    terms = []
-    for frame, monos in acc.items():
-        p = _poly_of(monos)
-        if p:
-            terms.append((frame, p))
-    return make(ctx, terms)
-
-
 def _parse_mdo_terms(
     lines: _Lines, ctx: VarContext, arity: int, stop: Sequence[str]
 ) -> MultiDiffOp:
@@ -303,8 +292,8 @@ def _parse_series(lines: _Lines, ctx: VarContext, truncation: int) -> ArtinSerie
             raise ParseError(no, f"order {k} outside 1..{truncation}")
         prev = k
         acc = _parse_frame_terms(lines, ctx.n, ("end", "field", "order"))
-        mv = _frame_payload(ctx, acc, mv_make)
-        if mv.terms:
+        mv = mv_make(ctx, acc.items())  # drops what cancels
+        if not mv_is_zero(mv):
             coeffs[k] = mv
 
 
@@ -337,7 +326,7 @@ def _parse_payload(
             raise ParseError(no, f"{kind} kind line takes no arguments")
         make = mv_make if kind == "multivector" else form_make
         acc = _parse_frame_terms(lines, ctx.n, stop)
-        return Document(ctx, kind, _frame_payload(ctx, acc, make))
+        return Document(ctx, kind, make(ctx, acc.items()))
     if kind == "multidiffop":
         if len(kind_toks) != 2:
             raise ParseError(no, "multidiffop kind line must read 'multidiffop <arity>'")
@@ -360,7 +349,7 @@ def _parse_payload(
         if len(kind_toks) == 3 and kind_toks[1] == "phi":
             arity = _nonneg(kind_toks[2], no, "arity")
             acc = _parse_frame_terms(lines, ctx.n, stop)
-            form = _frame_payload(ctx, acc, form_make)
+            form = form_make(ctx, acc.items())
             return Document(ctx, kind, CochainSpec("phi", arity, form))
         raise ParseError(
             no, "cochain-spec must read 'cochain-spec m' or 'cochain-spec phi <arity>'"

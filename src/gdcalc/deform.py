@@ -6,11 +6,11 @@ transformations act through an exactly integrated flow.  All linear algebra
 is exact; reports are deterministic (canonical basis order, free variables
 pinned to zero).
 
-Every public function converts its inputs to TermMaps once, with one term
-engine context for the call (``gauge_equivalent``'s flows share it), sums
-with ``schouten_into``/``phi_into``/``tm_add_into``, hands ``solve_keyed``
-TermMaps as keyed columns, and builds each ``PolyVector`` once, at exit.
-``_defect`` is the one order-k defect routine.
+Every public function reads its inputs' TermMaps, with one term engine
+context for the call (``gauge_equivalent``'s flows share it), sums with
+``schouten_into``/``phi_into``/``tm_add_into``, hands ``solve_keyed``
+TermMaps as keyed columns, and wraps each result map as a ``PolyVector``
+at exit.  ``_defect`` is the one order-k defect routine.
 
 The flow is built in one pass by t-order (``_flow``): ξ has t-order ≥ 1, so
 the flow's entries of t-order k read only entries of lower t-order, and each
@@ -28,16 +28,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._fastterms import FastCtx, TermMap, phi_into, schouten_into, split_degrees, tm_add_into
 from ._linalg import LinearSolution, solve_keyed
-from .exactcore import VarContext, grlex_key
-from .polyvec import (
-    PolyVector,
-    basis_multivectors,
-    from_termmap,
-    mv_eq,
-    mv_homogeneous_degree,
-    mv_is_zero,
-    to_termmap,
-)
+from .exactcore import grlex_key
+from .polyvec import PolyVector, basis_multivectors, mv_eq, mv_homogeneous_degree, mv_is_zero
 from .twistcheck import TwistedStructure
 
 __all__ = [
@@ -116,32 +108,18 @@ class GaugeParam:
 
 
 # ---------------------------------------------------------------------------
-# the term-engine boundary
+# TermMap helpers
 
 Terms = Dict[int, TermMap]  # t-order -> coefficient
 
 
-def _engine(S: TwistedStructure) -> Tuple[FastCtx, TermMap]:
-    """One engine context for a call, and the twisting form on it."""
-    fc = FastCtx(S.ctx.n)
-    return fc, to_termmap(fc, S.H)
-
-
-def _terms(fc: FastCtx, coeffs: Mapping[int, PolyVector]) -> Terms:
-    return {k: to_termmap(fc, v) for k, v in coeffs.items()}
-
-
-def _fields(ctx: VarContext, fc: FastCtx, tms: Terms) -> Dict[int, PolyVector]:
-    return {k: from_termmap(PolyVector, ctx, fc, v) for k, v in tms.items()}
-
-
-def _bivector_terms(S: TwistedStructure, fc: FastCtx, series: ArtinSeries) -> Terms:
+def _bivector_terms(S: TwistedStructure, series: ArtinSeries) -> Terms:
     for v in series.coeffs.values():
         if v.ctx != S.ctx:
             raise ValueError("context mismatch")
         if mv_homogeneous_degree(v) != 2:
             raise ValueError("defect is defined for bivector series")
-    return _terms(fc, series.coeffs)
+    return {k: v._tm for k, v in series.coeffs.items()}
 
 
 def _diff(a: TermMap, b: TermMap) -> TermMap:
@@ -199,9 +177,12 @@ def defect_series(S: TwistedStructure, pi: ArtinSeries) -> Dict[int, PolyVector]
     ordered index tuples; the series solves the twisted equation modulo
     t^{N+1} exactly when every order vanishes.
     """
-    fc, H = _engine(S)
-    cs = _bivector_terms(S, fc, pi)
-    return _fields(S.ctx, fc, {k: _defect(fc, H, cs, k) for k in range(1, pi.ring.truncation + 1)})
+    fc = FastCtx(S.ctx.n)
+    cs = _bivector_terms(S, pi)
+    return {
+        k: PolyVector._wrap(S.ctx, _defect(fc, S.H._tm, cs, k))
+        for k in range(1, pi.ring.truncation + 1)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +216,18 @@ def mc_solve(
     if not mv_is_zero(pi1) and mv_homogeneous_degree(pi1) != 2:
         raise ValueError("leading term must be a bivector field")
     ring = ArtinRing(N)
-    fc, H = _engine(S)
-    p1 = to_termmap(fc, pi1)
+    fc, H = FastCtx(S.ctx.n), S.H._tm
+    p1 = pi1._tm
     cs: Terms = {1: p1}
 
     def report_obstructed(order: int, residual: TermMap) -> SolveReport:
-        residual_mv = from_termmap(PolyVector, S.ctx, fc, residual)
-        return SolveReport("obstructed", None, order, residual_mv, poly_degree)
+        return SolveReport("obstructed", None, order, PolyVector._wrap(S.ctx, residual), poly_degree)
 
     if N >= 2:
         defect2 = _defect(fc, H, cs, 2)
         if defect2:
             return report_obstructed(2, defect2)
-        basis = [to_termmap(fc, b) for b in basis_multivectors(S.ctx, poly_degree, (2,))]
+        basis = [b._tm for b in basis_multivectors(S.ctx, poly_degree, (2,))]
         cols: List[TermMap] = [{} for _ in basis]
         for b, col in zip(basis, cols):
             schouten_into(fc, p1, b, 2, col)
@@ -263,7 +243,7 @@ def mc_solve(
 
     if any(_defect(fc, H, cs, k) for k in range(1, N + 1)):
         raise RuntimeError("internal error: solved series fails its own defect check")
-    solution = series_make(ring, _fields(S.ctx, fc, cs))
+    solution = series_make(ring, {k: PolyVector._wrap(S.ctx, v) for k, v in cs.items()})
     return SolveReport("solved", solution, None, None, poly_degree)
 
 
@@ -326,9 +306,10 @@ def gauge_flow(S: TwistedStructure, gamma: ArtinSeries, xi: GaugeParam) -> Artin
     for v in itertools.chain(xi.coeffs.values(), gamma.coeffs.values()):
         if v.ctx != S.ctx:
             raise ValueError("context mismatch")
-    fc, H = _engine(S)
-    moved = _flow(fc, H, _terms(fc, gamma.coeffs), _terms(fc, xi.coeffs), gamma.ring.truncation)
-    return series_make(gamma.ring, _fields(S.ctx, fc, moved))
+    gamma_tms = {k: v._tm for k, v in gamma.coeffs.items()}
+    xi_tms = {k: v._tm for k, v in xi.coeffs.items()}
+    moved = _flow(FastCtx(S.ctx.n), S.H._tm, gamma_tms, xi_tms, gamma.ring.truncation)
+    return series_make(gamma.ring, {k: PolyVector._wrap(S.ctx, v) for k, v in moved.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +345,10 @@ def gauge_equivalent(
         raise ValueError("series use different truncations")
     ring = g1.ring
     n_trunc = ring.truncation
-    fc, H = _engine(S)
+    fc, H = FastCtx(S.ctx.n), S.H._tm
     ends = []
     for g in (g1, g2):
-        cs = _bivector_terms(S, fc, g)
+        cs = _bivector_terms(S, g)
         if any(_defect(fc, H, cs, k) for k in range(1, n_trunc + 1)):
             raise ValueError("gauge equivalence needs solutions of the equation")
         ends.append(cs)
@@ -375,7 +356,7 @@ def gauge_equivalent(
     if start.get(1, {}) != target.get(1, {}):
         return GaugeReport(False, None, poly_degree)
 
-    basis = [to_termmap(fc, b) for b in basis_multivectors(S.ctx, poly_degree, (1,))]
+    basis = [b._tm for b in basis_multivectors(S.ctx, poly_degree, (1,))]
     # ξ_{m−1} moves order m by −[ξ_{m−1}, γ₁] alone, at every m
     cols: List[TermMap] = [{} for _ in basis]
     for b, col in zip(basis, cols):
@@ -395,4 +376,5 @@ def gauge_equivalent(
 
     if _flow(fc, H, start, xi, n_trunc) != target:
         raise RuntimeError("internal error: assembled witness fails its self-check")
-    return GaugeReport(True, GaugeParam(ring, _fields(S.ctx, fc, xi)), poly_degree)
+    witness = {k: PolyVector._wrap(S.ctx, v) for k, v in xi.items()}
+    return GaugeReport(True, GaugeParam(ring, witness), poly_degree)

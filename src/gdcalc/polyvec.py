@@ -16,35 +16,34 @@ coordinate frames this reproduces the classical expansion of the bracket of
 decomposable multivectors, extends the commutator of vector fields, and is
 a biderivation of the wedge — properties the test-suite checks exactly.
 
-The bracket, the wedges and the one-form contraction are thin adapters over
-the term engine ``_fastterms``: ``to_termmap`` converts the operands'
-terms to bitmask TermMaps, the engine sums the result in place, and
-``from_termmap`` builds it once.  ``mv_make``/``form_make`` are the
-validating constructors for caller-supplied terms; every ``PolyVector`` and
-``DiffForm`` checks its frames and that each exponent tuple has one entry
-per variable of its context.
+Both types hold the term engine's TermMap (``_fastterms``): a map
+{(frame bitmask, exponents): coefficient}, an int wherever the denominator
+is 1, with no stored zeros.  ``terms`` builds the frame-tuple map above from
+it on each read.  The public constructors ``PolyVector(ctx, terms)`` and
+``DiffForm(ctx, terms)`` and the summing ``mv_make``/``form_make`` check
+caller-supplied terms once: strictly increasing frames of indices in range,
+one exponent per variable, and int or Fraction coefficients (nonzero, in
+nonempty polynomials, for the direct constructors).  Every value the
+library computes is built unchecked from the engine's output.  A
+multivector and a form are never interchangeable: each operation refuses an
+operand of the other type.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._fastterms import FastCtx, TermMap, phi_into, schouten_into, wedge_into
-from .exactcore import (
-    Poly,
-    VarContext,
-    add_term_into,
-    exact_scalar,
-    monomials_upto,
-    partial_derive,
-    poly_exact,
-    poly_is_zero,
-    poly_neg,
-    poly_scale,
+from ._fastterms import (
+    FastCtx,
+    TermMap,
+    _shared_tables,
+    phi_into,
+    schouten_into,
+    tm_add_into,
+    wedge_into,
 )
+from .exactcore import Poly, VarContext, exact_scalar, monomials_upto
 
 Frame = Tuple[int, ...]
 
@@ -80,41 +79,102 @@ __all__ = [
 ]
 
 
-def _validate_terms(ctx: VarContext, terms: Dict[Frame, Poly]) -> None:
+def _termmap(ctx: VarContext, terms: Iterable[Tuple[Frame, Poly]], strict: bool) -> TermMap:
+    """Caller-supplied (frame, polynomial) pairs summed into a checked TermMap.
+
+    Refuses a frame that is not strictly increasing over indices below n,
+    an exponent tuple without one entry per variable, and a coefficient
+    that is not an int or a Fraction; ``strict`` also refuses an empty
+    polynomial and a stored zero.  Whatever cancels is dropped.
+    """
     n = ctx.n
-    for frame, poly in terms.items():
+    tm: TermMap = {}
+    for frame, poly in terms:
+        frame = tuple(frame)
         if any(not 0 <= i < n for i in frame):
             raise ValueError(f"frame index out of range in {frame!r}")
         if any(a >= b for a, b in zip(frame, frame[1:])):
             raise ValueError(f"frame must be strictly increasing: {frame!r}")
-        for exps in poly:
+        if strict and not poly:
+            raise ValueError(f"coefficient of {frame!r} is the empty polynomial")
+        m = sum(1 << i for i in frame)
+        for exps, c in poly.items():
             if len(exps) != n:
                 raise ValueError(
                     "polynomials built over different variable counts: "
                     f"{exps!r} in a {n}-variable context"
                 )
+            if type(c) is not int and type(c) is not Fraction:
+                raise ValueError(f"coefficient {c!r} of {frame!r} is not an int or a Fraction")
+            if strict and not c:
+                raise ValueError(f"coefficient of {frame!r} stores a zero")
+            key = (m, exps)
+            if key in tm:
+                c += tm[key]
+            if c:
+                tm[key] = c if c.denominator != 1 else c.numerator
+            else:
+                tm.pop(key, None)
+    return tm
 
 
-@dataclass(frozen=True)
-class PolyVector:
+class _Terms:
+    """A context and one TermMap; ``terms`` is the frame-tuple view, built on each read."""
+
+    __slots__ = ("ctx", "_tm")
+
+    def __init__(self, ctx: VarContext, terms: Dict[Frame, Poly]):
+        self.ctx, self._tm = ctx, _termmap(ctx, terms.items(), True)
+
+    @classmethod
+    def _wrap(cls, ctx: VarContext, tm: TermMap):
+        """The value holding the engine-built, zero-free tm, unchecked; integral
+        Fractions in tm become ints."""
+        for key, c in tm.items():
+            if type(c) is not int and c.denominator == 1:
+                tm[key] = c.numerator
+        v = object.__new__(cls)
+        v.ctx, v._tm = ctx, tm
+        return v
+
+    @property
+    def terms(self) -> Dict[Frame, Poly]:
+        bits = _shared_tables(self.ctx.n)[1]
+        out: Dict[Frame, Poly] = {}
+        for (m, exps), c in self._tm.items():
+            out.setdefault(bits[m], {})[exps] = Fraction(c)
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ctx == other.ctx and self._tm == other._tm
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(ctx={self.ctx!r}, terms={self.terms!r})"
+
+
+class PolyVector(_Terms):
     """Multivector field: map {strictly increasing frame -> coefficient}."""
 
-    ctx: VarContext
-    terms: Dict[Frame, Poly]
-
-    def __post_init__(self) -> None:
-        _validate_terms(self.ctx, self.terms)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiffForm:
+class DiffForm(_Terms):
     """Differential form: map {strictly increasing coframe -> coefficient}."""
 
-    ctx: VarContext
-    terms: Dict[Frame, Poly]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _validate_terms(self.ctx, self.terms)
+
+def _operands(cls, *vs) -> VarContext:
+    """The common context of vs; ValueError unless each is a cls over it."""
+    for v in vs:
+        if not isinstance(v, cls):
+            raise ValueError(f"expected a {cls.__name__}, got a {type(v).__name__}")
+    ctx = vs[0].ctx
+    if any(v.ctx != ctx for v in vs):
+        raise ValueError("context mismatch")
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +182,12 @@ class DiffForm:
 
 
 def mv_zero(ctx: VarContext) -> PolyVector:
-    return PolyVector(ctx, {})
-
-
-def _collect(terms: Iterable[Tuple[Frame, Poly]]) -> Dict[Frame, Poly]:
-    """Sum caller-supplied terms into a fresh zero-free map of Fraction coefficients.
-
-    A coefficient that is not an int or a Fraction raises ValueError.
-    """
-    out: Dict[Frame, Poly] = {}
-    for frame, poly in terms:
-        add_term_into(out, tuple(frame), poly_exact(poly))
-    return out
+    return PolyVector._wrap(ctx, {})
 
 
 def mv_make(ctx: VarContext, terms: Iterable[Tuple[Frame, Poly]]) -> PolyVector:
     """Validating constructor: sums the given terms, dropping whatever cancels."""
-    return PolyVector(ctx, _collect(terms))
+    return PolyVector._wrap(ctx, _termmap(ctx, terms, False))
 
 
 def mv_func(ctx: VarContext, poly: Poly) -> PolyVector:
@@ -152,50 +201,56 @@ def mv_frame(ctx: VarContext, frame: Frame, coeff: Fraction = Fraction(1)) -> Po
 
 
 def form_zero(ctx: VarContext) -> DiffForm:
-    return DiffForm(ctx, {})
+    return DiffForm._wrap(ctx, {})
 
 
 def form_make(ctx: VarContext, terms: Iterable[Tuple[Frame, Poly]]) -> DiffForm:
     """Validating constructor for forms, summing like ``mv_make``."""
-    return DiffForm(ctx, _collect(terms))
+    return DiffForm._wrap(ctx, _termmap(ctx, terms, False))
 
 
 # ---------------------------------------------------------------------------
 # linear structure
 
 
+def _sum(cls, a, b, s: int):
+    ctx = _operands(cls, a, b)
+    acc = dict(a._tm)
+    tm_add_into(acc, b._tm, s)
+    return cls._wrap(ctx, acc)
+
+
 def mv_add(a: PolyVector, b: PolyVector) -> PolyVector:
-    if a.ctx != b.ctx:
-        raise ValueError("context mismatch")
-    return mv_make(a.ctx, list(a.terms.items()) + list(b.terms.items()))
+    return _sum(PolyVector, a, b, 1)
 
 
 def mv_neg(a: PolyVector) -> PolyVector:
-    return PolyVector(a.ctx, {f: poly_neg(p) for f, p in a.terms.items()})
+    return PolyVector._wrap(_operands(PolyVector, a), {k: -c for k, c in a._tm.items()})
 
 
 def mv_sub(a: PolyVector, b: PolyVector) -> PolyVector:
-    return mv_add(a, mv_neg(b))
+    return _sum(PolyVector, a, b, -1)
 
 
 def mv_scale(a: PolyVector, c) -> PolyVector:
     """c·a; c must be an int or a Fraction, else ``ValueError``."""
     c = exact_scalar(c)
+    ctx = _operands(PolyVector, a)
     if c == 0:
-        return mv_zero(a.ctx)
-    return PolyVector(a.ctx, {f: poly_scale(p, c) for f, p in a.terms.items()})
+        return mv_zero(ctx)
+    return PolyVector._wrap(ctx, {k: v * c for k, v in a._tm.items()})
 
 
 def mv_is_zero(a: PolyVector) -> bool:
-    return not a.terms
+    return not a._tm
 
 
 def mv_eq(a: PolyVector, b: PolyVector) -> bool:
-    return a.ctx == b.ctx and a.terms == b.terms
+    return a == b
 
 
 def mv_degrees(a: PolyVector) -> Tuple[int, ...]:
-    return tuple(sorted({len(f) for f in a.terms}))
+    return tuple(sorted({m.bit_count() for m, _ in a._tm}))
 
 
 def mv_homogeneous_degree(a: PolyVector) -> Optional[int]:
@@ -205,71 +260,41 @@ def mv_homogeneous_degree(a: PolyVector) -> Optional[int]:
 
 
 def mv_component(a: PolyVector, k: int) -> PolyVector:
-    return PolyVector(a.ctx, {f: p for f, p in a.terms.items() if len(f) == k})
+    ctx = _operands(PolyVector, a)
+    return PolyVector._wrap(ctx, {key: c for key, c in a._tm.items() if key[0].bit_count() == k})
 
 
 def form_add(a: DiffForm, b: DiffForm) -> DiffForm:
-    if a.ctx != b.ctx:
-        raise ValueError("context mismatch")
-    return form_make(a.ctx, list(a.terms.items()) + list(b.terms.items()))
+    return _sum(DiffForm, a, b, 1)
 
 
 def form_is_zero(a: DiffForm) -> bool:
-    return not a.terms
+    return not a._tm
 
 
 def form_degree(a: DiffForm) -> Optional[int]:
-    degs = sorted({len(f) for f in a.terms})
-    return degs[0] if len(degs) == 1 else None
-
-
-# ---------------------------------------------------------------------------
-# the term-engine boundary
-
-
-def to_termmap(fc: FastCtx, v) -> TermMap:
-    """The terms of a PolyVector or DiffForm keyed by (frame mask, exponents).
-
-    A coefficient whose denominator is 1 is stored as an int.
-    """
-    out: TermMap = {}
-    for frame, poly in v.terms.items():
-        m = fc.mask_of(frame)
-        for exps, c in poly.items():
-            out[(m, exps)] = int(c) if c.denominator == 1 else c
-    return out
-
-
-def from_termmap(cls, ctx: VarContext, fc: FastCtx, tm: TermMap):
-    """Build a cls (PolyVector or DiffForm) from a TermMap, coefficients as Fractions."""
-    terms: Dict[Frame, Poly] = {}
-    bits = fc.bits
-    for (m, exps), c in tm.items():
-        if c:
-            terms.setdefault(bits[m], {})[exps] = Fraction(c)
-    return cls(ctx, terms)
-
-
-def _binary(into, a, b):
-    """a op b for the engine's summing form of a bilinear operation."""
-    if a.ctx != b.ctx:
-        raise ValueError("context mismatch")
-    fc = FastCtx(a.ctx.n)
-    acc: TermMap = {}
-    into(fc, to_termmap(fc, a), to_termmap(fc, b), 1, acc)
-    return from_termmap(type(a), a.ctx, fc, acc)
+    degs = {m.bit_count() for m, _ in a._tm}
+    return degs.pop() if len(degs) == 1 else None
 
 
 # ---------------------------------------------------------------------------
 # wedge products and the Schouten bracket
 
 
+def _binary(into, cls, a, b):
+    """a op b for the engine's summing form of a bilinear operation on cls values."""
+    ctx = _operands(cls, a, b)
+    acc: TermMap = {}
+    into(FastCtx(ctx.n), a._tm, b._tm, 1, acc)
+    return cls._wrap(ctx, acc)
+
+
 def wedge_mv(a: PolyVector, b: PolyVector) -> PolyVector:
-    return _binary(wedge_into, a, b)
+    return _binary(wedge_into, PolyVector, a, b)
 
 
 def form_wedge(a: DiffForm, b: DiffForm) -> DiffForm:
-    return _binary(wedge_into, a, b)
+    return _binary(wedge_into, DiffForm, a, b)
 
 
 def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
@@ -278,7 +303,7 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
     Degree |a|+|b|-1; graded antisymmetric with respect to the shifted
     degrees: [a,b] = -(-1)^{(|a|-1)(|b|-1)} [b,a].
     """
-    return _binary(schouten_into, a, b)
+    return _binary(schouten_into, PolyVector, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +312,20 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
 
 def d_form(w: DiffForm) -> DiffForm:
     """dw = sum_i dx_i ^ d(w)/dx_i; dx_i moves past the coframe indices below i."""
-    out: Dict[Frame, Poly] = {}
-    for coframe, poly in w.terms.items():
-        for i in range(w.ctx.n):
-            if i in coframe:
+    ctx = _operands(DiffForm, w)
+    acc: TermMap = {}
+    for (m, exps), c in w._tm.items():
+        for i, e in enumerate(exps):
+            bit = 1 << i
+            if not e or m & bit:
                 continue
-            dp = partial_derive(poly, i)
-            if poly_is_zero(dp):
-                continue
-            pos = bisect.bisect(coframe, i)
-            add_term_into(out, coframe[:pos] + (i,) + coframe[pos:], dp, -1 if pos % 2 else 1)
-    return DiffForm(w.ctx, out)
+            key = (m | bit, exps[:i] + (e - 1,) + exps[i + 1 :])
+            v = acc.get(key, 0) + (-c * e if (m & (bit - 1)).bit_count() & 1 else c * e)
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
+    return DiffForm._wrap(ctx, acc)
 
 
 def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
@@ -309,14 +337,14 @@ def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
     depend on the argument's degree (declared 0 here, so mixed-degree v
     is fine).
     """
-    if alpha.ctx != v.ctx:
+    ctx = _operands(PolyVector, v)
+    if _operands(DiffForm, alpha) != ctx:
         raise ValueError("context mismatch")
-    if any(len(c) != 1 for c in alpha.terms):
+    if any(m.bit_count() != 1 for m, _ in alpha._tm):
         raise ValueError("contract expects a homogeneous one-form")
-    fc = FastCtx(v.ctx.n)
     acc: TermMap = {}
-    phi_into(fc, to_termmap(fc, alpha), [to_termmap(fc, v)], (0,), 1, acc)
-    return from_termmap(PolyVector, v.ctx, fc, acc)
+    phi_into(FastCtx(ctx.n), alpha._tm, [v._tm], (0,), 1, acc)
+    return PolyVector._wrap(ctx, acc)
 
 
 def i_func_mv(a: Poly, v: PolyVector) -> PolyVector:
@@ -347,6 +375,7 @@ def basis_multivectors(
         if k > ctx.n:
             continue
         for frame in itertools.combinations(range(ctx.n), k):
+            m = sum(1 << i for i in frame)
             for exps in monos:
-                out.append(PolyVector(ctx, {frame: {exps: Fraction(1)}}))
+                out.append(PolyVector._wrap(ctx, {(m, exps): 1}))
     return out

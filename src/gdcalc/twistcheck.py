@@ -22,10 +22,8 @@ from .polyvec import (
     d_form,
     form_degree,
     form_is_zero,
-    from_termmap,
     mv_homogeneous_degree,
     mv_is_zero,
-    to_termmap,
 )
 
 __all__ = [
@@ -86,13 +84,12 @@ def mc_defect(S: TwistedStructure, pi: PolyVector) -> PolyVector:
     if mv_homogeneous_degree(pi) != 2:
         raise ValueError("defect is defined for homogeneous degree-2 fields")
     fc = FastCtx(S.ctx.n)
-    P = to_termmap(fc, pi)
+    P = pi._tm
     acc: TermMap = {}
     schouten_into(fc, P, P, 1, acc)
-    H = to_termmap(fc, S.H)
-    if H:
-        phi_into(fc, H, [P, P, P], (2, 2, 2), -1, acc)
-    return from_termmap(PolyVector, S.ctx, fc, acc)
+    if S.H._tm:
+        phi_into(fc, S.H._tm, [P, P, P], (2, 2, 2), -1, acc)
+    return PolyVector._wrap(S.ctx, acc)
 
 
 def is_twisted_poisson(S: TwistedStructure, pi: PolyVector) -> bool:

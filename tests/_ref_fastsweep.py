@@ -28,18 +28,11 @@ from gdcalc._fastsweep import (
     _witness,
     sweep_elements,
 )
-from gdcalc._fastterms import (
-    FastCtx,
-    TermMap,
-    m_terms,
-    phi_eval,
-    schouten_terms,
-    tm_add_into,
-    wedge_into,
-)
+from _ref_fastterms import m_terms, schouten_terms
+from _ref_polyvec import to_termmap as form_to_fast
+from gdcalc._fastterms import FastCtx, TermMap, phi_eval, tm_add_into, wedge_into
 from gdcalc.exactcore import Exponents, VarContext, poly_from_terms
 from gdcalc.polyvec import DiffForm, d_form, form_degree, form_make
-from gdcalc.polyvec import to_termmap as form_to_fast
 
 
 def unshuffle_sign_fast(degs: Sequence[int], subset: Sequence[int]) -> int:

@@ -7,14 +7,32 @@ right.  It is slow and kept only as an independent oracle for
 ``gdcalc._fastterms.phi_eval``; ``tests/test_fastterms_oracle.py`` pins
 the library against it.  Frames, contraction signs and wedge signs are
 worked out here on index tuples, without the engine's ``FastCtx`` tables.
+
+``schouten_terms`` and ``m_terms`` return the engine's bracket and
+structure operation as fresh TermMaps, for tests that compare whole
+values rather than accumulate.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Dict, Optional, Sequence, Tuple
 
-from gdcalc._fastterms import FastCtx, TermMap
+from gdcalc._fastterms import FastCtx, TermMap, m_into, schouten_into
 from gdcalc.exactcore import Exponents
+
+
+def schouten_terms(fc: FastCtx, A: TermMap, B: TermMap) -> TermMap:
+    """[A, B] as a fresh TermMap."""
+    acc: TermMap = {}
+    schouten_into(fc, A, B, 1, acc)
+    return acc
+
+
+def m_terms(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int) -> TermMap:
+    """m(a, b) = (-1)^{|a|-1}[a, b] for homogeneous a of degree deg_a."""
+    acc: TermMap = {}
+    m_into(fc, A, B, deg_a, 1, acc)
+    return acc
 
 
 def koszul_sign_fast(degs: Sequence[int], perm: Sequence[int]) -> int:

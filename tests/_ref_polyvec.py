@@ -13,6 +13,12 @@ change is that the deform routines contract with this module's own
 lists solved by the dense oracle of ``_dense_gauss`` (the solver those
 lists were written for).  Slow and test-only: ``tests/test_polyvec_oracle.py``
 pins the library against it.
+
+``to_termmap``/``from_termmap`` convert between a value and the term
+engine's TermMap for tests that feed the engine directly.  They read only
+the public ``terms`` and the checking constructor, and work out frame
+masks themselves, so a test comparing the two routes does not go through
+the library's own storage.
 """
 from __future__ import annotations
 
@@ -65,6 +71,34 @@ from gdcalc.polyvec import (
     mv_is_zero,
 )
 from gdcalc.twistcheck import TwistedStructure
+
+
+# ---------------------------------------------------------------------------
+# the term-engine conversion
+
+
+def to_termmap(fc, v) -> Dict[Tuple[int, Tuple[int, ...]], object]:
+    """The terms of a PolyVector or DiffForm keyed by (frame mask, exponents).
+
+    A coefficient whose denominator is 1 is stored as an int; ``fc`` is
+    accepted for the engine's signature and not read.
+    """
+    out = {}
+    for frame, poly in v.terms.items():
+        m = sum(1 << i for i in frame)
+        for exps, c in poly.items():
+            out[(m, exps)] = int(c) if c.denominator == 1 else c
+    return out
+
+
+def from_termmap(cls, ctx: VarContext, fc, tm):
+    """Build a cls (PolyVector or DiffForm) from a TermMap through its checking constructor."""
+    terms: Dict[Frame, Poly] = {}
+    for (m, exps), c in tm.items():
+        if c:
+            frame = tuple(i for i in range(m.bit_length()) if m >> i & 1)
+            terms.setdefault(frame, {})[exps] = Fraction(c)
+    return cls(ctx, terms)
 
 
 # ---------------------------------------------------------------------------

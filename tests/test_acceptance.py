@@ -31,13 +31,9 @@ from gdcalc._fastsweep import (
     schouten_leibniz,
 )
 import _ref_polyvec as ref
-from gdcalc._fastterms import (
-    FastCtx,
-    m_terms,
-    phi_eval,
-    schouten_terms,
-    tm_add_into,
-)
+from _ref_fastterms import m_terms, schouten_terms
+from _ref_polyvec import from_termmap, to_termmap
+from gdcalc._fastterms import FastCtx, phi_eval, tm_add_into
 from gdcalc.cli import main as cli_main
 from gdcalc.deform import ArtinRing, GaugeParam, defect_series, gauge_flow, mc_solve, series_make
 from gdcalc.exactcore import VarContext, monomials_upto, poly_from_terms
@@ -59,14 +55,12 @@ from gdcalc.hochschild import (
 from gdcalc.polyvec import (
     PolyVector,
     form_make,
-    from_termmap,
     mv_eq,
     mv_frame,
     mv_homogeneous_degree,
     mv_is_zero,
     mv_make,
     schouten,
-    to_termmap,
 )
 from gdcalc.twistcheck import is_twisted_poisson, make_twisted, mc_defect
 

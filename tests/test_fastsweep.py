@@ -33,9 +33,9 @@ from _ref_cochains import (
     cochain_differential,
     linfty_relations_check,
 )
-from _ref_polyvec import evaluate, phi, structure_cochain
+from _ref_polyvec import evaluate, from_termmap, phi, structure_cochain, to_termmap
 from gdcalc.exactcore import VarContext, poly_from_terms
-from gdcalc.polyvec import PolyVector, basis_multivectors, form_make, from_termmap, mv_eq, to_termmap
+from gdcalc.polyvec import PolyVector, basis_multivectors, form_make, mv_eq
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("x", "y", "z"))
@@ -117,7 +117,8 @@ def test_fast_linfty_mixed_matches_cochain_route(data):
     generic = evaluate(cochain_bracket(l2, l3), tuple(basis[i] for i in idx))
 
     # mirror the linfty_mixed inner loop on one tuple
-    from gdcalc._fastterms import m_terms, phi_eval, tm_add_into
+    from _ref_fastterms import m_terms
+    from gdcalc._fastterms import phi_eval, tm_add_into
     from gdcalc.exactcore import koszul_unshuffle_sign
 
     Hfast = to_termmap(fc, H3)

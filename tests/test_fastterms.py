@@ -9,29 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _ref_polyvec as ref
+from _ref_fastterms import m_terms, schouten_terms
+from _ref_polyvec import from_termmap, to_termmap as to_fast
 from gdcalc._fastterms import (
     FastCtx,
     m_into,
-    m_terms,
     phi_eval,
     phi_into,
     schouten_into,
-    schouten_terms,
     tm_add_into,
     wedge_into,
 )
 from gdcalc._fastsweep import Element
 from gdcalc.exactcore import VarContext, poly_from_terms
-from gdcalc.polyvec import (
-    PolyVector,
-    form_make,
-    from_termmap,
-    mv_add,
-    mv_eq,
-    mv_frame,
-    mv_make,
-    to_termmap as to_fast,
-)
+from gdcalc.polyvec import PolyVector, form_make, mv_add, mv_eq, mv_frame, mv_make
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("x", "y", "z"))

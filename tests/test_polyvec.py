@@ -42,6 +42,7 @@ from gdcalc.polyvec import (
     mv_make,
     mv_neg,
     mv_scale,
+    mv_sub,
     mv_zero,
     schouten,
     wedge_mv,
@@ -56,11 +57,35 @@ def V(ctx, frame, coeff_terms):
     return mv_make(ctx, [(frame, poly_from_terms(ctx.n, coeff_terms))])
 
 
-@pytest.mark.parametrize("make", [mv_make, form_make])
-@pytest.mark.parametrize("c", [0.1, 0.0, "1/2"])
+def _direct(cls):
+    return lambda ctx, terms: cls(ctx, dict(terms))
+
+
+@pytest.mark.parametrize(
+    "make", [mv_make, form_make, _direct(PolyVector), _direct(DiffForm)],
+    ids=["mv_make", "form_make", "PolyVector", "DiffForm"],
+)
+@pytest.mark.parametrize("c", [0.1, 0.0, 0.5, "1/2", "1"])
 def test_make_refuses_inexact_coefficients(make, c):
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
         make(CTX2, [((0,), {(1, 0): Fraction(1, 2), (0, 0): c})])
+
+
+@pytest.mark.parametrize("cls", [PolyVector, DiffForm])
+@pytest.mark.parametrize(
+    "poly, match",
+    [
+        ({}, "empty polynomial"),
+        ({(0, 0): Fraction(0)}, "stores a zero"),
+        ({(0, 0): 0}, "stores a zero"),
+        ({(1, 0): 1, (0, 0): Fraction(0)}, "stores a zero"),
+    ],
+)
+def test_direct_construction_refuses_empty_and_zero_coefficients(cls, poly, match):
+    # mv_make/form_make sum and drop what cancels; a map given directly is
+    # stored as given, so a zero in it would make a nonzero-looking zero value
+    with pytest.raises(ValueError, match=match):
+        cls(CTX2, {(0,): poly})
 
 
 @pytest.mark.parametrize("c", [0.1, 0.0, "1/2"])
@@ -69,6 +94,76 @@ def test_mv_scale_refuses_inexact_scalars(c):
         mv_scale(mv_frame(CTX2, (0,)), c)
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
         mv_scale(mv_zero(CTX2), c)
+
+
+# a multivector and a form of the same shape: x d/dx against x dx
+_MV = mv_make(CTX2, [((0,), {(1, 0): 1})])
+_FORM = form_make(CTX2, [((0,), {(1, 0): 1})])
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        (wedge_mv, (_MV, _FORM)),
+        (wedge_mv, (_FORM, _FORM)),
+        (form_wedge, (_MV, _FORM)),
+        (form_wedge, (_FORM, _MV)),
+        (mv_add, (_MV, _FORM)),
+        (mv_sub, (_FORM, _MV)),
+        (form_add, (_FORM, _MV)),
+        (form_add, (_MV, _MV)),
+        (schouten, (_FORM, _FORM)),
+        (schouten, (_MV, _FORM)),
+        (contract, (_MV, _MV)),
+        (contract, (_FORM, _FORM)),
+        (d_form, (_MV,)),
+        (mv_neg, (_FORM,)),
+        (mv_scale, (_FORM, 2)),
+        (mv_component, (_FORM, 1)),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else "-".join(type(a).__name__ for a in x),
+)
+def test_multivector_and_form_operands_are_not_interchangeable(op, args):
+    with pytest.raises(ValueError, match="expected a (PolyVector|DiffForm), got a"):
+        op(*args)
+
+
+def test_library_built_values_are_not_checked_again(monkeypatch):
+    """The constructor check runs on caller-supplied terms only."""
+    from gdcalc import polyvec
+    from gdcalc.chevalley import m_value, phi_value
+    from gdcalc.deform import ArtinRing, ArtinSeries, GaugeParam, gauge_flow, mc_solve
+    from gdcalc.twistcheck import make_twisted, mc_defect
+
+    one = {(0, 0, 0): 1}
+    a = mv_make(CTX3, [((0,), {(1, 0, 0): 1}), ((1, 2), {(0, 1, 0): Fraction(1, 2)})])
+    b = mv_make(CTX3, [((1,), {(0, 0, 2): 3}), ((0, 2), one)])
+    pi = mv_make(CTX3, [((0, 1), {(0, 0, 1): 1}), ((1, 2), {(1, 0, 0): 1})])
+    w = form_make(CTX3, [((0,), {(0, 1, 0): 1}), ((2,), {(1, 0, 0): -2})])
+    u = form_make(CTX3, [((1,), {(0, 0, 1): 1})])
+    h = form_make(CTX3, [((0, 1, 2), one)])
+    S = make_twisted(h)
+    ring = ArtinRing(2)
+    gamma = ArtinSeries(ring, {1: pi})
+    xi = GaugeParam(ring, {1: mv_make(CTX3, [((2,), {(1, 0, 0): 1})])})
+
+    def refuse(*args):
+        raise AssertionError("a library-built value was checked again")
+
+    monkeypatch.setattr(polyvec, "_termmap", refuse)
+    for value in [
+        schouten(a, b),
+        wedge_mv(a, b),
+        form_wedge(w, u),
+        contract(w, b),
+        d_form(w),
+        phi_value(h, [a, b, pi]),
+        m_value(a, b),
+    ]:
+        assert value.terms
+    assert mv_is_zero(mc_defect(S, pi))  # pi solves the twisted equation
+    assert gauge_flow(S, gamma, xi).coeffs[2].terms
+    assert mc_solve(S, pi, 3, poly_degree=1).status == "solved"
 
 
 # ---------------------------------------------------------------------------

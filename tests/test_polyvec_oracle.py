@@ -42,11 +42,9 @@ from gdcalc.polyvec import (
     d_form,
     form_make,
     form_wedge,
-    from_termmap,
     mv_make,
     mv_scale,
     schouten,
-    to_termmap,
     wedge_mv,
 )
 from gdcalc.twistcheck import make_twisted
@@ -71,9 +69,13 @@ def _assert_canonical(got, want):
 
 
 def _assert_no_alias(out, *inputs):
-    """No polynomial dict of the output is one of the inputs' dicts."""
-    held = {id(p) for x in inputs for p in x.terms.values()}
-    assert not any(id(p) in held for p in out.terms.values())
+    """No polynomial dict of the output is one of the inputs' dicts.
+
+    ``terms`` builds its dicts on each read, so the inputs' dicts are held
+    while the output's are compared: an id of a freed dict can be reused.
+    """
+    held = [p for x in inputs for p in x.terms.values()]
+    assert not any(p is q for p in out.terms.values() for q in held)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +252,11 @@ def _solve_mv_equation(cols, rhs, ctx):
     """The library's keyed solve on the TermMaps of cols and rhs, as
     (consistent, x, rhs − Σ x_b·cols[b])."""
     fc = FastCtx(ctx.n)
-    tcols = [to_termmap(fc, c) for c in cols]
-    res = _solve_terms(fc, tcols, to_termmap(fc, rhs))
-    residual = to_termmap(fc, rhs)
+    tcols = [ref.to_termmap(fc, c) for c in cols]
+    res = _solve_terms(fc, tcols, ref.to_termmap(fc, rhs))
+    residual = ref.to_termmap(fc, rhs)
     tm_add_into(residual, _span_sum(res.x, tcols), -1)
-    return res.consistent, res.x, from_termmap(PolyVector, ctx, fc, residual)
+    return res.consistent, res.x, ref.from_termmap(PolyVector, ctx, fc, residual)
 
 
 def _assert_same_solution(got, want):
