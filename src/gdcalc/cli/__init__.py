@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..exactcore import VarContext, poly_add
 from ..polyvec import (
+    PolyVector,
     contract,
     d_form,
     form_wedge,
@@ -95,7 +96,13 @@ def _emit_json(payload: dict) -> None:
 
 
 def _term_count(v) -> int:
-    return sum(len(p) for p in v.terms.values())
+    """Stored terms of a PolyVector (its TermMap's entries) or a MultiDiffOp
+    (its int form's monomials); neither stores zeros."""
+    if isinstance(v, PolyVector):
+        return len(v._tm)
+    from ..hochschild import _ints
+
+    return sum(map(len, _ints(v)[0].values()))
 
 
 def _problem_fields(doc: Document, path: str, names: Sequence[str]) -> Dict[str, Document]:

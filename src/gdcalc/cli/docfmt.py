@@ -205,7 +205,7 @@ def _parse_poly_terms(
         if not tail or tail[0] != ":":
             raise ParseError(no, "term line must read 'term <rat> : <exps>'")
         e = _exps(tail[1:], n, no)
-        acc[e] = acc.get(e, Fraction(0)) + coeff
+        acc[e] = acc[e] + coeff if e in acc else coeff
 
 
 def _poly_of(acc: Dict[Exponents, Fraction]) -> Poly:
@@ -223,7 +223,7 @@ def _parse_frame_terms(
         no, toks = lines.take()
         coeff, frame, e = _parse_frame_term(toks, n, no)
         slot = acc.setdefault(frame, {})
-        slot[e] = slot.get(e, Fraction(0)) + coeff
+        slot[e] = slot[e] + coeff if e in slot else coeff
 
 
 def _parse_mdo_terms(

@@ -43,12 +43,19 @@ map, the second time with the sign of ``E{D}`` folded in.
 
 The primitive search builds its columns directly.  δ never touches a
 coefficient, so the image of the candidate x^m·∂^{β₁}⊗…⊗∂^{β_k} is the
-image of ∂^{β₁}⊗…⊗∂^{β_k} with the monomial m attached to every key.  It
-computes one int image per slot-order tuple with ``hoch_delta``'s kernel,
-``_delta_into``, and fans it out over the monomials as keyed columns for
-``_linalg.solve_keyed``.  The right-hand side is the target's numerators,
-so the candidate is the nonzero solution entries over the target's
-denominator, and the residual is T − ``hoch_delta``(candidate).
+image of ∂^{β₁}⊗…⊗∂^{β_k} with the monomial m attached to every key: the
+system is one block per coefficient monomial, all equal.  It computes one
+int image per slot-order tuple with ``hoch_delta``'s kernel,
+``_delta_into``, factors that block once (``_linalg.KeyedFactorisation``,
+columns the slot-order tuples, rows the image keys) and solves each
+monomial's right-hand side, the target's numerators at that monomial,
+against it; the rank is the block's times the number of monomials.  T is
+solved when every block is consistent and no term of T has a monomial
+above the bound.  The candidate is the nonzero solution entries over the
+target's denominator, and the residual is T − ``hoch_delta``(candidate).
+An unsolved T's near-solution depends on the row choices of the whole
+system, so it is computed from the blocks fanned out over the monomials as
+keyed columns, by ``_linalg.solve_keyed``, once per call.
 """
 from __future__ import annotations
 
@@ -60,7 +67,8 @@ from math import comb, factorial, lcm, perm, prod
 from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._linalg import flatten_terms, solve_keyed
+from ._fastterms import _shared_tables
+from ._linalg import KeyedFactorisation, flatten_terms, solve_keyed
 from .exactcore import (
     Exponents,
     Poly,
@@ -493,10 +501,15 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
     if k is None:
         raise ValueError("expected a homogeneous multivector field")
     n = pi.ctx.n
-    den = lcm(*(c.denominator for f in pi.terms.values() for c in f.values()))
+    den = lcm(*(c.denominator for c in pi._tm.values()))
+    # the field's numerators over den, grouped by frame mask
+    fields: Dict[int, Poly] = {}
+    for (m, exps), c in pi._tm.items():
+        fields.setdefault(m, {})[exps] = c.numerator * (den // c.denominator)
+    bits = _shared_tables(n)[1]
     out: Dict[Orders, Poly] = {}
-    for frame, f in pi.terms.items():
-        f = _poly_numerators(f, den)
+    for m, f in fields.items():
+        frame = bits[m]
         for sigma in itertools.permutations(range(k)):
             inv = sum(
                 1
@@ -556,29 +569,41 @@ def delta_primitive(
     monos = list(monomials_upto(ctx.n, poly_degree))
     one = {zero: 1}
     # δ leaves coefficients alone: the image of x^mono·∂^orders is that of
-    # ∂^orders with mono attached to every key, one image per orders tuple
-    basis: List[Tuple[Orders, Exponents]] = []
-    columns: List[Dict[Tuple[Orders, Exponents], int]] = []
-    for orders in itertools.product(monomials_upto(ctx.n, op_order), repeat=T.arity - 1):
+    # ∂^orders with mono attached to every key, so the system is one block
+    # per monomial, each the block of the slot-order images
+    tuples = list(itertools.product(monomials_upto(ctx.n, op_order), repeat=T.arity - 1))
+    images: List[Dict[Orders, int]] = []
+    for orders in tuples:
         image: Dict[Orders, Poly] = {}
         _delta_into(image, {orders: one}, T.arity - 1, zero)
-        for mono in monos:
-            basis.append((orders, mono))
-            columns.append({(key, mono): p[zero] for key, p in image.items()})
+        images.append({key: p[zero] for key, p in image.items()})
+    block = KeyedFactorisation(images)
 
-    # the system is linear, so solving for t_den·T gives t_den times the solution
-    res = solve_keyed(columns, flatten_terms(t_nums))
+    # the system is linear, so solving for t_den·T gives t_den times the
+    # solution; a monomial's right-hand side is its coefficients in T
+    rhs: Dict[Exponents, Dict[Orders, int]] = {}
+    for key, p in t_nums.items():
+        for mono, v in p.items():
+            rhs.setdefault(mono, {})[key] = v
+    # a monomial above the bound, or a key outside the image, leaves T unsolved
+    xs = {mono: block.solve(r) for mono, r in rhs.items() if sum(mono) <= poly_degree}
+    found = len(xs) == len(rhs) and all(x is not None for x in xs.values())
+    if found:
+        coeffs = [xs[mono][j] if mono in xs else 0 for j in range(len(tuples)) for mono in monos]
+    else:
+        # the near-solution depends on the row choices of the whole system
+        columns = [{(key, mono): v for key, v in image.items()} for image in images for mono in monos]
+        coeffs = solve_keyed(columns, flatten_terms(t_nums)).x
     acc: Dict[Orders, Poly] = {}
-    for (orders, mono), x in zip(basis, res.x):
+    for (orders, mono), x in zip(itertools.product(tuples, monos), coeffs):
         if x:
             acc.setdefault(orders, {})[mono] = x
     candidate = mdo_scale(MultiDiffOp(ctx, T.arity - 1, acc), Fraction(1, t_den))
     residual = mdo_sub(T, hoch_delta(candidate))
-    found = res.consistent
     return PrimitiveResult(
         found=found,
         primitive=candidate if found else None,
         candidate=candidate,
         residual=residual,
-        rank=res.rank,
+        rank=block.rank * len(monos),
     )

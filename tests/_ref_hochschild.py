@@ -5,6 +5,12 @@ scalars are applied by ``poly_scale`` and sums are taken with ``poly_add``
 copies.  It is slow and kept only as an independent oracle for
 ``gdcalc.hochschild``; ``tests/test_hochschild_oracle.py`` pins the library
 against it.
+
+``delta_primitive`` is the primitive search as one keyed system: every
+candidate term x^m·∂^{β₁}⊗…⊗∂^{β_k} is its own column, every (slot orders,
+monomial) of an image or of the target its own row, solved by
+``_linalg.solve_keyed``.  ``tests/test_factorisation_oracle.py`` pins the
+library's one-block search against it.
 """
 from __future__ import annotations
 
@@ -13,10 +19,12 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from gdcalc._linalg import solve_keyed
 from gdcalc.exactcore import (
     Exponents,
     Poly,
     VarContext,
+    monomials_upto,
     partial_derive,
     poly_add,
     poly_is_zero,
@@ -24,7 +32,7 @@ from gdcalc.exactcore import (
     poly_neg,
     poly_scale,
 )
-from gdcalc.hochschild import MultiDiffOp
+from gdcalc.hochschild import MultiDiffOp, PrimitiveResult
 from gdcalc.polyvec import PolyVector, mv_homogeneous_degree, mv_is_zero
 
 Orders = Tuple[Exponents, ...]
@@ -244,3 +252,33 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
             )
             collected.append((orders, poly_scale(f, norm * sgn)))
     return mdo_make(pi.ctx, k, collected)
+
+
+def delta_primitive(T: MultiDiffOp, *, poly_degree: int, op_order: int) -> PrimitiveResult:
+    """The bounded search for ξ with δξ = T, one column per candidate term."""
+    if T.arity == 0:
+        raise ValueError("0-ary cochains have no primitive space")
+    ctx = T.ctx
+    zero = (0,) * ctx.n
+    monos = list(monomials_upto(ctx.n, poly_degree))
+    basis: List[Tuple[Orders, Exponents]] = []
+    columns: List[Dict[Tuple[Orders, Exponents], Fraction]] = []
+    for orders in itertools.product(monomials_upto(ctx.n, op_order), repeat=T.arity - 1):
+        image = hoch_delta(MultiDiffOp(ctx, T.arity - 1, {orders: {zero: Fraction(1)}})).terms
+        for mono in monos:
+            basis.append((orders, mono))
+            columns.append({(key, mono): p[zero] for key, p in image.items()})
+    rhs = {(key, mono): v for key, p in T.terms.items() for mono, v in p.items()}
+    res = solve_keyed(columns, rhs)
+    acc: Dict[Orders, Poly] = {}
+    for (orders, mono), x in zip(basis, res.x):
+        if x:
+            acc.setdefault(orders, {})[mono] = x
+    candidate = MultiDiffOp(ctx, T.arity - 1, acc)
+    return PrimitiveResult(
+        found=res.consistent,
+        primitive=candidate if res.consistent else None,
+        candidate=candidate,
+        residual=mdo_sub(T, hoch_delta(candidate)),
+        rank=res.rank,
+    )
