@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Where the benchmark's `flow` workload spends its time, by task family.
+"""Where a benchmark workload (`flow` or `hochschild`) spends its time, by task family.
 
-    PYTHONPATH=src python3 scripts/flow_costs.py [--seed 1] [--repeat 3]
+    PYTHONPATH=src python3 scripts/task_costs.py {flow,hochschild} [--seed 1] [--repeat 3]
 
-Builds one seed's `flow` tasks as `perfbench/run.py --workload flow` does
-(by importing `perfbench/workloads.py`, which it does not modify), runs the
-whole task list `--repeat` times in this process, and keeps each task's
-best wall time.  For each task family (the task name, such as
-`cli:gauge` or `cli:gauge-equiv-n3-d1`) it prints the task count, the
-number of tasks whose verdict check failed on the first run (the
-`gauge-equiv` false negatives are the known gap), and the total and median
-of the best times in ms.  Comparing two checkouts' tables shows which
-families a change sped up, without a profiler.  The input documents go to a
-temporary directory that is removed at exit.  Standard library only.
+Builds one seed's tasks of the named workload as `perfbench/run.py
+--workload` does (by importing `perfbench/workloads.py`, which it does not
+modify), runs the whole task list `--repeat` times in this process, and
+keeps each task's best wall time.  For each task family (the task name,
+such as `cli:gauge-equiv-n3-d1` in `flow` or `jacobi-n2` in `hochschild`)
+it prints the task count, the number of tasks whose verdict check failed on
+the first run (`flow`'s `gauge-equiv` false negatives are the known gap),
+and the total and median of the best times in ms.  Comparing two
+checkouts' tables shows which families a change sped up, without a
+profiler.  `flow`'s input documents go to a temporary directory that is
+removed at exit; `hochschild` writes none.  Standard library only.
 """
 from __future__ import annotations
 
@@ -36,14 +37,16 @@ import workloads  # noqa: E402
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workload", choices=("flow", "hochschild"), help="the workload to time")
     ap.add_argument("--seed", type=int, default=1, help="workload seed, as perfbench/run.py --seed")
     ap.add_argument("--repeat", type=int, default=3, help="runs of the task list; each task's best is kept")
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    work = tempfile.mkdtemp(prefix="flow_costs-")
+    work = tempfile.mkdtemp(prefix=f"{args.workload}_costs-")
     try:
-        tasks = workloads.flow(random.Random(f"flow:{args.seed}"), workloads.Files(work))
+        build = getattr(workloads, args.workload)
+        tasks = build(random.Random(f"{args.workload}:{args.seed}"), workloads.Files(work))
         best = [float("inf")] * len(tasks)
         failed = [False] * len(tasks)
         for rep in range(args.repeat):

@@ -47,7 +47,7 @@ def phi_value(omega: DiffForm, args: Sequence[PolyVector]) -> PolyVector:
     """
     args = tuple(args)
     k = form_degree(omega)
-    if k is None and omega.terms:
+    if k is None and omega._tm:
         raise ValueError("phi expects a homogeneous form")
     if k is not None and k != len(args):
         raise ValueError(f"arity {len(args)} contradicts form degree {k}")

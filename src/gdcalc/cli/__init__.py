@@ -2,8 +2,11 @@
 
 Exit codes: 0 success (or all checks passed), 1 a check failed (identity
 violation, twisted-check false, no primitive, not gauge-equivalent),
-2 malformed input (parse or schema error; message names the line) or a
-refused bound (negative, or a sweep that would check nothing).
+2 the input was refused: a parse or schema error (the message names the
+line), a refused bound (negative, or a sweep that would check nothing), or
+any other input the library refuses with ``ValueError``.  ``main`` maps
+every such refusal to exit 2 in one place; an internal self-check's
+``RuntimeError`` is not caught.
 All successful outputs are byte-deterministic for fixed inputs.
 
 Imports follow the commands.  Without a bytecode cache every process
@@ -55,25 +58,21 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 
-class _CliError(Exception):
-    """Schema-level problem outside the parser; exits with code 2."""
-
-
 def _read_doc(path: str) -> Document:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _CliError(f"{path}: {exc.strerror or exc}") from None
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
     try:
         return parse_document(text)
     except ParseError as exc:
-        raise _CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _want(doc: Document, kind: str, path: str) -> Document:
     if doc.kind != kind:
-        raise _CliError(f"{path}: expected a {kind} document, found {doc.kind}")
+        raise ValueError(f"{path}: expected a {kind} document, found {doc.kind}")
     return doc
 
 
@@ -81,7 +80,7 @@ def _same_ctx(docs: Sequence[Document], paths: Sequence[str]) -> VarContext:
     ctx = docs[0].ctx
     for d, p in zip(docs[1:], paths[1:]):
         if d.ctx != ctx:
-            raise _CliError(f"{p}: context differs from {paths[0]}")
+            raise ValueError(f"{p}: context differs from {paths[0]}")
     return ctx
 
 
@@ -100,30 +99,26 @@ def _term_count(v) -> int:
     (its int form's monomials); neither stores zeros."""
     if isinstance(v, PolyVector):
         return len(v._tm)
-    from ..hochschild import _ints
-
-    return sum(map(len, _ints(v)[0].values()))
+    return sum(map(len, v._nums.values()))
 
 
 def _problem_fields(doc: Document, path: str, names: Sequence[str]) -> Dict[str, Document]:
     if doc.kind != "problem":
-        raise _CliError(f"{path}: expected a problem document")
+        raise ValueError(f"{path}: expected a problem document")
     fields = doc.payload.fields
     for n in names:
         if n not in fields:
-            raise _CliError(f"{path}: problem is missing field {n!r}")
+            raise ValueError(f"{path}: problem is missing field {n!r}")
     return fields
 
 
 def _make_twisted_checked(form_doc: Document, path: str):
-    from ..twistcheck import NotClosedError, make_twisted
+    from ..twistcheck import make_twisted
 
     try:
         return make_twisted(form_doc.payload)
-    except NotClosedError as exc:
-        raise _CliError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise _CliError(f"{path}: {exc}") from None
+    except ValueError as exc:  # NotClosedError included
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +150,7 @@ def cmd_wedge(args) -> int:
             acc = form_wedge(acc, d.payload)
         _emit(serialize_document(doc_form(acc)))
     else:
-        raise _CliError("wedge needs all-multivector or all-form inputs")
+        raise ValueError("wedge needs all-multivector or all-form inputs")
     return 0
 
 
@@ -177,10 +172,7 @@ def cmd_contract(args) -> int:
     a = _want(_read_doc(args.form), "form", args.form)
     v = _want(_read_doc(args.multivector), "multivector", args.multivector)
     _same_ctx([a, v], [args.form, args.multivector])
-    try:
-        got = contract(a.payload, v.payload)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    got = contract(a.payload, v.payload)
     _emit(serialize_document(doc_multivector(got)))
     return 0
 
@@ -202,23 +194,20 @@ def cmd_phi_eval(args) -> int:
     elif spec_doc.kind == "cochain-spec":
         spec = spec_doc.payload
     else:
-        raise _CliError(f"{args.spec}: expected a form or cochain-spec document")
+        raise ValueError(f"{args.spec}: expected a form or cochain-spec document")
     mv_docs = [_want(_read_doc(p), "multivector", p) for p in args.multivectors]
     _same_ctx([spec_doc] + mv_docs, [args.spec] + list(args.multivectors))
     values = [d.payload for d in mv_docs]
     if spec.tag == "m":
         if len(values) != 2:
-            raise _CliError(f"cochain of arity 2 applied to {len(values)} arguments")
+            raise ValueError(f"cochain of arity 2 applied to {len(values)} arguments")
         got = m_value(*values)
     else:
         if spec.arity != len(mv_docs):
-            raise _CliError(
+            raise ValueError(
                 f"cochain arity {spec.arity} but {len(mv_docs)} arguments given"
             )
-        try:
-            got = phi_value(spec.form, values)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from None
+        got = phi_value(spec.form, values)
     _emit(serialize_document(doc_multivector(got)))
     return 0
 
@@ -233,7 +222,7 @@ def _render_checks(
     """Print the sweep reports; a sweep that checked nothing is refused, not passed."""
     for r in reports:
         if r.checked == 0:
-            raise _CliError(f"{title}: check {r.name} checked nothing under {bounds}")
+            raise ValueError(f"{title}: check {r.name} checked nothing under {bounds}")
     failed = [r for r in reports if not r.passed]
     if emit == "json":
         payload = {
@@ -275,7 +264,7 @@ def cmd_lemma_check(args) -> int:
 
     n = args.dim
     if n < 1:
-        raise _CliError("--dim must be at least 1")
+        raise ValueError("--dim must be at least 1")
     ctx = VarContext(tuple(f"x{i+1}" for i in range(n)))
     deg = args.bounds_degree
     fmax = min(3, n)
@@ -294,9 +283,9 @@ def cmd_linfty_check(args) -> int:
     from .._fastsweep import linfty_jacobi, linfty_mixed, linfty_ternary
 
     h = _want(_read_doc(args.form), "form", args.form)
-    degrees = sorted({len(frame) for frame in h.payload.terms})
+    degrees = sorted({m.bit_count() for m, _ in h.payload._tm})
     if degrees not in ([], [3]):
-        raise _CliError(
+        raise ValueError(
             f"{args.form}: linfty-check takes a 3-form, found terms of degree "
             + ", ".join(str(k) for k in degrees)
         )
@@ -327,10 +316,7 @@ def cmd_twisted_check(args) -> int:
 
     h_doc, pi_doc, path = _twisted_inputs(args)
     s = _make_twisted_checked(h_doc, path)
-    try:
-        defect = mc_defect(s, pi_doc.payload)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    defect = mc_defect(s, pi_doc.payload)
     ok = mv_is_zero(defect)
     terms = _term_count(defect)
     if args.emit == "json":
@@ -362,10 +348,7 @@ def cmd_mc_defect(args) -> int:
 
     doc, h_doc, s_doc = _series_problem(args, "series")
     s = _make_twisted_checked(h_doc, args.problem)
-    try:
-        d = defect_series(s, s_doc.payload)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    d = defect_series(s, s_doc.payload)
     counts = {k: _term_count(v) for k, v in sorted(d.items())}
     all_zero = all(c == 0 for c in counts.values())
     if args.emit == "json":
@@ -390,10 +373,7 @@ def cmd_defect_series(args) -> int:
 
     doc, h_doc, s_doc = _series_problem(args, "series")
     s = _make_twisted_checked(h_doc, args.problem)
-    try:
-        d = defect_series(s, s_doc.payload)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    d = defect_series(s, s_doc.payload)
     out = series_make(s_doc.payload.ring, {k: v for k, v in d.items()})
     _emit(serialize_document(doc_series(doc.ctx, out)))
     return 0
@@ -407,10 +387,7 @@ def cmd_mc_solve(args) -> int:
     h_doc = _want(f["h"], "form", args.problem)
     pi_doc = _want(f["pi1"], "multivector", args.problem)
     s = _make_twisted_checked(h_doc, args.problem)
-    try:
-        rep = mc_solve(s, pi_doc.payload, args.truncation, poly_degree=args.bounds_degree)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    rep = mc_solve(s, pi_doc.payload, args.truncation, poly_degree=args.bounds_degree)
     if rep.status == "solved":
         d = defect_series(s, rep.solution)
         counts = {k: _term_count(v) for k, v in sorted(d.items())}
@@ -464,13 +441,10 @@ def cmd_gauge(args) -> int:
     s_doc = _want(f["series"], "artin-series", args.problem)
     xi_doc = _want(f["xi"], "artin-series", args.problem)
     if xi_doc.payload.ring != s_doc.payload.ring:
-        raise _CliError(f"{args.problem}: xi and series truncations differ")
+        raise ValueError(f"{args.problem}: xi and series truncations differ")
     s = _make_twisted_checked(h_doc, args.problem)
-    try:
-        xi = GaugeParam(xi_doc.payload.ring, dict(xi_doc.payload.coeffs))
-        moved = gauge_flow(s, s_doc.payload, xi)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    xi = GaugeParam(xi_doc.payload.ring, dict(xi_doc.payload.coeffs))
+    moved = gauge_flow(s, s_doc.payload, xi)
     _emit(serialize_document(doc_series(doc.ctx, moved)))
     return 0
 
@@ -484,12 +458,7 @@ def cmd_gauge_equiv(args) -> int:
     a_doc = _want(f["a"], "artin-series", args.problem)
     b_doc = _want(f["b"], "artin-series", args.problem)
     s = _make_twisted_checked(h_doc, args.problem)
-    try:
-        rep = gauge_equivalent(
-            s, a_doc.payload, b_doc.payload, poly_degree=args.bounds_degree
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    rep = gauge_equivalent(s, a_doc.payload, b_doc.payload, poly_degree=args.bounds_degree)
     wit_text = None
     if rep.equivalent and rep.witness is not None:
         wit_series = series_make(rep.witness.ring, dict(rep.witness.coeffs))
@@ -546,12 +515,9 @@ def cmd_hoch(args) -> int:
         outer = _read_mdo(args.files[0])
         inner = [_read_mdo(p) for p in args.files[1:]]
         if not inner:
-            raise _CliError("brace needs at least one insertion operand")
+            raise ValueError("brace needs at least one insertion operand")
         _same_ctx([outer] + inner, args.files)
-        try:
-            got = brace(outer.payload, [d.payload for d in inner])
-        except ValueError as exc:
-            raise _CliError(str(exc)) from None
+        got = brace(outer.payload, [d.payload for d in inner])
         _emit(serialize_document(doc_multidiffop(got)))
         return 0
     if sub == "ia":
@@ -565,17 +531,12 @@ def cmd_hoch(args) -> int:
         try:
             got = hkr(v.payload)
         except ValueError as exc:
-            raise _CliError(f"{args.files[0]}: {exc}") from None
+            raise ValueError(f"{args.files[0]}: {exc}") from None
         _emit(serialize_document(doc_multidiffop(got)))
         return 0
     if sub == "primitive":
         d = _read_mdo(args.files[0])
-        try:
-            res = delta_primitive(
-                d.payload, poly_degree=args.bounds_degree, op_order=args.bounds_order
-            )
-        except ValueError as exc:
-            raise _CliError(str(exc)) from None
+        res = delta_primitive(d.payload, poly_degree=args.bounds_degree, op_order=args.bounds_order)
         if args.emit == "json":
             payload = {
                 "command": "hoch primitive",
@@ -600,7 +561,6 @@ def cmd_hoch(args) -> int:
                 lines.append(f"residual-terms {_term_count(res.residual)}")
                 _emit("\n".join(lines) + "\n")
         return 0 if res.found else 1
-    raise _CliError(f"unknown hoch subcommand {sub!r}")
 
 
 def cmd_verify(args) -> int:
@@ -751,7 +711,7 @@ def _check_bounds(args) -> None:
     for name in ("bounds_degree", "bounds_order", "truncation"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
-            raise _CliError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -760,10 +720,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_bounds(args)
         return args.fn(args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ParseError as exc:
+    except ValueError as exc:  # the library's refusals and ParseError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -164,19 +164,19 @@ def _exps(toks: Sequence[str], n: int, no: int) -> Exponents:
     return tuple(_nonneg(t, no, "exponent") for t in toks)
 
 
-def _split_term(toks: Sequence[str], no: int) -> Tuple[Fraction, List[str], bool]:
+def _split_term(toks: Sequence[str], no: int) -> Tuple[Fraction, List[str]]:
     """Split 'term <rat> [@ ...] : ...' into (coeff, tail-after-colon-and-@)."""
     if toks[0] != "term":
         raise ParseError(no, f"expected a 'term' line, got {toks[0]!r}")
     if len(toks) < 2:
         raise ParseError(no, "term line is missing its coefficient")
-    return _rat(toks[1], no), list(toks[2:]), True
+    return _rat(toks[1], no), list(toks[2:])
 
 
 def _parse_frame_term(
     toks: Sequence[str], n: int, no: int
 ) -> Tuple[Fraction, Tuple[int, ...], Exponents]:
-    coeff, tail, _ = _split_term(toks, no)
+    coeff, tail = _split_term(toks, no)
     if not tail or tail[0] != "@":
         raise ParseError(no, "term line must read 'term <rat> @ <indices> : <exps>'")
     try:
@@ -201,7 +201,7 @@ def _parse_poly_terms(
         if row is None or row[1][0] in stop:
             return acc
         no, toks = lines.take()
-        coeff, tail, _ = _split_term(toks, no)
+        coeff, tail = _split_term(toks, no)
         if not tail or tail[0] != ":":
             raise ParseError(no, "term line must read 'term <rat> : <exps>'")
         e = _exps(tail[1:], n, no)
@@ -238,7 +238,7 @@ def _parse_mdo_terms(
         if row is None or row[1][0] in stop:
             break
         no, toks = lines.take()
-        coeff, tail, _ = _split_term(toks, no)
+        coeff, tail = _split_term(toks, no)
         if not tail or tail[0] != ":":
             raise ParseError(no, "term line must read 'term <rat> : <exps> [@ ...]'")
         tail = tail[1:]
@@ -401,14 +401,10 @@ def parse_document(text: str) -> Document:
 # canonical serialization
 
 
-def _mono_key(e: Exponents):
-    return grlex_key(e)
-
-
 def _ser_poly_lines(p: Poly) -> List[str]:
     return [
         f"term {format_rat(p[e])} : {' '.join(str(x) for x in e)}"
-        for e in sorted(p, key=_mono_key)
+        for e in sorted(p, key=grlex_key)
     ]
 
 
@@ -418,7 +414,7 @@ def _ser_frame_lines(terms: Dict[Tuple[int, ...], Poly]) -> List[str]:
         p = terms[frame]
         fr = " ".join(str(i) for i in frame)
         at = f"@ {fr} :" if fr else "@ :"
-        for e in sorted(p, key=_mono_key):
+        for e in sorted(p, key=grlex_key):
             out.append(f"term {format_rat(p[e])} {at} {' '.join(str(x) for x in e)}")
     return out
 
@@ -428,7 +424,7 @@ def _ser_mdo_lines(D: MultiDiffOp) -> List[str]:
     for orders, p in sorted(D.terms.items()):  # each orders tuple once, so no dict compares
         blocks = " | ".join(" ".join(str(x) for x in o) for o in orders)
         suffix = f" @ {blocks}" if D.arity else ""
-        for e in sorted(p, key=_mono_key):
+        for e in sorted(p, key=grlex_key):
             mono = " ".join(str(x) for x in e)
             out.append(f"term {format_rat(p[e])} : {mono}{suffix}")
     return out

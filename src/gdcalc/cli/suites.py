@@ -296,7 +296,7 @@ def _check_twisted(expected: bool):
         f = doc.payload.fields
         defect = mc_defect(make_twisted(f["h"].payload), f["pi"].payload)
         got = mv_is_zero(defect)
-        terms = len(defect.terms)
+        terms = len(defect._tm)
         return got is expected, f"twisted-poisson={str(got).lower()} defect-terms={terms}"
 
     return run

@@ -14,15 +14,15 @@ Signs are documented in docs/sign-ledger.md.
 An operator stores one coefficient form: int numerators over one positive
 common denominator, which need not be the least.  Reading ``terms`` builds
 the map {slot orders: coefficient polynomial} with reduced ``Fraction``
-coefficients and no stored zeros, fresh on every read.  ``mdo_make`` checks
-every term it is given and returns the int form.  An operator built directly
-as ``MultiDiffOp(ctx, arity, terms)`` keeps that map unchecked until its
-first use: then ``_check_op`` checks its slot counts, each distinct
-multi-index, the variable count of every coefficient monomial, and that
-each coefficient is a nonzero ``int`` or ``Fraction`` in a nonempty
-polynomial, refusing a malformed operator with ``ValueError``, and the map
-is replaced by its int form.  Every public function that takes an operator
-goes through that first-use step, and no operator is checked again after it.
+coefficients and no stored zeros, fresh on every read.  An operator is
+well formed from the moment it exists: ``MultiDiffOp(ctx, arity, terms)``
+runs ``_check_op`` on the given map, which checks its slot counts, each
+distinct multi-index, the variable count of every coefficient monomial, and
+that each coefficient is a nonzero ``int`` or ``Fraction`` in a nonempty
+polynomial, refusing a malformed operator with ``ValueError``, and stores
+its int form.  ``mdo_make`` also checks the slot orders of every term it is
+given, those that cancel away included.  Operators the kernels compute are
+built unchecked by ``_op``, and no operator is checked again.
 
 The producers (``hoch_delta``, ``brace``, ``gerstenhaber``, ``cup``,
 ``hkr``, ``mdo_add``/``mdo_sub``, ``mdo_neg``, ``mdo_scale`` and
@@ -75,6 +75,7 @@ from .exactcore import (
     VarContext,
     add_term_into,
     exact_scalar,
+    koszul_sign,
     monomials_upto,
     mul_into,
     poly_add,
@@ -114,40 +115,33 @@ __all__ = [
 
 class MultiDiffOp:
     """Sum of terms coeff(x)·∂^{orders[0]}⊗…⊗∂^{orders[arity-1]}; ``terms`` is
-    read-only, and the map given here is checked on first use."""
+    read-only, and the map given here is checked at once."""
 
     __slots__ = ("ctx", "arity", "_nums", "_den")
 
     def __init__(self, ctx: VarContext, arity: int, terms: Dict[Orders, Poly]):
-        # a zero denominator marks a map not yet checked
-        self.ctx, self.arity, self._nums, self._den = ctx, arity, terms, 0
+        den = _check_op(ctx, arity, terms)
+        self.ctx, self.arity, self._den = ctx, arity, den
+        self._nums = {o: _poly_numerators(p, den) for o, p in terms.items()}
 
     @property
     def terms(self) -> Dict[Orders, Poly]:
-        nums, den = _ints(self)
-        return {o: {e: Fraction(v, den) for e, v in p.items()} for o, p in nums.items()}
+        den = self._den
+        return {o: {e: Fraction(v, den) for e, v in p.items()} for o, p in self._nums.items()}
 
     def __eq__(self, other):
         return mdo_eq(self, other) if isinstance(other, MultiDiffOp) else NotImplemented
 
     def __repr__(self) -> str:
-        terms = self.terms if self._den else self._nums
-        return f"MultiDiffOp({self.ctx!r}, {self.arity!r}, {terms!r})"
+        return f"MultiDiffOp({self.ctx!r}, {self.arity!r}, {self.terms!r})"
 
 
 def _op(ctx: VarContext, arity: int, nums: Dict[Orders, Poly], den: int) -> MultiDiffOp:
-    """The operator with int numerators nums over den, well formed by construction."""
-    D = MultiDiffOp(ctx, arity, nums)
-    D._den = den
+    """The operator with int numerators nums over den, well formed by
+    construction, so unchecked."""
+    D = object.__new__(MultiDiffOp)
+    D.ctx, D.arity, D._nums, D._den = ctx, arity, nums, den
     return D
-
-
-def _ints(D: MultiDiffOp) -> Tuple[Dict[Orders, Poly], int]:
-    """D's int numerators and denominator; checks and converts an unchecked map."""
-    if not D._den:
-        den = _check_op(D)
-        D._nums, D._den = {o: _poly_numerators(p, den) for o, p in D._nums.items()}, den
-    return D._nums, D._den
 
 
 def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
@@ -158,21 +152,21 @@ def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
             raise ValueError(f"bad multi-index {beta!r} for {ctx.n} variables")
 
 
-def _check_op(D: MultiDiffOp) -> int:
-    """Validate the unchecked map of D: slot counts, each distinct multi-index
-    once, the variable count of every coefficient monomial, and each
-    coefficient (a nonzero ``int`` or ``Fraction``, in a nonempty
-    polynomial).  Returns the lcm of the coefficient denominators."""
+def _check_op(ctx: VarContext, arity: int, terms: Dict[Orders, Poly]) -> int:
+    """Validate a caller's map: slot counts, each distinct multi-index once,
+    the variable count of every coefficient monomial, and each coefficient
+    (a nonzero ``int`` or ``Fraction``, in a nonempty polynomial).  Returns
+    the lcm of the coefficient denominators."""
     betas = set()
     den = 1
-    for orders, p in D._nums.items():
-        if len(orders) != D.arity:
-            _validate_orders(D.ctx, D.arity, orders)
+    for orders, p in terms.items():
+        if len(orders) != arity:
+            _validate_orders(ctx, arity, orders)
         if not p:
             raise ValueError(f"coefficient of {orders!r} is the empty polynomial")
         for e, c in p.items():
-            if len(e) != D.ctx.n:
-                raise ValueError(f"coefficient of {orders!r} is not over {D.ctx.n} variables")
+            if len(e) != ctx.n:
+                raise ValueError(f"coefficient of {orders!r} is not over {ctx.n} variables")
             if type(c) is not Fraction and type(c) is not int:
                 raise ValueError(f"coefficient {c!r} of {orders!r} is not an int or a Fraction")
             num, d = c.as_integer_ratio()
@@ -182,7 +176,7 @@ def _check_op(D: MultiDiffOp) -> int:
                 den = lcm(den, d)
         betas.update(orders)
     for beta in betas:
-        _validate_orders(D.ctx, 1, (beta,))
+        _validate_orders(ctx, 1, (beta,))
     return den
 
 
@@ -206,9 +200,7 @@ def mdo_make(
         orders = tuple(tuple(b) for b in orders)
         _validate_orders(ctx, arity, orders)
         add_term_into(out, orders, poly_exact(poly))
-    D = MultiDiffOp(ctx, arity, out)
-    _ints(D)
-    return D
+    return MultiDiffOp(ctx, arity, out)
 
 
 def mdo_zero(ctx: VarContext, arity: int) -> MultiDiffOp:
@@ -230,13 +222,12 @@ def _add_ints(a: MultiDiffOp, b: MultiDiffOp, sign: int) -> MultiDiffOp:
     """a + sign·b over the lcm of the two denominators."""
     if a.ctx != b.ctx or a.arity != b.arity:
         raise ValueError("cochain shape mismatch")
-    (a_nums, a_den), (b_nums, b_den) = _ints(a), _ints(b)
-    den = lcm(a_den, b_den)
+    den = lcm(a._den, b._den)
     out: Dict[Orders, Poly] = {}
-    for orders, p in a_nums.items():
-        add_term_into(out, orders, p, den // a_den)
-    for orders, p in b_nums.items():
-        add_term_into(out, orders, p, sign * (den // b_den))
+    for orders, p in a._nums.items():
+        add_term_into(out, orders, p, den // a._den)
+    for orders, p in b._nums.items():
+        add_term_into(out, orders, p, sign * (den // b._den))
     return _op(a.ctx, a.arity, out, den)
 
 
@@ -255,21 +246,19 @@ def mdo_sub(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
 def mdo_scale(a: MultiDiffOp, c) -> MultiDiffOp:
     """c·a; c must be an int or a Fraction, else ``ValueError``."""
     c = exact_scalar(c)
-    nums, den = _ints(a)
     if c == 0:
         return mdo_zero(a.ctx, a.arity)
     m = c.numerator
-    out = {o: {e: v * m for e, v in p.items()} for o, p in nums.items()}
-    return _op(a.ctx, a.arity, out, den * c.denominator)
+    out = {o: {e: v * m for e, v in p.items()} for o, p in a._nums.items()}
+    return _op(a.ctx, a.arity, out, a._den * c.denominator)
 
 
 def mdo_eq(a: MultiDiffOp, b: MultiDiffOp) -> bool:
-    _ints(a), _ints(b)
     return a.ctx == b.ctx and a.arity == b.arity and not _add_ints(a, b, -1)._nums
 
 
 def mdo_is_zero(a: MultiDiffOp) -> bool:
-    return not _ints(a)[0]
+    return not a._nums
 
 
 def poly_derive_multi(p: Poly, beta: Exponents, factor: int = 1) -> Poly:
@@ -349,10 +338,9 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
                       + (−1)^{k+1} D(…,a_k)·a_{k+1},
     with the slot splits expanded through the product rule.
     """
-    nums, den = _ints(D)
     out: Dict[Orders, Poly] = {}
-    _delta_into(out, nums, D.arity, (0,) * D.ctx.n)
-    return _op(D.ctx, D.arity + 1, out, den)
+    _delta_into(out, D._nums, D.arity, (0,) * D.ctx.n)
+    return _op(D.ctx, D.arity + 1, out, D._den)
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +435,11 @@ def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
     for E in inserts:
         if E.ctx != D.ctx:
             raise ValueError("context mismatch")
-    den = _ints(D)[1] * prod(_ints(E)[1] for E in inserts)
     if m == 0:
         return D
     out: Dict[Orders, Poly] = {}
     _brace_into(out, D, inserts, 1)
+    den = D._den * prod(E._den for E in inserts)
     return _op(D.ctx, D.arity + sum(E.arity for E in inserts) - m, out, den)
 
 
@@ -459,7 +447,6 @@ def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     """[D,E] = D{E} − (−1)^{(k_D−1)(k_E−1)} E{D}; a 0-ary outer term vanishes."""
     if D.ctx != E.ctx:
         raise ValueError("context mismatch")
-    den = _ints(D)[1] * _ints(E)[1]
     out_arity = D.arity + E.arity - 1
     if out_arity < 0:  # two 0-ary cochains commute
         return mdo_zero(D.ctx, 0)
@@ -468,22 +455,20 @@ def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
         _brace_into(out, D, [E], 1)
     if E.arity:
         _brace_into(out, E, [D], 1 if ((D.arity - 1) * (E.arity - 1)) % 2 else -1)
-    return _op(D.ctx, out_arity, out, den)
+    return _op(D.ctx, out_arity, out, D._den * E._den)
 
 
 def cup(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     """(D∪E)(a₁,…) = D(a₁,…,a_k)·E(a_{k+1},…); agrees with μ{D,E}."""
     if D.ctx != E.ctx:
         raise ValueError("context mismatch")
-    (d_nums, d_den), (e_nums, e_den) = _ints(D), _ints(E)
     # distinct slot-order pairs give distinct keys; no product of nonzero polys is 0
-    out = {do + eo: poly_mul(dc, ec) for do, dc in d_nums.items() for eo, ec in e_nums.items()}
-    return _op(D.ctx, D.arity + E.arity, out, d_den * e_den)
+    out = {do + eo: poly_mul(dc, ec) for do, dc in D._nums.items() for eo, ec in E._nums.items()}
+    return _op(D.ctx, D.arity + E.arity, out, D._den * E._den)
 
 
 def i_func_hoch(a: Poly, D: MultiDiffOp) -> MultiDiffOp:
     """Alternating insertion of the function a: Σ_i (−1)^i D(…,a_i, a, a_{i+1},…)."""
-    _ints(D)
     if D.arity == 0:
         return mdo_zero(D.ctx, 0)
     return brace(D, [mdo_from_poly(D.ctx, a)])
@@ -507,17 +492,12 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
     for (m, exps), c in pi._tm.items():
         fields.setdefault(m, {})[exps] = c.numerator * (den // c.denominator)
     bits = _shared_tables(n)[1]
+    ones = [1] * k
     out: Dict[Orders, Poly] = {}
     for m, f in fields.items():
         frame = bits[m]
         for sigma in itertools.permutations(range(k)):
-            inv = sum(
-                1
-                for i in range(k)
-                for j in range(i + 1, k)
-                if sigma[i] > sigma[j]
-            )
-            sgn = -1 if inv % 2 else 1
+            sgn = koszul_sign(ones, sigma)
             orders = tuple(
                 tuple(1 if v == frame[sigma[q]] else 0 for v in range(n))
                 for q in range(k)
@@ -563,7 +543,7 @@ def delta_primitive(
         )
     if T.arity == 0:
         raise ValueError("0-ary cochains have no primitive space")
-    t_nums, t_den = _ints(T)
+    t_nums, t_den = T._nums, T._den
     ctx = T.ctx
     zero = (0,) * ctx.n
     monos = list(monomials_upto(ctx.n, poly_degree))

@@ -321,6 +321,20 @@ def test_hkr_refuses_inhomogeneous_multivector(tmp_path, capsys):
     assert err == f"error: {v}: expected a homogeneous multivector field\n"
 
 
+def test_any_library_refusal_exits_2(tmp_path, capsys, monkeypatch):
+    """main maps a ValueError from any handler's library call to exit 2."""
+    import gdcalc.cli as cli
+
+    def refuse(a, b):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "schouten", refuse)
+    a = write_doc(tmp_path, "a.gdt", doc_multivector(mv_make(CTX2, [((0,), X)])))
+    b = write_doc(tmp_path, "b.gdt", doc_multivector(mv_make(CTX2, [((1,), Y)])))
+    assert main(["schouten", a, b]) == 2
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
 _BASE_MODULES = {
     "gdcalc", "gdcalc._fastterms", "gdcalc.cli", "gdcalc.cli.docfmt", "gdcalc.exactcore",
     "gdcalc.polyvec",

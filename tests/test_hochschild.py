@@ -107,54 +107,45 @@ def test_mdo_scale_refuses_inexact_scalars(c):
         mdo_scale(mdo_zero(CTX2, 1), c)
 
 
-# operators built directly, bypassing mdo_make's per-term check
+# maps given to MultiDiffOp directly, bypassing mdo_make's per-term check:
+# (arity, terms)
 MALFORMED = {
-    "short-multi-index": MultiDiffOp(CTX2, 1, {((1,),): ONE2}),
-    "negative-entry": MultiDiffOp(CTX2, 1, {((1, -1),): ONE2}),
-    "wrong-slot-count": MultiDiffOp(CTX2, 2, {((1, 0),): ONE2}),
-    "coefficient-variable-count": MultiDiffOp(CTX2, 1, {((1, 0),): {(1, 0, 0): Fraction(1)}}),
-    "stored-zero-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {(0, 0): Fraction(0)}}),
-    "empty-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {}}),
-    "float-coefficient": MultiDiffOp(CTX2, 1, {((1, 0),): {(0, 0): 0.5}}),
-    "float-coefficient-0-ary": MultiDiffOp(CTX2, 0, {(): {(0, 0): 0.5}}),
+    "short-multi-index": (1, {((1,),): ONE2}),
+    "negative-entry": (1, {((1, -1),): ONE2}),
+    "wrong-slot-count": (2, {((1, 0),): ONE2}),
+    "coefficient-variable-count": (1, {((1, 0),): {(1, 0, 0): Fraction(1)}}),
+    "stored-zero-coefficient": (1, {((1, 0),): {(0, 0): Fraction(0)}}),
+    "empty-coefficient": (1, {((1, 0),): {}}),
+    "float-coefficient": (1, {((1, 0),): {(0, 0): 0.5}}),
+    "float-coefficient-0-ary": (0, {(): {(0, 0): 0.5}}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_operations_validate_their_inputs(name):
-    bad = MALFORMED[name]
-    same_shape = {0: mdo_from_poly(CTX2, X), 1: IDENT, 2: DX_DY}[bad.arity]
-    calls = [
-        lambda: hoch_delta(bad),
-        lambda: brace(bad, [DX]),
-        lambda: brace(DX_DY, [bad]),
-        lambda: cup(bad, DX),
-        lambda: cup(DX, bad),
-        lambda: gerstenhaber(bad, DX),
-        lambda: gerstenhaber(DX, bad),
-        lambda: mdo_add(bad, same_shape),
-        lambda: mdo_add(same_shape, bad),
-        lambda: mdo_sub(bad, same_shape),
-        lambda: mdo_sub(same_shape, bad),
-        lambda: mdo_neg(bad),
-        lambda: mdo_scale(bad, 2),
-        lambda: mdo_is_zero(bad),
-        lambda: mdo_eq(bad, bad),
-        lambda: bad == bad,
-        lambda: bad.terms,
-        lambda: apply_mdo(bad, [X] * bad.arity),
-        lambda: gerstenhaber(bad, bad),  # 0-ary operands too, whose bracket is zero
-        lambda: i_func_hoch(X, bad),
-        lambda: delta_primitive(bad, poly_degree=1, op_order=1),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError):
-            call()
+    """No operation can meet a malformed operator: none can be built."""
+    arity, terms = MALFORMED[name]
+    with pytest.raises(ValueError):
+        MultiDiffOp(CTX2, arity, terms)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(((1,),), ONE2)],  # short multi-index
+        [(((1, -1),), ONE2)],  # negative entry
+        [(((1,),), ONE2), (((1,),), poly_from_terms(2, [(-1, (0, 0))]))],  # cancels away
+    ],
+    ids=["short-multi-index", "negative-entry", "malformed-term-that-cancels"],
+)
+def test_mdo_make_refuses_each_malformed_term(terms):
+    with pytest.raises(ValueError, match="bad multi-index"):
+        mdo_make(CTX2, 1, terms)
 
 
 def test_terms_is_a_fresh_map():
     """Writing to a map read from an operator, or to the map it was built from
-    after its first use, changes nothing and slips nothing past the check."""
+    after construction, changes nothing and slips nothing past the check."""
     given = {((1, 0),): {(0, 0): Fraction(1, 2)}}
     D = MultiDiffOp(CTX2, 1, given)
     half_dx = mdo_scale(DX, Fraction(1, 2))
