@@ -52,13 +52,13 @@ def main() -> int:
     made = {}  # id of a live factorisation -> its row in systems
     current = [0]
 
-    def timed_init(self, rows, ncols):
+    def timed_init(self, columns, keys):
         t0 = time.perf_counter()
-        init(self, rows, ncols)
+        init(self, columns, keys)
         dt = time.perf_counter() - t0
         made[id(self)] = len(systems)
-        nnz = sum(1 for row in rows for _, v in row if v)
-        systems.append([current[0], len(rows), ncols, nnz, self.rank, 0, dt, 0.0])
+        nnz = sum(1 for col in columns for v in col.values() if v)
+        systems.append([current[0], len(keys), len(columns), nnz, self.rank, 0, dt, 0.0])
 
     def timed_solve(self, rhs):
         t0 = time.perf_counter()

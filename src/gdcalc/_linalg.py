@@ -2,24 +2,19 @@
 
 Small private helper used by the primitive search and the order-by-order
 solver: Gauss–Jordan elimination with free variables pinned to zero and an
-explicit consistency verdict.  A matrix is eliminated once, by
-``Factorisation``, which records its row operations; each right-hand side
-is then solved by replaying them.  ``gaussian_solve`` and ``solve_keyed``
-factor their matrix and replay their one right-hand side, so the library
-has a single elimination loop.
+explicit consistency verdict.  ``Factorisation(columns, keys)`` eliminates
+a system once and records its row operations; ``solve`` answers each
+right-hand side by replaying them.
 
-Input: callers describe a system by its columns, each a ``{equation key:
-value}`` map of its nonzero coefficients, and the right-hand side as one
-more such map (``flatten_terms`` makes one from a map of polynomials, one
-equation per coefficient).  ``KeyedFactorisation`` sorts the columns' keys
-into rows and factors them, for callers that solve several right-hand
-sides against the same columns; ``solve_keyed`` sorts the keys of the
-columns and of its right-hand side and hands ``gaussian_solve`` each row as
-a list of ``(column, value)`` pairs, its nonzero entries only.  Every entry
-and right-hand side must be an ``int`` or a ``Fraction``; anything else (a
-float above all, whose binary value ``Fraction`` would take) is refused
-with ``ValueError``.  The callers' largest systems have hundreds of rows
-and columns and are well under 1% nonzero.
+Input: each column is a ``{equation key: value}`` map of its nonzero
+coefficients, and ``keys`` lists the equations, one row each, in the order
+the pivot rule sees them; it must hold every key of every column.  A
+right-hand side is one more such map; a nonzero value at a key outside
+``keys`` makes the system inconsistent.  Every entry and right-hand side
+must be an ``int`` or a ``Fraction``; anything else (a float above all,
+whose binary value ``Fraction`` would take) is refused with ``ValueError``.
+The callers' largest systems have hundreds of rows and columns and are well
+under 1% nonzero.
 
 Integer rows: each row is scaled once, by the lcm of its denominators, to
 ints, held as a ``{column: int}`` dict, and a column → row-id index records
@@ -46,44 +41,22 @@ Pivot rule: columns are taken left to right.  The pivot for a column is the
 first row, in the current swapped order at or below position ``r``, with a
 nonzero entry there; it is swapped into position ``r`` (but not scaled),
 and the column is cleared from every other row, above and below.  The rule
-reads only nonzero patterns, so a factorisation made without the
-right-hand side selects the rows a joint elimination would.  For an
-inconsistent system ``x`` solves the subsystem of the selected rows; callers
-report that ``x`` and its residual, which is computed from the rows as
-given.  The selection depends on every row's position, those of rows that
-hold only a right-hand side included, so a near-solution is computed from
-the full system (``solve_keyed``).  A consistent system's solution with free
-variables at zero is unique, whichever rows are selected, so
-``KeyedFactorisation`` answers it from the columns' rows alone.
+reads only nonzero patterns, so the right-hand side never changes the rows
+it selects.  A consistent system's solution with free variables at zero is
+unique, whichever rows are selected, so one factorisation of the columns'
+keys answers every consistent right-hand side.  For an inconsistent system
+``x`` solves the subsystem of the selected rows, and the selection depends
+on every row's position, those of rows that hold only a right-hand side
+included; a caller that reports such a near-solution factors the system
+with the right-hand side's keys among ``keys``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Set, Tuple
 
-__all__ = [
-    "Factorisation",
-    "KeyedFactorisation",
-    "LinearSolution",
-    "flatten_terms",
-    "gaussian_solve",
-    "solve_keyed",
-]
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    consistent: bool
-    x: List[Fraction]
-    rank: int
-    residual: List[Fraction]
-
-
-def flatten_terms(terms: Mapping[Hashable, Mapping[Hashable, Fraction]]) -> Dict[tuple, Fraction]:
-    """{key: {monomial: value}} as one equation key (key, monomial) per value."""
-    return {(k, mono): v for k, poly in terms.items() for mono, v in poly.items()}
+__all__ = ["Factorisation"]
 
 
 def _check_exact(v, what: str) -> None:
@@ -97,36 +70,40 @@ def _check_exact(v, what: str) -> None:
 
 
 class Factorisation:
-    """rows @ x = rhs eliminated once; ``solve`` replays it on a right-hand side.
+    """Σ_b x_b·columns[b] = rhs eliminated once, one equation per key.
 
-    Rows are given as (column, value) pairs, as to ``gaussian_solve``;
-    columns not named in a row are zero there.  Entries must be ints or
-    Fractions, else ``ValueError``.  ``rank`` is the matrix rank.
+    ``keys`` is the row order; a column key outside it, or a key listed
+    twice, is refused with ``ValueError``, as is an entry that is not an
+    int or a Fraction.  ``rank`` is the matrix rank.
     """
 
-    __slots__ = ("m", "ncols", "rank", "_scale", "_steps", "_pivots", "_rest")
+    __slots__ = ("ncols", "rank", "_index", "_scale", "_steps", "_pivots", "_rest")
 
-    def __init__(self, rows: Sequence[Sequence[Tuple[int, Fraction]]], ncols: int):
-        m = len(rows)
+    def __init__(self, columns: Sequence[Mapping[Hashable, Fraction]], keys: Sequence[Hashable]):
+        index = {key: i for i, key in enumerate(keys)}
+        m, ncols = len(index), len(columns)
+        if m != len(keys):
+            raise ValueError("an equation key is listed twice")
+        entries: List[Dict[int, Fraction]] = [{} for _ in range(m)]
+        col_rows: List[Set[int]] = [set() for _ in range(ncols)]
+        for j, col in enumerate(columns):
+            for key, v in col.items():
+                _check_exact(v, "entry")
+                i = index.get(key)
+                if i is None:
+                    raise ValueError(f"column key {key!r} is not among the equation keys")
+                if v:
+                    entries[i][j] = v
+                    col_rows[j].add(i)
         a: List[Dict[int, int]] = []
         scale: List[int] = []
-        col_rows: List[Set[int]] = [set() for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            entries = {}
-            for j, v in row:
-                _check_exact(v, "entry")
-                if v:
-                    if not 0 <= j < ncols:
-                        raise ValueError(f"column {j} outside a {ncols}-column system")
-                    entries[j] = v
+        for row in entries:
             den = 1
-            for v in entries.values():
+            for v in row.values():
                 if den % v.denominator:
                     den = lcm(den, v.denominator)
-            a.append({j: v.numerator * (den // v.denominator) for j, v in entries.items()})
+            a.append({j: v.numerator * (den // v.denominator) for j, v in row.items()})
             scale.append(den)
-            for j in entries:
-                col_rows[j].add(i)
 
         # order[pos] is the row id at position pos; where[id] is its position
         order = list(range(m))
@@ -185,25 +162,30 @@ class Factorisation:
             pivots.append((col, p))
             r += 1
 
-        self.m, self.ncols, self.rank = m, ncols, r
+        self.ncols, self.rank, self._index = ncols, r, index
         self._scale, self._steps, self._rest = scale, steps, order[r:]
         self._pivots = [(col, p, a[p][col]) for col, p in pivots]
 
-    def solve(self, rhs: Sequence[Fraction]) -> Tuple[bool, List[Fraction]]:
-        """(consistent, x) for one right-hand side, one value per row.
+    def solve(self, rhs: Mapping[Hashable, Fraction]) -> Tuple[bool, List[Fraction]]:
+        """(consistent, x) for one right-hand side, a ``{key: value}`` map.
 
         x has every free variable at zero; for an inconsistent system it
-        solves the subsystem of the selected rows.  Values must be ints or
-        Fractions, else ``ValueError``.
+        solves the subsystem of the selected rows.  A nonzero value at a key
+        outside ``keys`` makes the system inconsistent.  Values must be ints
+        or Fractions, else ``ValueError``.
         """
-        if len(rhs) != self.m:
-            raise ValueError("matrix/right-hand-side size mismatch")
-        b: List[int] = []
-        d: List[int] = []
-        for v, sc in zip(rhs, self._scale):
+        index, scale = self._index, self._scale
+        b = [0] * len(scale)
+        d = [1] * len(scale)
+        consistent = True
+        for key, v in rhs.items():
             _check_exact(v, "right-hand side")
-            b.append(v.numerator * sc)
-            d.append(v.denominator)
+            i = index.get(key)
+            if i is not None:
+                b[i] = v.numerator * scale[i]
+                d[i] = v.denominator
+            elif v:
+                consistent = False
         for p, ops in self._steps:
             bp = b[p]
             if bp:
@@ -223,99 +205,9 @@ class Factorisation:
                         num, den = s * bi, g * d[i]
                         h = gcd(num, den)
                         b[i], d[i] = num // h, den // h
-        consistent = not any(b[i] for i in self._rest)
+        consistent = consistent and not any(b[i] for i in self._rest)
         x = [Fraction(0)] * self.ncols
         for col, p, a in self._pivots:
             if b[p]:
                 x[col] = Fraction(b[p], d[p] * a)
         return consistent, x
-
-
-def _keyed_rows(
-    columns: Sequence[Mapping[Hashable, Fraction]], index: Mapping[Hashable, int]
-) -> List[List[Tuple[int, Fraction]]]:
-    rows: List[List[Tuple[int, Fraction]]] = [[] for _ in index]
-    for b, col in enumerate(columns):
-        for key, v in col.items():
-            rows[index[key]].append((b, v))
-    return rows
-
-
-class KeyedFactorisation:
-    """The columns' system factored once, one equation per key of a column.
-
-    The keys are sorted by ``row_key`` (natural order when None).  ``solve``
-    answers consistent right-hand sides only: a consistent system's solution
-    with free variables at zero does not depend on the row order or on rows
-    that hold only a right-hand side.
-    """
-
-    __slots__ = ("rank", "_index", "_f")
-
-    def __init__(self, columns: Sequence[Mapping[Hashable, Fraction]], row_key: Optional[Callable] = None):
-        keys = sorted(set().union(*columns), key=row_key)
-        self._index = {key: i for i, key in enumerate(keys)}
-        self._f = Factorisation(_keyed_rows(columns, self._index), len(columns))
-        self.rank = self._f.rank
-
-    def solve(self, rhs: Mapping[Hashable, Fraction]) -> Optional[List[Fraction]]:
-        """x with Σ_b x_b·columns[b] = rhs and free variables zero, or None if
-        there is none (a nonzero value at a key of no column included)."""
-        index = self._index
-        b: List[Fraction] = [0] * len(index)
-        for key, v in rhs.items():
-            i = index.get(key)
-            if i is not None:
-                b[i] = v
-            else:
-                _check_exact(v, "right-hand side")
-                if v:
-                    return None
-        consistent, x = self._f.solve(b)
-        return x if consistent else None
-
-
-def solve_keyed(
-    columns: Sequence[Mapping[Hashable, Fraction]],
-    rhs: Mapping[Hashable, Fraction],
-    row_key: Optional[Callable] = None,
-) -> LinearSolution:
-    """Solve Σ_b x_b·columns[b] = rhs, one equation per key.
-
-    The equations are the keys of the columns and of ``rhs``, sorted by
-    ``row_key`` (natural order when None); that order is the row order the
-    pivot rule sees.
-    """
-    keys = sorted(set(rhs).union(*columns), key=row_key)
-    rows = _keyed_rows(columns, {key: i for i, key in enumerate(keys)})
-    return gaussian_solve(rows, [rhs.get(key, 0) for key in keys], ncols=len(columns))
-
-
-def gaussian_solve(
-    rows: Sequence[Sequence[Tuple[int, Fraction]]],
-    rhs: Sequence[Fraction],
-    ncols: int,
-) -> LinearSolution:
-    """Solve rows @ x = rhs exactly, each row given as (column, value) pairs.
-
-    Columns not named in a row are zero there.  Entries and right-hand sides
-    must be ints or Fractions, else ``ValueError``.  Returns the particular
-    solution with every free variable set to zero.  When the system is
-    inconsistent, ``consistent`` is False and ``x`` still holds the
-    least-committal candidate obtained by ignoring the violated equations,
-    with the nonzero residual ``rhs - rows @ x`` reported.
-    """
-    if len(rhs) != len(rows):
-        raise ValueError("matrix/right-hand-side size mismatch")
-    f = Factorisation(rows, ncols)
-    consistent, x = f.solve(rhs)
-    nonzero = {j: v for j, v in enumerate(x) if v}
-    residual: List[Fraction] = []
-    for row, rv in zip(rows, rhs):
-        # a column named twice counts with its last nonzero value, as in the factor
-        entries = {j: v for j, v in row if v}
-        for j, v in entries.items():
-            if j in nonzero:
-                rv -= v * nonzero[j]
-        residual.append(rv if type(rv) is Fraction else Fraction(rv))
-    return LinearSolution(consistent=consistent, x=x, rank=f.rank, residual=residual)

@@ -271,8 +271,6 @@ def _parse_mdo_terms(
 def _parse_series(lines: _Lines, ctx: VarContext, truncation: int) -> ArtinSeries:
     from ..deform import ArtinRing, series_make
 
-    if truncation < 1:
-        raise ParseError(lines.last_no, "truncation must be at least 1")
     ring = ArtinRing(truncation)
     coeffs: Dict[int, PolyVector] = {}
     prev = 0

@@ -70,11 +70,11 @@ CTX3 = _ctx("x", "y", "z")
 CTX4 = _ctx("x1", "x2", "x3", "x4")
 
 
-def _line_from_report(suite: str, r: fs.CheckReport) -> CheckLine:
+def _line_from_report(suite: str, r: fs.CheckReport, suffix: str = "") -> CheckLine:
     detail = f"checked={r.checked} trivial={r.trivial}"
     if not r.passed and r.witness:
         detail += f" witness: {r.witness}"
-    return CheckLine(suite, r.name, r.passed, detail)
+    return CheckLine(suite, r.name + suffix, r.passed, detail)
 
 
 def suite_schouten() -> List[CheckLine]:
@@ -82,10 +82,7 @@ def suite_schouten() -> List[CheckLine]:
     for ctx, pd, md in [(CTX2, 1, 2), (CTX3, 1, 2)]:
         for fn in (fs.schouten_antisymmetry, fs.schouten_jacobi, fs.schouten_leibniz):
             r = fn(ctx, poly_degree=pd, mv_degree=md)
-            detail = f"checked={r.checked} trivial={r.trivial}"
-            if not r.passed and r.witness:
-                detail += f" witness: {r.witness}"
-            out.append(CheckLine("schouten", f"{r.name}-n{ctx.n}", r.passed, detail))
+            out.append(_line_from_report("schouten", r, f"-n{ctx.n}"))
     return out
 
 

@@ -12,11 +12,13 @@ context for the call (``gauge_equivalent``'s flows share it), sums with
 as a ``PolyVector`` at exit.  ``_defect`` is the one order-k defect
 routine.  ``mc_solve`` and ``gauge_equivalent`` solve against the same
 columns at every order, so each factors its TermMap columns once per call
-(``_linalg.KeyedFactorisation``) and replays the factorisation on each
-order's right-hand side.  A consistent order's solution does not depend on
-the rows the elimination selects; an obstruction's near-solution does, so
-``mc_solve`` computes it from the full keyed system (``solve_keyed``), at
-most once per call.  ``gauge_equivalent`` reports no near-solution.
+(``_linalg.Factorisation``, one equation per key of a column, in
+``_equation_keys`` order) and replays the factorisation on each order's
+right-hand side.  A consistent order's solution does not depend on the rows
+the elimination selects; an obstruction's near-solution does, so
+``mc_solve`` computes it from a second factorisation whose equations also
+hold the right-hand side's keys, at most once per call.
+``gauge_equivalent`` reports no near-solution.
 
 The flow is built in one pass by t-order (``_flow``): ξ has t-order ≥ 1, so
 the flow's entries of t-order k read only entries of lower t-order, and each
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._fastterms import FastCtx, TermMap, phi_into, schouten_into, split_degrees, tm_add_into
-from ._linalg import KeyedFactorisation, LinearSolution, solve_keyed
+from ._fastterms import FastCtx, TermKey, TermMap, phi_into, schouten_into, split_degrees, tm_add_into
+from ._linalg import Factorisation
 from .exactcore import grlex_key
 from .polyvec import PolyVector, basis_multivectors, mv_eq, mv_homogeneous_degree, mv_is_zero
 from .twistcheck import TwistedStructure
@@ -144,15 +146,11 @@ def _span_sum(x: Sequence[Fraction], tms: Sequence[TermMap]) -> TermMap:
     return acc
 
 
-def _row_key(fc: FastCtx):
-    """Rows ordered by frame degree, frame, grlex monomial."""
+def _equation_keys(fc: FastCtx, *tms: TermMap) -> List[TermKey]:
+    """The keys of the TermMaps, ordered by frame degree, frame, grlex monomial."""
     bits = fc.bits
-    return lambda key: (len(bits[key[0]]), bits[key[0]], grlex_key(key[1]))
-
-
-def _solve_terms(fc: FastCtx, cols: Sequence[TermMap], rhs: TermMap) -> LinearSolution:
-    """Solve Σ x_b·cols[b] = rhs as one system with rhs's keys among its rows."""
-    return solve_keyed(cols, rhs, _row_key(fc))
+    keys = set().union(*tms)
+    return sorted(keys, key=lambda key: (len(bits[key[0]]), bits[key[0]], grlex_key(key[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +238,14 @@ def mc_solve(
         cols: List[TermMap] = [{} for _ in basis]
         for b, col in zip(basis, cols):
             schouten_into(fc, p1, b, 2, col)
-        factored = KeyedFactorisation(cols, _row_key(fc))
+        factored = Factorisation(cols, _equation_keys(fc, *cols))
         for k in range(2, N + 1):
             rhs = _defect(fc, H, cs, k + 1, -1)
-            x = factored.solve(rhs)
-            if x is None:
+            consistent, x = factored.solve(rhs)
+            if not consistent:
                 # order-(k+1) defect at the best candidate, which depends on
                 # the row choices of the whole system
-                x = _solve_terms(fc, cols, rhs).x
+                x = Factorisation(cols, _equation_keys(fc, rhs, *cols)).solve(rhs)[1]
                 return report_obstructed(k + 1, _diff(_span_sum(x, cols), rhs))
             pik = _span_sum(x, basis)
             if pik:
@@ -373,15 +371,15 @@ def gauge_equivalent(
     cols: List[TermMap] = [{} for _ in basis]
     for b, col in zip(basis, cols):
         schouten_into(fc, b, start.get(1, {}), -1, col)
-    factored = KeyedFactorisation(cols, _row_key(fc))
+    factored = Factorisation(cols, _equation_keys(fc, *cols))
     xi: Terms = {}
     for m in range(2, n_trunc + 1):
         current = _flow(fc, H, start, xi, n_trunc).get(m, {})
         delta = _diff(target.get(m, {}), current)
         if not delta:
             continue
-        x = factored.solve(delta)
-        if x is None:
+        consistent, x = factored.solve(delta)
+        if not consistent:
             return GaugeReport(False, None, poly_degree)
         v = _span_sum(x, basis)
         if v:

@@ -46,8 +46,8 @@ coefficient, so the image of the candidate x^m·∂^{β₁}⊗…⊗∂^{β_k} i
 image of ∂^{β₁}⊗…⊗∂^{β_k} with the monomial m attached to every key: the
 system is one block per coefficient monomial, all equal.  It computes one
 int image per slot-order tuple with ``hoch_delta``'s kernel,
-``_delta_into``, factors that block once (``_linalg.KeyedFactorisation``,
-columns the slot-order tuples, rows the image keys) and solves each
+``_delta_into``, factors that block once (``_linalg.Factorisation``,
+columns the slot-order tuples, rows the sorted image keys) and solves each
 monomial's right-hand side, the target's numerators at that monomial,
 against it; the rank is the block's times the number of monomials.  T is
 solved when every block is consistent and no term of T has a monomial
@@ -55,7 +55,8 @@ above the bound.  The candidate is the nonzero solution entries over the
 target's denominator, and the residual is T − ``hoch_delta``(candidate).
 An unsolved T's near-solution depends on the row choices of the whole
 system, so it is computed from the blocks fanned out over the monomials as
-keyed columns, by ``_linalg.solve_keyed``, once per call.
+one factorisation whose equations also hold the target's keys, once per
+call.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._fastterms import _shared_tables
-from ._linalg import KeyedFactorisation, flatten_terms, solve_keyed
+from ._linalg import Factorisation
 from .exactcore import (
     Exponents,
     Poly,
@@ -557,7 +558,7 @@ def delta_primitive(
         image: Dict[Orders, Poly] = {}
         _delta_into(image, {orders: one}, T.arity - 1, zero)
         images.append({key: p[zero] for key, p in image.items()})
-    block = KeyedFactorisation(images)
+    block = Factorisation(images, sorted(set().union(*images)))
 
     # the system is linear, so solving for t_den·T gives t_den times the
     # solution; a monomial's right-hand side is its coefficients in T
@@ -567,13 +568,14 @@ def delta_primitive(
             rhs.setdefault(mono, {})[key] = v
     # a monomial above the bound, or a key outside the image, leaves T unsolved
     xs = {mono: block.solve(r) for mono, r in rhs.items() if sum(mono) <= poly_degree}
-    found = len(xs) == len(rhs) and all(x is not None for x in xs.values())
+    found = len(xs) == len(rhs) and all(consistent for consistent, _ in xs.values())
     if found:
-        coeffs = [xs[mono][j] if mono in xs else 0 for j in range(len(tuples)) for mono in monos]
+        coeffs = [xs[mono][1][j] if mono in xs else 0 for j in range(len(tuples)) for mono in monos]
     else:
         # the near-solution depends on the row choices of the whole system
         columns = [{(key, mono): v for key, v in image.items()} for image in images for mono in monos]
-        coeffs = solve_keyed(columns, flatten_terms(t_nums)).x
+        flat = {(key, mono): v for key, p in t_nums.items() for mono, v in p.items()}
+        coeffs = Factorisation(columns, sorted(set(flat).union(*columns))).solve(flat)[1]
     acc: Dict[Orders, Poly] = {}
     for (orders, mono), x in zip(itertools.product(tuples, monos), coeffs):
         if x:

@@ -8,8 +8,9 @@ against it.
 
 ``delta_primitive`` is the primitive search as one keyed system: every
 candidate term x^m·∂^{β₁}⊗…⊗∂^{β_k} is its own column, every (slot orders,
-monomial) of an image or of the target its own row, solved by
-``_linalg.solve_keyed``.  ``tests/test_factorisation_oracle.py`` pins the
+monomial) of an image or of the target its own row, solved by the dense
+oracle ``_dense_gauss.dense_keyed_solve``, which shares no code with the
+library's solver.  ``tests/test_factorisation_oracle.py`` pins the
 library's one-block search against it.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from gdcalc._linalg import solve_keyed
+from _dense_gauss import dense_keyed_solve
 from gdcalc.exactcore import (
     Exponents,
     Poly,
@@ -269,7 +270,7 @@ def delta_primitive(T: MultiDiffOp, *, poly_degree: int, op_order: int) -> Primi
             basis.append((orders, mono))
             columns.append({(key, mono): p[zero] for key, p in image.items()})
     rhs = {(key, mono): v for key, p in T.terms.items() for mono, v in p.items()}
-    res = solve_keyed(columns, rhs)
+    res = dense_keyed_solve(columns, rhs)
     acc: Dict[Orders, Poly] = {}
     for (orders, mono), x in zip(basis, res.x):
         if x:

@@ -2,13 +2,14 @@
 
 ``Factorisation`` eliminates a matrix once and solves each right-hand side
 by replaying the recorded row operations.  Every replay must equal a fresh
-``gaussian_solve`` of the same system and the dense oracle in
-``_dense_gauss``, field for field: the verdict, ``x`` with its types (also
-for inconsistent systems) and the rank.  ``KeyedFactorisation`` answers the
-consistent right-hand sides of ``solve_keyed``.  The primitive search
-factors one block and solves each monomial against it; it must equal the
-fanned-out keyed system of ``_ref_hochschild.delta_primitive`` in ``found``,
-``rank``, ``candidate`` and ``residual``.
+factorisation of the same system and the dense oracle in ``_dense_gauss``,
+field for field: the verdict, ``x`` with its types (also for inconsistent
+systems) and the rank.  A factorisation of the columns' keys alone answers
+the consistent right-hand sides of the system that also holds the
+right-hand side's keys.  The primitive search factors one block and solves
+each monomial against it; it must equal the fanned-out keyed system of
+``_ref_hochschild.delta_primitive`` in ``found``, ``rank``, ``candidate``
+and ``residual``.
 """
 import itertools
 import random
@@ -19,21 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _ref_hochschild as ref
-from _dense_gauss import dense_gaussian_solve, dense_to_pairs
+from _dense_gauss import dense_factorisation, dense_gaussian_solve, dense_keyed_solve, solve_dense
 from gdcalc import hochschild as hs
-from gdcalc._linalg import Factorisation, KeyedFactorisation, gaussian_solve, solve_keyed
+from gdcalc._linalg import Factorisation
 from gdcalc.exactcore import VarContext, monomials_upto
 
 
 def assert_replays(rows, rhss):
     """Every right-hand side replayed on one factorisation of rows."""
-    ncols = len(rows[0])
-    pairs = dense_to_pairs(rows)
-    f = Factorisation(pairs, ncols)
+    f = dense_factorisation(rows)
     verdicts = []
     for rhs in rhss:
-        consistent, x = f.solve(rhs)
-        for want in (gaussian_solve(pairs, rhs, ncols), dense_gaussian_solve(rows, rhs, ncols)):
+        consistent, x = f.solve(dict(enumerate(rhs)))
+        for want in (solve_dense(rows, rhs), dense_gaussian_solve(rows, rhs)):
             assert (consistent, f.rank) == (want.consistent, want.rank)
             assert x == want.x
             assert [type(v) for v in x] == [type(v) for v in want.x]
@@ -103,21 +102,22 @@ def test_seeded_sparse_systems_with_several_right_hand_sides():
 
 
 def test_replay_refuses_inexact_right_hand_sides():
-    f = Factorisation([[(0, 1)]], 1)
+    f = Factorisation([{0: 1}], range(1))
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        f.solve([0.5])
-    with pytest.raises(ValueError, match="size mismatch"):
-        f.solve([1, 2])
-    keyed = KeyedFactorisation([{"a": 1}])
+        f.solve({0: 0.5})
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        keyed.solve({"b": 0.5})
+        f.solve({1: 0.5})
+    # a key outside the equations is a row that holds only a right-hand side
+    assert f.solve({0: 1, 1: 2}) == (False, [Fraction(1)])
+    assert f.solve({0: 1, 1: Fraction(0)}) == (True, [Fraction(1)])
 
 
 @given(st.integers(min_value=0, max_value=6), st.data())
 @settings(max_examples=100, deadline=None)
 def test_keyed_factorisation_answers_consistent_systems(ncols, data):
-    """x where solve_keyed is consistent, None where it is not; keys of no
-    column are rows of the full system that hold only a right-hand side."""
+    """The columns' keys alone give the verdict of the full system, and its x
+    where it is consistent; keys of no column are rows of the full system
+    that hold only a right-hand side."""
     keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
     value = st.one_of(
         st.sampled_from([0, 1, -1, 2, -3]),
@@ -127,7 +127,7 @@ def test_keyed_factorisation_answers_consistent_systems(ncols, data):
         data.draw(st.dictionaries(keys, value.filter(bool), max_size=5)) for _ in range(ncols)
     ]
     row_key = data.draw(st.sampled_from([None, lambda k: (k[1], -k[0])]))
-    f = KeyedFactorisation(columns, row_key)
+    f = Factorisation(columns, sorted(set().union(*columns), key=row_key))
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         if columns and data.draw(st.booleans()):
             # a combination of the columns: always consistent
@@ -138,13 +138,13 @@ def test_keyed_factorisation_answers_consistent_systems(ncols, data):
                     rhs[k] = rhs.get(k, 0) + c * v
         else:
             rhs = data.draw(st.dictionaries(keys, value, max_size=4))
-        want = solve_keyed(columns, rhs, row_key)
+        want = dense_keyed_solve(columns, rhs, row_key)
         assert f.rank == want.rank
-        got = f.solve(rhs)
-        assert (got is not None) == want.consistent
-        if got is not None:
-            assert got == want.x
-            assert [type(v) for v in got] == [type(v) for v in want.x]
+        consistent, x = f.solve(rhs)
+        assert consistent == want.consistent
+        if consistent:
+            assert x == want.x
+            assert [type(v) for v in x] == [type(v) for v in want.x]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def naive_per_block_candidate(T, poly_degree, op_order):
     acc = {}
     for mono in monomials_upto(ctx.n, poly_degree):
         rhs = {key: p[mono] for key, p in T.terms.items() if mono in p}
-        for orders, x in zip(tuples, solve_keyed(images, rhs).x):
+        for orders, x in zip(tuples, dense_keyed_solve(images, rhs).x):
             if x:
                 acc.setdefault(orders, {})[mono] = x
     return hs.MultiDiffOp(ctx, T.arity - 1, acc)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _dense_gauss import solve_dense
-from gdcalc._linalg import gaussian_solve, solve_keyed
+from gdcalc._linalg import Factorisation
 
 
 def matmul(rows, x):
@@ -49,11 +49,13 @@ def test_no_equations_needs_ncols():
 
 
 def test_ragged_matrix_rejected():
-    # rows are (column, value) pairs; a column outside the system is refused
-    with pytest.raises(ValueError):
-        gaussian_solve([[(0, 1), (1, 2)], [(2, 1)]], [0, 0], ncols=2)
-    with pytest.raises(ValueError):
-        gaussian_solve([[(-1, 1)]], [0], ncols=2)
+    # every key of every column must be an equation key, a zero entry's too
+    with pytest.raises(ValueError, match="not among the equation keys"):
+        Factorisation([{0: 1, 1: 2}, {2: 1}], range(2))
+    with pytest.raises(ValueError, match="not among the equation keys"):
+        Factorisation([{"a": 1}, {"b": 0}], ["a"])
+    with pytest.raises(ValueError, match="listed twice"):
+        Factorisation([{"a": 1}], ["a", "a"])
 
 
 small_frac = st.fractions(
@@ -80,20 +82,22 @@ def test_solvable_systems_are_solved(m, n, data):
 
 
 def test_zero_pairs_are_skipped():
-    res = gaussian_solve([[(0, 0), (1, 2)], [(0, Fraction(0))]], [4, 0], ncols=2)
-    assert res.consistent
-    assert res.x == [Fraction(0), Fraction(2)]
-    assert res.rank == 1
+    f = Factorisation([{0: 0, 1: Fraction(0)}, {0: 2}], range(2))
+    assert f.solve({0: 4, 1: 0}) == (True, [Fraction(0), Fraction(2)])
+    assert f.rank == 1
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.0, "1/2", True])
 def test_inexact_entries_are_refused(bad):
     # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        gaussian_solve([[(0, bad)]], [1], 1)
+        Factorisation([{0: bad}], range(1))
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        gaussian_solve([[(0, 1)]], [bad], 1)
+        Factorisation([{0: 1}], range(1)).solve({0: bad})
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        solve_keyed([{"a": bad}], {"a": 1})
+        Factorisation([{"a": bad}], ["a"])
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        solve_keyed([{"a": 1}], {"a": bad})
+        Factorisation([{"a": 1}], ["a"]).solve({"a": bad})
+    # a key outside the equations is checked too, not just skipped
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        Factorisation([{"a": 1}], ["a"]).solve({"b": bad})

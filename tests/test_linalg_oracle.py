@@ -1,8 +1,9 @@
-"""The sparse ``gaussian_solve`` against the dense reference oracle.
+"""The sparse ``Factorisation`` against the dense reference oracle.
 
 Every field must agree, types included: ``consistent``, ``rank``, the
 particular solution ``x`` (also for inconsistent systems, where it solves the
-subsystem of the rows the pivot rule selected) and the residual.
+subsystem of the rows the pivot rule selected) and the residual, which the
+oracle computes from the library's ``x``.
 """
 from fractions import Fraction
 import random
@@ -10,8 +11,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _dense_gauss import dense_gaussian_solve, solve_dense
-from gdcalc._linalg import solve_keyed
+from _dense_gauss import dense_gaussian_solve, dense_keyed_solve, solve_dense
+from gdcalc._linalg import Factorisation
 
 
 def assert_same(rows, rhs, ncols=None):
@@ -27,7 +28,7 @@ def assert_same(rows, rhs, ncols=None):
 
 
 # mostly zeros, as in the systems the callers build; zeros come as the int 0
-# and as Fraction(0), and the dense-to-pairs adapter leaves both out
+# and as Fraction(0), and the dense-to-columns adapter leaves both out
 entry = st.one_of(
     st.just(0), st.just(0), st.just(Fraction(0)),
     st.integers(min_value=-3, max_value=3),
@@ -144,7 +145,8 @@ def test_seeded_rational_pivots():
 @given(st.integers(min_value=0, max_value=6), st.data())
 @settings(max_examples=100, deadline=None)
 def test_keyed_columns_match_dense_assembly(ncols, data):
-    """solve_keyed is the dense system with one row per key, in row_key order."""
+    """Keyed columns with the keys in row_key order are the dense system with
+    one row per key."""
     keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
     nonzero = st.one_of(
         st.sampled_from([1, -1, 2, -3]),
@@ -153,10 +155,8 @@ def test_keyed_columns_match_dense_assembly(ncols, data):
     columns = [data.draw(st.dictionaries(keys, nonzero, max_size=5)) for _ in range(ncols)]
     rhs = data.draw(st.dictionaries(keys, nonzero, max_size=4))
     row_key = data.draw(st.sampled_from([None, lambda k: (k[1], -k[0])]))
-    got = solve_keyed(columns, rhs, row_key=row_key)
-    order = sorted(set(rhs).union(*columns), key=row_key)
-    rows = [[col.get(k, 0) for col in columns] for k in order]
-    want = dense_gaussian_solve(rows, [rhs.get(k, 0) for k in order], ncols)
-    assert got == want
-    for name in ("x", "residual"):
-        assert [type(v) for v in getattr(got, name)] == [type(v) for v in getattr(want, name)]
+    f = Factorisation(columns, sorted(set(rhs).union(*columns), key=row_key))
+    consistent, x = f.solve(rhs)
+    want = dense_keyed_solve(columns, rhs, row_key)
+    assert (consistent, x, f.rank) == (want.consistent, want.x, want.rank)
+    assert [type(v) for v in x] == [type(v) for v in want.x]

@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 
 import _ref_polyvec as ref
 from gdcalc._fastterms import FastCtx, tm_add_into
+from gdcalc._linalg import Factorisation
 from gdcalc.chevalley import m_value, phi_value
 from gdcalc.deform import (
     ArtinRing,
     GaugeParam,
-    _solve_terms,
+    _equation_keys,
     _span_sum,
     defect_series,
     gauge_equivalent,
@@ -249,14 +250,16 @@ def _random_mv(rng, n, degrees, terms=3, max_deg=1):
 
 
 def _solve_mv_equation(cols, rhs, ctx):
-    """The library's keyed solve on the TermMaps of cols and rhs, as
-    (consistent, x, rhs − Σ x_b·cols[b])."""
+    """The library's factorisation of the TermMaps of cols, with rhs's keys
+    among its equations in ``deform``'s order, as (consistent, x,
+    rhs − Σ x_b·cols[b])."""
     fc = FastCtx(ctx.n)
     tcols = [ref.to_termmap(fc, c) for c in cols]
-    res = _solve_terms(fc, tcols, ref.to_termmap(fc, rhs))
-    residual = ref.to_termmap(fc, rhs)
-    tm_add_into(residual, _span_sum(res.x, tcols), -1)
-    return res.consistent, res.x, ref.from_termmap(PolyVector, ctx, fc, residual)
+    trhs = ref.to_termmap(fc, rhs)
+    consistent, x = Factorisation(tcols, _equation_keys(fc, trhs, *tcols)).solve(trhs)
+    residual = dict(trhs)
+    tm_add_into(residual, _span_sum(x, tcols), -1)
+    return consistent, x, ref.from_termmap(PolyVector, ctx, fc, residual)
 
 
 def _assert_same_solution(got, want):

@@ -2,6 +2,9 @@
 
 ``calibrate_signs.py`` prints ``terms`` dicts verbatim, so these pins also
 hold the order in which a value hands out its frames and monomials.
+``solve_costs.py`` prints timings, so only the deterministic columns of its
+factorisation table are pinned: which systems are factored, their shapes,
+ranks and replays.
 """
 import hashlib
 import os
@@ -19,13 +22,32 @@ PINNED_MD5 = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(PINNED_MD5))
-def test_script_output_is_pinned(script):
+def _run(script, *args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     r = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert r.returncode == 0, r.stderr.decode()
-    assert hashlib.md5(r.stdout).hexdigest() == PINNED_MD5[script], r.stdout.decode()
+    return r.stdout
+
+
+@pytest.mark.parametrize("script", sorted(PINNED_MD5))
+def test_script_output_is_pinned(script):
+    out = _run(script)
+    assert hashlib.md5(out).hexdigest() == PINNED_MD5[script], out.decode()
+
+
+def test_solve_costs_factors_the_pinned_systems():
+    """(task, rows x cols, nonzeros, rank, rhs) of every factorisation of seed 1."""
+    table = _run("solve_costs.py", "--seed", "1", "--repeat", "1").decode().split("\n\n")[1]
+    rows = [line.split()[1:6] for line in table.splitlines()[1:-1]]
+    assert rows == [
+        ["cli:mc-solve-n5", "60x210", "144", "55", "2"],
+        ["cli:hoch-primitive-n3", "171x100", "198", "80", "2"],
+        ["cli:mc-solve-n6", "140x420", "420", "125", "2"],
+        ["cli:hoch-primitive-hkr-n2", "5x6", "5", "4", "2"],
+        ["cli:hoch-primitive-hkr-n2", "30x36", "30", "24", "1"],
+        ["cli:hoch-primitive-n3", "171x100", "198", "80", "2"],
+    ]
