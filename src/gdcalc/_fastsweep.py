@@ -51,7 +51,7 @@ from ._fastterms import (
     wedge_into,
 )
 from .exactcore import Exponents, VarContext, format_rat, monomials_upto
-from .polyvec import DiffForm, d_form, form_degree
+from .polyvec import DiffForm, basis_keys, d_form, form_degree
 
 __all__ = [
     "CheckReport",
@@ -115,18 +115,9 @@ def format_terms(names: Sequence[str], fc: FastCtx, tm: TermMap) -> str:
 def sweep_elements(
     fc: FastCtx, poly_degree: int, mv_degrees: Sequence[int]
 ) -> List[Element]:
-    """Same enumeration order as the canonical PolyVector basis."""
-    n = fc.n
-    monos = list(monomials_upto(n, poly_degree))
-    out: List[Element] = []
-    for k in mv_degrees:
-        if k > n:
-            continue
-        for frame in itertools.combinations(range(n), k):
-            mask = fc.mask_of(frame)
-            for exps in monos:
-                out.append(Element(mask, exps, k, (((mask, exps), 1),)))
-    return out
+    """Same enumeration order as the canonical PolyVector basis (``polyvec.basis_keys``)."""
+    keys = basis_keys(fc.n, poly_degree, mv_degrees)
+    return [Element(mask, exps, k, (((mask, exps), 1),)) for mask, exps, k in keys]
 
 
 def _witness(
@@ -453,14 +444,7 @@ def _monomial_forms(
     fc: FastCtx, form_degree_max: int, coeff_degree: int, *, min_degree: int = 0
 ) -> List[Tuple[int, Exponents, int]]:
     """(coframe mask, coefficient exponents, form degree), canonical order."""
-    out = []
-    monos = list(monomials_upto(fc.n, coeff_degree))
-    for e in range(min_degree, min(form_degree_max, fc.n) + 1):
-        for coframe in itertools.combinations(range(fc.n), e):
-            mask = fc.mask_of(coframe)
-            for exps in monos:
-                out.append((mask, exps, e))
-    return out
+    return list(basis_keys(fc.n, coeff_degree, range(min_degree, form_degree_max + 1)))
 
 
 def _lemma_pool(

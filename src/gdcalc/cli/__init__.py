@@ -9,6 +9,16 @@ every such refusal to exit 2 in one place; an internal self-check's
 ``RuntimeError`` is not caught.
 All successful outputs are byte-deterministic for fixed inputs.
 
+Inputs are read one way.  ``_read_all`` reads operand documents, checks
+each one's kind in turn, then their shared context; ``_problem`` reads the
+named fields of a problem document, checking presence in the order named,
+then kinds with the twisting form h first; ``_make_twisted_checked`` is the
+one twisting step.  The transforms (``schouten``, ``d``, ``contract``,
+``ia`` and ``hoch delta|gb|cup|brace|ia``) are declared once, in
+``_TRANSFORMS`` and ``_HOCH_TRANSFORMS``, as (argument, kind) pairs, a
+library function and a result kind; that declaration builds their parsers
+and drives the one handler, ``cmd_transform``.
+
 Imports follow the commands.  Without a bytecode cache every process
 compiles each module it imports, and that compile time is most of a
 small command's run, so this module loads at import only what every
@@ -25,11 +35,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..exactcore import VarContext, poly_add
-from ..polyvec import (
+from ..polyvec import (  # contract, d_form, i_func_mv, schouten: see _TRANSFORMS
     PolyVector,
     contract,
     d_form,
@@ -84,6 +95,15 @@ def _same_ctx(docs: Sequence[Document], paths: Sequence[str]) -> VarContext:
     return ctx
 
 
+def _read_all(paths: Sequence[str], kinds: Sequence[str]) -> tuple:
+    """The context and payloads of documents read and kind-checked in turn.
+
+    A path past the end of ``kinds`` takes the last kind.
+    """
+    docs = [_want(_read_doc(p), kinds[min(i, len(kinds) - 1)], p) for i, p in enumerate(paths)]
+    return _same_ctx(docs, paths), [d.payload for d in docs]
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
@@ -102,21 +122,36 @@ def _term_count(v) -> int:
     return sum(map(len, v._nums.values()))
 
 
-def _problem_fields(doc: Document, path: str, names: Sequence[str]) -> Dict[str, Document]:
+# The kind of each problem field; h is the twisting 3-form.
+_FIELD_KINDS = {
+    "h": "form", "pi": "multivector", "pi1": "multivector",
+    "series": "artin-series", "xi": "artin-series", "a": "artin-series", "b": "artin-series",
+}
+
+
+def _problem(path: str, *names: str) -> tuple:
+    """The context and the named fields' payloads of a problem document.
+
+    Each field's presence is checked in the order named, then each field's
+    kind, h first.
+    """
+    doc = _read_doc(path)
     if doc.kind != "problem":
         raise ValueError(f"{path}: expected a problem document")
     fields = doc.payload.fields
     for n in names:
         if n not in fields:
             raise ValueError(f"{path}: problem is missing field {n!r}")
-    return fields
+    for n in sorted(names, key=lambda n: n != "h"):
+        _want(fields[n], _FIELD_KINDS[n], path)
+    return (doc.ctx, *(fields[n].payload for n in names))
 
 
-def _make_twisted_checked(form_doc: Document, path: str):
+def _make_twisted_checked(h, path: str):
     from ..twistcheck import make_twisted
 
     try:
-        return make_twisted(form_doc.payload)
+        return make_twisted(h)
     except ValueError as exc:  # NotClosedError included
         raise ValueError(f"{path}: {exc}") from None
 
@@ -126,11 +161,10 @@ def _make_twisted_checked(form_doc: Document, path: str):
 
 
 def cmd_poly(args) -> int:
-    docs = [_want(_read_doc(p), "polynomial", p) for p in args.files]
-    ctx = _same_ctx(docs, args.files)
+    ctx, polys = _read_all(args.files, ["polynomial"])
     total = {}
-    for d in docs:
-        total = poly_add(total, d.payload)
+    for p in polys:
+        total = poly_add(total, p)
     _emit(serialize_document(doc_polynomial(ctx, total)))
     return 0
 
@@ -154,35 +188,75 @@ def cmd_wedge(args) -> int:
     return 0
 
 
-def cmd_schouten(args) -> int:
-    a = _want(_read_doc(args.a), "multivector", args.a)
-    b = _want(_read_doc(args.b), "multivector", args.b)
-    _same_ctx([a, b], [args.a, args.b])
-    _emit(serialize_document(doc_multivector(schouten(a.payload, b.payload))))
+# Commands that read documents of fixed kinds in one context, apply one
+# library function and print its result: (help, (argument, kind) of each
+# operand, function, result kind).  An argument named by several operands
+# takes that many paths.  A trailing ``...`` lets the last operand repeat;
+# its documents reach the function as one list.  The function is named as
+# ``[module.]name`` and looked up when its command runs, so ``hochschild``
+# loads only for ``hoch`` and a test can put a stand-in in its place.
+_TRANSFORMS = {
+    "schouten": (
+        "bracket of two multivector documents",
+        (("a", "multivector"), ("b", "multivector")), "schouten", "multivector",
+    ),
+    "d": ("exterior derivative of a form document", (("file", "form"),), "d_form", "form"),
+    "contract": (
+        "pair a one-form against a multivector",
+        (("form", "form"), ("multivector", "multivector")), "contract", "multivector",
+    ),
+    "ia": (
+        "contract a multivector by a function",
+        (("function", "polynomial"), ("multivector", "multivector")), "i_func_mv", "multivector",
+    ),
+}
+_MDO = ("files", "multidiffop")
+_HOCH_TRANSFORMS = {
+    "delta": (
+        "simplicial differential of an operator document",
+        (_MDO,), "hochschild.hoch_delta", "multidiffop",
+    ),
+    "gb": (
+        "Gerstenhaber bracket of two operator documents",
+        (_MDO, _MDO), "hochschild.gerstenhaber", "multidiffop",
+    ),
+    "cup": ("cup product of two operator documents", (_MDO, _MDO), "hochschild.cup", "multidiffop"),
+    "brace": (
+        "insert operators into the first operand's slots",
+        (_MDO, _MDO, ...), "hochschild.brace", "multidiffop",
+    ),
+    "ia": (
+        "contract an operator by a function (polynomial doc first)",
+        (("files", "polynomial"), _MDO), "hochschild.i_func_hoch", "multidiffop",
+    ),
+}
+
+
+def cmd_transform(args) -> int:
+    """Read a transform's operands, apply its library function, print the result."""
+    _, operands, function, kind = args.transform
+    more = operands[-1] is ...
+    operands = operands[:-1] if more else operands
+    paths = [p for name in dict.fromkeys(a for a, _ in operands) for p in getattr(args, name)]
+    ctx, values = _read_all(paths, [k for _, k in operands])
+    if more:
+        if len(values) < len(operands):  # only brace repeats an operand
+            raise ValueError("brace needs at least one insertion operand")
+        values[len(operands) - 1 :] = [values[len(operands) - 1 :]]
+    module, _, name = function.rpartition(".")
+    home = importlib.import_module(f"..{module}", __name__) if module else sys.modules[__name__]
+    _emit(serialize_document(Document(ctx, kind, getattr(home, name)(*values))))
     return 0
 
 
-def cmd_d(args) -> int:
-    a = _want(_read_doc(args.file), "form", args.file)
-    _emit(serialize_document(doc_form(d_form(a.payload))))
-    return 0
-
-
-def cmd_contract(args) -> int:
-    a = _want(_read_doc(args.form), "form", args.form)
-    v = _want(_read_doc(args.multivector), "multivector", args.multivector)
-    _same_ctx([a, v], [args.form, args.multivector])
-    got = contract(a.payload, v.payload)
-    _emit(serialize_document(doc_multivector(got)))
-    return 0
-
-
-def cmd_ia(args) -> int:
-    a = _want(_read_doc(args.function), "polynomial", args.function)
-    v = _want(_read_doc(args.multivector), "multivector", args.multivector)
-    _same_ctx([a, v], [args.function, args.multivector])
-    _emit(serialize_document(doc_multivector(i_func_mv(a.payload, v.payload))))
-    return 0
+def _add_transform(sub, name: str, spec) -> None:
+    helptext, operands, _, _ = spec
+    sp = sub.add_parser(name, help=helptext)
+    more = operands[-1] is ...
+    names = [a for a, _ in (operands[:-1] if more else operands)]
+    for a in dict.fromkeys(names):
+        sp.add_argument(a, nargs="+" if more and a == names[-1] else names.count(a))
+    sp.set_defaults(fn=cmd_transform, transform=spec)
 
 
 def cmd_phi_eval(args) -> int:
@@ -298,25 +372,14 @@ def cmd_linfty_check(args) -> int:
     return _render_checks("linfty-check", reports, args.emit, f"--bounds-degree {c}")
 
 
-def _twisted_inputs(args) -> tuple:
-    if args.pi is None:
-        doc = _read_doc(args.problem)
-        f = _problem_fields(doc, args.problem, ("h", "pi"))
-        h_doc = _want(f["h"], "form", args.problem)
-        pi_doc = _want(f["pi"], "multivector", args.problem)
-        return h_doc, pi_doc, args.problem
-    h_doc = _want(_read_doc(args.problem), "form", args.problem)
-    pi_doc = _want(_read_doc(args.pi), "multivector", args.pi)
-    _same_ctx([h_doc, pi_doc], [args.problem, args.pi])
-    return h_doc, pi_doc, args.problem
-
-
 def cmd_twisted_check(args) -> int:
     from ..twistcheck import mc_defect
 
-    h_doc, pi_doc, path = _twisted_inputs(args)
-    s = _make_twisted_checked(h_doc, path)
-    defect = mc_defect(s, pi_doc.payload)
+    if args.pi is None:
+        _, h, pi = _problem(args.problem, "h", "pi")
+    else:
+        _, (h, pi) = _read_all([args.problem, args.pi], ["form", "multivector"])
+    defect = mc_defect(_make_twisted_checked(h, args.problem), pi)
     ok = mv_is_zero(defect)
     terms = _term_count(defect)
     if args.emit == "json":
@@ -335,32 +398,23 @@ def cmd_twisted_check(args) -> int:
     return 0 if ok else 1
 
 
-def _series_problem(args, field: str) -> tuple:
-    doc = _read_doc(args.problem)
-    f = _problem_fields(doc, args.problem, ("h", field))
-    h_doc = _want(f["h"], "form", args.problem)
-    s_doc = _want(f[field], "artin-series", args.problem)
-    return doc, h_doc, s_doc
-
-
 def cmd_mc_defect(args) -> int:
     from ..deform import defect_series
 
-    doc, h_doc, s_doc = _series_problem(args, "series")
-    s = _make_twisted_checked(h_doc, args.problem)
-    d = defect_series(s, s_doc.payload)
+    _, h, series = _problem(args.problem, "h", "series")
+    d = defect_series(_make_twisted_checked(h, args.problem), series)
     counts = {k: _term_count(v) for k, v in sorted(d.items())}
     all_zero = all(c == 0 for c in counts.values())
     if args.emit == "json":
         payload = {
             "command": "mc-defect",
-            "truncation": s_doc.payload.ring.truncation,
+            "truncation": series.ring.truncation,
             "order_terms": {str(k): v for k, v in counts.items()},
             "zero": all_zero,
         }
         _emit_json(payload)
     else:
-        lines = ["mc-defect report", f"truncation {s_doc.payload.ring.truncation}"]
+        lines = ["mc-defect report", f"truncation {series.ring.truncation}"]
         for k, v in counts.items():
             lines.append(f"order {k} terms {v}")
         lines.append(f"zero {str(all_zero).lower()}")
@@ -371,27 +425,22 @@ def cmd_mc_defect(args) -> int:
 def cmd_defect_series(args) -> int:
     from ..deform import defect_series, series_make
 
-    doc, h_doc, s_doc = _series_problem(args, "series")
-    s = _make_twisted_checked(h_doc, args.problem)
-    d = defect_series(s, s_doc.payload)
-    out = series_make(s_doc.payload.ring, {k: v for k, v in d.items()})
-    _emit(serialize_document(doc_series(doc.ctx, out)))
+    ctx, h, series = _problem(args.problem, "h", "series")
+    d = defect_series(_make_twisted_checked(h, args.problem), series)
+    _emit(serialize_document(doc_series(ctx, series_make(series.ring, d))))
     return 0
 
 
 def cmd_mc_solve(args) -> int:
     from ..deform import defect_series, mc_solve
 
-    doc = _read_doc(args.problem)
-    f = _problem_fields(doc, args.problem, ("h", "pi1"))
-    h_doc = _want(f["h"], "form", args.problem)
-    pi_doc = _want(f["pi1"], "multivector", args.problem)
-    s = _make_twisted_checked(h_doc, args.problem)
-    rep = mc_solve(s, pi_doc.payload, args.truncation, poly_degree=args.bounds_degree)
+    ctx, h, pi1 = _problem(args.problem, "h", "pi1")
+    s = _make_twisted_checked(h, args.problem)
+    rep = mc_solve(s, pi1, args.truncation, poly_degree=args.bounds_degree)
     if rep.status == "solved":
         d = defect_series(s, rep.solution)
         counts = {k: _term_count(v) for k, v in sorted(d.items())}
-        sol_text = serialize_document(doc_series(doc.ctx, rep.solution))
+        sol_text = serialize_document(doc_series(ctx, rep.solution))
         if args.emit == "json":
             payload = {
                 "command": "mc-solve",
@@ -435,34 +484,25 @@ def cmd_mc_solve(args) -> int:
 def cmd_gauge(args) -> int:
     from ..deform import GaugeParam, gauge_flow
 
-    doc = _read_doc(args.problem)
-    f = _problem_fields(doc, args.problem, ("h", "series", "xi"))
-    h_doc = _want(f["h"], "form", args.problem)
-    s_doc = _want(f["series"], "artin-series", args.problem)
-    xi_doc = _want(f["xi"], "artin-series", args.problem)
-    if xi_doc.payload.ring != s_doc.payload.ring:
+    ctx, h, series, xi = _problem(args.problem, "h", "series", "xi")
+    if xi.ring != series.ring:
         raise ValueError(f"{args.problem}: xi and series truncations differ")
-    s = _make_twisted_checked(h_doc, args.problem)
-    xi = GaugeParam(xi_doc.payload.ring, dict(xi_doc.payload.coeffs))
-    moved = gauge_flow(s, s_doc.payload, xi)
-    _emit(serialize_document(doc_series(doc.ctx, moved)))
+    s = _make_twisted_checked(h, args.problem)
+    moved = gauge_flow(s, series, GaugeParam(xi.ring, dict(xi.coeffs)))
+    _emit(serialize_document(doc_series(ctx, moved)))
     return 0
 
 
 def cmd_gauge_equiv(args) -> int:
     from ..deform import gauge_equivalent, series_make
 
-    doc = _read_doc(args.problem)
-    f = _problem_fields(doc, args.problem, ("a", "b", "h"))
-    h_doc = _want(f["h"], "form", args.problem)
-    a_doc = _want(f["a"], "artin-series", args.problem)
-    b_doc = _want(f["b"], "artin-series", args.problem)
-    s = _make_twisted_checked(h_doc, args.problem)
-    rep = gauge_equivalent(s, a_doc.payload, b_doc.payload, poly_degree=args.bounds_degree)
+    ctx, a, b, h = _problem(args.problem, "a", "b", "h")
+    s = _make_twisted_checked(h, args.problem)
+    rep = gauge_equivalent(s, a, b, poly_degree=args.bounds_degree)
     wit_text = None
     if rep.equivalent and rep.witness is not None:
         wit_series = series_make(rep.witness.ring, dict(rep.witness.coeffs))
-        wit_text = serialize_document(doc_series(doc.ctx, wit_series))
+        wit_text = serialize_document(doc_series(ctx, wit_series))
     if args.emit == "json":
         payload = {
             "command": "gauge-equiv",
@@ -485,82 +525,45 @@ def cmd_gauge_equiv(args) -> int:
 # hochschild subcommands
 
 
-def _read_mdo(path: str):
-    return _want(_read_doc(path), "multidiffop", path)
-
-
 def cmd_hoch(args) -> int:
-    from ..hochschild import (
-        brace,
-        cup,
-        delta_primitive,
-        gerstenhaber,
-        hkr,
-        hoch_delta,
-        i_func_hoch,
-    )
+    """``hoch hkr`` and ``hoch primitive``; the other subcommands are transforms."""
+    from ..hochschild import delta_primitive, hkr
 
-    sub = args.hoch_cmd
-    if sub == "delta":
-        d = _read_mdo(args.files[0])
-        _emit(serialize_document(doc_multidiffop(hoch_delta(d.payload))))
-        return 0
-    if sub in ("gb", "cup"):
-        a, b = _read_mdo(args.files[0]), _read_mdo(args.files[1])
-        _same_ctx([a, b], args.files[:2])
-        op = gerstenhaber if sub == "gb" else cup
-        _emit(serialize_document(doc_multidiffop(op(a.payload, b.payload))))
-        return 0
-    if sub == "brace":
-        outer = _read_mdo(args.files[0])
-        inner = [_read_mdo(p) for p in args.files[1:]]
-        if not inner:
-            raise ValueError("brace needs at least one insertion operand")
-        _same_ctx([outer] + inner, args.files)
-        got = brace(outer.payload, [d.payload for d in inner])
-        _emit(serialize_document(doc_multidiffop(got)))
-        return 0
-    if sub == "ia":
-        a = _want(_read_doc(args.files[0]), "polynomial", args.files[0])
-        d = _read_mdo(args.files[1])
-        _same_ctx([a, d], args.files[:2])
-        _emit(serialize_document(doc_multidiffop(i_func_hoch(a.payload, d.payload))))
-        return 0
-    if sub == "hkr":
-        v = _want(_read_doc(args.files[0]), "multivector", args.files[0])
+    path = args.files[0]
+    if args.hoch_cmd == "hkr":
+        v = _want(_read_doc(path), "multivector", path)
         try:
             got = hkr(v.payload)
         except ValueError as exc:
-            raise ValueError(f"{args.files[0]}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
         _emit(serialize_document(doc_multidiffop(got)))
         return 0
-    if sub == "primitive":
-        d = _read_mdo(args.files[0])
-        res = delta_primitive(d.payload, poly_degree=args.bounds_degree, op_order=args.bounds_order)
-        if args.emit == "json":
-            payload = {
-                "command": "hoch primitive",
-                "found": res.found,
-                "rank": res.rank,
-                "primitive": serialize_document(doc_multidiffop(res.primitive))
-                if res.found
-                else None,
-                "residual_terms": 0 if res.found else _term_count(res.residual),
-            }
-            _emit_json(payload)
+    d = _want(_read_doc(path), "multidiffop", path)
+    res = delta_primitive(d.payload, poly_degree=args.bounds_degree, op_order=args.bounds_order)
+    if args.emit == "json":
+        payload = {
+            "command": "hoch primitive",
+            "found": res.found,
+            "rank": res.rank,
+            "primitive": serialize_document(doc_multidiffop(res.primitive))
+            if res.found
+            else None,
+            "residual_terms": 0 if res.found else _term_count(res.residual),
+        }
+        _emit_json(payload)
+    else:
+        lines = ["primitive report", f"found {str(res.found).lower()}", f"rank {res.rank}"]
+        if res.found:
+            lines.append("primitive")
+            _emit(
+                "\n".join(lines)
+                + "\n"
+                + serialize_document(doc_multidiffop(res.primitive))
+            )
         else:
-            lines = ["primitive report", f"found {str(res.found).lower()}", f"rank {res.rank}"]
-            if res.found:
-                lines.append("primitive")
-                _emit(
-                    "\n".join(lines)
-                    + "\n"
-                    + serialize_document(doc_multidiffop(res.primitive))
-                )
-            else:
-                lines.append(f"residual-terms {_term_count(res.residual)}")
-                _emit("\n".join(lines) + "\n")
-        return 0 if res.found else 1
+            lines.append(f"residual-terms {_term_count(res.residual)}")
+            _emit("\n".join(lines) + "\n")
+    return 0 if res.found else 1
 
 
 def cmd_verify(args) -> int:
@@ -600,24 +603,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("files", nargs="+")
     sp.set_defaults(fn=cmd_wedge)
 
-    sp = sub.add_parser("schouten", help="bracket of two multivector documents")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.set_defaults(fn=cmd_schouten)
-
-    sp = sub.add_parser("d", help="exterior derivative of a form document")
-    sp.add_argument("file")
-    sp.set_defaults(fn=cmd_d)
-
-    sp = sub.add_parser("contract", help="pair a one-form against a multivector")
-    sp.add_argument("form")
-    sp.add_argument("multivector")
-    sp.set_defaults(fn=cmd_contract)
-
-    sp = sub.add_parser("ia", help="contract a multivector by a function")
-    sp.add_argument("function")
-    sp.add_argument("multivector")
-    sp.set_defaults(fn=cmd_ia)
+    for name, spec in _TRANSFORMS.items():
+        _add_transform(sub, name, spec)
 
     sp = sub.add_parser(
         "phi-eval", help="evaluate the contraction cochain of a form on arguments"
@@ -674,25 +661,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hoch", help="Hochschild operator commands")
     hsub = sp.add_subparsers(dest="hoch_cmd", required=True)
-    for name, nfiles, helptext in [
-        ("delta", 1, "simplicial differential of an operator document"),
-        ("gb", 2, "Gerstenhaber bracket of two operator documents"),
-        ("cup", 2, "cup product of two operator documents"),
-        ("brace", None, "insert operators into the first operand's slots"),
-        ("ia", 2, "contract an operator by a function (polynomial doc first)"),
-        ("hkr", 1, "alternation embedding of a multivector document"),
-        ("primitive", 1, "search for a differential primitive within bounds"),
-    ]:
-        hp = hsub.add_parser(name, help=helptext)
-        if nfiles is None:
-            hp.add_argument("files", nargs="+")
-        else:
-            hp.add_argument("files", nargs=nfiles)
-        if name == "primitive":
-            hp.add_argument("--bounds-degree", type=int, default=2)
-            hp.add_argument("--bounds-order", type=int, default=2)
-            add_emit(hp)
-        hp.set_defaults(fn=cmd_hoch, hoch_cmd=name)
+    for name, spec in _HOCH_TRANSFORMS.items():
+        _add_transform(hsub, name, spec)
+    hp = hsub.add_parser("hkr", help="alternation embedding of a multivector document")
+    hp.add_argument("files", nargs=1)
+    hp.set_defaults(fn=cmd_hoch)
+    hp = hsub.add_parser("primitive", help="search for a differential primitive within bounds")
+    hp.add_argument("files", nargs=1)
+    hp.add_argument("--bounds-degree", type=int, default=2)
+    hp.add_argument("--bounds-order", type=int, default=2)
+    add_emit(hp)
+    hp.set_defaults(fn=cmd_hoch)
 
     sp = sub.add_parser("verify", help="run the identity suites and corpus checks")
     sp.add_argument(
@@ -724,6 +703,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

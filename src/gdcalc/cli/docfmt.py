@@ -35,12 +35,17 @@ drops zero coefficients, and uses single spaces.  ``parse`` is lenient
 about repeated keys (coefficients accumulate) and extra blank lines, so
 ``serialize(parse(text)) == text`` is guaranteed on canonical documents
 only.
+
+One reader, ``_terms``, parses the term lines of every payload kind and
+refuses a malformed one with its line number.  The parsed terms go straight
+to the payload's constructor (``poly_from_terms``, ``mv_make``/``form_make``
+or ``mdo_make``), which sums repeated terms and drops what cancels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exactcore import (
     Exponents,
@@ -49,8 +54,9 @@ from ..exactcore import (
     format_rat,
     grlex_key,
     parse_rat,
+    poly_from_terms,
 )
-from ..polyvec import DiffForm, PolyVector, form_make, mv_is_zero, mv_make
+from ..polyvec import DiffForm, PolyVector, form_make, mv_make
 
 if TYPE_CHECKING:
     from ..deform import ArtinSeries
@@ -164,87 +170,50 @@ def _exps(toks: Sequence[str], n: int, no: int) -> Exponents:
     return tuple(_nonneg(t, no, "exponent") for t in toks)
 
 
-def _split_term(toks: Sequence[str], no: int) -> Tuple[Fraction, List[str]]:
-    """Split 'term <rat> [@ ...] : ...' into (coeff, tail-after-colon-and-@)."""
-    if toks[0] != "term":
-        raise ParseError(no, f"expected a 'term' line, got {toks[0]!r}")
-    if len(toks) < 2:
-        raise ParseError(no, "term line is missing its coefficient")
-    return _rat(toks[1], no), list(toks[2:])
+# The term-line layouts, each named by the form its lines must take.
+_POLY_TERM = "term <rat> : <exps>"
+_FRAME_TERM = "term <rat> @ <indices> : <exps>"
+_OP_TERM = "term <rat> : <exps> [@ ...]"
 
 
-def _parse_frame_term(
-    toks: Sequence[str], n: int, no: int
-) -> Tuple[Fraction, Tuple[int, ...], Exponents]:
-    coeff, tail = _split_term(toks, no)
-    if not tail or tail[0] != "@":
-        raise ParseError(no, "term line must read 'term <rat> @ <indices> : <exps>'")
-    try:
-        colon = tail.index(":")
-    except ValueError:
-        raise ParseError(no, "term line is missing ':' before exponents") from None
-    idx = tuple(_nonneg(t, no, "index") for t in tail[1:colon])
-    for i in idx:
-        if i >= n:
-            raise ParseError(no, f"index {i} out of range for {n} variables")
-    if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-        raise ParseError(no, "indices must be strictly increasing")
-    return coeff, idx, _exps(tail[colon + 1 :], n, no)
+def _terms(
+    lines: _Lines, n: int, stop: Sequence[str], layout: str, arity: int = 0
+) -> Iterator[Tuple[Fraction, tuple, Exponents]]:
+    """(coefficient, key, exponents) of each term line up to a ``stop`` keyword.
 
-
-def _parse_poly_terms(
-    lines: _Lines, n: int, stop: Sequence[str]
-) -> Dict[Exponents, Fraction]:
-    acc: Dict[Exponents, Fraction] = {}
+    The key is the frame of a ``_FRAME_TERM`` line, the ``arity`` order
+    blocks of an ``_OP_TERM`` line, and ``()`` otherwise.  Each line is
+    checked here and refused with its number; summing repeated terms and
+    dropping zeros is left to the payload's constructor.
+    """
     while True:
         row = lines.peek()
         if row is None or row[1][0] in stop:
-            return acc
+            return
         no, toks = lines.take()
-        coeff, tail = _split_term(toks, no)
-        if not tail or tail[0] != ":":
-            raise ParseError(no, "term line must read 'term <rat> : <exps>'")
-        e = _exps(tail[1:], n, no)
-        acc[e] = acc[e] + coeff if e in acc else coeff
-
-
-def _poly_of(acc: Dict[Exponents, Fraction]) -> Poly:
-    return {e: c for e, c in acc.items() if c}
-
-
-def _parse_frame_terms(
-    lines: _Lines, n: int, stop: Sequence[str]
-) -> Dict[Tuple[int, ...], Dict[Exponents, Fraction]]:
-    acc: Dict[Tuple[int, ...], Dict[Exponents, Fraction]] = {}
-    while True:
-        row = lines.peek()
-        if row is None or row[1][0] in stop:
-            return acc
-        no, toks = lines.take()
-        coeff, frame, e = _parse_frame_term(toks, n, no)
-        slot = acc.setdefault(frame, {})
-        slot[e] = slot[e] + coeff if e in slot else coeff
-
-
-def _parse_mdo_terms(
-    lines: _Lines, ctx: VarContext, arity: int, stop: Sequence[str]
-) -> MultiDiffOp:
-    from ..hochschild import mdo_make
-
-    n = ctx.n
-    terms = []  # mdo_make merges repeated monomials and drops what cancels
-    while True:
-        row = lines.peek()
-        if row is None or row[1][0] in stop:
-            break
-        no, toks = lines.take()
-        coeff, tail = _split_term(toks, no)
-        if not tail or tail[0] != ":":
-            raise ParseError(no, "term line must read 'term <rat> : <exps> [@ ...]'")
-        tail = tail[1:]
-        if arity == 0:
-            e = _exps(tail, n, no)
-            orders: Tuple[Exponents, ...] = ()
+        if toks[0] != "term":
+            raise ParseError(no, f"expected a 'term' line, got {toks[0]!r}")
+        if len(toks) < 2:
+            raise ParseError(no, "term line is missing its coefficient")
+        coeff, tail = _rat(toks[1], no), toks[2:]
+        if layout is _FRAME_TERM:
+            if not tail or tail[0] != "@":
+                raise ParseError(no, f"term line must read '{layout}'")
+            try:
+                colon = tail.index(":")
+            except ValueError:
+                raise ParseError(no, "term line is missing ':' before exponents") from None
+            key = tuple(_nonneg(t, no, "index") for t in tail[1:colon])
+            for i in key:
+                if i >= n:
+                    raise ParseError(no, f"index {i} out of range for {n} variables")
+            if any(a >= b for a, b in zip(key, key[1:])):
+                raise ParseError(no, "indices must be strictly increasing")
+            exps = _exps(tail[colon + 1 :], n, no)
+        elif not tail or tail[0] != ":":
+            raise ParseError(no, f"term line must read '{layout}'")
+        elif not arity:
+            key, exps = (), _exps(tail[1:], n, no)
         else:
             try:
                 at = tail.index("@")
@@ -252,7 +221,7 @@ def _parse_mdo_terms(
                 raise ParseError(
                     no, "operator term needs '@' with one order block per slot"
                 ) from None
-            e = _exps(tail[:at], n, no)
+            exps = _exps(tail[1:at], n, no)
             blocks: List[List[str]] = [[]]
             for t in tail[at + 1 :]:
                 if t == "|":
@@ -260,24 +229,25 @@ def _parse_mdo_terms(
                 else:
                     blocks[-1].append(t)
             if len(blocks) != arity:
-                raise ParseError(
-                    no, f"expected {arity} order blocks, got {len(blocks)}"
-                )
-            orders = tuple(_exps(b, n, no) for b in blocks)
-        terms.append((orders, {e: coeff}))
-    return mdo_make(ctx, arity, terms)
+                raise ParseError(no, f"expected {arity} order blocks, got {len(blocks)}")
+            key = tuple(_exps(b, n, no) for b in blocks)
+        yield coeff, key, exps
+
+
+def _keyed(terms: Iterator[Tuple[Fraction, tuple, Exponents]]):
+    """(key, {exponents: coefficient}) pairs, as ``mv_make`` and ``mdo_make`` take them."""
+    return ((key, {e: c}) for c, key, e in terms)
 
 
 def _parse_series(lines: _Lines, ctx: VarContext, truncation: int) -> ArtinSeries:
     from ..deform import ArtinRing, series_make
 
-    ring = ArtinRing(truncation)
     coeffs: Dict[int, PolyVector] = {}
     prev = 0
     while True:
         row = lines.peek()
         if row is None or row[1][0] in ("end", "field"):
-            return series_make(ring, coeffs)
+            return series_make(ArtinRing(truncation), coeffs)  # drops zero orders
         no, toks = lines.take()
         if toks[0] != "order":
             raise ParseError(no, f"expected an 'order' line, got {toks[0]!r}")
@@ -289,10 +259,8 @@ def _parse_series(lines: _Lines, ctx: VarContext, truncation: int) -> ArtinSerie
         if not 1 <= k <= truncation:
             raise ParseError(no, f"order {k} outside 1..{truncation}")
         prev = k
-        acc = _parse_frame_terms(lines, ctx.n, ("end", "field", "order"))
-        mv = mv_make(ctx, acc.items())  # drops what cancels
-        if not mv_is_zero(mv):
-            coeffs[k] = mv
+        terms = _terms(lines, ctx.n, ("end", "field", "order"), _FRAME_TERM)
+        coeffs[k] = mv_make(ctx, _keyed(terms))
 
 
 _KINDS = (
@@ -318,18 +286,21 @@ def _parse_payload(
     if kind == "polynomial":
         if len(kind_toks) != 1:
             raise ParseError(no, "polynomial kind line takes no arguments")
-        return Document(ctx, kind, _poly_of(_parse_poly_terms(lines, ctx.n, stop)))
+        terms = _terms(lines, ctx.n, stop, _POLY_TERM)
+        return Document(ctx, kind, poly_from_terms(ctx.n, ((c, e) for c, _, e in terms)))
     if kind in ("multivector", "form"):
         if len(kind_toks) != 1:
             raise ParseError(no, f"{kind} kind line takes no arguments")
         make = mv_make if kind == "multivector" else form_make
-        acc = _parse_frame_terms(lines, ctx.n, stop)
-        return Document(ctx, kind, make(ctx, acc.items()))
+        return Document(ctx, kind, make(ctx, _keyed(_terms(lines, ctx.n, stop, _FRAME_TERM))))
     if kind == "multidiffop":
         if len(kind_toks) != 2:
             raise ParseError(no, "multidiffop kind line must read 'multidiffop <arity>'")
         arity = _nonneg(kind_toks[1], no, "arity")
-        return Document(ctx, kind, _parse_mdo_terms(lines, ctx, arity, stop))
+        from ..hochschild import mdo_make
+
+        terms = _terms(lines, ctx.n, stop, _OP_TERM, arity)
+        return Document(ctx, kind, mdo_make(ctx, arity, _keyed(terms)))
     if kind == "artin-series":
         if len(kind_toks) != 2:
             raise ParseError(
@@ -346,8 +317,7 @@ def _parse_payload(
             return Document(ctx, kind, CochainSpec("m", None, None))
         if len(kind_toks) == 3 and kind_toks[1] == "phi":
             arity = _nonneg(kind_toks[2], no, "arity")
-            acc = _parse_frame_terms(lines, ctx.n, stop)
-            form = form_make(ctx, acc.items())
+            form = form_make(ctx, _keyed(_terms(lines, ctx.n, stop, _FRAME_TERM)))
             return Document(ctx, kind, CochainSpec("phi", arity, form))
         raise ParseError(
             no, "cochain-spec must read 'cochain-spec m' or 'cochain-spec phi <arity>'"

@@ -515,9 +515,12 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
 class PrimitiveResult:
     """Outcome of a bounded search for ξ with δξ = T.
 
-    ``candidate`` is always the least-squares-flavoured canonical pick (free
-    variables zero, violated equations ignored); ``residual`` is T − δ(candidate),
-    zero exactly when ``found``.
+    ``candidate`` is the primitive when ``found``.  Otherwise it is the
+    near-solution that the pivot rule picks on the fanned-out system, one
+    equation per (order key, monomial) in sorted order: free variables are
+    zero and the equations the elimination finds inconsistent are left
+    unmet.  It is not a least-squares fit, and it depends on the order of
+    the rows.  ``residual`` is T − δ(candidate), zero exactly when ``found``.
     """
 
     found: bool
@@ -535,8 +538,10 @@ def delta_primitive(
     The search space is spanned by single-term cochains whose slot orders are
     bounded by ``op_order`` and whose coefficients are monomials of degree at
     most ``poly_degree``; the linear system matches coefficients of δξ and T
-    exactly.  When inconsistent, the canonical near-solution and its residual
-    are reported instead.  A negative bound is refused with ``ValueError``.
+    exactly.  When inconsistent, the near-solution that the pivot rule picks
+    on the fanned-out system, which depends on the order of its rows, is
+    reported instead with its residual.  A negative bound is refused with
+    ``ValueError``.
     """
     if poly_degree < 0 or op_order < 0:
         raise ValueError(

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._fastterms import (
     FastCtx,
@@ -43,7 +43,7 @@ from ._fastterms import (
     tm_add_into,
     wedge_into,
 )
-from .exactcore import Poly, VarContext, exact_scalar, monomials_upto
+from .exactcore import Exponents, Poly, VarContext, exact_scalar, monomials_upto
 
 Frame = Tuple[int, ...]
 
@@ -51,6 +51,7 @@ __all__ = [
     "DiffForm",
     "Frame",
     "PolyVector",
+    "basis_keys",
     "basis_multivectors",
     "contract",
     "d_form",
@@ -361,21 +362,29 @@ def i_func_mv(a: Poly, v: PolyVector) -> PolyVector:
 # canonical bases
 
 
+def basis_keys(
+    n: int, max_poly_degree: int, degrees: Iterable[int]
+) -> Iterator[Tuple[int, Exponents, int]]:
+    """(frame mask, exponents, degree) of each single-term basis element.
+
+    The canonical order: degree as given, then frame, then monomial
+    (grlex).  A degree above n has no frames, so it yields nothing.
+    """
+    monos = list(monomials_upto(n, max_poly_degree))
+    for k in degrees:
+        for frame in itertools.combinations(range(n), k):
+            m = sum(1 << i for i in frame)
+            for exps in monos:
+                yield m, exps, k
+
+
 def basis_multivectors(
     ctx: VarContext, max_poly_degree: int, mv_degrees: Sequence[int]
 ) -> List[PolyVector]:
     """Single-term basis elements x^e theta_frame within the given bounds.
 
-    Deterministic order: multivector degree, then frame, then monomial
-    (grlex). Every element has coefficient 1.
+    Deterministic order: that of ``basis_keys``. Every element has
+    coefficient 1.
     """
-    out: List[PolyVector] = []
-    monos = list(monomials_upto(ctx.n, max_poly_degree))
-    for k in mv_degrees:
-        if k > ctx.n:
-            continue
-        for frame in itertools.combinations(range(ctx.n), k):
-            m = sum(1 << i for i in frame)
-            for exps in monos:
-                out.append(PolyVector._wrap(ctx, {(m, exps): 1}))
-    return out
+    keys = basis_keys(ctx.n, max_poly_degree, mv_degrees)
+    return [PolyVector._wrap(ctx, {(m, exps): 1}) for m, exps, _ in keys]

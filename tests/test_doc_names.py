@@ -2,10 +2,14 @@
 
 Every backticked ``module.name`` in the sign ledger must resolve to an
 attribute of that ``gdcalc`` module, and every backticked ``gdcalc.<module>``
-in the README to an importable module or one of its attributes.
+in the README to an importable module or one of its attributes.  Every
+backticked dotted name in a module, class or function docstring under
+``src/gdcalc`` must resolve within ``gdcalc`` (``_linalg.Factorisation``) or
+as written (``fractions.Fraction``).
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import pathlib
 import re
@@ -36,12 +40,22 @@ def _names(doc: str, keep) -> list:
     return sorted({m for m in DOTTED.findall(text) if keep(m)})
 
 
+def _docstring_names() -> list:
+    found = set()
+    for path in sorted((ROOT / "src" / "gdcalc").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(DOTTED.findall(ast.get_docstring(node) or ""))
+    return sorted(found)
+
+
 LEDGER = _names("docs/sign-ledger.md", lambda m: True)
 README = _names("README.md", lambda m: m.startswith("gdcalc."))
+DOCSTRINGS = _docstring_names()
 
 
 def test_docs_name_something():
-    assert LEDGER and README
+    assert LEDGER and README and DOCSTRINGS
 
 
 @pytest.mark.parametrize("name", LEDGER)
@@ -52,6 +66,11 @@ def test_sign_ledger_names_exist(name):
 @pytest.mark.parametrize("name", README)
 def test_readme_names_exist(name):
     assert _resolve(name), name
+
+
+@pytest.mark.parametrize("name", DOCSTRINGS)
+def test_docstring_names_exist(name):
+    assert _resolve("gdcalc." + name) or _resolve(name), name
 
 
 def test_resolver_refuses_missing_names():
