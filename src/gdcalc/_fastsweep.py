@@ -29,6 +29,20 @@ values into an {id: coefficient} accumulator, so a nested value such as
 [a, .] for the row of a and lemma_differential's contraction for its
 form.  Unshuffle signs come from `_fastterms.subset_plan`, folded with
 each sweep's own signs into one row per odd-degree mask.
+
+A kernel row (subset, rest, sign) adds inner(x_subset) into outer(., x_rest).
+Contraction never differentiates, so whether a contraction vanishes on
+unit terms, and the frames of its terms, depend on the arguments' frame
+masks alone (`_fastterms.frame_entry`).  A sweep that can see a tuple shape
+recur (a frame mask repeated among its elements, as dressed elements
+repeat their frames, or among its blocks' forms) keeps one plan store for
+the sweep: under (the parts' row tables and coframes, the tuple's packed
+frame masks) it holds the rows that can be nonzero, found on the first
+tuple of that shape and held as references to the shared row records,
+each distinct plan once.  Blocks with the same row tables and coframes,
+such as the forms of one frame, share the plans; later tuples of a shape
+run only its live rows.  A sweep where no shape recurs tests every row on
+every tuple and plans nothing.
 """
 from __future__ import annotations
 
@@ -42,6 +56,7 @@ from ._fastterms import (
     FastCtx,
     TermMap,
     _Table,
+    frame_entry,
     odd_mask,
     phi_eval,
     phi_into,
@@ -149,9 +164,13 @@ class _Packed(_Table):
     frame indices that a nonzero value needs among its arguments' frames:
     for a contraction, the coframe indices all terms of its form share
     (coverage), so kernels skip a lookup whose arguments miss one.
+    `frames` holds a contraction's coframe masks, which with the arguments'
+    frame masks decide its value's frames, and is None for other products;
+    `_kernel`'s plans key on it, so contractions of forms with the same
+    coframes (x*dx1 and dx1, say) share one sweep's plans.
     """
 
-    __slots__ = ("k", "need", "form")
+    __slots__ = ("k", "need", "form", "frames")
 
 
 class _Pool:
@@ -199,7 +218,7 @@ class _Pool:
     def packed(self, product, k: int) -> _Packed:
         """The memo pack(ids) -> product(*ids) on arity-k id tuples."""
         table = _Packed(lambda key: product(*[key >> _SHIFT * (k - 1 - s) & _LOW for s in range(k)]))
-        table.k, table.need = k, 0
+        table.k, table.need, table.frames = k, 0, None
         return table
 
     def contraction(self, form_terms: TermMap, k: int) -> _Packed:
@@ -211,6 +230,7 @@ class _Pool:
 
         table = self.packed(phi, k)
         table.form = form_terms
+        table.frames = tuple(sorted({m for m, _ in form_terms}))
         if form_terms:
             table.need = functools.reduce(int.__and__, [m for m, _ in form_terms])
         return table
@@ -261,23 +281,141 @@ def _signed_plan(r: int, k: int, sign) -> List[List[tuple]]:
 # the kernels
 
 
-def _kernel(pool: _Pool, *parts):
+class _Plans:
+    """One sweep's kernel plans (see `_kernel`).
+
+    `stores` holds each kernel's plans by tuple shape, under the kernel's
+    parts.  `outputs` memoises, per (coframes, argument frame masks), the
+    frames of a contraction's value, which the sweep's shapes and kernels
+    ask for again and again."""
+
+    __slots__ = ("fc", "stores", "outputs")
+
+    def __init__(self, fc: FastCtx):
+        self.fc = fc
+        self.stores: Dict[tuple, tuple] = {}
+        self.outputs: Dict[tuple, List[int]] = {}
+
+    def frame_outputs(self, table: _Packed, masks: Tuple[int, ...]) -> Optional[List[int]]:
+        """The frame masks of the terms of table's value on arguments with
+        these frame masks, or None when frames do not decide them (table is
+        not a contraction).  A contraction never differentiates, so on unit
+        terms its value is one term per coframe of its form whose frame
+        entry (`_fastterms.frame_entry`) is not None."""
+        if table.frames is None:
+            return None
+        key = (table.frames, masks)
+        got = self.outputs.get(key)
+        if got is None:
+            fc = self.fc
+            degs = tuple([fc.pop[m] for m in masks])
+            entries = [frame_entry(fc, comask, masks, degs) for comask in table.frames]
+            got = self.outputs[key] = [e[0] for e in entries if e is not None]
+        return got
+
+    def row_live(self, inner: _Packed, outer: _Packed, masks, subset, rest) -> bool:
+        """False when frames alone show that a kernel row adds nothing on a
+        tuple with these frame masks: inner is a contraction that vanishes
+        on x_subset, or outer is one too and vanishes on each of inner's
+        terms with x_rest.  (A contraction vanishes where its arguments miss
+        its `need`, and other products have none.)"""
+        outs = self.frame_outputs(inner, tuple([masks[q] for q in subset]))
+        if outs is None or outer.frames is None:
+            return outs is None or bool(outs)
+        rest_masks = tuple([masks[q] for q in rest])
+        return any(self.frame_outputs(outer, (m,) + rest_masks) for m in outs)
+
+
+def _plan_store(pool: _Pool, blocks: Sequence[int] = ()) -> Optional[_Plans]:
+    """A sweep's plan store, or None when no frame mask repeats among the
+    pool's elements or among the blocks' frames: then no tuple shape recurs."""
+    masks = [el.mask for el in pool.els]
+    repeats = len(set(masks)) < len(masks) or len(set(blocks)) < len(blocks)
+    return _Plans(pool.fc) if repeats else None
+
+
+def _kernel(pool: _Pool, plans: Optional[_Plans], *parts):
     """evaluate(idx): s v outer(t, x_rest) summed over the parts (rows, inner,
     outer), the rows (subset, rest, s) of the tuple's odd-degree mask and
-    the terms (t, v) of inner(x_subset); inner and outer are `_Packed` memos."""
-    deg, mask = pool.deg, pool.mask
+    the terms (t, v) of inner(x_subset); inner and outer are `_Packed` memos.
+
+    With a plan store (`_Plans`, which lives for one sweep), the rows that can
+    be nonzero on a tuple's frame masks are found once per shape and kept,
+    by reference, in the store under (parts, masks); without one, every
+    row is tested on every tuple."""
+    deg, mask, fc = pool.deg, pool.mask, pool.fc
+    # per part: its memos and the shift that packs t before x_rest
+    tables = [(inner, outer, _SHIFT * len(rows[0][0][1])) for rows, inner, outer in parts]
+    if plans is None:
+        unplanned = [
+            (rows, inner, outer, inner.need, outer.need, shift)
+            for (rows, _, _), (inner, outer, shift) in zip(parts, tables)
+        ]
+
+        def evaluate(idx):
+            par = odd_mask([deg[x] for x in idx])
+            masks = [mask[x] for x in idx]
+            acc: Dict[int, int] = {}
+            for rows, inner, outer, need_in, need, shift in unplanned:
+                for subset, rest, s in rows[par]:
+                    cover = 0
+                    for q in subset:
+                        cover |= masks[q]
+                    if need_in & ~cover:
+                        continue
+                    key = 0  # _pack, inlined
+                    for q in subset:
+                        key = key << _SHIFT | idx[q]
+                    value = inner[key]
+                    if not value:
+                        continue
+                    tail = cover = 0
+                    for q in rest:
+                        tail = tail << _SHIFT | idx[q]
+                        cover |= masks[q]
+                    for t, v in value:
+                        if need & ~(mask[t] | cover):
+                            continue
+                        v *= s
+                        for u, w in outer[t << shift | tail]:
+                            acc[u] = acc.get(u, 0) + v * w
+            return acc
+
+        return evaluate
+
+    # shape -> plan, and each distinct plan once, so shapes share its storage;
+    # the entry holds the row tables, so their ids in its key stay theirs
+    store, distinct, _ = plans.stores.setdefault(
+        tuple((id(rows), inner.frames, outer.frames) for rows, inner, outer in parts),
+        ({}, {}, [rows for rows, _, _ in parts]),
+    )
+    width = fc.n
+
+    def plan(idx):
+        """Per part, the live rows (shared records) on idx's frame masks and
+        the outer need still to test per term: none when one inner frame
+        has decided it for every row."""
+        masks = [mask[x] for x in idx]
+        par = odd_mask([fc.pop[m] for m in masks])
+        out = tuple(
+            (
+                tuple([r for r in rows[par] if plans.row_live(inner, outer, masks, r[0], r[1])]),
+                0 if inner.frames is not None and len(inner.frames) < 2 else outer.need,
+            )
+            for rows, inner, outer in parts
+        )
+        return distinct.setdefault(out, out)
 
     def evaluate(idx):
-        par = odd_mask([deg[x] for x in idx])
-        masks = [mask[x] for x in idx]
+        key = 0
+        for x in idx:
+            key = key << width | mask[x]
+        live = store.get(key)
+        if live is None:
+            live = store[key] = plan(idx)
         acc: Dict[int, int] = {}
-        for rows, inner, outer in parts:
-            for subset, rest, s in rows[par]:
-                cover = 0
-                for q in subset:
-                    cover |= masks[q]
-                if inner.need & ~cover:
-                    continue
+        for (rows, need), (inner, outer, shift) in zip(live, tables):
+            for subset, rest, s in rows:
                 key = 0  # _pack, inlined
                 for q in subset:
                     key = key << _SHIFT | idx[q]
@@ -286,11 +424,11 @@ def _kernel(pool: _Pool, *parts):
                     continue
                 tail = cover = 0
                 for q in rest:
-                    tail = tail << _SHIFT | idx[q]
-                    cover |= masks[q]
-                shift = _SHIFT * len(rest)
+                    x = idx[q]
+                    tail = tail << _SHIFT | x
+                    cover |= mask[x]
                 for t, v in value:
-                    if outer.need & ~(mask[t] | cover):
+                    if need & ~(mask[t] | cover):
                         continue
                     v *= s
                     for u, w in outer[t << shift | tail]:
@@ -497,15 +635,18 @@ def _differential_rows(e: int):
     return inner, pairs
 
 
-def _differential_of_phi(pool: _Pool, alpha: _Packed, br: _Packed):
+def _differential_of_phi(
+    pool: _Pool, alpha: _Packed, br: _Packed, plans: Optional[_Plans] = None
+):
     """evaluate(idx): [m, phi(alpha)] on the unit terms idx, for a one-term
-    form alpha, given its contraction table and `pool.packed(pool.bracket, 2)`."""
+    form alpha, given its contraction table and `pool.packed(pool.bracket, 2)`,
+    and the sweep's plan store if it keeps one (see `_kernel`)."""
     if alpha.k == 0:  # m(f, a) for the function f, of degree 0: sign -1
         ((_, exps),) = alpha.form
         f = pool.intern((0, exps))
         return lambda idx: {u: -d for u, d in br[f << _SHIFT | idx[0]]}
     inner, pairs = _differential_rows(alpha.k)
-    return _kernel(pool, (inner, alpha, br), (pairs, br, alpha))
+    return _kernel(pool, plans, (inner, alpha, br), (pairs, br, alpha))
 
 
 def lemma_differential(
@@ -528,10 +669,13 @@ def lemma_differential(
     pool, n_frames = _lemma_pool(ctx, fc, tuple_poly_degree, mv_degree)
     n_dressed = len(pool.els) - n_frames
     br = pool.packed(pool.bracket, 2)
+    forms = _monomial_forms(fc, form_degree_max, coeff_degree)
+    plans = _plan_store(pool, [mask for mask, _, _ in forms])
 
     def block(mask: int, exps: Exponents, e: int) -> Block:
         dform = d_form(DiffForm._wrap(ctx, {(mask, exps): 1}))._tm
-        differential = _differential_of_phi(pool, pool.contraction({(mask, exps): 1}, e), br)
+        alpha = pool.contraction({(mask, exps): 1}, e)
+        differential = _differential_of_phi(pool, alpha, br, plans)
         dphi = pool.contraction(dform, e + 1)
 
         def evaluate(idx):
@@ -549,7 +693,6 @@ def lemma_differential(
             lambda idx, acc: label + pool.witness(idx, acc),
         )
 
-    forms = _monomial_forms(fc, form_degree_max, coeff_degree)
     return _drive("lemma-differential", (block(*f) for f in forms))
 
 
@@ -574,6 +717,9 @@ def lemma_bracket_vanishes(
     pool = _Pool(ctx.names, fc, sweep_elements(fc, 0, range(min(mv_degree, n) + 1)))
     forms = _monomial_forms(fc, form_degree_max, coeff_degree, min_degree=1)
     phis = [pool.contraction({(cof, exps): 1}, e) for cof, exps, e in forms]
+    plans = _plan_store(pool, [cof for cof, _, _ in forms])
+    # (r, k, sign) -> signed rows, built once for this sweep and shared by its blocks
+    rows = functools.lru_cache(maxsize=None)(lambda r, k, s: _signed_plan(r, k, lambda par, t: s))
 
     def block(fi: int, fj: int) -> Block:
         (amask, aexps, ea), (bmask, bexps, eb) = forms[fi], forms[fj]
@@ -582,8 +728,9 @@ def lemma_bracket_vanishes(
         # phi(alpha)(phi(beta)(subset), rest) - sign phi(beta)(phi(alpha)(subset), rest)
         evaluate = _kernel(
             pool,
-            (_signed_plan(r, eb, lambda par, t: 1), phis[fj], phis[fi]),
-            (_signed_plan(r, ea, lambda par, t: -sign), phis[fi], phis[fj]),
+            plans,
+            (rows(r, eb, 1), phis[fj], phis[fi]),
+            (rows(r, ea, -sign), phis[fi], phis[fj]),
         )
         la = f"{_mono_label(ctx.names, aexps)}*dx({fc.bits[amask]})"
         lb = f"{_mono_label(ctx.names, bexps)}*dx({fc.bits[bmask]})"
@@ -661,7 +808,7 @@ def linfty_mixed(
     rows3 = _signed_plan(4, 3, lambda par, t: -1 if sum(par >> q for q in t) & 1 else 1)
     rows2 = _signed_plan(4, 2, lambda par, t: 1 if par >> t[0] & 1 else -1)
     br = pool.packed(pool.bracket, 2)
-    evaluate = _kernel(pool, (rows3, phi, br), (rows2, br, phi))
+    evaluate = _kernel(pool, _plan_store(pool), (rows3, phi, br), (rows2, br, phi))
     tuples = itertools.combinations_with_replacement(range(len(pool.els)), 4)
     return _drive("linfty-mixed", [(tuples, _graded_prune(pool, 4, need), evaluate, pool.witness)])
 
@@ -672,6 +819,6 @@ def linfty_ternary(
     """[l3, l3] = 0 on basis 5-tuples."""
     pool, phi, need = _ternary_setup(ctx, H, poly_degree, mv_degree)
     rows = _signed_plan(5, 3, lambda par, t: 2)
-    evaluate = _kernel(pool, (rows, phi, phi))
+    evaluate = _kernel(pool, _plan_store(pool), (rows, phi, phi))
     tuples = itertools.combinations_with_replacement(range(len(pool.els)), 5)
     return _drive("linfty-ternary", [(tuples, _graded_prune(pool, 6, need), evaluate, pool.witness)])

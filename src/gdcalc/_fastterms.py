@@ -299,6 +299,19 @@ def _frame_entry(
     return (out_mask, coeff) if coeff else None
 
 
+def frame_entry(
+    fc: FastCtx, comask: int, masks: Tuple[int, ...], degs: Tuple[int, ...]
+) -> Optional[Tuple[int, int]]:
+    """`_frame_entry`, memoised in the context's frame table (which `phi_into`
+    reads inline), so a caller can ask on frames alone whether a contraction
+    vanishes."""
+    key = (comask, masks, degs)
+    hit = fc._ftable.get(key, False)
+    if hit is False:
+        hit = fc._ftable[key] = _frame_entry(fc, comask, masks, degs)
+    return hit
+
+
 def phi_into(
     fc: FastCtx,
     form_terms: Dict[Tuple[int, Exponents], int],

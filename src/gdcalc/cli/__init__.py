@@ -83,7 +83,8 @@ def _read_doc(path: str) -> Document:
 
 def _want(doc: Document, kind: str, path: str) -> Document:
     if doc.kind != kind:
-        raise ValueError(f"{path}: expected a {kind} document, found {doc.kind}")
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ValueError(f"{path}: expected {article} {kind} document, found {doc.kind}")
     return doc
 
 
@@ -498,6 +499,8 @@ def cmd_gauge_equiv(args) -> int:
 
     ctx, a, b, h = _problem(args.problem, "a", "b", "h")
     s = _make_twisted_checked(h, args.problem)
+    if a.ring != b.ring:
+        raise ValueError(f"{args.problem}: a and b truncations differ")
     rep = gauge_equivalent(s, a, b, poly_degree=args.bounds_degree)
     wit_text = None
     if rep.equivalent and rep.witness is not None:

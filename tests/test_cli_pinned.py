@@ -7,7 +7,9 @@ mismatch, missing fields, an H that is not closed, differing truncations,
 malformed lines of every payload kind), and the ``--help`` text of every
 command.  The expected bytes live in ``cli_pinned.json`` next to this file;
 they were recorded before the CLI's input side was rewritten, and a change
-to the readers must leave every one of them as it is.
+to the readers must leave every one of them as it is.  Nine refusals were
+re-recorded since, when their wording was mended: "an artin-series" for "a
+artin-series", and gauge-equiv's truncation refusal naming its path.
 
     PYTHONPATH=src python tests/test_cli_pinned.py
 

@@ -5,10 +5,12 @@ signs read from ``subset_plan``'s parity table; the reference recomputes
 each subset's sign and builds every value as its own TermMap from the
 elements' TermMaps.  Whole reports (verdict, ``checked``, ``trivial``,
 witness) must be equal.  Every 3-form is closed at n <= 3, so the failing
-reports, whose witnesses are compared byte for byte, come from seeded
-non-closed 3-forms with ``Fraction`` coefficients at n=4 with constant
-tuple elements, and, for the Schouten sweeps, from a frame sign flipped in
-the merge table that both sides read.
+reports, whose witnesses are compared byte for byte, come from non-closed
+3-forms at n=4 (seeded ones with constant tuple elements, and one with
+polynomial coefficients on a pool with dressed elements), and from a sign
+corrupted in a table that both sides read: a frame sign of the merge table
+(the Schouten sweeps, lemma_differential, linfty_mixed) or one contraction
+frame entry (lemma_bracket_vanishes).
 """
 import itertools
 import random
@@ -165,5 +167,52 @@ def test_failing_witness_matches_reference(flipped_frame_sign, name):
     got = getattr(fs, name)(CTX[3], poly_degree=1)
     want = getattr(ref, name)(CTX[3], poly_degree=1)
     assert not got.passed and got.trivial > 0
+    assert (got.checked, got.trivial) == (want.checked, want.trivial)
+    assert got.witness.encode() == want.witness.encode()
+
+
+@pytest.fixture
+def flipped_contraction_sign(monkeypatch):
+    """phi(dx0 ^ dx1) on theta(0), theta(1) with the wrong sign, in every context.
+
+    Both sides read the contraction's frame entries through
+    ``_fastterms._frame_entry``, so [phi(alpha), phi(beta)] fails to vanish
+    on tuples that use this entry.  Frame entries are memoised per context,
+    and every sweep builds its own, so no other test sees the flip.
+    """
+    frame_entry = _fastterms._frame_entry
+
+    def flipped(fc, comask, masks, degs):
+        hit = frame_entry(fc, comask, masks, degs)
+        if hit and (comask, masks) == (0b011, (0b001, 0b010)):
+            return hit[0], -hit[1]
+        return hit
+
+    monkeypatch.setattr(_fastterms, "_frame_entry", flipped)
+
+
+# not closed, with two coframes, so the mixed kernel keeps a per-term coverage test
+H4_OPEN_DRESSED = three_form(
+    4, [((0, 1, 2), Fraction(-2, 3), (0, 0, 1, 1)), ((0, 1, 3), Fraction(7, 4), (1, 0, 0, 0))]
+)
+
+
+@pytest.mark.parametrize(
+    "name, n, args, kwargs, corruption",
+    [
+        ("lemma_differential", 3, (), dict(coeff_degree=1, tuple_poly_degree=1), "flipped_frame_sign"),
+        ("lemma_bracket_vanishes", 3, (), dict(coeff_degree=1), "flipped_contraction_sign"),
+        ("linfty_mixed", 3, (H3_UNIT,), dict(poly_degree=1), "flipped_frame_sign"),
+        ("linfty_mixed", 4, (H4_OPEN_DRESSED,), dict(poly_degree=1, mv_degree=2), None),
+    ],
+)
+def test_kernel_sweeps_failing_witness_matches_reference(request, name, n, args, kwargs, corruption):
+    # the sweeps whose kernels share row plans between tuples and blocks;
+    # the open dressed H fails uncorrupted, on a pool with dressed elements
+    if corruption:
+        request.getfixturevalue(corruption)
+    got = getattr(fs, name)(CTX[n], *args, **kwargs)
+    want = getattr(ref, name)(CTX[n], *args, **kwargs)
+    assert not got.passed and got.checked > 0
     assert (got.checked, got.trivial) == (want.checked, want.trivial)
     assert got.witness.encode() == want.witness.encode()
