@@ -19,16 +19,25 @@ composition.  Kernels skip zero contractions inside a tuple the same way.
 Every sweep element is one unit term x^e theta_m, so every product is a
 short sum of unit terms.  A sweep's `_Pool` interns each term key (frame
 mask, exponents) as a small int id, elements first, and reads degree and
-mask off the id.  A unit product is computed once by `_fastterms`'
-producers and memoised as a tuple of (id, coefficient): in one table per
-element keyed by the other id for the Schouten sweeps, in tables keyed by
-packed id tuples (`_Packed`) for the sweeps through `_kernel`.  m(x, y) =
-(-1)^{|x|-1}[x, y] is the bracket read by sign, and a kernel sums memoised
-values into an {id: coefficient} accumulator, so a nested value such as
-[[a, b], c] costs lookups only.  Memos live for one sweep, Leibniz's
-[a, .] for the row of a and lemma_differential's contraction for its
-form.  Unshuffle signs come from `_fastterms.subset_plan`, folded with
-each sweep's own signs into one row per odd-degree mask.
+mask off the id.  A unit product is filled once, straight from its
+operands' keys into a tuple of (id, coefficient) with each output key
+interned once, and memoised: in one table per element keyed by the other
+id for the Schouten sweeps, in tables keyed by packed id tuples
+(`_Packed`) for the sweeps through `_kernel`.  Its frame signs come from
+the shared tables that the TermMap producers of `_fastterms` read too:
+the bracket's half plans (`_fastterms.bracket_plans`), the merge signs
+and the contraction's frame table (`_fastterms.frame_entry`).  Each entry
+is computed from its own operands, never derived from another entry by an
+identity that a sweep checks (antisymmetry, graded commutativity), so a
+wrong sign in a table shows in the sweeps.  m(x, y) = (-1)^{|x|-1}[x, y]
+is the bracket read by sign, and a kernel sums memoised values into an
+{id: coefficient} accumulator, so a nested value such as [[a, b], c]
+costs lookups only.  Memos live for one sweep, Leibniz's [a, .] for the
+row of a and lemma_differential's contraction for its form; Leibniz keeps
+one wedge memo, which b^c and [a, b]^c both read.  Unshuffle signs come
+from `_fastterms.subset_plan`, folded with each sweep's own signs into
+one row per odd-degree mask.  Every public sweep refuses a negative bound
+with ValueError before it starts.
 
 A kernel row (subset, rest, sign) adds inner(x_subset) into outer(., x_rest).
 Contraction never differentiates, so whether a contraction vanishes on
@@ -56,14 +65,12 @@ from ._fastterms import (
     FastCtx,
     TermMap,
     _Table,
+    bracket_plans,
     frame_entry,
     odd_mask,
     phi_eval,
-    phi_into,
-    schouten_into,
     subset_plan,
     tm_add_into,
-    wedge_into,
 )
 from .exactcore import Exponents, VarContext, format_rat, monomials_upto
 from .polyvec import DiffForm, basis_keys, d_form, form_degree
@@ -184,7 +191,6 @@ class _Pool:
         self.keys: List[Tuple[int, Exponents]] = []  # id -> (mask, exps)
         self.deg: List[int] = []  # id -> frame degree
         self.mask: List[int] = []  # id -> frame mask
-        self._values: Dict[Value, Value] = {}  # one shared copy of each value
         for el in elements:
             self.intern((el.mask, el.exps))
 
@@ -197,19 +203,42 @@ class _Pool:
             self.mask.append(key[0])
         return got
 
-    def _value(self, tm: TermMap) -> Value:
-        value = tuple([(self.intern(k), c) for k, c in tm.items()])
-        return self._values.setdefault(value, value)
+    def _interned(self, acc: TermMap) -> Value:
+        """acc's nonzero terms as (id, coefficient) pairs."""
+        ids = self.ids
+        out = []
+        for key, c in acc.items():
+            if c:
+                got = ids.get(key)
+                out.append((self.intern(key) if got is None else got, c))
+        return tuple(out)
 
     def bracket(self, x: int, y: int) -> Value:
+        """[x, y]: a half plan entry (i, mask, s) of D(x, y) differentiates
+        y's monomial x^b by x_i, giving s b_i x^{a+b-e_i} theta_mask for x's
+        monomial x^a, and D(y, x) the other way round."""
+        fc = self.fc
+        (m1, e1), (m2, e2) = self.keys[x], self.keys[y]
+        ab, ba = fc._plans[m1].get(m2) or bracket_plans(fc, m1, m2)
+        if not (ab or ba):
+            return ()
+        esum = fc.eadd(e1, e2)
         acc: TermMap = {}
-        schouten_into(self.fc, {self.keys[x]: 1}, {self.keys[y]: 1}, 1, acc)
-        return self._value(acc)
+        for plan, ed in ((ab, e2), (ba, e1)):
+            for i, om, s in plan:
+                b = ed[i]
+                if b:
+                    lowered = list(esum)
+                    lowered[i] -= 1
+                    key = (om, tuple(lowered))
+                    acc[key] = acc.get(key, 0) + s * b
+        return self._interned(acc)
 
     def wedge(self, x: int, y: int) -> Value:
-        acc: TermMap = {}
-        wedge_into(self.fc, {self.keys[x]: 1}, {self.keys[y]: 1}, 1, acc)
-        return self._value(acc)
+        fc = self.fc
+        (m1, e1), (m2, e2) = self.keys[x], self.keys[y]
+        s = fc.merge[m1][m2]
+        return ((self.intern((m1 | m2, fc.eadd(e1, e2))), s),) if s else ()
 
     def by_right(self, product) -> List[_Table]:
         """For each element z, the memo t -> product(t, z)."""
@@ -222,11 +251,28 @@ class _Pool:
         return table
 
     def contraction(self, form_terms: TermMap, k: int) -> _Packed:
+        """The memo of phi(form) on arity-k id tuples.  On unit terms each
+        coframe of the form gives at most one term: its frame and sign are
+        the frame table's entry, and its exponents add up."""
+        fc, keys, deg, mask = self.fc, self.keys, self.deg, self.mask
+        if any(fc.pop[m] != k for m, _ in form_terms):
+            raise ValueError("form degree does not match argument count")
+        items = list(form_terms.items())
+
         def phi(*ids: int) -> Value:
+            masks = tuple([mask[x] for x in ids])
+            degs = tuple([deg[x] for x in ids])
+            esum = None
+            for x in ids:
+                e = keys[x][1]
+                esum = e if esum is None else fc.eadd(esum, e)
             acc: TermMap = {}
-            args = [{self.keys[x]: 1} for x in ids]
-            phi_into(self.fc, form_terms, args, [self.deg[x] for x in ids], 1, acc)
-            return self._value(acc)
+            for (comask, fexps), c in items:
+                hit = frame_entry(fc, comask, masks, degs)
+                if hit is not None:
+                    key = (hit[0], fexps if esum is None else fc.eadd(fexps, esum))
+                    acc[key] = acc.get(key, 0) + c * hit[1]
+            return self._interned(acc)
 
         table = self.packed(phi, k)
         table.form = form_terms
@@ -243,7 +289,15 @@ class _Pool:
         return _witness(self.names, self.fc, [self.els[i] for i in idx], self.termmap(acc))
 
 
+def _refuse_negative(**bounds: int) -> None:
+    """Raise ValueError naming each negative bound, before a sweep starts."""
+    bad = [f"{name}={value}" for name, value in bounds.items() if value < 0]
+    if bad:
+        raise ValueError(f"bounds must be non-negative, got {', '.join(bad)}")
+
+
 def _sweep_pool(ctx: VarContext, poly_degree: int, mv_degree: int) -> _Pool:
+    _refuse_negative(poly_degree=poly_degree, mv_degree=mv_degree)
     fc = FastCtx(ctx.n)
     return _Pool(ctx.names, fc, sweep_elements(fc, poly_degree, range(min(mv_degree, ctx.n) + 1)))
 
@@ -535,8 +589,7 @@ def schouten_leibniz(
     pool = _sweep_pool(ctx, poly_degree, mv_degree)
     deg, lim = pool.deg, ctx.n + 1
     ids = range(len(pool.els))
-    wd_left = [_Table(functools.partial(pool.wedge, x)) for x in ids]
-    wd_right = pool.by_right(pool.wedge)
+    wd = _Table(lambda x: _Table(functools.partial(pool.wedge, x)))  # wd[x][y] = x^y
     pairs = list(itertools.combinations_with_replacement(ids, 2))
 
     def row(i: int) -> Block:
@@ -549,13 +602,12 @@ def schouten_leibniz(
         def evaluate(jk):
             j, k = jk
             acc: Dict[int, int] = {}
-            wd_j = wd_left[j]
+            wd_j = wd[j]
             for t, c in wd_j[k]:
                 for u, d in br_a[t]:
                     acc[u] = acc.get(u, 0) + c * d
-            wd_k = wd_right[k]
             for t, c in br_a[j]:
-                for u, d in wd_k[t]:
+                for u, d in wd[t][k]:
                     acc[u] = acc.get(u, 0) - c * d
             s = sign[j]
             for t, c in br_a[k]:
@@ -665,6 +717,12 @@ def lemma_differential(
     _lemma_index_tuples); grading and coverage prunes skip structurally
     zero tuples.
     """
+    _refuse_negative(
+        form_degree_max=form_degree_max,
+        coeff_degree=coeff_degree,
+        tuple_poly_degree=tuple_poly_degree,
+        mv_degree=mv_degree,
+    )
     fc = FastCtx(ctx.n)
     pool, n_frames = _lemma_pool(ctx, fc, tuple_poly_degree, mv_degree)
     n_dressed = len(pool.els) - n_frames
@@ -712,6 +770,7 @@ def lemma_bracket_vanishes(
     (coeff_degree=0) covers every dressed pair exactly.  Larger
     coeff_degree sweeps the dressed pairs explicitly where affordable.
     """
+    _refuse_negative(form_degree_max=form_degree_max, coeff_degree=coeff_degree, mv_degree=mv_degree)
     fc = FastCtx(ctx.n)
     n = ctx.n
     pool = _Pool(ctx.names, fc, sweep_elements(fc, 0, range(min(mv_degree, n) + 1)))
@@ -748,6 +807,7 @@ def lemma_bracket_vanishes(
 
 def lemma_pairing_on_vectors(ctx: VarContext, *, coeff_degree: int = 2) -> CheckReport:
     """phi(g dx_i)(h theta_j) = g*h*delta_ij over the monomial bases."""
+    _refuse_negative(coeff_degree=coeff_degree)
     fc = FastCtx(ctx.n)
     n = ctx.n
     monos = list(monomials_upto(n, coeff_degree))

@@ -2,11 +2,13 @@
 
 Terms are keyed by (frame bitmask, exponent tuple) with integer coefficients
 (`Fraction` where the denominator is not 1).  This is the only implementation
-of the bracket, the wedge and the contraction: `PolyVector` and `DiffForm`
-hold a TermMap, so `polyvec`, `chevalley`, `twistcheck` and `deform` hand
-their values' maps straight to it, the sweeps of `_fastsweep` call it on
-unit terms, and `tests/_ref_polyvec.py` keeps an independent tuple-frame
-route as the oracle.
+of the bracket, the wedge and the contraction on TermMaps: `PolyVector` and
+`DiffForm` hold a TermMap, so `polyvec`, `chevalley`, `twistcheck` and
+`deform` hand their values' maps straight to it, and `tests/_ref_polyvec.py`
+keeps an independent tuple-frame route as the oracle.  The sweeps of
+`_fastsweep` multiply unit terms only, so they fill their products
+straight from the sign tables below (`bracket_plans`, `merge` and
+`frame_entry`), which are thus the single source of every frame sign.
 
 The sign tables (`pop`, `bits`, `merge` and the bracket's plan for each pair
 of frames) depend on the masks alone: contexts of one dimension share them,
@@ -155,6 +157,16 @@ def _bracket_plans(fc: FastCtx, m1: int, m2: int):
     """The two half plans of [theta(m1), theta(m2)], the second with its sign folded in."""
     flip = -1 if ((fc.pop[m1] - 1) * (fc.pop[m2] - 1)) & 1 else 1
     return _half_plan(fc, m1, m2, 1), _half_plan(fc, m2, m1, -flip)
+
+
+def bracket_plans(fc: FastCtx, m1: int, m2: int):
+    """`_bracket_plans`, memoised in the shared plan table.  `schouten_into`
+    reads the table inline, and so do the sweeps, which call this on a miss."""
+    row = fc._plans[m1]
+    hit = row.get(m2)
+    if hit is None:
+        hit = row[m2] = _bracket_plans(fc, m1, m2)
+    return hit
 
 
 def schouten_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> None:

@@ -9,9 +9,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdcalc import _fastsweep
 from gdcalc._fastsweep import (
     _differential_of_phi,
     _Pool,
@@ -206,3 +208,36 @@ def test_linfty_mixed_fails_for_open_form_like_generic():
 
 def test_linfty_closed_passes_fast_small():
     assert linfty_mixed(CTX4, H4_CLOSED, poly_degree=1, mv_degree=1).passed
+
+
+# ---------------------------------------------------------------------------
+# bounds
+
+
+# each public sweep: its arguments after the context, and its bounds
+SWEEP_BOUNDS = {
+    "schouten_antisymmetry": ((), ("poly_degree", "mv_degree")),
+    "schouten_jacobi": ((), ("poly_degree", "mv_degree")),
+    "schouten_leibniz": ((), ("poly_degree", "mv_degree")),
+    "lemma_differential": ((), ("form_degree_max", "coeff_degree", "tuple_poly_degree", "mv_degree")),
+    "lemma_bracket_vanishes": ((), ("form_degree_max", "coeff_degree", "mv_degree")),
+    "lemma_pairing_on_vectors": ((), ("coeff_degree",)),
+    "linfty_jacobi": ((H3,), ("poly_degree", "mv_degree")),
+    "linfty_mixed": ((H3,), ("poly_degree", "mv_degree")),
+    "linfty_ternary": ((H3,), ("poly_degree", "mv_degree")),
+}
+
+
+@pytest.mark.parametrize(
+    "name, bound", [(name, bound) for name, (_, bounds) in SWEEP_BOUNDS.items() for bound in bounds]
+)
+def test_sweeps_refuse_negative_bounds(monkeypatch, name, bound):
+    # refused before any engine context is made, where a negative bound
+    # would otherwise sweep nothing and pass with checked == 0
+    def no_work(n):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(_fastsweep, "FastCtx", no_work)
+    args, _ = SWEEP_BOUNDS[name]
+    with pytest.raises(ValueError, match=f"{bound}=-1"):
+        getattr(_fastsweep, name)(CTX3, *args, **{bound: -1})

@@ -128,6 +128,54 @@ def test_differential_of_phi_matches_reference_without_memos():
         assert got == ref._differential_of_phi(fc, mask, exps, e, args, degs)
 
 
+def _unit_value(pool, value):
+    # a memoised value as a TermMap, its ids distinct and its coefficients nonzero
+    assert len({t for t, _ in value}) == len(value) and all(c for _, c in value)
+    return pool.termmap(dict(value))
+
+
+def test_unit_products_match_termmap_producers():
+    # every ordered pair of the elements, then every pair that takes an id
+    # interned by that pass, against the general producers on unit TermMaps
+    fc = FastCtx(3)
+    pool = fs._Pool(CTX[3].names, fc, fs.sweep_elements(fc, 2, range(4)))
+
+    def check(x, y):
+        a, b = {pool.keys[x]: 1}, {pool.keys[y]: 1}
+        for product, into in ((pool.bracket, _fastterms.schouten_into), (pool.wedge, _fastterms.wedge_into)):
+            want = {}
+            into(fc, a, b, 1, want)
+            assert _unit_value(pool, product(x, y)) == want, (product.__name__, pool.keys[x], pool.keys[y])
+
+    n_els = len(pool.els)
+    for x, y in itertools.product(range(n_els), repeat=2):
+        check(x, y)
+    n_ids = len(pool.keys)
+    assert n_ids > n_els
+    for x, y in itertools.product(range(n_ids), repeat=2):
+        if max(x, y) >= n_els:
+            check(x, y)
+
+
+def test_contraction_of_multi_term_form_matches_phi_into():
+    # phi(d alpha) for a 1-form alpha whose d has several coframes and
+    # monomials, on every ordered pair of elements (frames and dressed)
+    fc = FastCtx(3)
+    pool = fs._Pool(CTX[3].names, fc, fs.sweep_elements(fc, 1, range(4)))
+    xyz = poly_from_terms(3, [(1, (1, 1, 1)), (-2, (0, 2, 0))])
+    dalpha = d_form(form_make(CTX[3], [((0,), xyz), ((2,), xyz)]))._tm
+    assert len({m for m, _ in dalpha}) == 3 and len(dalpha) > 3
+    table = pool.contraction(dalpha, 2)
+    nonzero = 0
+    for ids in itertools.product(range(len(pool.els)), repeat=2):
+        want = {}
+        args = [{pool.keys[x]: 1} for x in ids]
+        _fastterms.phi_into(fc, dalpha, args, [pool.deg[x] for x in ids], 1, want)
+        assert _unit_value(pool, table.fill(fs._pack(ids))) == want, ids
+        nonzero += bool(want)
+    assert nonzero > 0
+
+
 @pytest.mark.parametrize("r", range(6))
 def test_subset_plan_matches_unshuffle_sign(r):
     for k in range(r + 1):
@@ -162,11 +210,43 @@ def flipped_frame_sign(monkeypatch):
     _fastterms._shared_tables.cache_clear()
 
 
-@pytest.mark.parametrize("name", ["schouten_jacobi", "schouten_leibniz"])
+@pytest.mark.parametrize("name", ["schouten_jacobi", "schouten_leibniz", "linfty_jacobi"])
 def test_failing_witness_matches_reference(flipped_frame_sign, name):
-    got = getattr(fs, name)(CTX[3], poly_degree=1)
-    want = getattr(ref, name)(CTX[3], poly_degree=1)
+    args = (H3_UNIT,) if name.startswith("linfty") else ()
+    got = getattr(fs, name)(CTX[3], *args, poly_degree=1)
+    want = getattr(ref, name)(CTX[3], *args, poly_degree=1)
     assert not got.passed and got.trivial > 0
+    assert (got.checked, got.trivial) == (want.checked, want.trivial)
+    assert got.witness.encode() == want.witness.encode()
+
+
+@pytest.fixture
+def flipped_bracket_half(monkeypatch):
+    """D(theta(0), theta(0,1)), the first half plan of that frame pair, negated.
+
+    [theta(0,1), theta(0)] reads the other, unflipped half of its own plan,
+    so a sweep fails antisymmetry only if it computes each ordered pair
+    from its own operands and never takes [b, a] from [a, b].  The shared
+    tables are dropped before and after, as for `flipped_frame_sign`.
+    """
+    bracket_plans = _fastterms._bracket_plans
+
+    def flipped(fc, m1, m2):
+        ab, ba = bracket_plans(fc, m1, m2)
+        if (m1, m2) == (0b001, 0b011):
+            ab = tuple((i, om, -s) for i, om, s in ab)
+        return ab, ba
+
+    monkeypatch.setattr(_fastterms, "_bracket_plans", flipped)
+    _fastterms._shared_tables.cache_clear()
+    yield
+    _fastterms._shared_tables.cache_clear()
+
+
+def test_antisymmetry_witness_matches_reference_under_flipped_half_plan(flipped_bracket_half):
+    got = fs.schouten_antisymmetry(CTX[3], poly_degree=1)
+    want = ref.schouten_antisymmetry(CTX[3], poly_degree=1)
+    assert not got.passed and got.checked > 0
     assert (got.checked, got.trivial) == (want.checked, want.trivial)
     assert got.witness.encode() == want.witness.encode()
 
