@@ -107,7 +107,6 @@ class Element:
     mask: int
     exps: Exponents
     deg: int
-    terms: Tuple[Tuple[Tuple[int, Exponents], int], ...]  # singleton TermMap items
 
 
 def _mono_label(names: Sequence[str], exps: Exponents) -> str:
@@ -139,7 +138,7 @@ def sweep_elements(
 ) -> List[Element]:
     """Same enumeration order as the canonical PolyVector basis (``polyvec.basis_keys``)."""
     keys = basis_keys(fc.n, poly_degree, mv_degrees)
-    return [Element(mask, exps, k, (((mask, exps), 1),)) for mask, exps, k in keys]
+    return [Element(mask, exps, k) for mask, exps, k in keys]
 
 
 def _witness(

@@ -24,6 +24,20 @@ its int form.  ``mdo_make`` also checks the slot orders of every term it is
 given, those that cancel away included.  Operators the kernels compute are
 built unchecked by ``_op``, and no operator is checked again.
 
+Inside, a term is keyed by its packed slot orders: one int per slot, each
+variable's order in a field of ``_W`` = 8 bits, variable 0 in the most
+significant field.  While every field stays below 2^8, packed ints add as
+the multi-indices do (so a slot of an insertion is one int addition),
+split fieldwise, and sort as the tuples do, so sorted keys, and with them
+``delta_primitive``'s rows and pivots, are those of the tuple form.
+``terms`` and ``repr`` unpack the keys.  Each operator keeps a bound on its
+largest slot order: an input's own, the sum of the operands' for a brace
+or bracket, the larger operand's for a cup or sum, unchanged by δ and by
+scaling, 1 for ``hkr`` and ``op_order`` for a primitive.  An input order
+of 2^8 or more, an operation whose bound would reach 2^8, and an
+``op_order`` of 2^8 or more are refused with ``ValueError`` before any
+field can carry into its neighbour (the CLI exits 2).
+
 The producers (``hoch_delta``, ``brace``, ``gerstenhaber``, ``cup``,
 ``hkr``, ``mdo_add``/``mdo_sub``, ``mdo_neg``, ``mdo_scale`` and
 ``delta_primitive``) compute on the numerators and return their kernels'
@@ -88,6 +102,7 @@ from .exactcore import (
 from .polyvec import PolyVector, mv_homogeneous_degree, mv_is_zero
 
 Orders = Tuple[Exponents, ...]
+PackedOrders = Tuple[int, ...]  # one packed slot order per slot
 
 __all__ = [
     "MultiDiffOp",
@@ -116,19 +131,28 @@ __all__ = [
 
 class MultiDiffOp:
     """Sum of terms coeff(x)·∂^{orders[0]}⊗…⊗∂^{orders[arity-1]}; ``terms`` is
-    read-only, and the map given here is checked at once."""
+    read-only, and the map given here is checked at once.
 
-    __slots__ = ("ctx", "arity", "_nums", "_den")
+    Inside, a term is keyed by its packed slot orders, one int per slot with
+    ``_W`` = 8 bits per variable, and the operator keeps ``_top``, a bound on
+    its largest slot order; an order of 2^8 or more is refused with
+    ``ValueError`` (see the module docstring).
+    """
+
+    __slots__ = ("ctx", "arity", "_nums", "_den", "_top")
 
     def __init__(self, ctx: VarContext, arity: int, terms: Dict[Orders, Poly]):
-        den = _check_op(ctx, arity, terms)
-        self.ctx, self.arity, self._den = ctx, arity, den
-        self._nums = {o: _poly_numerators(p, den) for o, p in terms.items()}
+        den, top = _check_op(ctx, arity, terms)
+        self.ctx, self.arity, self._den, self._top = ctx, arity, den, top
+        self._nums = {tuple(map(_pack, o)): _poly_numerators(p, den) for o, p in terms.items()}
 
     @property
     def terms(self) -> Dict[Orders, Poly]:
-        den = self._den
-        return {o: {e: Fraction(v, den) for e, v in p.items()} for o, p in self._nums.items()}
+        den, n = self._den, self.ctx.n
+        return {
+            tuple(_unpack(k, n) for k in o): {e: Fraction(v, den) for e, v in p.items()}
+            for o, p in self._nums.items()
+        }
 
     def __eq__(self, other):
         return mdo_eq(self, other) if isinstance(other, MultiDiffOp) else NotImplemented
@@ -137,11 +161,42 @@ class MultiDiffOp:
         return f"MultiDiffOp({self.ctx!r}, {self.arity!r}, {self.terms!r})"
 
 
-def _op(ctx: VarContext, arity: int, nums: Dict[Orders, Poly], den: int) -> MultiDiffOp:
-    """The operator with int numerators nums over den, well formed by
-    construction, so unchecked."""
+# a slot order β packs into one int, _W bits per variable with variable 0 in
+# the most significant field, so packed ints add, split and sort as the
+# tuples do while every field stays below _LIMIT
+_W = 8
+_LIMIT = 1 << _W
+_FIELD = _LIMIT - 1
+
+
+def _pack(beta: Exponents) -> int:
+    k = 0
+    for b in beta:
+        k = k << _W | b
+    return k
+
+
+@lru_cache(maxsize=4096)
+def _unpack(k: int, n: int) -> Exponents:
+    return tuple(k >> _W * (n - 1 - i) & _FIELD for i in range(n))
+
+
+def _bounded(top: int) -> int:
+    """top, the slot-order bound of an operator about to be computed;
+    refused with ``ValueError`` once a packed field could carry."""
+    if top >= _LIMIT:
+        raise ValueError(
+            f"slot orders of the result could reach {top}; orders are packed "
+            f"{_W} bits per variable, so each must stay below {_LIMIT}"
+        )
+    return top
+
+
+def _op(ctx: VarContext, arity: int, nums: Dict[PackedOrders, Poly], den: int, top: int) -> MultiDiffOp:
+    """The operator with int numerators nums over den, keyed by packed slot
+    orders below top + 1, well formed by construction, so unchecked."""
     D = object.__new__(MultiDiffOp)
-    D.ctx, D.arity, D._nums, D._den = ctx, arity, nums, den
+    D.ctx, D.arity, D._nums, D._den, D._top = ctx, arity, nums, den, top
     return D
 
 
@@ -149,15 +204,21 @@ def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
     if len(orders) != arity:
         raise ValueError(f"orders tuple has {len(orders)} slots, arity is {arity}")
     for beta in orders:
-        if len(beta) != ctx.n or min(beta, default=0) < 0:
+        if len(beta) != ctx.n or not all(isinstance(b, int) and b >= 0 for b in beta):
             raise ValueError(f"bad multi-index {beta!r} for {ctx.n} variables")
+        if max(beta, default=0) >= _LIMIT:
+            raise ValueError(
+                f"multi-index {beta!r} has an order of {_LIMIT} or more; orders are "
+                f"packed {_W} bits per variable"
+            )
 
 
-def _check_op(ctx: VarContext, arity: int, terms: Dict[Orders, Poly]) -> int:
-    """Validate a caller's map: slot counts, each distinct multi-index once,
-    the variable count of every coefficient monomial, and each coefficient
-    (a nonzero ``int`` or ``Fraction``, in a nonempty polynomial).  Returns
-    the lcm of the coefficient denominators."""
+def _check_op(ctx: VarContext, arity: int, terms: Dict[Orders, Poly]) -> Tuple[int, int]:
+    """Validate a caller's map: slot counts, each distinct multi-index once
+    (non-negative int orders below ``_LIMIT``), the variable count of every
+    coefficient monomial, and each coefficient (a nonzero ``int`` or
+    ``Fraction``, in a nonempty polynomial).  Returns the lcm of the
+    coefficient denominators and the largest slot order."""
     betas = set()
     den = 1
     for orders, p in terms.items():
@@ -178,7 +239,7 @@ def _check_op(ctx: VarContext, arity: int, terms: Dict[Orders, Poly]) -> int:
         betas.update(orders)
     for beta in betas:
         _validate_orders(ctx, 1, (beta,))
-    return den
+    return den, max((max(beta, default=0) for beta in betas), default=0)
 
 
 def _poly_numerators(p: Poly, den: int) -> Poly:
@@ -205,7 +266,7 @@ def mdo_make(
 
 
 def mdo_zero(ctx: VarContext, arity: int) -> MultiDiffOp:
-    return _op(ctx, arity, {}, 1)
+    return _op(ctx, arity, {}, 1, 0)
 
 
 def mdo_from_poly(ctx: VarContext, p: Poly) -> MultiDiffOp:
@@ -224,12 +285,12 @@ def _add_ints(a: MultiDiffOp, b: MultiDiffOp, sign: int) -> MultiDiffOp:
     if a.ctx != b.ctx or a.arity != b.arity:
         raise ValueError("cochain shape mismatch")
     den = lcm(a._den, b._den)
-    out: Dict[Orders, Poly] = {}
+    out: Dict[PackedOrders, Poly] = {}
     for orders, p in a._nums.items():
         add_term_into(out, orders, p, den // a._den)
     for orders, p in b._nums.items():
         add_term_into(out, orders, p, sign * (den // b._den))
-    return _op(a.ctx, a.arity, out, den)
+    return _op(a.ctx, a.arity, out, den, max(a._top, b._top))
 
 
 def mdo_add(a: MultiDiffOp, b: MultiDiffOp) -> MultiDiffOp:
@@ -251,7 +312,7 @@ def mdo_scale(a: MultiDiffOp, c) -> MultiDiffOp:
         return mdo_zero(a.ctx, a.arity)
     m = c.numerator
     out = {o: {e: v * m for e, v in p.items()} for o, p in a._nums.items()}
-    return _op(a.ctx, a.arity, out, a._den * c.denominator)
+    return _op(a.ctx, a.arity, out, a._den * c.denominator, a._top)
 
 
 def mdo_eq(a: MultiDiffOp, b: MultiDiffOp) -> bool:
@@ -301,30 +362,32 @@ def apply_mdo(D: MultiDiffOp, args: Sequence[Poly]) -> Poly:
 # the differential
 
 
-def _multiindex_sub(beta: Exponents, gamma: Exponents) -> Exponents:
-    return tuple(b - g for b, g in zip(beta, gamma))
-
-
 @lru_cache(maxsize=1024)
-def _binomial_splits(beta: Exponents) -> Tuple[Tuple[Exponents, Exponents, int], ...]:
-    """(gamma, beta-gamma, multiplicity) over all componentwise splits."""
+def _binomial_splits(beta: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(γ, β−γ, multiplicity) over all fieldwise splits γ ≤ β of a packed
+    slot order, γ in increasing order (the tuples' lexicographic order).
+
+    The fields are read up to β's highest nonzero one, so the splits do not
+    depend on the variable count."""
+    fields = []
+    while beta >> _W * len(fields):
+        fields.append(beta >> _W * len(fields) & _FIELD)
     out = []
-    for gamma in itertools.product(*(range(b + 1) for b in beta)):
-        mult = 1
-        for b, g in zip(beta, gamma):
-            mult *= comb(b, g)
-        out.append((gamma, _multiindex_sub(beta, gamma), mult))
+    for gamma in itertools.product(*(range(b + 1) for b in reversed(fields))):
+        g, mult = 0, 1
+        for b, gi in zip(reversed(fields), gamma):
+            g = g << _W | gi
+            mult *= comb(b, gi)
+        out.append((g, beta - g, mult))
     return tuple(out)
 
 
-def _delta_into(
-    out: Dict[Orders, Poly], terms: Dict[Orders, Poly], arity: int, zero: Exponents
-) -> None:
+def _delta_into(out: Dict[PackedOrders, Poly], terms: Dict[PackedOrders, Poly], arity: int) -> None:
     """Add δ of the given terms of one arity into out, unchecked."""
     end_sign = -1 if (arity + 1) % 2 else 1
     for orders, c in terms.items():
-        add_term_into(out, (zero,) + orders, c)
-        add_term_into(out, orders + (zero,), c, end_sign)
+        add_term_into(out, (0,) + orders, c)
+        add_term_into(out, orders + (0,), c, end_sign)
         for i in range(1, arity + 1):
             head, tail = orders[: i - 1], orders[i:]
             sign = -1 if i % 2 else 1
@@ -339,9 +402,9 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
                       + (−1)^{k+1} D(…,a_k)·a_{k+1},
     with the slot splits expanded through the product rule.
     """
-    out: Dict[Orders, Poly] = {}
-    _delta_into(out, D._nums, D.arity, (0,) * D.ctx.n)
-    return _op(D.ctx, D.arity + 1, out, D._den)
+    out: Dict[PackedOrders, Poly] = {}
+    _delta_into(out, D._nums, D.arity)
+    return _op(D.ctx, D.arity + 1, out, D._den, D._top)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +412,11 @@ def hoch_delta(D: MultiDiffOp) -> MultiDiffOp:
 
 
 @lru_cache(maxsize=1024)
-def _multinomial_splits(
-    beta: Exponents, parts: int
-) -> Tuple[Tuple[Tuple[Exponents, ...], int], ...]:
-    """(part-tuple, multiplicity) over splits of beta into `parts` multi-indices."""
+def _multinomial_splits(beta: int, parts: int) -> Tuple[Tuple[PackedOrders, int], ...]:
+    """(part-tuple, multiplicity) over splits of the packed beta into `parts`
+    packed multi-indices."""
     if parts == 0:
-        return () if any(beta) else (((), 1),)
+        return () if beta else (((), 1),)
     return tuple(
         ((gamma,) + tail, mult * mult2)
         for gamma, rest, mult in _binomial_splits(beta)
@@ -362,18 +424,20 @@ def _multinomial_splits(
     )
 
 
-def _insertion_options(E: MultiDiffOp, beta: Exponents, sign: int) -> List[Tuple[Orders, Poly]]:
+def _insertion_options(E: MultiDiffOp, beta: int, sign: int) -> List[Tuple[PackedOrders, Poly]]:
     """Ways to insert E into a slot of order beta: (slot orders, coefficient).
 
     Each is a split of beta into γ for E's coefficient and the rest over
     E's own slots, for every term of E; the coefficient is sign times the
     split's multiplicity times ∂^γ of E's coefficient, derived once per
     distinct factor.  Splits that differentiate the coefficient away are
-    left out.
+    left out.  On packed slot orders a slot's order is one int addition.
     """
+    n = E.ctx.n
     options = []
     for e_orders, e_coeff in E._nums.items():
         for gamma, rest, mult in _binomial_splits(beta):
+            gamma = _unpack(gamma, n)
             derived: Dict[int, Poly] = {}
             for split, mult2 in _multinomial_splits(rest, E.arity):
                 factor = sign * mult * mult2
@@ -381,13 +445,12 @@ def _insertion_options(E: MultiDiffOp, beta: Exponents, sign: int) -> List[Tuple
                     derived[factor] = poly_derive_multi(e_coeff, gamma, factor)
                     if not derived[factor]:
                         break  # ∂^γ kills the coefficient, whatever the factor
-                slots = tuple(tuple(map(add, go, do)) for go, do in zip(e_orders, split))
-                options.append((slots, derived[factor]))
+                options.append((tuple(map(add, e_orders, split)), derived[factor]))
     return options
 
 
 def _brace_into(
-    out: Dict[Orders, Poly], D: MultiDiffOp, inserts: Sequence[MultiDiffOp], sign: int
+    out: Dict[PackedOrders, Poly], D: MultiDiffOp, inserts: Sequence[MultiDiffOp], sign: int
 ) -> None:
     """Add sign·D{inserts} into out; the operands are in int form.
 
@@ -398,7 +461,7 @@ def _brace_into(
     multiplied straight into ``out``, and earlier blocks of a multi-insert
     brace are multiplied out first.
     """
-    options_at: Dict[Tuple[int, Exponents, int], List[Tuple[Orders, Poly]]] = {}
+    options_at: Dict[Tuple[int, int, int], List[Tuple[PackedOrders, Poly]]] = {}
     for positions in itertools.combinations(range(D.arity), len(inserts)):
         eps = sum((inserts[j].arity - 1) * (p - j) for j, p in enumerate(positions))
         block_sign = -sign if eps % 2 else sign
@@ -438,10 +501,11 @@ def brace(D: MultiDiffOp, inserts: Sequence[MultiDiffOp]) -> MultiDiffOp:
             raise ValueError("context mismatch")
     if m == 0:
         return D
-    out: Dict[Orders, Poly] = {}
+    top = _bounded(D._top + max(E._top for E in inserts))
+    out: Dict[PackedOrders, Poly] = {}
     _brace_into(out, D, inserts, 1)
     den = D._den * prod(E._den for E in inserts)
-    return _op(D.ctx, D.arity + sum(E.arity for E in inserts) - m, out, den)
+    return _op(D.ctx, D.arity + sum(E.arity for E in inserts) - m, out, den, top)
 
 
 def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
@@ -451,12 +515,13 @@ def gerstenhaber(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
     out_arity = D.arity + E.arity - 1
     if out_arity < 0:  # two 0-ary cochains commute
         return mdo_zero(D.ctx, 0)
-    out: Dict[Orders, Poly] = {}
+    top = _bounded(D._top + E._top)
+    out: Dict[PackedOrders, Poly] = {}
     if D.arity:
         _brace_into(out, D, [E], 1)
     if E.arity:
         _brace_into(out, E, [D], 1 if ((D.arity - 1) * (E.arity - 1)) % 2 else -1)
-    return _op(D.ctx, out_arity, out, D._den * E._den)
+    return _op(D.ctx, out_arity, out, D._den * E._den, top)
 
 
 def cup(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
@@ -465,7 +530,7 @@ def cup(D: MultiDiffOp, E: MultiDiffOp) -> MultiDiffOp:
         raise ValueError("context mismatch")
     # distinct slot-order pairs give distinct keys; no product of nonzero polys is 0
     out = {do + eo: poly_mul(dc, ec) for do, dc in D._nums.items() for eo, ec in E._nums.items()}
-    return _op(D.ctx, D.arity + E.arity, out, D._den * E._den)
+    return _op(D.ctx, D.arity + E.arity, out, D._den * E._den, max(D._top, E._top))
 
 
 def i_func_hoch(a: Poly, D: MultiDiffOp) -> MultiDiffOp:
@@ -494,17 +559,13 @@ def hkr(pi: PolyVector) -> MultiDiffOp:
         fields.setdefault(m, {})[exps] = c.numerator * (den // c.denominator)
     bits = _shared_tables(n)[1]
     ones = [1] * k
-    out: Dict[Orders, Poly] = {}
+    unit = [_pack(1 if v == w else 0 for v in range(n)) for w in range(n)]  # packed ∂_w
+    out: Dict[PackedOrders, Poly] = {}
     for m, f in fields.items():
         frame = bits[m]
         for sigma in itertools.permutations(range(k)):
-            sgn = koszul_sign(ones, sigma)
-            orders = tuple(
-                tuple(1 if v == frame[sigma[q]] else 0 for v in range(n))
-                for q in range(k)
-            )
-            add_term_into(out, orders, f, sgn)
-    return _op(pi.ctx, k, out, den * factorial(k))
+            add_term_into(out, tuple(unit[frame[s]] for s in sigma), f, koszul_sign(ones, sigma))
+    return _op(pi.ctx, k, out, den * factorial(k), 1 if k else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +601,15 @@ def delta_primitive(
     most ``poly_degree``; the linear system matches coefficients of δξ and T
     exactly.  When inconsistent, the near-solution that the pivot rule picks
     on the fanned-out system, which depends on the order of its rows, is
-    reported instead with its residual.  A negative bound is refused with
+    reported instead with its residual.  A negative bound, or an
+    ``op_order`` a packed slot order cannot hold, is refused with
     ``ValueError``.
     """
     if poly_degree < 0 or op_order < 0:
         raise ValueError(
             f"bounds must be non-negative, got poly_degree={poly_degree}, op_order={op_order}"
         )
+    _bounded(op_order)
     if T.arity == 0:
         raise ValueError("0-ary cochains have no primitive space")
     t_nums, t_den = T._nums, T._den
@@ -557,17 +620,18 @@ def delta_primitive(
     # δ leaves coefficients alone: the image of x^mono·∂^orders is that of
     # ∂^orders with mono attached to every key, so the system is one block
     # per monomial, each the block of the slot-order images
-    tuples = list(itertools.product(monomials_upto(ctx.n, op_order), repeat=T.arity - 1))
-    images: List[Dict[Orders, int]] = []
+    slots = list(map(_pack, monomials_upto(ctx.n, op_order)))
+    tuples = list(itertools.product(slots, repeat=T.arity - 1))
+    images: List[Dict[PackedOrders, int]] = []
     for orders in tuples:
-        image: Dict[Orders, Poly] = {}
-        _delta_into(image, {orders: one}, T.arity - 1, zero)
+        image: Dict[PackedOrders, Poly] = {}
+        _delta_into(image, {orders: one}, T.arity - 1)
         images.append({key: p[zero] for key, p in image.items()})
     block = Factorisation(images, sorted(set().union(*images)))
 
     # the system is linear, so solving for t_den·T gives t_den times the
     # solution; a monomial's right-hand side is its coefficients in T
-    rhs: Dict[Exponents, Dict[Orders, int]] = {}
+    rhs: Dict[Exponents, Dict[PackedOrders, int]] = {}
     for key, p in t_nums.items():
         for mono, v in p.items():
             rhs.setdefault(mono, {})[key] = v
@@ -581,11 +645,11 @@ def delta_primitive(
         columns = [{(key, mono): v for key, v in image.items()} for image in images for mono in monos]
         flat = {(key, mono): v for key, p in t_nums.items() for mono, v in p.items()}
         coeffs = Factorisation(columns, sorted(set(flat).union(*columns))).solve(flat)[1]
-    acc: Dict[Orders, Poly] = {}
+    acc: Dict[PackedOrders, Poly] = {}
     for (orders, mono), x in zip(itertools.product(tuples, monos), coeffs):
         if x:
             acc.setdefault(orders, {})[mono] = x
-    candidate = mdo_scale(MultiDiffOp(ctx, T.arity - 1, acc), Fraction(1, t_den))
+    candidate = _op(ctx, T.arity - 1, acc, t_den, op_order)
     residual = mdo_sub(T, hoch_delta(candidate))
     return PrimitiveResult(
         found=found,

@@ -52,7 +52,7 @@ class _Pool:
     def __init__(self, fc: FastCtx, elements: Sequence[Element]):
         self.fc = fc
         self.els = elements
-        self.tms = [dict(el.terms) for el in elements]
+        self.tms = [{(el.mask, el.exps): 1} for el in elements]
         self.degs = [el.deg for el in elements]
         self.masks = [el.mask for el in elements]
         self._brackets: Dict[Tuple[int, int], TermMap] = {}

@@ -693,6 +693,21 @@ def test_hoch_commands_pinned_bytes(tmp_path, argv, expect):
     assert run_cli(tmp_path, "hoch", sub, *(str(paths[n]) for n in names)) == expect
 
 
+def _order_doc(tmp_path, name, order):
+    p = tmp_path / f"{name}.gdt"
+    p.write_text(f"gdt 1\ncontext x y\nmultidiffop 1\nterm 1 : 0 0 @ {order} 1\nend\n", encoding="utf-8")
+    return str(p)
+
+
+def test_hoch_refuses_slot_orders_a_packed_field_cannot_hold(tmp_path):
+    """Slot orders are packed 8 bits per variable: 255 is computed, an input
+    order of 256 and a bracket whose order bound reaches 256 exit 2."""
+    top, big, half = (_order_doc(tmp_path, n, k) for n, k in (("top", 255), ("big", 256), ("half", 128)))
+    assert "term 1 : 0 0 @ 255 1 | 255 1\n" in run_cli(tmp_path, "hoch", "cup", top, top)
+    run_cli(tmp_path, "hoch", "cup", big, top, expect=2)
+    run_cli(tmp_path, "hoch", "gb", half, half, expect=2)
+
+
 # `gauge` and `gauge-equiv` at n=3 under H = 2/3 dx^dy^dz, truncations 3 and 4.
 # The series a is decomposable, so it solves the twisted equation, and so do
 # its flows.  XI moves a to MOVED; the search finds a witness of degree <= 1.

@@ -125,7 +125,7 @@ def test_fast_linfty_mixed_matches_cochain_route(data):
 
     Hfast = to_termmap(fc, H3)
     degs = [els[i].deg for i in idx]
-    args = [dict(els[i].terms) for i in idx]
+    args = [{(els[i].mask, els[i].exps): 1} for i in idx]
     acc = {}
     for subset in itertools.combinations(range(4), 3):
         eps = koszul_unshuffle_sign(degs, subset)

@@ -123,7 +123,7 @@ def test_differential_of_phi_matches_reference_without_memos():
         idx = [rng.randrange(len(els)) for _ in range(e + 1)]
         differential = fs._differential_of_phi(pool, pool.contraction({(mask, exps): 1}, e), br)
         got = pool.termmap(differential(idx))
-        args = [dict(els[i].terms) for i in idx]
+        args = [{(els[i].mask, els[i].exps): 1} for i in idx]
         degs = [els[i].deg for i in idx]
         assert got == ref._differential_of_phi(fc, mask, exps, e, args, degs)
 

@@ -209,11 +209,11 @@ def test_producers_store_no_zeros(a, b, deg_a, data):
     (ma, ea), (mb, eb) = data.draw(st.tuples(*[st.tuples(
         st.integers(0, 7), st.tuples(*([st.integers(0, 1)] * 3))
     )] * 2))
-    x = Element(ma, ea, FC3.pop[ma], (((ma, ea), 1),))
-    y = Element(mb, eb, FC3.pop[mb], (((mb, eb), 1),))
-    assert _zero_free(_wedge(FC3, dict(x.terms), dict(y.terms)))
-    assert _zero_free(_wedge(FC3, a, dict(y.terms)))
-    assert _zero_free(_wedge(FC3, dict(x.terms), b))
+    x = Element(ma, ea, FC3.pop[ma])
+    y = Element(mb, eb, FC3.pop[mb])
+    assert _zero_free(_wedge(FC3, {(x.mask, x.exps): 1}, {(y.mask, y.exps): 1}))
+    assert _zero_free(_wedge(FC3, a, {(y.mask, y.exps): 1}))
+    assert _zero_free(_wedge(FC3, {(x.mask, x.exps): 1}, b))
     k = FC3.pop[ma]
     args = [data.draw(_term_maps(3)) for _ in range(k)]
     degs = [data.draw(st.integers(0, 3)) for _ in range(k)]
@@ -229,8 +229,8 @@ def test_producers_drop_exact_cancellations():
     acc = dict(pi)
     tm_add_into(acc, pi, -1)
     assert acc == {}
-    theta = Element(0b001, z, 1, (((0b001, z), 1),))
-    assert _wedge(FC3, dict(theta.terms), dict(theta.terms)) == {}
+    theta = Element(0b001, z, 1)
+    assert _wedge(FC3, {(theta.mask, theta.exps): 1}, {(theta.mask, theta.exps): 1}) == {}
     form = {(0b001, z): 1, (0b010, z): 1}
     assert phi_eval(FC3, form, [{(0b001, z): 1, (0b010, z): -1}], [1]) == {}
 

@@ -7,6 +7,7 @@ for small operators, and round-trips through the primitive solver.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -519,3 +520,69 @@ def test_formality_shadow_when_bracket_vanishes():
     res = delta_primitive(defect, poly_degree=2, op_order=2)
     assert res.found
     assert mdo_eq(hoch_delta(res.primitive), defect)
+
+
+# ---------------------------------------------------------------------------
+# the packed slot-order field: 8 bits per variable, so orders up to 255
+
+TOP = 255  # 2^8 - 1, the largest order a packed field holds
+
+
+def test_largest_slot_order_round_trips():
+    """Fields at 2^8 - 1 next to each other and next to zeros come back as
+    given through construction, sums, differences and the cup product: no
+    field carries into its neighbour."""
+    half = {(0, 0): Fraction(1, 2)}
+    D = MultiDiffOp(CTX2, 1, {((TOP, 0),): half, ((0, TOP),): {(1, 0): 3}, ((TOP, TOP),): {(0, 1): -1}})
+    assert D.terms == {((TOP, 0),): half, ((0, TOP),): {(1, 0): 3}, ((TOP, TOP),): {(0, 1): -1}}
+    E = MultiDiffOp(CTX2, 2, {((TOP, TOP), (0, TOP)): {(1, 1): Fraction(2, 3)}})
+    assert E.terms == {((TOP, TOP), (0, TOP)): {(1, 1): Fraction(2, 3)}}
+    assert mdo_add(D, D).terms == {
+        ((TOP, 0),): {(0, 0): 1}, ((0, TOP),): {(1, 0): 6}, ((TOP, TOP),): {(0, 1): -2}
+    }
+    assert mdo_sub(D, mdo_scale(D, 2)).terms == mdo_neg(D).terms
+    assert mdo_sub(D, D).terms == {}
+    assert cup(D, E).terms == {
+        ((TOP, 0), (TOP, TOP), (0, TOP)): {(1, 1): Fraction(1, 3)},
+        ((0, TOP), (TOP, TOP), (0, TOP)): {(2, 1): 2},
+        ((TOP, TOP), (TOP, TOP), (0, TOP)): {(1, 2): Fraction(-2, 3)},
+    }
+    C3 = MultiDiffOp(CTX3, 1, {((TOP, TOP, TOP),): {(0, 0, 0): 1}})
+    assert cup(C3, C3).terms == {((TOP, TOP, TOP), (TOP, TOP, TOP)): {(0, 0, 0): 1}}
+
+
+def test_delta_splits_the_largest_slot_order():
+    """δ(∂_y^255) = −Σ_{0<γ<255} C(255, γ)·∂_y^γ ⊗ ∂_y^{255−γ}: the ends cancel
+    the splits γ = 0 and γ = 255."""
+    got = hoch_delta(op(CTX2, 1, [(ONE2, ((0, TOP),))]))
+    want = {((0, g), (0, TOP - g)): {(0, 0): -comb(TOP, g)} for g in range(1, TOP)}
+    assert got.terms == want
+
+
+@pytest.mark.parametrize("orders", [((TOP + 1, 0),), ((0, TOP + 1),), ((1, 1), (TOP + 1, TOP + 1))])
+def test_slot_order_of_2_to_the_8_is_refused(orders):
+    arity = len(orders)
+    with pytest.raises(ValueError, match="packed 8 bits"):
+        MultiDiffOp(CTX2, arity, {orders: ONE2})
+    with pytest.raises(ValueError, match="packed 8 bits"):
+        mdo_make(CTX2, arity, [(orders, ONE2)])
+
+
+@pytest.mark.parametrize("other", [((128, 0),), ((0, 128),)], ids=["same-variable", "other-variable"])
+def test_bracket_whose_order_bound_reaches_2_to_the_8_is_refused(other):
+    """The bound adds the operands' largest orders, whichever variables they
+    sit on: 128 + 128 is refused, 128 + 127 is computed."""
+    D = op(CTX2, 1, [(ONE2, ((128, 0),))])
+    E = op(CTX2, 1, [(ONE2, other)])
+    with pytest.raises(ValueError, match="packed 8 bits"):
+        gerstenhaber(D, E)
+    with pytest.raises(ValueError, match="packed 8 bits"):
+        brace(D, [E])
+    F = op(CTX2, 1, [(ONE2, ((127, 0),))])
+    assert gerstenhaber(D, F).terms == {}  # constant-coefficient derivations commute
+    assert brace(D, [F]).terms == {((255, 0),): {(0, 0): 1}}
+
+
+def test_primitive_search_refuses_an_order_bound_of_2_to_the_8():
+    with pytest.raises(ValueError, match="packed 8 bits"):
+        delta_primitive(DX, poly_degree=0, op_order=TOP + 1)

@@ -10,7 +10,9 @@ denominator run well past 6, and meet the k! of the alternations.
 
 Operators pass between operations in their int form (numerators over a
 denominator that need not be the least); the chained cases feed outputs
-into further operations and read every coefficient back.
+into further operations and read every coefficient back.  The seeded cases
+at n=4 and n=6 put slot orders up to 3 into every packed field of the
+library's keys.
 """
 import itertools
 import random
@@ -204,3 +206,45 @@ def test_scales_and_mixed_denominators_match_reference_seeded():
                 ):
                     assert_same(got, want)
                     assert_canonical(got)
+
+
+WIDE = {n: VarContext(tuple(f"x{i + 1}" for i in range(n))) for n in (4, 6)}
+
+
+def make_wide_operator(rng, n, arity):
+    """An operator at n = 4 or 6 with slot orders of total degree up to 3
+    (so fields 0-3 in every packed position), or the alternation of a field
+    one time in four."""
+    ctx = WIDE[n]
+    monos = list(monomials_upto(n, 2))
+    if 1 <= arity and rng.randrange(4) == 0:
+        frames = list(itertools.combinations(range(n), arity))
+        pi = mv_make(ctx, [
+            (rng.choice(frames), poly_from_terms(n, [(rng.choice(COEFFS), rng.choice(monos))]))
+            for _ in range(rng.choice((1, 2)))
+        ])
+        if pi.terms:
+            got = hs.hkr(pi)
+            assert_same(got, ref.hkr(pi))
+            return got
+    orders = list(monomials_upto(n, 3))
+    terms = [
+        (tuple(rng.choice(orders) for _ in range(arity)), poly_from_terms(n, [(rng.choice(COEFFS), rng.choice(monos))]))
+        for _ in range(rng.choice((1, 2)))
+    ]
+    return hs.mdo_make(ctx, arity, terms)
+
+
+def test_engine_matches_reference_across_packed_fields_seeded():
+    """n = 4 and 6, slot orders up to 3 and coefficients up to degree 2: δ,
+    cup, bracket, braces, sums and alternations against the reference."""
+    rng = random.Random(20096)
+    for n in (4, 6):
+        for arity_a, arity_b in itertools.product(range(4), repeat=2):
+            if arity_a + arity_b > 5:  # 3 + 3 at n = 6 costs the reference minutes
+                continue
+            for _ in range(2):
+                A = make_wide_operator(rng, n, arity_a)
+                B = make_wide_operator(rng, n, arity_b)
+                C = make_wide_operator(rng, n, arity_a)
+                check_operations(A, B, C)

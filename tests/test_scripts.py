@@ -51,3 +51,19 @@ def test_solve_costs_factors_the_pinned_systems():
         ["cli:hoch-primitive-hkr-n2", "30x36", "30", "24", "1"],
         ["cli:hoch-primitive-n3", "171x100", "198", "80", "2"],
     ]
+
+
+def test_task_costs_compares_two_checkouts_family_by_family():
+    """One round on this checkout twice: every `hochschild` family appears
+    once, with its task count, no failed task and a change column."""
+    out = _run("task_costs.py", "hochschild", str(ROOT), str(ROOT), "--repeat", "1").decode()
+    lines = out.splitlines()
+    assert lines[:2] == [f"[0] {ROOT}", f"[1] {ROOT}"]
+    assert lines[2].split() == ["family", "tasks", "[0]", "failed", "[1]", "failed", "[0]", "ms", "[1]", "ms", "change", "faster"]
+    rows = {line.split()[0]: line.split() for line in lines[3:]}
+    families = {f"{ident}-n{n}" for n in (2, 3) for ident in (
+        "jacobi", "delta-squared", "delta-as-bracket", "contraction", "cup-derivation")}
+    assert set(rows) == families | {"total"}
+    assert rows["total"][1] == "612"
+    for row in rows.values():
+        assert row[2:4] == ["0", "0"] and row[6].endswith("%") and row[7] in ("0/1", "1/1")
