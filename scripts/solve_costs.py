@@ -10,8 +10,14 @@ whole task list `--repeat` times in this process, and keeps each task's
 best wall time.  It wraps `gdcalc._linalg.Factorisation` from here, so
 every matrix a task eliminates is timed on its own: the second table gives,
 per factorisation, the task that built it, its rows × columns, its nonzero
-entries, its rank, the number of right-hand sides replayed on it, the best
-time to factor it and the best total time of its replays, in ms.  The first
+entries, its rank, the number of right-hand sides replayed on it in one run
+of the task list, the best time to factor it and the best total time of its
+replays in one run, in ms.  A replay is credited to the factorisation that
+serves it, whichever task or run built it: a block that the primitive
+search keeps per shape is factored by the first task of that shape in the
+first run, and every later search of the shape, in any run, replays on it.
+Such a block is never factored again, so its factor time is that of the
+cold first run; the script never clears the cache.  The first
 table gives each task's best time and the number of tasks whose verdict
 check failed on the first run.  Comparing two checkouts' tables shows
 whether a change moved the elimination, the replays or the system
@@ -21,6 +27,7 @@ directory that is removed at exit.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import collections
 import gc
 import os
 import random
@@ -47,25 +54,31 @@ def main() -> int:
 
     cls = _linalg.Factorisation
     init, solve = cls.__init__, cls.solve
-    # per factorisation of this run: [task index, rows, cols, nonzeros, rank, replays, factor s, replay s]
-    systems = []
-    made = {}  # id of a live factorisation -> its row in systems
+    # per system: [task index, rows, cols, nonzeros, rank, replays in the first run, factor s, [replay s per run]]
+    systems = {}  # (task index, rows, cols, nonzeros, rank, nth such in the task's run) -> its row
+    made = {}  # id of a factorisation -> (the factorisation, kept so its id is not reused; its system)
+    replays = collections.defaultdict(lambda: [0, 0.0])  # system -> [replays, s] in this run
+    seen = collections.Counter()  # systems built so far in this run, by key without the count
     current = [0]
 
     def timed_init(self, columns, keys):
         t0 = time.perf_counter()
         init(self, columns, keys)
         dt = time.perf_counter() - t0
-        made[id(self)] = len(systems)
         nnz = sum(1 for col in columns for v in col.values() if v)
-        systems.append([current[0], len(keys), len(columns), nnz, self.rank, 0, dt, 0.0])
+        shape = (current[0], len(keys), len(columns), nnz, self.rank)
+        key = shape + (seen[shape],)
+        seen[shape] += 1
+        made[id(self)] = (self, key)
+        row = systems.setdefault(key, [*shape, 0, dt, []])
+        row[6] = min(row[6], dt)
 
     def timed_solve(self, rhs):
         t0 = time.perf_counter()
         out = solve(self, rhs)
-        row = systems[made[id(self)]]
-        row[5] += 1
-        row[7] += time.perf_counter() - t0
+        r = replays[made[id(self)][1]]
+        r[0] += 1
+        r[1] += time.perf_counter() - t0
         return out
 
     cls.__init__, cls.solve = timed_init, timed_solve
@@ -74,10 +87,10 @@ def main() -> int:
         tasks = workloads.solve(random.Random(f"solve:{args.seed}"), workloads.Files(work))
         best = [float("inf")] * len(tasks)
         failed = [False] * len(tasks)
-        best_systems = None
         for rep in range(args.repeat):
             gc.collect()
-            systems.clear()
+            replays.clear()
+            seen.clear()
             for i, task in enumerate(tasks):
                 current[0] = i
                 t0 = time.perf_counter()
@@ -85,16 +98,15 @@ def main() -> int:
                 best[i] = min(best[i], time.perf_counter() - t0)
                 if rep == 0:
                     failed[i] = task.check(out) is not None
-                made.clear()
-            if best_systems is None:
-                best_systems = [list(s) for s in systems]
-            else:
-                for kept, s in zip(best_systems, systems):
-                    kept[6] = min(kept[6], s[6])
-                    kept[7] = min(kept[7], s[7])
+            for key, (count, dt) in replays.items():
+                row = systems[key]
+                if rep == 0:
+                    row[5] = count
+                row[7].append(dt)
     finally:
         cls.__init__, cls.solve = init, solve
         shutil.rmtree(work, ignore_errors=True)
+    best_systems = [[*row[:7], min(row[7], default=0.0)] for row in systems.values()]
 
     print(f"{'task':<28}{'failed':>7}{'best_ms':>10}")
     for task, dt, bad in zip(tasks, best, failed):

@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Where a benchmark workload (`flow` or `hochschild`) spends its time, by task family.
+"""Where a benchmark workload (`flow`, `hochschild` or `solve`) spends its time, by task family.
 
-    PYTHONPATH=src python3 scripts/task_costs.py {flow,hochschild} [--seed 1] [--repeat 3]
-    python3 scripts/task_costs.py {flow,hochschild} CHECKOUT [CHECKOUT] [--seed 1] [--repeat 3]
+    PYTHONPATH=src python3 scripts/task_costs.py {flow,hochschild,solve} [--seed 1] [--repeat 3]
+    python3 scripts/task_costs.py {flow,hochschild,solve} CHECKOUT [CHECKOUT] [--seed 1] [--repeat 3]
 
 Builds one seed's tasks of the named workload as `perfbench/run.py
 --workload` does (by importing `perfbench/workloads.py`, which it does not
 modify), runs the whole task list `--repeat` times in this process, and
 keeps each task's best wall time.  For each task family (the task name,
-such as `cli:gauge-equiv-n3-d1` in `flow` or `jacobi-n2` in `hochschild`)
-it prints the task count, the number of tasks whose verdict check failed on
-the first run (`flow`'s `gauge-equiv` false negatives are the known gap),
-and the total and median of the best times in ms.  `flow`'s input
-documents go to a temporary directory that is removed at exit;
-`hochschild` writes none.  Standard library only.
+such as `cli:gauge-equiv-n3-d1` in `flow`, `jacobi-n2` in `hochschild` or
+`cli:hoch-primitive-n3` in `solve`) it prints the task count, the number of
+tasks whose verdict check failed on the first run (`flow`'s `gauge-equiv`
+false negatives are the known gap), and the total and median of the best
+times in ms.  As in `perfbench/run.py`, the best time is a warm one where
+the library keeps work across calls (the primitive search's δ-image blocks
+in `solve`); `scripts/solve_costs.py --repeat 1` gives the first-run
+times.  The input documents of `flow` and `solve` go to a temporary
+directory that is removed at exit; `hochschild` writes none.  Standard
+library only.
 
 Each CHECKOUT is the root of a gdcalc checkout.  Given one or two, the
 table above is made `--repeat` times per checkout (rounds), each time by a
@@ -123,7 +127,7 @@ def compare(checkouts, workload: str, seed: int, rounds: int) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("workload", choices=("flow", "hochschild"), help="the workload to time")
+    ap.add_argument("workload", choices=("flow", "hochschild", "solve"), help="the workload to time")
     ap.add_argument("checkouts", nargs="*", help="checkout roots to compare (at most two)")
     ap.add_argument("--seed", type=int, default=1, help="workload seed, as perfbench/run.py --seed")
     ap.add_argument(

@@ -215,6 +215,15 @@ def mc_solve(
     the orders already fixed.  The unknown ranges over frame-basis
     bivectors with monomial coefficients of degree ≤ poly_degree.  Greedy:
     obstructions are relative to the lower-order choices already made.
+
+    An ``obstructed`` verdict at order 3 is exact within the bounds: π₂
+    enters order 3 linearly and no lower-order choice precedes it, so no π₂
+    of degree ≤ poly_degree solves it.  A verdict at order 4 or above is
+    relative to the π_k the solver picked at lower orders, and it can be
+    false: for H = dx1∧dx2∧dx3 and π₁ = ∂₁∧∂₂ + ∂₃∧∂₄,
+    ``scripts/obstruction_profile.py`` prints ``deg<=1 N=3: obstructed at
+    order 4``, yet t·π₁ + t²·3x₁∂₁∧∂₄, of degree 1, has zero
+    ``defect_series`` at orders 1-5.
     """
     if poly_degree < 0:
         raise ValueError(f"poly_degree must be non-negative, got {poly_degree}")

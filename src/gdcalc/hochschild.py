@@ -63,14 +63,18 @@ int image per slot-order tuple with ``hoch_delta``'s kernel,
 ``_delta_into``, factors that block once (``_linalg.Factorisation``,
 columns the slot-order tuples, rows the sorted image keys) and solves each
 monomial's right-hand side, the target's numerators at that monomial,
-against it; the rank is the block's times the number of monomials.  T is
-solved when every block is consistent and no term of T has a monomial
-above the bound.  The candidate is the nonzero solution entries over the
-target's denominator, and the residual is T − ``hoch_delta``(candidate).
-An unsolved T's near-solution depends on the row choices of the whole
-system, so it is computed from the blocks fanned out over the monomials as
-one factorisation whose equations also hold the target's keys, once per
-call.
+against it; the rank is the block's times the number of monomials.  The
+block depends only on (variable count, arity, ``op_order``), never on the
+target, so ``_delta_block`` builds and factors it once per shape and keeps
+it in a bounded per-process cache; a later search of that shape only
+replays its right-hand sides, and a one-command process pays for the block
+once, as before.  T is solved when every block is consistent and no term
+of T has a monomial above the bound.  The candidate is the nonzero
+solution entries over the target's denominator, and the residual is
+T − ``hoch_delta``(candidate).  An unsolved T's near-solution depends on
+the row choices of the whole system, so it is computed from the blocks
+fanned out over the monomials as one factorisation whose equations also
+hold the target's keys, once per call.
 """
 from __future__ import annotations
 
@@ -591,6 +595,32 @@ class PrimitiveResult:
     rank: int
 
 
+# typed, so that an op_order of 2.0 is not served the block built for 2
+@lru_cache(maxsize=16, typed=True)
+def _delta_block(
+    n: int, arity: int, op_order: int
+) -> Tuple[Tuple[PackedOrders, ...], Tuple[Dict[PackedOrders, int], ...], Factorisation]:
+    """(slot-order tuples, their int δ-images, the factored block) of the
+    primitive search for an arity-``arity`` target in n variables.
+
+    δ leaves coefficients alone: the image of x^mono·∂^orders is that of
+    ∂^orders with mono attached to every key, so the system is one block
+    per monomial, each the block of the slot-order images.  Callers only
+    read what this returns (``_linalg.Factorisation.solve`` replays without
+    writing), so one value serves every search of the shape.
+    """
+    zero = (0,) * n
+    one = {zero: 1}
+    slots = list(map(_pack, monomials_upto(n, op_order)))
+    tuples = tuple(itertools.product(slots, repeat=arity - 1))
+    images = []
+    for orders in tuples:
+        image: Dict[PackedOrders, Poly] = {}
+        _delta_into(image, {orders: one}, arity - 1)
+        images.append({key: p[zero] for key, p in image.items()})
+    return tuples, tuple(images), Factorisation(images, sorted(set().union(*images)))
+
+
 def delta_primitive(
     T: MultiDiffOp, *, poly_degree: int, op_order: int
 ) -> PrimitiveResult:
@@ -604,6 +634,12 @@ def delta_primitive(
     reported instead with its residual.  A negative bound, or an
     ``op_order`` a packed slot order cannot hold, is refused with
     ``ValueError``.
+
+    The δ-image block is built and factored once per (variable count,
+    arity, ``op_order``) and kept in a bounded per-process cache, so a
+    repeated shape only replays its right-hand sides; a one-command process
+    builds it once.  An unsolved target's fanned-out near-solution system is
+    still built and factored on every call.
     """
     if poly_degree < 0 or op_order < 0:
         raise ValueError(
@@ -614,20 +650,8 @@ def delta_primitive(
         raise ValueError("0-ary cochains have no primitive space")
     t_nums, t_den = T._nums, T._den
     ctx = T.ctx
-    zero = (0,) * ctx.n
     monos = list(monomials_upto(ctx.n, poly_degree))
-    one = {zero: 1}
-    # δ leaves coefficients alone: the image of x^mono·∂^orders is that of
-    # ∂^orders with mono attached to every key, so the system is one block
-    # per monomial, each the block of the slot-order images
-    slots = list(map(_pack, monomials_upto(ctx.n, op_order)))
-    tuples = list(itertools.product(slots, repeat=T.arity - 1))
-    images: List[Dict[PackedOrders, int]] = []
-    for orders in tuples:
-        image: Dict[PackedOrders, Poly] = {}
-        _delta_into(image, {orders: one}, T.arity - 1)
-        images.append({key: p[zero] for key, p in image.items()})
-    block = Factorisation(images, sorted(set().union(*images)))
+    tuples, images, block = _delta_block(ctx.n, T.arity, op_order)
 
     # the system is linear, so solving for t_den·T gives t_den times the
     # solution; a monomial's right-hand side is its coefficients in T

@@ -6,6 +6,8 @@ for small operators, and round-trips through the primitive solver.
 """
 from __future__ import annotations
 
+import copy
+import random
 from fractions import Fraction
 from math import comb
 
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdcalc.exactcore import VarContext, poly_from_terms, poly_mul, poly_sub, poly_var
+from gdcalc import hochschild as hs
+from gdcalc.exactcore import VarContext, monomials_upto, poly_from_terms, poly_mul, poly_sub, poly_var
 from gdcalc.hochschild import (
     MultiDiffOp,
     apply_mdo,
@@ -586,3 +589,101 @@ def test_bracket_whose_order_bound_reaches_2_to_the_8_is_refused(other):
 def test_primitive_search_refuses_an_order_bound_of_2_to_the_8():
     with pytest.raises(ValueError, match="packed 8 bits"):
         delta_primitive(DX, poly_degree=0, op_order=TOP + 1)
+
+
+# ---------------------------------------------------------------------------
+# the δ-image block: built and factored once per (n, arity, op_order)
+
+
+def _random_op(rng, ctx, arity, degree, order):
+    orders = list(monomials_upto(ctx.n, order))
+    monos = list(monomials_upto(ctx.n, degree))
+    return mdo_make(ctx, arity, [
+        (tuple(rng.choice(orders) for _ in range(arity)),
+         {rng.choice(monos): Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))})
+        for _ in range(rng.randint(1, 3))
+    ])
+
+
+def _outcome(res):
+    return res.found, res.rank, res.candidate.terms, res.residual.terms
+
+
+def _factored(block):
+    return copy.deepcopy((block._index, block._scale, block._steps, block._pivots, block._rest))
+
+
+@pytest.fixture
+def cold_blocks():
+    hs._delta_block.cache_clear()
+    yield
+    hs._delta_block.cache_clear()
+
+
+def test_one_shape_factors_its_block_once(monkeypatch, cold_blocks):
+    made = []
+
+    class Counted(hs.Factorisation):
+        def __init__(self, columns, keys):
+            made.append(len(columns))
+            super().__init__(columns, keys)
+
+    monkeypatch.setattr(hs, "Factorisation", Counted)
+    # targets with a primitive, so no near-solution system is factored
+    first = hoch_delta(op(CTX2, 1, [(X, ((2, 0),))]))
+    second = hoch_delta(op(CTX2, 1, [(Y, ((1, 1),)), (ONE2, ((0, 2),))]))
+    assert delta_primitive(first, poly_degree=2, op_order=2).found
+    assert delta_primitive(second, poly_degree=1, op_order=2).found
+    assert made == [6]
+    assert delta_primitive(hoch_delta(op(CTX2, 1, [(ONE2, ((1, 0),))])), poly_degree=0, op_order=1).found
+    assert delta_primitive(hoch_delta(DX_DY), poly_degree=0, op_order=2).found
+    T3 = hoch_delta(mdo_make(CTX3, 1, [(((0, 2, 0),), {(1, 0, 0): 1})]))
+    assert delta_primitive(T3, poly_degree=1, op_order=2).found
+    # a new order bound, a new arity, a new variable count: one block each
+    assert made == [6, 3, 36, 10]
+    assert delta_primitive(first, poly_degree=1, op_order=2).found
+    assert made == [6, 3, 36, 10]
+
+
+def test_cached_blocks_answer_as_cold_ones_and_stay_unchanged(cold_blocks):
+    rng = random.Random(2025)
+    shapes = [(CTX1, 2, 2, 2), (CTX2, 2, 1, 1), (CTX2, 3, 1, 1), (CTX3, 2, 1, 1)]
+    cases = []
+    for _ in range(6):
+        for ctx, arity, degree, order in shapes:
+            if rng.random() < 0.5:
+                T = hoch_delta(_random_op(rng, ctx, arity - 1, degree, order))
+            else:
+                T = _random_op(rng, ctx, arity, degree, order)
+            cases.append((T, degree, order))
+    rng.shuffle(cases)
+    warm, blocks = [], {}
+    for T, degree, order in cases:
+        warm.append(_outcome(delta_primitive(T, poly_degree=degree, op_order=order)))
+        shape = (T.ctx.n, T.arity, order)
+        if shape not in blocks:
+            block = hs._delta_block(*shape)[2]
+            blocks[shape] = (block, _factored(block))
+    assert len(blocks) == len(shapes)
+    assert {found for found, *_ in warm} == {True, False}
+    # Factorisation.solve only reads the block it replays on
+    for shape, (block, before) in blocks.items():
+        assert hs._delta_block(*shape)[2] is block
+        assert _factored(block) == before
+    for (T, degree, order), got in zip(cases, warm):
+        hs._delta_block.cache_clear()
+        assert _outcome(delta_primitive(T, poly_degree=degree, op_order=order)) == got
+
+
+@pytest.mark.parametrize("poly_degree, op_order", [(0, -1), (-1, 1), (0, TOP + 1)])
+def test_refused_bounds_stay_refused_and_cache_nothing(cold_blocks, poly_degree, op_order):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            delta_primitive(DX_DY, poly_degree=poly_degree, op_order=op_order)
+        assert hs._delta_block.cache_info().currsize == 0
+
+
+def test_an_order_bound_of_another_type_is_not_served_a_cached_block(cold_blocks):
+    assert delta_primitive(hoch_delta(DX_DY), poly_degree=0, op_order=2).found
+    with pytest.raises(TypeError):
+        delta_primitive(hoch_delta(DX_DY), poly_degree=0, op_order=2.0)

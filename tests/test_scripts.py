@@ -45,12 +45,21 @@ def test_solve_costs_factors_the_pinned_systems():
     rows = [line.split()[1:6] for line in table.splitlines()[1:-1]]
     assert rows == [
         ["cli:mc-solve-n5", "60x210", "144", "55", "2"],
-        ["cli:hoch-primitive-n3", "171x100", "198", "80", "2"],
+        ["cli:hoch-primitive-n3", "171x100", "198", "80", "4"],
         ["cli:mc-solve-n6", "140x420", "420", "125", "2"],
         ["cli:hoch-primitive-hkr-n2", "5x6", "5", "4", "2"],
         ["cli:hoch-primitive-hkr-n2", "30x36", "30", "24", "1"],
-        ["cli:hoch-primitive-n3", "171x100", "198", "80", "2"],
     ]
+
+
+def test_solve_costs_credits_later_runs_to_the_blocks_the_first_run_built():
+    """A block the primitive search keeps is replayed, not factored, in the
+    second run; the table lists the same systems as after one run."""
+    def systems(repeat):
+        table = _run("solve_costs.py", "--seed", "1", "--repeat", repeat).decode().split("\n\n")[1]
+        return [line.split()[1:6] for line in table.splitlines()[1:-1]]
+
+    assert systems("2") == systems("1")
 
 
 def test_task_costs_compares_two_checkouts_family_by_family():
@@ -67,3 +76,15 @@ def test_task_costs_compares_two_checkouts_family_by_family():
     assert rows["total"][1] == "612"
     for row in rows.values():
         assert row[2:4] == ["0", "0"] and row[6].endswith("%") and row[7] in ("0/1", "1/1")
+
+
+def test_task_costs_compares_the_solve_families():
+    """One round of `solve` on this checkout twice: each of its four
+    families appears once, with no failed task."""
+    out = _run("task_costs.py", "solve", str(ROOT), str(ROOT), "--repeat", "1").decode()
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
+    assert set(rows) == {
+        "cli:hoch-primitive-n3", "cli:hoch-primitive-hkr-n2", "cli:mc-solve-n5", "cli:mc-solve-n6", "total"}
+    assert rows["total"][1] == "5"
+    for row in rows.values():
+        assert row[2:4] == ["0", "0"]
