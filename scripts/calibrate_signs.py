@@ -10,10 +10,9 @@ from fractions import Fraction
 
 from gdcalc.deform import ArtinRing, GaugeParam, defect_series, gauge_flow, series_make
 from gdcalc.exactcore import VarContext, poly_from_terms
-from gdcalc.chevalley import phi_value
 from gdcalc.hochschild import gerstenhaber, hkr, hoch_delta, mdo_scale, mdo_sub, mult_cochain, mdo_eq
 from gdcalc.polyvec import form_make, mv_frame, mv_is_zero, mv_make, schouten
-from gdcalc.twistcheck import make_twisted
+from gdcalc.twistcheck import make_twisted, phi_value
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("x", "y", "z"))

@@ -4,12 +4,12 @@
     python3 scripts/cli_startup.py [CHECKOUT ...] [--seed 1] [--repeat 12]
 
 Each CHECKOUT is the root of a gdcalc checkout (default: this one); with
-two, their runs alternate, so drift in the machine's speed falls on both.
+two, their runs alternate command by command in the order of `_ab.py`.
 The commands are the first task of each family in one seed's `flow` and
 `solve` workloads (built by importing `perfbench/workloads.py`, which it
-does not modify, with this checkout's `src`), plus `lemma-check` and
-`verify`.  Each run is a fresh `python -m gdcalc.cli ...` process with the
-checkout's `src` on `PYTHONPATH` and the caller's environment otherwise;
+does not modify), plus `lemma-check` and `verify`.  Each run is a fresh
+`python -m gdcalc.cli ...` process with the checkout's `src` first on
+`PYTHONPATH` and the caller's environment otherwise;
 in particular `PYTHONDONTWRITEBYTECODE`, under which every process
 compiles each module it imports, is passed through as it is.  For each
 command and checkout it prints the median wall time in ms and the exit
@@ -21,20 +21,9 @@ that is removed at exit.  Standard library only.
 from __future__ import annotations
 
 import argparse
-import os
-import random
-import shutil
-import statistics
-import subprocess
 import sys
-import tempfile
-import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import workloads  # noqa: E402
+import _ab
 
 # (label, workload, task name): the first task of that name supplies the argv
 FAMILIES = (
@@ -53,13 +42,14 @@ FIXED = (
 )
 
 
-def commands(seed: int, files: "workloads.Files"):
+def commands(seed: int, files):
     """(label, argv) per family, recorded by calling each task with run_cli stubbed."""
+    workloads = _ab.workloads()
     seen = []
     real = workloads.run_cli
     workloads.run_cli = lambda argv: seen.append(list(argv)) or (0, "")
     try:
-        tasks = {w: workloads.WORKLOADS[w](random.Random(f"{w}:{seed}"), files) for w in ("flow", "solve")}
+        tasks = {w: _ab.build(w, seed, files) for w in ("flow", "solve")}
         out = []
         for label, workload, name in FAMILIES:
             task = next(t for t in tasks[workload] if t.name == name)
@@ -69,16 +59,6 @@ def commands(seed: int, files: "workloads.Files"):
     finally:
         workloads.run_cli = real
     return out + [(label, list(argv)) for label, argv in FIXED]
-
-
-def run(checkout: str, args, cwd: str, importtime: bool = False):
-    env = dict(os.environ)
-    src = os.path.join(checkout, "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    cmd = [sys.executable] + (["-X", "importtime"] if importtime else []) + args
-    t0 = time.perf_counter()
-    done = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
-    return time.perf_counter() - t0, done
 
 
 def loaded_modules(stderr: str):
@@ -94,52 +74,36 @@ def loaded_modules(stderr: str):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("checkouts", nargs="*", default=[ROOT], help="checkout roots to compare (at most two)")
+    ap.add_argument("checkouts", nargs="*", default=[_ab.ROOT], help="checkout roots to compare (at most two)")
     ap.add_argument("--seed", type=int, default=1, help="workload seed, as perfbench/run.py --seed")
     ap.add_argument("--repeat", type=int, default=12, help="processes per command and checkout")
-    args = ap.parse_args()
-    if not 1 <= len(args.checkouts) <= 2:
-        ap.error("give one or two checkouts")
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
-    checkouts = [os.path.abspath(c) for c in args.checkouts]
-    work = tempfile.mkdtemp(prefix="cli_startup-")
-    try:
+    args = _ab.parse_args(ap)
+    with _ab.documents() as files:
         cases = [("python -c pass", ["-c", "pass"])]
-        cases += [(label, ["-m", "gdcalc.cli"] + argv) for label, argv in commands(args.seed, workloads.Files(work))]
-        times = {(label, c): [] for label, _ in cases for c in checkouts}
-        codes = {}
-        for rep in range(args.repeat):
-            order = checkouts if rep % 2 == 0 else checkouts[::-1]
-            for label, argv in cases:
-                for c in order:
-                    dt, done = run(c, argv, work)
-                    times[label, c].append(dt * 1e3)
-                    codes[label, c] = done.returncode
-        modules = {}
-        for label, argv in cases[1:]:
-            for c in checkouts:
-                _, done = run(c, argv, work, importtime=True)
-                modules[label, c] = loaded_modules(done.stderr)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+        cases += [(label, ["-m", "gdcalc.cli"] + argv) for label, argv in commands(args.seed, files)]
 
-    names = [f"[{i}]" for i in range(len(checkouts))]
-    for name, c in zip(names, checkouts):
-        print(f"{name} {c}")
+        def run(checkout, argv):
+            dt, done = _ab.fresh(checkout, argv, files.dir)
+            return dt * 1e3, done.returncode
+
+        runs = _ab.alternate(args.checkouts, [argv for _, argv in cases], args.repeat, run)
+        modules = [
+            [loaded_modules(_ab.fresh(c, ["-X", "importtime"] + argv, files.dir)[1].stderr) for c in args.checkouts]
+            for _, argv in cases[1:]
+        ]
+
+    names = _ab.side_names(args.checkouts)
     head = f"{'command':<20}" + "".join(f"{n + ' ms':>10}{'exit':>5}" for n in names)
-    print(head + (f"{'change':>9}" if len(checkouts) == 2 else ""))
-    for label, _ in cases:
-        med = [statistics.median(times[label, c]) for c in checkouts]
-        row = f"{label:<20}" + "".join(f"{m:>10.1f}{codes[label, c]:>5}" for m, c in zip(med, checkouts))
-        if len(checkouts) == 2:
-            row += f"{100 * (med[1] - med[0]) / med[0]:>+8.1f}%"
-        print(row)
+    print(head + _ab.change_head(len(names), faster=False))
+    for (label, _), per_side in zip(cases, runs):
+        times = [[ms for ms, _ in side] for side in per_side]
+        cells = [f"{m:>10.1f}{side[-1][1]:>5}" for m, side in zip(_ab.medians(times), per_side)]
+        print(f"{label:<20}" + "".join(cells) + _ab.change(times, faster=False))
     print()
     print("gdcalc modules loaded (gdcalc. prefix dropped)")
-    for label, _ in cases[1:]:
-        for name, c in zip(names, checkouts):
-            mods = [m[len("gdcalc."):] for m in modules[label, c] if m != "gdcalc"]
+    for (label, _), per_side in zip(cases[1:], modules):
+        for name, loaded in zip(names, per_side):
+            mods = [m[len("gdcalc."):] for m in loaded if m != "gdcalc"]
             print(f"{label:<20}{name:>4} {len(mods):>2}: {' '.join(mods)}")
     return 0
 

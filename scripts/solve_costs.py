@@ -28,19 +28,12 @@ from __future__ import annotations
 
 import argparse
 import collections
-import gc
-import os
-import random
-import shutil
 import sys
-import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import _ab
 
-import workloads  # noqa: E402
+_ab.use_paths()
 from gdcalc import _linalg  # noqa: E402
 
 
@@ -48,27 +41,26 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1, help="workload seed, as perfbench/run.py --seed")
     ap.add_argument("--repeat", type=int, default=3, help="runs of the task list; each best time is kept")
-    args = ap.parse_args()
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
+    args = _ab.parse_args(ap)
 
     cls = _linalg.Factorisation
     init, solve = cls.__init__, cls.solve
     # per system: [task index, rows, cols, nonzeros, rank, replays in the first run, factor s, [replay s per run]]
     systems = {}  # (task index, rows, cols, nonzeros, rank, nth such in the task's run) -> its row
     made = {}  # id of a factorisation -> (the factorisation, kept so its id is not reused; its system)
-    replays = collections.defaultdict(lambda: [0, 0.0])  # system -> [replays, s] in this run
-    seen = collections.Counter()  # systems built so far in this run, by key without the count
-    current = [0]
+    replays = collections.defaultdict(lambda: [0, 0.0])  # (run, system) -> [replays, s] in that run
+    seen = collections.Counter()  # (run, key without the count) -> systems built so far in that run
+    current = [(0, 0)]  # (run, task index)
 
     def timed_init(self, columns, keys):
         t0 = time.perf_counter()
         init(self, columns, keys)
         dt = time.perf_counter() - t0
+        rep, i = current[0]
         nnz = sum(1 for col in columns for v in col.values() if v)
-        shape = (current[0], len(keys), len(columns), nnz, self.rank)
-        key = shape + (seen[shape],)
-        seen[shape] += 1
+        shape = (i, len(keys), len(columns), nnz, self.rank)
+        key = shape + (seen[rep, shape],)
+        seen[rep, shape] += 1
         made[id(self)] = (self, key)
         row = systems.setdefault(key, [*shape, 0, dt, []])
         row[6] = min(row[6], dt)
@@ -76,36 +68,24 @@ def main() -> int:
     def timed_solve(self, rhs):
         t0 = time.perf_counter()
         out = solve(self, rhs)
-        r = replays[made[id(self)][1]]
+        r = replays[current[0][0], made[id(self)][1]]
         r[0] += 1
         r[1] += time.perf_counter() - t0
         return out
 
+    def before(rep, i):
+        current[0] = (rep, i)
+
     cls.__init__, cls.solve = timed_init, timed_solve
-    work = tempfile.mkdtemp(prefix="solve_costs-")
     try:
-        tasks = workloads.solve(random.Random(f"solve:{args.seed}"), workloads.Files(work))
-        best = [float("inf")] * len(tasks)
-        failed = [False] * len(tasks)
-        for rep in range(args.repeat):
-            gc.collect()
-            replays.clear()
-            seen.clear()
-            for i, task in enumerate(tasks):
-                current[0] = i
-                t0 = time.perf_counter()
-                out = task.call()
-                best[i] = min(best[i], time.perf_counter() - t0)
-                if rep == 0:
-                    failed[i] = task.check(out) is not None
-            for key, (count, dt) in replays.items():
-                row = systems[key]
-                if rep == 0:
-                    row[5] = count
-                row[7].append(dt)
+        tasks, best, failed = _ab.best_times("solve", args.seed, args.repeat, before)
     finally:
         cls.__init__, cls.solve = init, solve
-        shutil.rmtree(work, ignore_errors=True)
+    for (rep, key), (count, dt) in replays.items():
+        row = systems[key]
+        if rep == 0:
+            row[5] = count
+        row[7].append(dt)
     best_systems = [[*row[:7], min(row[7], default=0.0)] for row in systems.values()]
 
     print(f"{'task':<28}{'failed':>7}{'best_ms':>10}")

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Wall time and traced memory peak of each sweep of the benchmark's `sweep` workload.
 
-    PYTHONPATH=src python3 scripts/sweep_costs.py [--repeat 3]
-    python3 scripts/sweep_costs.py CHECKOUT [CHECKOUT] [--repeat 3]
+    python3 scripts/sweep_costs.py [CHECKOUT [CHECKOUT]] [--repeat 3]
 
 Runs the 14 sweeps that `perfbench/run.py --workload sweep` runs, at the
 same sizes (the two CLI checks are called as the library calls they make),
@@ -11,31 +10,29 @@ one after the other in this process.  For each sweep it prints the report
 SHA-1), the best wall time over `--repeat` untraced runs, and the peak of
 `tracemalloc` over one more run.  Standard library only.
 
-Each CHECKOUT is the root of a gdcalc checkout.  Given one or two, the
-table above is made `--repeat` times per checkout (rounds), each time by
-a fresh `python` process that runs this script with the checkout's `src`
-on `PYTHONPATH` and takes the best of 3 runs per sweep; with two, the
-order of the checkouts alternates from round to round, so drift in the
-machine's speed falls on both.  It then prints,
-per sweep, whether the reports of all runs agree, each checkout's median
-over the rounds of its best wall time and its largest peak, and with two
-checkouts the change of the median and the rounds the second one was
-faster in; the last line gives each checkout's total per round.
+Given one or two CHECKOUT roots, the table is made `--repeat` times per
+checkout (rounds) by fresh processes on each checkout's gdcalc, each taking
+the best of 3 runs per sweep, in the alternating order of `_ab.py`.  It
+then prints, per sweep, whether the reports of all runs agree, each
+checkout's median over the rounds of its best wall time and its largest
+peak, and with two checkouts the change of the median and the rounds the
+second one was faster in; the last line gives each checkout's total per
+round.
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import hashlib
-import os
-import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
 
+import _ab
+
 
 def sweeps():
+    _ab.use_paths()
     from gdcalc import _fastsweep as fs
     from gdcalc.exactcore import VarContext, poly_from_terms
     from gdcalc.polyvec import form_make
@@ -92,50 +89,21 @@ def table(repeat: int) -> None:
     print(f"{'total':<64}{total_ms:>10.1f}")
 
 
-def checkout_table(checkout: str):
-    """{sweep: (report, wall_ms, peak_mb)} from a fresh process on the checkout's src."""
-    env = dict(os.environ)
-    src = os.path.join(checkout, "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--repeat", "3"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    rows = {}
-    for line in done.stdout.splitlines()[1:-1]:
-        name, verdict, checked, trivial, wit, wall, peak = line.split()
-        rows[name] = ((verdict, checked, trivial, wit), float(wall), float(peak))
-    return rows
-
-
 def compare(checkouts, rounds: int) -> int:
-    runs = {c: [] for c in checkouts}
-    for r in range(rounds):
-        for c in checkouts if r % 2 == 0 else checkouts[::-1]:
-            runs[c].append(checkout_table(c))
-    names = [f"[{i}]" for i in range(len(checkouts))]
-    for name, c in zip(names, checkouts):
-        print(f"{name} {c}")
+    runs = _ab.tables(checkouts, rounds, __file__, "--repeat", "3")
+    names = _ab.side_names(checkouts)
     head = f"{'sweep':<26}{'reports':<9}" + "".join(f"{n + ' ms':>10}" for n in names)
-    if len(checkouts) == 2:
-        head += f"{'change':>9}{'faster':>8}"
-    print(head + "".join(f"{n + ' MB':>9}" for n in names))
+    print(head + _ab.change_head(len(checkouts)) + "".join(f"{n + ' MB':>9}" for n in names))
     agree = True
-    for sweep in runs[checkouts[0]][0]:
-        reports = {t[sweep][0] for c in checkouts for t in runs[c]}
+    for sweep in list(runs[0][0])[:-1]:
+        reports = {tuple(t[sweep][:4]) for side in runs for t in side}
         agree &= len(reports) == 1
-        walls = [[t[sweep][1] for t in runs[c]] for c in checkouts]
-        med = [statistics.median(w) for w in walls]
+        walls = [[float(t[sweep][4]) for t in side] for side in runs]
         row = f"{sweep:<26}{'same' if len(reports) == 1 else 'DIFFER':<9}"
-        row += "".join(f"{m:>10.1f}" for m in med)
-        if len(checkouts) == 2:
-            faster = sum(b < a for a, b in zip(*walls))
-            row += f"{100 * (med[1] - med[0]) / med[0]:>+8.1f}%{faster:>5}/{rounds:<2}"
-        peaks = [max(t[sweep][2] for t in runs[c]) for c in checkouts]
-        print(row + "".join(f"{p:>9.2f}" for p in peaks))
+        row += "".join(f"{m:>10.1f}" for m in _ab.medians(walls)) + _ab.change(walls)
+        print(row + "".join(f"{max(float(t[sweep][5]) for t in side):>9.2f}" for side in runs))
     totals = ", ".join(
-        f"{name} " + "/".join(f"{sum(row[1] for row in t.values()):.0f}" for t in runs[c])
-        for name, c in zip(names, checkouts)
+        f"{name} " + "/".join(f"{float(t['total'][0]):.0f}" for t in side) for name, side in zip(names, runs)
     )
     print(f"total ms per round: {totals}")
     return 0 if agree else 1
@@ -148,15 +116,11 @@ def main() -> int:
         "--repeat", type=int, default=3,
         help="untraced runs per sweep, the best printed; with checkouts, processes per checkout",
     )
-    args = ap.parse_args()
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
-    if len(args.checkouts) > 2:
-        ap.error("give at most two checkouts")
+    args = _ab.parse_args(ap)
     if not args.checkouts:
         table(args.repeat)
         return 0
-    return compare([os.path.abspath(c) for c in args.checkouts], args.repeat)
+    return compare(args.checkouts, args.repeat)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,7 @@
 Terms are keyed by (frame bitmask, exponent tuple) with integer coefficients
 (`Fraction` where the denominator is not 1).  This is the only implementation
 of the bracket, the wedge and the contraction on TermMaps: `PolyVector` and
-`DiffForm` hold a TermMap, so `polyvec`, `chevalley`, `twistcheck` and
-`deform` hand their values' maps straight to it, and `tests/_ref_polyvec.py`
+`DiffForm` hold a TermMap, so `polyvec`, `twistcheck` and `deform` hand their values' maps straight to it, and `tests/_ref_polyvec.py`
 keeps an independent tuple-frame route as the oracle.  The sweeps of
 `_fastsweep` multiply unit terms only, so they fill their products
 straight from the sign tables below (`bracket_plans`, `merge` and
@@ -16,7 +15,7 @@ and they fill entry by entry on first use, so a context is cheap at any
 dimension.  The value memos (`_dcache`, `_ecache` and `_ftable`, the
 contraction's matching sum per (coframe mask, argument masks, degrees)
 pattern) belong to one context: a sweep, or one public call of `polyvec`,
-`chevalley`, `twistcheck` or `deform`.  Unshuffle signs come from
+`twistcheck` or `deform`.  Unshuffle signs come from
 `subset_plan`, indexed by the odd-degree mask of the argument tuple
 (`odd_mask`).  The producers add `scale` times their value straight into a
 caller's accumulator (`schouten_into`, `m_into`, `wedge_into`, `phi_into`;

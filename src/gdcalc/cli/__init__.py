@@ -24,7 +24,7 @@ compiles each module it imports, and that compile time is most of a
 small command's run, so this module loads at import only what every
 command uses: ``docfmt``, ``exactcore``, ``polyvec`` and ``_fastterms``.
 Each handler imports the rest of what it calls at the top of its body:
-``phi-eval`` loads ``chevalley``; ``twisted-check`` loads ``twistcheck``;
+``phi-eval`` and ``twisted-check`` load ``twistcheck``;
 ``mc-defect``, ``defect-series``, ``mc-solve``, ``gauge`` and
 ``gauge-equiv`` load ``deform`` (with ``twistcheck`` and ``_linalg``);
 ``hoch`` loads ``hochschild`` (with ``_linalg``); ``lemma-check`` and
@@ -261,7 +261,7 @@ def _add_transform(sub, name: str, spec) -> None:
 
 
 def cmd_phi_eval(args) -> int:
-    from ..chevalley import m_value, phi_value
+    from ..twistcheck import m_value, phi_value
 
     spec_doc = _read_doc(args.spec)
     if spec_doc.kind == "form":

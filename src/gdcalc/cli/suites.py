@@ -13,7 +13,6 @@ from importlib import resources
 from typing import Callable, Dict, List, Tuple
 
 from .. import _fastsweep as fs
-from ..chevalley import phi_value
 from ..deform import GaugeParam, defect_series, gauge_flow, mc_solve
 from ..exactcore import (
     VarContext,
@@ -47,7 +46,7 @@ from ..polyvec import (
     mv_make,
     schouten,
 )
-from ..twistcheck import make_twisted, mc_defect
+from ..twistcheck import make_twisted, mc_defect, phi_value
 from .docfmt import Document, ParseError, parse_document, serialize_document
 
 __all__ = ["CheckLine", "SUITE_NAMES", "run_verify", "render_text", "render_json"]

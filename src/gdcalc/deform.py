@@ -161,18 +161,21 @@ def _defect(fc: FastCtx, H: TermMap, cs: Terms, k: int, scale=1) -> TermMap:
     """scale times the order-k defect of the bivector coefficients cs.
 
     Σ_{i+j=k}[π_i,π_j] − Σ_{i+j+l=k} Φ(H)(π_i,π_j,π_l) over ordered index
-    tuples with every index ≥ 1.
+    tuples with every index ≥ 1, in lexicographic order.  Only orders that
+    cs holds are visited, so the cost follows |cs|, not k.
     """
     acc: TermMap = {}
-    for i in range(1, k):
-        j = k - i
-        if i in cs and j in cs:
-            schouten_into(fc, cs[i], cs[j], scale, acc)
+    orders = [i for i in sorted(cs) if 1 <= i < k]
+    for i in orders:
+        if k - i in cs:
+            schouten_into(fc, cs[i], cs[k - i], scale, acc)
     if H:
-        for i in range(1, k - 1):
-            for j in range(1, k - i):
+        for i in orders:
+            for j in orders:
                 l = k - i - j
-                if i in cs and j in cs and l in cs:
+                if l < 1:
+                    break
+                if l in cs:
                     phi_into(fc, H, [cs[i], cs[j], cs[l]], (2, 2, 2), -scale, acc)
     return acc
 

@@ -639,7 +639,8 @@ def delta_primitive(
     arity, ``op_order``) and kept in a bounded per-process cache, so a
     repeated shape only replays its right-hand sides; a one-command process
     builds it once.  An unsolved target's fanned-out near-solution system is
-    still built and factored on every call.
+    still built and factored on every call.  A found primitive is checked
+    against its residual before it is returned.
     """
     if poly_degree < 0 or op_order < 0:
         raise ValueError(
@@ -675,6 +676,8 @@ def delta_primitive(
             acc.setdefault(orders, {})[mono] = x
     candidate = _op(ctx, T.arity - 1, acc, t_den, op_order)
     residual = mdo_sub(T, hoch_delta(candidate))
+    if found and not mdo_is_zero(residual):
+        raise RuntimeError("internal error: found primitive fails its own residual check")
     return PrimitiveResult(
         found=found,
         primitive=candidate if found else None,

@@ -1,20 +1,41 @@
 """Twisted bracket structures on polynomial multivector fields.
 
 A closed 3-form H deforms the graded Lie structure of the Schouten bracket
-into a pair (l2, l3): l2 stays the sign-adjusted bracket (``m_value``) and
-l3 contracts arguments into H (``phi_value`` of H), so a
-``TwistedStructure`` carries just the checked form.  ``mc_defect`` sums the
-quadratic-cubic defect of a bivector on the term engine; the l2/l3
-compatibility relations are swept by ``_fastsweep`` (``linfty_jacobi``,
-``linfty_mixed``, ``linfty_ternary``).
+into a pair (l2, l3): l2 is the structure cochain ``m_value(a, b)``, the
+sign-adjusted bracket, and l3 contracts arguments into H (``phi_value`` of
+H), so a ``TwistedStructure`` carries just the checked form.
+``phi_value(omega, args)`` evaluates the contraction cochain of any
+homogeneous k-form on k arguments; both values split mixed-degree
+arguments into homogeneous components by frame degree and sum
+``_fastterms.phi_into`` or ``_fastterms.m_into`` into one TermMap with one
+engine context.  ``mc_defect`` sums the quadratic-cubic defect of a
+bivector on the term engine; the l2/l3 compatibility relations are swept
+by ``_fastsweep`` (``linfty_jacobi``, ``linfty_mixed``, ``linfty_ternary``).
 
-Sign conventions are documented in docs/sign-ledger.md.
+Sign conventions (fixed package-wide, see docs/sign-ledger.md):
+
+* permuting arguments of degrees p, q past each other contributes
+  (-1)^{pq} (unshifted degrees);
+* the structure cochain is m(a, b) = (-1)^{|a|-1} [a, b];
+* the contraction cochain of a decomposable k-form a_1 ^ ... ^ a_k (with
+  polynomial coefficient g) is
+
+      phi(w)(p_1,...,p_k) = sum_sigma kappa(sigma)
+          * (-1)^{sum_i (k-i) |p_sigma(i)|}
+          * g * <a_1, p_sigma(1)> ^ ... ^ <a_k, p_sigma(k)>
+
+  where kappa is the Koszul sign of sigma on the argument word, pinned by
+  the identities d(phi(w)) = phi(dw) and [phi(a), phi(b)] = 0 that the
+  sweeps of ``_fastsweep`` and the test suite's evaluator-level cochain
+  calculus check.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
-from ._fastterms import FastCtx, TermMap, phi_into, schouten_into
+from ._fastterms import FastCtx, TermMap, m_into, phi_into, schouten_into, split_degrees
 from .exactcore import VarContext
 from .polyvec import (
     DiffForm,
@@ -32,7 +53,45 @@ __all__ = [
     "make_twisted",
     "mc_defect",
     "is_twisted_poisson",
+    "m_value",
+    "phi_value",
 ]
+
+
+def phi_value(omega: DiffForm, args: Sequence[PolyVector]) -> PolyVector:
+    """The contraction cochain of a homogeneous k-form on k = len(args) arguments.
+
+    Extended multilinearly to arguments of mixed degree; a 0-form on no
+    arguments is its function, and the zero form gives zero on any number
+    of arguments.
+    """
+    args = tuple(args)
+    k = form_degree(omega)
+    if k is None and omega._tm:
+        raise ValueError("phi expects a homogeneous form")
+    if k is not None and k != len(args):
+        raise ValueError(f"arity {len(args)} contradicts form degree {k}")
+    ctx = omega.ctx
+    if any(a.ctx != ctx for a in args):
+        raise ValueError("context mismatch")
+    fc = FastCtx(ctx.n)
+    acc: TermMap = {}
+    if omega._tm:
+        parts = [split_degrees(fc, a._tm) for a in args]
+        for combo in itertools.product(*parts):
+            phi_into(fc, omega._tm, [tm for _, tm in combo], [d for d, _ in combo], 1, acc)
+    return PolyVector._wrap(ctx, acc)
+
+
+def m_value(a: PolyVector, b: PolyVector) -> PolyVector:
+    """The structure cochain m(a, b) = (-1)^{|a|-1}[a, b], summed over a's degrees."""
+    if a.ctx != b.ctx:
+        raise ValueError("context mismatch")
+    fc = FastCtx(a.ctx.n)
+    acc: TermMap = {}
+    for deg, A in split_degrees(fc, a._tm):
+        m_into(fc, A, b._tm, deg, 1, acc)
+    return PolyVector._wrap(a.ctx, acc)
 
 
 class NotClosedError(ValueError):

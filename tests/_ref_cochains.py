@@ -10,7 +10,7 @@ structure cochain they compose come from ``_ref_polyvec`` (the tuple-frame
 bracket), so no comparison runs the library's term engine on both sides.
 
 ``phi_cochain`` and ``m_cochain`` wrap the library's own values
-(``gdcalc.chevalley.phi_value`` and ``m_value``) as cochains, so the
+(``gdcalc.twistcheck.phi_value`` and ``m_value``) as cochains, so the
 identity tests that compose, bracket and evaluate cochains still exercise
 the library kernels.  Test-only.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from _ref_polyvec import Cochain, _degree_of, cochain_zero, evaluate, structure_cochain
-from gdcalc.chevalley import m_value, phi_value
+from gdcalc.twistcheck import m_value, phi_value
 from gdcalc.exactcore import VarContext, koszul_unshuffle_sign
 from gdcalc.polyvec import (
     DiffForm,

@@ -31,7 +31,7 @@ from _ref_cochains import (
     phi_cochain as phi,
 )
 from _ref_polyvec import Cochain, cochain_zero, evaluate
-from gdcalc.chevalley import m_value, phi_value
+from gdcalc.twistcheck import m_value, phi_value
 from gdcalc.polyvec import (
     PolyVector,
     VarContext,

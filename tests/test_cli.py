@@ -346,7 +346,7 @@ _DEFORM_MODULES = {"gdcalc.deform", "gdcalc.twistcheck", "gdcalc._linalg"}
 IMPORT_SURFACE = [
     (None, 0, set()),
     (["poly", "poly-square.gdt"], 2, set()),
-    (["phi-eval", "phi-spec.gdt"], 2, {"gdcalc.chevalley"}),
+    (["phi-eval", "phi-spec.gdt"], 2, {"gdcalc.twistcheck"}),
     (["twisted-check", "twisted-true-r3.gdt"], 0, {"gdcalc.twistcheck"}),
     (["mc-defect", "series-r4.gdt"], 0, _DEFORM_MODULES),
     (["gauge-equiv", "gauge-pair.gdt"], 0, _DEFORM_MODULES),

@@ -454,6 +454,15 @@ def test_primitive_round_trip():
     assert mdo_eq(hoch_delta(res.primitive), T)
 
 
+def test_found_primitive_is_checked_against_its_residual(monkeypatch):
+    """A wrong δ in the final check makes the residual nonzero: delta_primitive
+    refuses to report that primitive as found."""
+    T = hoch_delta(op(CTX2, 1, [(X, ((2, 0),)), (ONE2, ((1, 1),))]))
+    monkeypatch.setattr(hs, "hoch_delta", lambda D: mdo_zero(D.ctx, D.arity + 1))
+    with pytest.raises(RuntimeError, match="internal error"):
+        delta_primitive(T, poly_degree=2, op_order=2)
+
+
 @pytest.mark.parametrize("poly_degree, op_order", [(-1, 2), (2, -1), (-1, -1)])
 def test_primitive_refuses_negative_bounds(poly_degree, op_order):
     # a negative bound searches nothing; it must not read as "no primitive"

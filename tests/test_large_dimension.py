@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import _ref_polyvec as ref
-from gdcalc.chevalley import phi_value
+from gdcalc.twistcheck import phi_value
 from gdcalc.cli import main
 from gdcalc.cli.docfmt import doc_form, doc_multivector, serialize_document
 from gdcalc.exactcore import VarContext

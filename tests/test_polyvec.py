@@ -131,7 +131,7 @@ def test_multivector_and_form_operands_are_not_interchangeable(op, args):
 def test_library_built_values_are_not_checked_again(monkeypatch):
     """The constructor check runs on caller-supplied terms only."""
     from gdcalc import polyvec
-    from gdcalc.chevalley import m_value, phi_value
+    from gdcalc.twistcheck import m_value, phi_value
     from gdcalc.deform import ArtinRing, ArtinSeries, GaugeParam, gauge_flow, mc_solve
     from gdcalc.twistcheck import make_twisted, mc_defect
 

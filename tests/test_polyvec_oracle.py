@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import _ref_polyvec as ref
 from gdcalc._fastterms import FastCtx, tm_add_into
 from gdcalc._linalg import Factorisation
-from gdcalc.chevalley import m_value, phi_value
+from gdcalc.twistcheck import m_value, phi_value
 from gdcalc.deform import (
     ArtinRing,
     GaugeParam,

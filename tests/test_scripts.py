@@ -88,3 +88,34 @@ def test_task_costs_compares_the_solve_families():
     assert rows["total"][1] == "5"
     for row in rows.values():
         assert row[2:4] == ["0", "0"]
+
+
+def test_alternation_keeps_sides_apart_and_flips_their_order():
+    """The driver's alternation with a stub runner: every side gets one
+    result per round and task, the side order flips every round, and one
+    checkout given twice still makes two sides."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import _ab
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    calls = []
+
+    def run(checkout, task):
+        calls.append((checkout, task))
+        return len(calls)
+
+    rounds, tasks = 3, ["t0", "t1"]
+    out = _ab.alternate(["a", "b"], tasks, rounds, run)
+    assert [c for c, _ in calls] == ["a", "b"] * 2 + ["b", "a"] * 2 + ["a", "b"] * 2
+    assert [t for _, t in calls] == [t for _ in range(rounds) for t in tasks for _ in "ab"]
+    assert all(len(side) == rounds for per_task in out for side in per_task)
+
+    del calls[:]
+    out = _ab.alternate(["a", "a"], tasks, rounds, run)
+    assert len(calls) == rounds * len(tasks) * 2
+    for t, (first, second) in enumerate(out):
+        assert len(first) == len(second) == rounds
+        assert set(first).isdisjoint(second)
+        # the first call of each pair goes to side 0 in even rounds, side 1 in odd ones
+        assert [(x < y) == (r % 2 == 0) for r, (x, y) in enumerate(zip(first, second))] == [True] * rounds

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from gdcalc.chevalley import phi_value
 from gdcalc.exactcore import VarContext, poly_from_terms, poly_var
 from gdcalc.polyvec import (
     d_form,
@@ -32,6 +31,7 @@ from gdcalc.twistcheck import (
     is_twisted_poisson,
     make_twisted,
     mc_defect,
+    phi_value,
 )
 
 CTX2 = VarContext(("x", "y"))
