@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._fastterms import (
@@ -73,7 +72,7 @@ from ._fastterms import (
     tm_add_into,
 )
 from .exactcore import Exponents, VarContext, format_rat, monomials_upto
-from .polyvec import DiffForm, basis_keys, d_form, form_degree
+from .polyvec import DiffForm, basis_keys, canonical_keys, d_form, form_degree
 
 __all__ = [
     "CheckReport",
@@ -120,16 +119,12 @@ def element_label(names: Sequence[str], fc: FastCtx, el: Element) -> str:
 
 
 def format_terms(names: Sequence[str], fc: FastCtx, tm: TermMap) -> str:
-    items = sorted(
-        ((fc.bits[m], e, c) for (m, e), c in tm.items() if c),
-        key=lambda t: (len(t[0]), t[0], sum(t[1]), t[1]),
-    )
-    if not items:
+    keys = canonical_keys(fc.n, [key for key, c in tm.items() if c])
+    if not keys:
         return "0"
     return " + ".join(
-        f"{format_rat(Fraction(c))}*{_mono_label(names, e)}"
-        f"@({','.join(str(i) for i in f)})"
-        for f, e, c in items
+        f"{format_rat(tm[m, e])}*{_mono_label(names, e)}@({','.join(map(str, fc.bits[m]))})"
+        for m, e in keys
     )
 
 
@@ -253,21 +248,20 @@ class _Pool:
         """The memo of phi(form) on arity-k id tuples.  On unit terms each
         coframe of the form gives at most one term: its frame and sign are
         the frame table's entry, and its exponents add up."""
-        fc, keys, deg, mask = self.fc, self.keys, self.deg, self.mask
+        fc, keys, mask = self.fc, self.keys, self.mask
         if any(fc.pop[m] != k for m, _ in form_terms):
             raise ValueError("form degree does not match argument count")
         items = list(form_terms.items())
 
         def phi(*ids: int) -> Value:
             masks = tuple([mask[x] for x in ids])
-            degs = tuple([deg[x] for x in ids])
             esum = None
             for x in ids:
                 e = keys[x][1]
                 esum = e if esum is None else fc.eadd(esum, e)
             acc: TermMap = {}
             for (comask, fexps), c in items:
-                hit = frame_entry(fc, comask, masks, degs)
+                hit = frame_entry(fc, comask, masks)
                 if hit is not None:
                     key = (hit[0], fexps if esum is None else fc.eadd(fexps, esum))
                     acc[key] = acc.get(key, 0) + c * hit[1]
@@ -360,9 +354,7 @@ class _Plans:
         key = (table.frames, masks)
         got = self.outputs.get(key)
         if got is None:
-            fc = self.fc
-            degs = tuple([fc.pop[m] for m in masks])
-            entries = [frame_entry(fc, comask, masks, degs) for comask in table.frames]
+            entries = [frame_entry(self.fc, comask, masks) for comask in table.frames]
             got = self.outputs[key] = [e[0] for e in entries if e is not None]
         return got
 
@@ -813,7 +805,7 @@ def lemma_pairing_on_vectors(ctx: VarContext, *, coeff_degree: int = 2) -> Check
 
     def evaluate(idx):
         i, g, j, h = idx
-        val = phi_eval(fc, {(1 << i, g): 1}, [{((1 << j), h): 1}], [1])
+        val = phi_eval(fc, {(1 << i, g): 1}, [{((1 << j), h): 1}])
         expect: TermMap = {(0, fc.eadd(g, h)): 1} if i == j else {}
         tm_add_into(val, expect, -1)
         return val

@@ -3,7 +3,8 @@
 Terms are keyed by (frame bitmask, exponent tuple) with integer coefficients
 (`Fraction` where the denominator is not 1).  This is the only implementation
 of the bracket, the wedge and the contraction on TermMaps: `PolyVector` and
-`DiffForm` hold a TermMap, so `polyvec`, `twistcheck` and `deform` hand their values' maps straight to it, and `tests/_ref_polyvec.py`
+`DiffForm` hold a TermMap, so `polyvec`, `twistcheck` and `deform` hand
+their values' maps straight to it, and `tests/_ref_polyvec.py`
 keeps an independent tuple-frame route as the oracle.  The sweeps of
 `_fastsweep` multiply unit terms only, so they fill their products
 straight from the sign tables below (`bracket_plans`, `merge` and
@@ -13,21 +14,22 @@ The sign tables (`pop`, `bits`, `merge` and the bracket's plan for each pair
 of frames) depend on the masks alone: contexts of one dimension share them,
 and they fill entry by entry on first use, so a context is cheap at any
 dimension.  The value memos (`_dcache`, `_ecache` and `_ftable`, the
-contraction's matching sum per (coframe mask, argument masks, degrees)
-pattern) belong to one context: a sweep, or one public call of `polyvec`,
-`twistcheck` or `deform`.  Unshuffle signs come from
+contraction's matching sum per (coframe mask, argument masks) pattern)
+belong to one context: a sweep, or one public call of `polyvec`,
+`twistcheck` or `deform`.  Every sign that depends on a term's degree reads
+it off the term's frame, the popcount of its mask, so arguments may mix
+degrees and callers pass none.  Unshuffle signs come from
 `subset_plan`, indexed by the odd-degree mask of the argument tuple
 (`odd_mask`).  The producers add `scale` times their value straight into a
 caller's accumulator (`schouten_into`, `m_into`, `wedge_into`, `phi_into`;
 `tm_add_into` adds a finished TermMap) and drop cancelled coefficients, so a
-TermMap is zero exactly when it is empty.  `split_degrees` gives a TermMap's
-homogeneous components, for callers whose arguments mix degrees.
+TermMap is zero exactly when it is empty.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .exactcore import Exponents, koszul_sign, koszul_unshuffle_sign
 
@@ -82,7 +84,7 @@ class FastCtx:
     def __init__(self, n: int):
         self.n = n
         self.pop, self.bits, self.merge, self._plans = _shared_tables(n)
-        # (exps, i) -> derivative, (e1, e2) -> sum, (comask, masks, degs) -> frame entry
+        # (exps, i) -> derivative, (e1, e2) -> sum, (comask, masks) -> frame entry
         self._dcache, self._ecache, self._ftable = {}, {}, {}
 
     def mask_of(self, frame: Sequence[int]) -> int:
@@ -117,15 +119,6 @@ def tm_add_into(acc: TermMap, tm: TermMap, s=1) -> None:
             acc[k] = v
         else:
             acc.pop(k, None)
-
-
-def split_degrees(fc: FastCtx, tm: TermMap) -> List[Tuple[int, TermMap]]:
-    """The homogeneous components of tm as (degree, TermMap), by ascending frame degree."""
-    pop = fc.pop
-    parts: Dict[int, TermMap] = {}
-    for key, c in tm.items():
-        parts.setdefault(pop[key[0]], {})[key] = c
-    return sorted(parts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +193,11 @@ def schouten_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> N
                         acc.pop(key, None)
 
 
-def m_into(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int, scale, acc: TermMap) -> None:
-    """Add scale * m(A, B) into acc, m(a, b) = (-1)^{|a|-1}[a, b] for |a| = deg_a."""
-    schouten_into(fc, A, B, -scale if (deg_a - 1) & 1 else scale, acc)
+def m_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> None:
+    """Add scale * m(A, B) into acc, m(a, b) = (-1)^{|a|-1}[a, b] term by term of A."""
+    pop = fc.pop
+    signed = {key: c if pop[key[0]] & 1 else -c for key, c in A.items()}
+    schouten_into(fc, signed, B, scale, acc)
 
 
 def wedge_into(fc: FastCtx, A: TermMap, B: TermMap, scale, acc: TermMap) -> None:
@@ -262,20 +257,20 @@ def subset_plan(r: int, k: int):
 # the contraction cochain at term level
 
 
-def _frame_entry(
-    fc: FastCtx, comask: int, masks: Tuple[int, ...], degs: Tuple[int, ...]
-) -> Optional[Tuple[int, int]]:
+def _frame_entry(fc: FastCtx, comask: int, masks: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
     """phi(dx(comask)) on the unit frames theta(masks): (output mask, coefficient).
 
     The sum over slot matchings: Koszul sign of the permutation on the
-    argument degrees times (-1)^{sum (k-1-pos)*deg(sigma(pos))}, then the
-    left-to-right wedge of single-coordinate contractions.  Every nonzero
+    argument degrees (the frames' lengths) times
+    (-1)^{sum (k-1-pos)*deg(sigma(pos))}, then the left-to-right wedge of
+    single-coordinate contractions.  Every nonzero
     matching leaves the same frame (the arguments' frames with the coframe
     taken out once), so the value is one frame or None when it vanishes.
     """
     k = len(masks)
     merge = fc.merge
     pop = fc.pop
+    degs = [pop[m] for m in masks]
     # tab[pos][slot]: contraction of coordinate cobits[pos] against slot
     tab = []
     for j in fc.bits[comask]:
@@ -310,16 +305,14 @@ def _frame_entry(
     return (out_mask, coeff) if coeff else None
 
 
-def frame_entry(
-    fc: FastCtx, comask: int, masks: Tuple[int, ...], degs: Tuple[int, ...]
-) -> Optional[Tuple[int, int]]:
+def frame_entry(fc: FastCtx, comask: int, masks: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
     """`_frame_entry`, memoised in the context's frame table (which `phi_into`
     reads inline), so a caller can ask on frames alone whether a contraction
     vanishes."""
-    key = (comask, masks, degs)
+    key = (comask, masks)
     hit = fc._ftable.get(key, False)
     if hit is False:
-        hit = fc._ftable[key] = _frame_entry(fc, comask, masks, degs)
+        hit = fc._ftable[key] = _frame_entry(fc, comask, masks)
     return hit
 
 
@@ -327,7 +320,6 @@ def phi_into(
     fc: FastCtx,
     form_terms: Dict[Tuple[int, Exponents], int],
     args: Sequence[TermMap],
-    degs: Sequence[int],
     scale,
     acc: TermMap,
 ) -> None:
@@ -336,8 +328,9 @@ def phi_into(
     Contraction never differentiates a coefficient, so on single terms the
     value is one term: its frame and integer sign come from the context's
     frame table (`_frame_entry`, filled on first use and keyed by the
-    coframe mask, the argument frame masks and the degrees), its
-    coefficient is the product of the coefficients and its exponents add.
+    coframe mask and the argument frame masks, whose lengths are the
+    argument degrees), its coefficient is the product of the coefficients
+    and its exponents add.
     A form degree that does not match len(args) raises ValueError before
     acc is touched.
     """
@@ -346,7 +339,6 @@ def phi_into(
     for comask, _ in form_terms:
         if pop[comask] != k:
             raise ValueError("form degree does not match argument count")
-    degs = tuple(degs)
     table = fc._ftable
     eadd = fc.eadd
     for combo in itertools.product(*[a.items() for a in args]):
@@ -357,10 +349,10 @@ def phi_into(
             esum = e if esum is None else eadd(esum, e)
             cprod *= c
         for (comask, fexps), fcoeff in form_terms.items():
-            key = (comask, masks, degs)
+            key = (comask, masks)
             hit = table.get(key, False)
             if hit is False:
-                hit = table[key] = _frame_entry(fc, comask, masks, degs)
+                hit = table[key] = _frame_entry(fc, comask, masks)
             if hit is None:
                 continue
             om, sign = hit
@@ -376,9 +368,8 @@ def phi_eval(
     fc: FastCtx,
     form_terms: Dict[Tuple[int, Exponents], int],
     args: Sequence[TermMap],
-    degs: Sequence[int],
 ) -> TermMap:
-    """Value of the degree-k contraction cochain on homogeneous arguments."""
+    """Value of the degree-k contraction cochain, multilinear in the arguments' terms."""
     acc: TermMap = {}
-    phi_into(fc, form_terms, args, degs, 1, acc)
+    phi_into(fc, form_terms, args, 1, acc)
     return acc

@@ -29,12 +29,13 @@ Kind lines and their content:
     content lines; field names unique, serialized alphabetically.
 
 Rationals are ``p/q`` with the denominator omitted when it is 1.
-Canonical serialization sorts terms (graded-lex monomials; frames by
-length then lexicographically; operator terms by their order blocks),
-drops zero coefficients, and uses single spaces.  ``parse`` is lenient
-about repeated keys (coefficients accumulate) and extra blank lines, so
-``serialize(parse(text)) == text`` is guaranteed on canonical documents
-only.
+Canonical serialization sorts terms (graded-lex monomials; multivector
+and form terms, read straight from their TermMaps, in
+``polyvec.canonical_keys`` order: frame length, frame, monomial; operator
+terms by their order blocks), drops zero coefficients, and uses single
+spaces.  ``parse`` is lenient about repeated keys (coefficients
+accumulate) and extra blank lines, so ``serialize(parse(text)) == text``
+is guaranteed on canonical documents only.
 
 One reader, ``_terms``, parses the term lines of every payload kind and
 refuses a malformed one with its line number.  The parsed terms go straight
@@ -56,7 +57,7 @@ from ..exactcore import (
     parse_rat,
     poly_from_terms,
 )
-from ..polyvec import DiffForm, PolyVector, form_make, mv_make
+from ..polyvec import DiffForm, PolyVector, canonical_keys, form_make, mv_make
 
 if TYPE_CHECKING:
     from ..deform import ArtinSeries
@@ -376,14 +377,13 @@ def _ser_poly_lines(p: Poly) -> List[str]:
     ]
 
 
-def _ser_frame_lines(terms: Dict[Tuple[int, ...], Poly]) -> List[str]:
+def _ser_frame_lines(v: Union[PolyVector, DiffForm]) -> List[str]:
+    tm, n = v._tm, v.ctx.n
     out = []
-    for frame in sorted(terms, key=lambda f: (len(f), f)):
-        p = terms[frame]
-        fr = " ".join(str(i) for i in frame)
+    for m, e in canonical_keys(n, tm):
+        fr = " ".join(str(i) for i in range(n) if m >> i & 1)
         at = f"@ {fr} :" if fr else "@ :"
-        for e in sorted(p, key=grlex_key):
-            out.append(f"term {format_rat(p[e])} {at} {' '.join(str(x) for x in e)}")
+        out.append(f"term {format_rat(tm[m, e])} {at} {' '.join(str(x) for x in e)}")
     return out
 
 
@@ -403,23 +403,21 @@ def _ser_payload(doc: Document) -> List[str]:
     if kind == "polynomial":
         return ["polynomial"] + _ser_poly_lines(payload)
     if kind == "multivector":
-        return ["multivector"] + _ser_frame_lines(payload.terms)
+        return ["multivector"] + _ser_frame_lines(payload)
     if kind == "form":
-        return ["form"] + _ser_frame_lines(payload.terms)
+        return ["form"] + _ser_frame_lines(payload)
     if kind == "multidiffop":
         return [f"multidiffop {payload.arity}"] + _ser_mdo_lines(payload)
     if kind == "artin-series":
         lines = [f"artin-series {payload.ring.truncation}"]
         for k in sorted(payload.coeffs):
             lines.append(f"order {k}")
-            lines.extend(_ser_frame_lines(payload.coeffs[k].terms))
+            lines.extend(_ser_frame_lines(payload.coeffs[k]))
         return lines
     if kind == "cochain-spec":
         if payload.tag == "m":
             return ["cochain-spec m"]
-        return [f"cochain-spec phi {payload.arity}"] + _ser_frame_lines(
-            payload.form.terms
-        )
+        return [f"cochain-spec phi {payload.arity}"] + _ser_frame_lines(payload.form)
     if kind == "problem":
         lines = [f"problem {payload.tag}"]
         for name in sorted(payload.fields):

@@ -14,8 +14,9 @@ routine.  ``mc_solve`` and ``gauge_equivalent`` solve against the same
 columns at every order, so each factors its TermMap columns once per call
 (``_linalg.Factorisation``, one equation per key of a column, in
 ``_equation_keys`` order) and replays the factorisation on each order's
-right-hand side.  A consistent order's solution does not depend on the rows
-the elimination selects; an obstruction's near-solution does, so
+right-hand side (``_replay``: order m fixes the unknown of index m−1).  A
+consistent order's solution does not depend on the rows the elimination
+selects; an obstruction's near-solution does, so
 ``mc_solve`` computes it from a second factorisation whose equations also
 hold the right-hand side's keys, at most once per call.
 ``gauge_equivalent`` reports no near-solution.
@@ -32,12 +33,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._fastterms import FastCtx, TermKey, TermMap, phi_into, schouten_into, split_degrees, tm_add_into
+from ._fastterms import FastCtx, TermKey, TermMap, phi_into, schouten_into, tm_add_into
 from ._linalg import Factorisation
-from .exactcore import grlex_key
-from .polyvec import PolyVector, basis_multivectors, mv_eq, mv_homogeneous_degree, mv_is_zero
+from .polyvec import PolyVector, basis_multivectors, canonical_keys, mv_eq, mv_homogeneous_degree, mv_is_zero
 from .twistcheck import TwistedStructure
 
 __all__ = [
@@ -147,10 +147,37 @@ def _span_sum(x: Sequence[Fraction], tms: Sequence[TermMap]) -> TermMap:
 
 
 def _equation_keys(fc: FastCtx, *tms: TermMap) -> List[TermKey]:
-    """The keys of the TermMaps, ordered by frame degree, frame, grlex monomial."""
-    bits = fc.bits
-    keys = set().union(*tms)
-    return sorted(keys, key=lambda key: (len(bits[key[0]]), bits[key[0]], grlex_key(key[1])))
+    """The keys of the TermMaps, in ``canonical_keys`` order."""
+    return canonical_keys(fc.n, set().union(*tms))
+
+
+def _replay(
+    fc: FastCtx,
+    basis: Sequence[TermMap],
+    cols: Sequence[TermMap],
+    orders: range,
+    rhs: Callable[[int], TermMap],
+    fixed: Terms,
+) -> Optional[Tuple[int, TermMap]]:
+    """Fix one unknown per order against one factorisation of cols.
+
+    At order m, rhs(m) is read with the lower orders fixed, and the unknown
+    of index m−1 is the combination of basis whose columns sum to it; a
+    nonzero one goes into fixed.  Returns the first inconsistent order with
+    its right-hand side, or None.
+    """
+    factored = Factorisation(cols, _equation_keys(fc, *cols))
+    for m in orders:
+        b = rhs(m)
+        if not b:
+            continue
+        consistent, x = factored.solve(b)
+        if not consistent:
+            return m, b
+        v = _span_sum(x, basis)
+        if v:
+            fixed[m - 1] = v
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +203,7 @@ def _defect(fc: FastCtx, H: TermMap, cs: Terms, k: int, scale=1) -> TermMap:
                 if l < 1:
                     break
                 if l in cs:
-                    phi_into(fc, H, [cs[i], cs[j], cs[l]], (2, 2, 2), -scale, acc)
+                    phi_into(fc, H, [cs[i], cs[j], cs[l]], -scale, acc)
     return acc
 
 
@@ -211,11 +238,13 @@ class SolveReport:
 def mc_solve(
     S: TwistedStructure, pi1: PolyVector, N: int, *, poly_degree: int
 ) -> SolveReport:
-    """Extend t·pi1 to a solution modulo t^{N+2}, order by order.
+    """Extend t·pi1 to a solution modulo t^{N+2}, order by order, for N ≥ 2.
 
-    The unknown at step k (2 ≤ k ≤ N) enters the order-(k+1) defect linearly
-    through 2[π₁,π_k]; the right-hand side is minus the order-(k+1) defect of
-    the orders already fixed.  The unknown ranges over frame-basis
+    At N = 1 nothing is solved or checked: t·pi1 comes back ``solved``, a
+    solution modulo t² only, even where [π₁, π₁] ≠ 0.  The unknown at step
+    k (2 ≤ k ≤ N) enters the order-(k+1) defect linearly through
+    2[π₁,π_k]; the right-hand side is minus the order-(k+1) defect of the
+    orders already fixed.  The unknown ranges over frame-basis
     bivectors with monomial coefficients of degree ≤ poly_degree.  Greedy:
     obstructions are relative to the lower-order choices already made.
 
@@ -250,18 +279,14 @@ def mc_solve(
         cols: List[TermMap] = [{} for _ in basis]
         for b, col in zip(basis, cols):
             schouten_into(fc, p1, b, 2, col)
-        factored = Factorisation(cols, _equation_keys(fc, *cols))
-        for k in range(2, N + 1):
-            rhs = _defect(fc, H, cs, k + 1, -1)
-            consistent, x = factored.solve(rhs)
-            if not consistent:
-                # order-(k+1) defect at the best candidate, which depends on
-                # the row choices of the whole system
-                x = Factorisation(cols, _equation_keys(fc, rhs, *cols)).solve(rhs)[1]
-                return report_obstructed(k + 1, _diff(_span_sum(x, cols), rhs))
-            pik = _span_sum(x, basis)
-            if pik:
-                cs[k] = pik
+        # order m fixes π_{m−1} against minus the order-m defect
+        bad = _replay(fc, basis, cols, range(3, N + 2), lambda m: _defect(fc, H, cs, m, -1), cs)
+        if bad:
+            # the defect at the best candidate, which depends on the row
+            # choices of the whole system
+            order, rhs = bad
+            x = Factorisation(cols, _equation_keys(fc, rhs, *cols)).solve(rhs)[1]
+            return report_obstructed(order, _diff(_span_sum(x, cols), rhs))
 
     if any(_defect(fc, H, cs, k) for k in range(1, N + 1)):
         raise RuntimeError("internal error: solved series fails its own defect check")
@@ -283,12 +308,10 @@ def _flow(fc: FastCtx, H: TermMap, gamma: Terms, xi: Terms, n_trunc: int) -> Ter
     bracket −[ξ_a, ·] reads t-order k−a, and the cubic term
     −(3/2)·l3(ξ_a, ·, ·) reads t-orders b1, b2 with a+b1+b2 = k.  One pass
     over k = 1..N therefore builds the fixed point exactly, each entry from
-    final ones.  Coefficients of gamma may have any degrees, so each finished
-    entry is split by frame degree once, for the contraction; each ξ
-    coefficient is a vector field.
+    final ones.  Coefficients of gamma may have any degrees, which the term
+    engine reads off their frames.
     """
     rows: Dict[int, List[Tuple[int, TermMap]]] = {}  # t-order -> [(s-power, entry)]
-    parts: Dict[int, List[Tuple[int, List[Tuple[int, TermMap]]]]] = {}  # the same, split
     totals: Terms = {}
     for k in range(1, n_trunc + 1):
         out: Dict[int, TermMap] = {0: gamma[k]} if gamma.get(k) else {}
@@ -296,16 +319,12 @@ def _flow(fc: FastCtx, H: TermMap, gamma: Terms, xi: Terms, n_trunc: int) -> Ter
             for m, gv in rows.get(k - a, ()):
                 # an int scale at m = 0 keeps integral coefficients ints
                 schouten_into(fc, xv, gv, Fraction(-1, m + 1) if m else -1, out.setdefault(m + 1, {}))
-            for b1 in range(1, k - a):
-                for m1, p1 in parts.get(b1, ()):
-                    for m2, p2 in parts.get(k - a - b1, ()):
+            for b1 in range(1, k - a) if H else ():
+                for m1, g1 in rows.get(b1, ()):
+                    for m2, g2 in rows.get(k - a - b1, ()):
                         m = m1 + m2 + 1
-                        acc = out.setdefault(m, {})
-                        for (d1, g1), (d2, g2) in itertools.product(p1, p2):
-                            phi_into(fc, H, [xv, g1, g2], (1, d1, d2), Fraction(-3, 2 * m), acc)
+                        phi_into(fc, H, [xv, g1, g2], Fraction(-3, 2 * m), out.setdefault(m, {}))
         rows[k] = [(m, v) for m, v in out.items() if v]
-        if H:
-            parts[k] = [(m, split_degrees(fc, v)) for m, v in rows[k]]
         total: TermMap = {}
         for _, v in rows[k]:
             tm_add_into(total, v)
@@ -383,19 +402,10 @@ def gauge_equivalent(
     cols: List[TermMap] = [{} for _ in basis]
     for b, col in zip(basis, cols):
         schouten_into(fc, b, start.get(1, {}), -1, col)
-    factored = Factorisation(cols, _equation_keys(fc, *cols))
     xi: Terms = {}
-    for m in range(2, n_trunc + 1):
-        current = _flow(fc, H, start, xi, n_trunc).get(m, {})
-        delta = _diff(target.get(m, {}), current)
-        if not delta:
-            continue
-        consistent, x = factored.solve(delta)
-        if not consistent:
-            return GaugeReport(False, None, poly_degree)
-        v = _span_sum(x, basis)
-        if v:
-            xi[m - 1] = v
+    delta = lambda m: _diff(target.get(m, {}), _flow(fc, H, start, xi, n_trunc).get(m, {}))  # noqa: E731
+    if _replay(fc, basis, cols, range(2, n_trunc + 1), delta, xi):
+        return GaugeReport(False, None, poly_degree)
 
     if _flow(fc, H, start, xi, n_trunc) != target:
         raise RuntimeError("internal error: assembled witness fails its self-check")

@@ -36,6 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._fastterms import (
     FastCtx,
+    TermKey,
     TermMap,
     _shared_tables,
     phi_into,
@@ -43,7 +44,7 @@ from ._fastterms import (
     tm_add_into,
     wedge_into,
 )
-from .exactcore import Exponents, Poly, VarContext, exact_scalar, monomials_upto
+from .exactcore import Exponents, Poly, VarContext, exact_scalar, grlex_key, monomials_upto
 
 Frame = Tuple[int, ...]
 
@@ -53,6 +54,7 @@ __all__ = [
     "PolyVector",
     "basis_keys",
     "basis_multivectors",
+    "canonical_keys",
     "contract",
     "d_form",
     "form_add",
@@ -335,8 +337,7 @@ def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
     <alpha, X_1 ^ ... ^ X_k> = sum_i (-1)^(i-1) alpha(X_i) X_1 ^ ... ^ X_k
     with slot i removed; A-bilinear in both arguments.  This is the
     contraction cochain of alpha on one argument, whose sign does not
-    depend on the argument's degree (declared 0 here, so mixed-degree v
-    is fine).
+    depend on the argument's degree, so mixed-degree v is fine.
     """
     ctx = _operands(PolyVector, v)
     if _operands(DiffForm, alpha) != ctx:
@@ -344,7 +345,7 @@ def contract(alpha: DiffForm, v: PolyVector) -> PolyVector:
     if any(m.bit_count() != 1 for m, _ in alpha._tm):
         raise ValueError("contract expects a homogeneous one-form")
     acc: TermMap = {}
-    phi_into(FastCtx(ctx.n), alpha._tm, [v._tm], (0,), 1, acc)
+    phi_into(FastCtx(ctx.n), alpha._tm, [v._tm], 1, acc)
     return PolyVector._wrap(ctx, acc)
 
 
@@ -376,6 +377,12 @@ def basis_keys(
             m = sum(1 << i for i in frame)
             for exps in monos:
                 yield m, exps, k
+
+
+def canonical_keys(n: int, keys: Iterable[TermKey]) -> List[TermKey]:
+    """TermMap keys sorted in the order of ``basis_keys``: frame degree, frame, grlex monomial."""
+    bits = _shared_tables(n)[1]
+    return sorted(keys, key=lambda key: (len(bits[key[0]]), bits[key[0]], grlex_key(key[1])))
 
 
 def basis_multivectors(

@@ -5,12 +5,12 @@ into a pair (l2, l3): l2 is the structure cochain ``m_value(a, b)``, the
 sign-adjusted bracket, and l3 contracts arguments into H (``phi_value`` of
 H), so a ``TwistedStructure`` carries just the checked form.
 ``phi_value(omega, args)`` evaluates the contraction cochain of any
-homogeneous k-form on k arguments; both values split mixed-degree
-arguments into homogeneous components by frame degree and sum
-``_fastterms.phi_into`` or ``_fastterms.m_into`` into one TermMap with one
-engine context.  ``mc_defect`` sums the quadratic-cubic defect of a
-bivector on the term engine; the l2/l3 compatibility relations are swept
-by ``_fastsweep`` (``linfty_jacobi``, ``linfty_mixed``, ``linfty_ternary``).
+homogeneous k-form on k arguments; both values hand their arguments'
+TermMaps, of any mix of degrees, to ``_fastterms.phi_into`` or
+``_fastterms.m_into``, which read each term's degree off its frame.
+``mc_defect`` sums the quadratic-cubic defect of a bivector on the term
+engine; the l2/l3 compatibility relations are swept by ``_fastsweep``
+(``linfty_jacobi``, ``linfty_mixed``, ``linfty_ternary``).
 
 Sign conventions (fixed package-wide, see docs/sign-ledger.md):
 
@@ -31,11 +31,10 @@ Sign conventions (fixed package-wide, see docs/sign-ledger.md):
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._fastterms import FastCtx, TermMap, m_into, phi_into, schouten_into, split_degrees
+from ._fastterms import FastCtx, TermMap, m_into, phi_into, schouten_into
 from .exactcore import VarContext
 from .polyvec import (
     DiffForm,
@@ -74,12 +73,9 @@ def phi_value(omega: DiffForm, args: Sequence[PolyVector]) -> PolyVector:
     ctx = omega.ctx
     if any(a.ctx != ctx for a in args):
         raise ValueError("context mismatch")
-    fc = FastCtx(ctx.n)
     acc: TermMap = {}
     if omega._tm:
-        parts = [split_degrees(fc, a._tm) for a in args]
-        for combo in itertools.product(*parts):
-            phi_into(fc, omega._tm, [tm for _, tm in combo], [d for d, _ in combo], 1, acc)
+        phi_into(FastCtx(ctx.n), omega._tm, [a._tm for a in args], 1, acc)
     return PolyVector._wrap(ctx, acc)
 
 
@@ -87,10 +83,8 @@ def m_value(a: PolyVector, b: PolyVector) -> PolyVector:
     """The structure cochain m(a, b) = (-1)^{|a|-1}[a, b], summed over a's degrees."""
     if a.ctx != b.ctx:
         raise ValueError("context mismatch")
-    fc = FastCtx(a.ctx.n)
     acc: TermMap = {}
-    for deg, A in split_degrees(fc, a._tm):
-        m_into(fc, A, b._tm, deg, 1, acc)
+    m_into(FastCtx(a.ctx.n), a._tm, b._tm, 1, acc)
     return PolyVector._wrap(a.ctx, acc)
 
 
@@ -147,7 +141,7 @@ def mc_defect(S: TwistedStructure, pi: PolyVector) -> PolyVector:
     acc: TermMap = {}
     schouten_into(fc, P, P, 1, acc)
     if S.H._tm:
-        phi_into(fc, S.H._tm, [P, P, P], (2, 2, 2), -1, acc)
+        phi_into(fc, S.H._tm, [P, P, P], -1, acc)
     return PolyVector._wrap(S.ctx, acc)
 
 

@@ -68,7 +68,7 @@ class _Pool:
     def m_pair(self, i: int, j: int) -> TermMap:
         got = self._mpairs.get((i, j))
         if got is None:
-            got = m_terms(self.fc, self.tms[i], self.tms[j], self.degs[i])
+            got = m_terms(self.fc, self.tms[i], self.tms[j])
             self._mpairs[(i, j)] = got
         return got
 
@@ -85,12 +85,7 @@ class _PhiSubsetCache:
         got = self.store.get(ids)
         if got is None:
             pool = self.pool
-            got = phi_eval(
-                pool.fc,
-                self.form_terms,
-                [pool.tms[i] for i in ids],
-                [pool.degs[i] for i in ids],
-            )
+            got = phi_eval(pool.fc, self.form_terms, [pool.tms[i] for i in ids])
             self.store[ids] = got
         return got
 
@@ -234,7 +229,7 @@ def _differential_of_phi(
     form_terms = {(mask, exps): 1}
     r = e + 1
     if e == 0:
-        return m_terms(fc, {(0, exps): 1}, args[0], 0)
+        return m_terms(fc, {(0, exps): 1}, args[0])
     acc: TermMap = {}
     outer_sign = 1 if e & 1 else -1  # -(-1)^(e-2)
     for subset in itertools.combinations(range(r), e):
@@ -242,30 +237,22 @@ def _differential_of_phi(
         if phi_subset is not None:
             inner = phi_subset(subset)
         else:
-            inner = phi_eval(
-                fc, form_terms, [args[s] for s in subset], [degs[s] for s in subset]
-            )
+            inner = phi_eval(fc, form_terms, [args[s] for s in subset])
         if not inner:
             continue
         (rest,) = [s for s in range(r) if s not in subset]
-        inner_deg = sum(degs[s] for s in subset) - e
-        tm_add_into(acc, m_terms(fc, inner, args[rest], inner_deg), eps)
+        tm_add_into(acc, m_terms(fc, inner, args[rest]), eps)
     for subset in itertools.combinations(range(r), 2):
         eps = unshuffle_sign_fast(degs, subset)
         s1, s2 = subset
         if m_pair is not None:
             inner = m_pair(s1, s2)
         else:
-            inner = m_terms(fc, args[s1], args[s2], degs[s1])
+            inner = m_terms(fc, args[s1], args[s2])
         if not inner:
             continue
         rest = [s for s in range(r) if s not in subset]
-        val = phi_eval(
-            fc,
-            form_terms,
-            [inner] + [args[s] for s in rest],
-            [degs[s1] + degs[s2] - 1] + [degs[s] for s in rest],
-        )
+        val = phi_eval(fc, form_terms, [inner] + [args[s] for s in rest])
         tm_add_into(acc, val, eps * outer_sign)
     return acc
 
@@ -321,7 +308,7 @@ def lemma_differential(
                 m_pair=lambda s1, s2: pool.m_pair(idx[s1], idx[s2]),
             )
             if dform_fast:
-                rhs = phi_eval(fc, dform_fast, [pool.tms[i] for i in idx], degs)
+                rhs = phi_eval(fc, dform_fast, [pool.tms[i] for i in idx])
                 tm_add_into(acc, rhs, -1)
             if acc:
                 els = tuple(pool.els[i] for i in idx)
@@ -392,13 +379,7 @@ def lemma_bracket_vanishes(
                         rest = [s for s in range(r) if s not in subset]
                         tm_add_into(
                             acc,
-                            phi_eval(
-                                fc,
-                                terms_a,
-                                [inner] + [pool.tms[idx[s]] for s in rest],
-                                [sum(degs[s] for s in subset) - eb]
-                                + [degs[s] for s in rest],
-                            ),
+                            phi_eval(fc, terms_a, [inner] + [pool.tms[idx[s]] for s in rest]),
                             eps,
                         )
                 for subset in sub_a:
@@ -408,13 +389,7 @@ def lemma_bracket_vanishes(
                         rest = [s for s in range(r) if s not in subset]
                         tm_add_into(
                             acc,
-                            phi_eval(
-                                fc,
-                                terms_b,
-                                [inner] + [pool.tms[idx[s]] for s in rest],
-                                [sum(degs[s] for s in subset) - ea]
-                                + [degs[s] for s in rest],
-                            ),
+                            phi_eval(fc, terms_b, [inner] + [pool.tms[idx[s]] for s in rest]),
                             -sign * eps,
                         )
                 if acc:
@@ -456,10 +431,7 @@ def linfty_jacobi(
             if not inner:
                 continue
             (rest,) = [s for s in range(3) if s not in subset]
-            inner_deg = degs[s1] + degs[s2] - 1
-            tm_add_into(
-                acc, m_terms(fc, inner, pool.tms[idx[rest]], inner_deg), 2 * eps
-            )
+            tm_add_into(acc, m_terms(fc, inner, pool.tms[idx[rest]]), 2 * eps)
         if acc:
             els3 = tuple(els[i] for i in idx)
             return CheckReport(
@@ -508,8 +480,7 @@ def linfty_mixed(
             if not inner:
                 continue
             (rest,) = [s for s in range(4) if s not in subset]
-            inner_deg = sum(degs[s] for s in subset) - 3
-            tm_add_into(acc, m_terms(fc, inner, pool.tms[idx[rest]], inner_deg), eps)
+            tm_add_into(acc, m_terms(fc, inner, pool.tms[idx[rest]]), eps)
         for subset in subsets2:
             eps = unshuffle_sign_fast(degs, subset)
             s1, s2 = subset
@@ -518,8 +489,7 @@ def linfty_mixed(
                 continue
             rest = [s for s in range(4) if s not in subset]
             inner_args = [inner] + [pool.tms[idx[s]] for s in rest]
-            inner_degs = [degs[s1] + degs[s2] - 1] + [degs[s] for s in rest]
-            tm_add_into(acc, phi_eval(fc, Hfast, inner_args, inner_degs), eps)
+            tm_add_into(acc, phi_eval(fc, Hfast, inner_args), eps)
         if acc:
             cur = tuple(els[i] for i in idx)
             return CheckReport(
@@ -567,8 +537,7 @@ def linfty_ternary(
                 continue
             rest = [s for s in range(5) if s not in subset]
             inner_args = [inner] + [pool.tms[idx[s]] for s in rest]
-            inner_degs = [sum(degs[s] for s in subset) - 3] + [degs[s] for s in rest]
-            tm_add_into(acc, phi_eval(fc, Hfast, inner_args, inner_degs), 2 * eps)
+            tm_add_into(acc, phi_eval(fc, Hfast, inner_args), 2 * eps)
         if acc:
             cur = tuple(els[i] for i in idx)
             return CheckReport(

@@ -28,10 +28,10 @@ def schouten_terms(fc: FastCtx, A: TermMap, B: TermMap) -> TermMap:
     return acc
 
 
-def m_terms(fc: FastCtx, A: TermMap, B: TermMap, deg_a: int) -> TermMap:
-    """m(a, b) = (-1)^{|a|-1}[a, b] for homogeneous a of degree deg_a."""
+def m_terms(fc: FastCtx, A: TermMap, B: TermMap) -> TermMap:
+    """m(a, b) = (-1)^{|a|-1}[a, b], summed over the terms a of A."""
     acc: TermMap = {}
-    m_into(fc, A, B, deg_a, 1, acc)
+    m_into(fc, A, B, 1, acc)
     return acc
 
 

@@ -451,7 +451,7 @@ def test_criterion_7_twisted_oracle(capsys):
         fc = FastCtx(ctx.n)
         P = to_termmap(fc, pi)
         lhs_fast = schouten_terms(fc, P, P)
-        rhs_fast = phi_eval(fc, to_termmap(fc, H), [P, P, P], [2, 2, 2])
+        rhs_fast = phi_eval(fc, to_termmap(fc, H), [P, P, P])
         routes_agree = lhs_fast == to_termmap(fc, lhs) and rhs_fast == to_termmap(fc, rhs)
         acc = {}
         tm_add_into(acc, lhs_fast)

@@ -129,30 +129,17 @@ def test_fast_linfty_mixed_matches_cochain_route(data):
     acc = {}
     for subset in itertools.combinations(range(4), 3):
         eps = koszul_unshuffle_sign(degs, subset)
-        inner = phi_eval(fc, Hfast, [args[s] for s in subset], [degs[s] for s in subset])
+        inner = phi_eval(fc, Hfast, [args[s] for s in subset])
         if inner:
             (rest,) = [s for s in range(4) if s not in subset]
-            tm_add_into(
-                acc,
-                m_terms(fc, inner, args[rest], sum(degs[s] for s in subset) - 3),
-                eps,
-            )
+            tm_add_into(acc, m_terms(fc, inner, args[rest]), eps)
     for subset in itertools.combinations(range(4), 2):
         eps = koszul_unshuffle_sign(degs, subset)
         s1, s2 = subset
-        inner = m_terms(fc, args[s1], args[s2], degs[s1])
+        inner = m_terms(fc, args[s1], args[s2])
         if inner:
             rest = [s for s in range(4) if s not in subset]
-            tm_add_into(
-                acc,
-                phi_eval(
-                    fc,
-                    Hfast,
-                    [inner] + [args[s] for s in rest],
-                    [degs[s1] + degs[s2] - 1] + [degs[s] for s in rest],
-                ),
-                eps,
-            )
+            tm_add_into(acc, phi_eval(fc, Hfast, [inner] + [args[s] for s in rest]), eps)
     assert mv_eq(from_termmap(PolyVector, CTX3, fc, acc), generic)
 
 

@@ -170,7 +170,7 @@ def test_contraction_of_multi_term_form_matches_phi_into():
     for ids in itertools.product(range(len(pool.els)), repeat=2):
         want = {}
         args = [{pool.keys[x]: 1} for x in ids]
-        _fastterms.phi_into(fc, dalpha, args, [pool.deg[x] for x in ids], 1, want)
+        _fastterms.phi_into(fc, dalpha, args, 1, want)
         assert _unit_value(pool, table.fill(fs._pack(ids))) == want, ids
         nonzero += bool(want)
     assert nonzero > 0
@@ -262,8 +262,8 @@ def flipped_contraction_sign(monkeypatch):
     """
     frame_entry = _fastterms._frame_entry
 
-    def flipped(fc, comask, masks, degs):
-        hit = frame_entry(fc, comask, masks, degs)
+    def flipped(fc, comask, masks):
+        hit = frame_entry(fc, comask, masks)
         if hit and (comask, masks) == (0b011, (0b001, 0b010)):
             return hit[0], -hit[1]
         return hit

@@ -106,7 +106,7 @@ def test_fast_wedge_matches_reference_n3(a, b):
 def test_fast_structure_op_matches_cochain(ka, b):
     k, a = ka
     m = ref.structure_cochain(CTX2)
-    fast = from_fast(FC2, CTX2, m_terms(FC2, to_fast(FC2, a), to_fast(FC2, b), k))
+    fast = from_fast(FC2, CTX2, m_terms(FC2, to_fast(FC2, a), to_fast(FC2, b)))
     assert mv_eq(fast, ref.evaluate(m, (a, b)))
 
 
@@ -123,8 +123,6 @@ def test_fast_structure_op_matches_cochain(ka, b):
 )
 def test_fast_phi_matches_reference_two_form(omega, args):
     a1, a2 = args
-    d1 = len(next(iter(a1.terms))) if a1.terms else 1
-    d2 = len(next(iter(a2.terms))) if a2.terms else 1
     fast = from_fast(
         FC3,
         CTX3,
@@ -132,7 +130,6 @@ def test_fast_phi_matches_reference_two_form(omega, args):
             FC3,
             to_fast(FC3, omega),
             [to_fast(FC3, a1), to_fast(FC3, a2)],
-            [d1, d2],
         ),
     )
     assert mv_eq(fast, ref.evaluate(ref.phi(omega, 2), (a1, a2)))
@@ -153,7 +150,6 @@ def test_fast_phi_matches_reference_three_form(omega, a1, a2, a3):
             FC3,
             to_fast(FC3, omega),
             [to_fast(FC3, a1), to_fast(FC3, a2), to_fast(FC3, a3)],
-            [2, 2, 1],
         ),
     )
     assert mv_eq(fast, ref.evaluate(ref.phi(omega, 3), (a1, a2, a3)))
@@ -165,7 +161,7 @@ def test_fast_phi_frozen_r4_oracle():
     pi = mv_add(mv_frame(CTX4, (0, 1)), mv_frame(CTX4, (2, 3)))
     t = to_fast(FC4, pi)
     val = from_fast(
-        FC4, CTX4, phi_eval(FC4, to_fast(FC4, H), [t, t, t], [2, 2, 2])
+        FC4, CTX4, phi_eval(FC4, to_fast(FC4, H), [t, t, t])
     )
     assert mv_eq(val, mv_make(CTX4, [((0, 1, 3), poly_from_terms(4, [(6, (0,) * 4)]))]))
 
@@ -174,7 +170,7 @@ def test_fast_phi_rejects_degree_mismatch():
     one = poly_from_terms(3, [(1, (0, 0, 0))])
     H = to_fast(FC3, form_make(CTX3, [((0, 1, 2), one)]))
     with pytest.raises(ValueError):
-        phi_eval(FC3, H, [to_fast(FC3, mv_frame(CTX3, (0,)))], [1])
+        phi_eval(FC3, H, [to_fast(FC3, mv_frame(CTX3, (0,)))])
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +195,10 @@ def _wedge(fc, a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_term_maps(3), _term_maps(3), st.integers(0, 3), st.data())
-def test_producers_store_no_zeros(a, b, deg_a, data):
+@given(_term_maps(3), _term_maps(3), st.data())
+def test_producers_store_no_zeros(a, b, data):
     assert _zero_free(schouten_terms(FC3, a, b))
-    assert _zero_free(m_terms(FC3, a, b, deg_a))
+    assert _zero_free(m_terms(FC3, a, b))
     acc = dict(a)
     tm_add_into(acc, b, data.draw(st.sampled_from([1, -1, 2])))
     assert _zero_free(acc)
@@ -216,15 +212,14 @@ def test_producers_store_no_zeros(a, b, deg_a, data):
     assert _zero_free(_wedge(FC3, {(x.mask, x.exps): 1}, b))
     k = FC3.pop[ma]
     args = [data.draw(_term_maps(3)) for _ in range(k)]
-    degs = [data.draw(st.integers(0, 3)) for _ in range(k)]
-    assert _zero_free(phi_eval(FC3, {(ma, ea): 2, (ma, eb): Fraction(1, 3)}, args, degs))
+    assert _zero_free(phi_eval(FC3, {(ma, ea): 2, (ma, eb): Fraction(1, 3)}, args))
 
 
 def test_producers_drop_exact_cancellations():
     z = (0, 0, 0)
     euler = {(0b001, (1, 0, 0)): 1}  # x d/dx: [X, X] = 0 for a vector field
     assert schouten_terms(FC3, euler, euler) == {}
-    assert m_terms(FC3, euler, euler, 1) == {}
+    assert m_terms(FC3, euler, euler) == {}
     pi = {(0b011, z): 1, (0b110, (1, 0, 0)): Fraction(-1, 2)}
     acc = dict(pi)
     tm_add_into(acc, pi, -1)
@@ -232,7 +227,7 @@ def test_producers_drop_exact_cancellations():
     theta = Element(0b001, z, 1)
     assert _wedge(FC3, {(theta.mask, theta.exps): 1}, {(theta.mask, theta.exps): 1}) == {}
     form = {(0b001, z): 1, (0b010, z): 1}
-    assert phi_eval(FC3, form, [{(0b001, z): 1, (0b010, z): -1}], [1]) == {}
+    assert phi_eval(FC3, form, [{(0b001, z): 1, (0b010, z): -1}]) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +239,16 @@ SCALES = [1, -1, 2, Fraction(1, 3)]
 def _into_cases(data):
     """(op_into(acc, scale), op()) pairs for one drawn input of each operation."""
     a, b = data.draw(_term_maps(3)), data.draw(_term_maps(3))
-    deg_a = data.draw(st.integers(0, 3))
     comask = data.draw(st.integers(0, 7))
     z = (0, 0, 0)
     form = {(comask, z): 2, (comask, (1, 0, 0)): Fraction(-1, 3)}
     k = FC3.pop[comask]
     args = [data.draw(_term_maps(3)) for _ in range(k)]
-    degs = [data.draw(st.integers(0, 3)) for _ in range(k)]
     return [
         (lambda acc, s: schouten_into(FC3, a, b, s, acc), lambda: schouten_terms(FC3, a, b)),
-        (lambda acc, s: m_into(FC3, a, b, deg_a, s, acc), lambda: m_terms(FC3, a, b, deg_a)),
+        (lambda acc, s: m_into(FC3, a, b, s, acc), lambda: m_terms(FC3, a, b)),
         (lambda acc, s: wedge_into(FC3, a, b, s, acc), lambda: _wedge(FC3, a, b)),
-        (lambda acc, s: phi_into(FC3, form, args, degs, s, acc), lambda: phi_eval(FC3, form, args, degs)),
+        (lambda acc, s: phi_into(FC3, form, args, s, acc), lambda: phi_eval(FC3, form, args)),
     ]
 
 
@@ -291,5 +284,5 @@ def test_phi_into_rejects_degree_mismatch_without_touching_acc():
     theta = to_fast(FC3, mv_frame(CTX3, (0,)))
     acc = {(0b001, (0, 0, 0)): 3}
     with pytest.raises(ValueError):
-        phi_into(FC3, H, [theta], [1], 2, acc)
+        phi_into(FC3, H, [theta], 2, acc)
     assert acc == {(0b001, (0, 0, 0)): 3}
