@@ -129,19 +129,19 @@ def _half_plan(fc: FastCtx, m1: int, m2: int, sign: int) -> Tuple[Tuple[int, int
     """(i, output mask, sign) for each index i of m1 that D(theta(m1), theta(m2)) keeps.
 
     D(a, b) = sum_i (a dtheta_i^R) . d(b)/dx_i: the right derivative at
-    position pos of a length-k frame carries (-1)^(k-pos-1), and the reduced
-    frame is merged with m2 (indices that overlap drop out).
+    position pos of a length-k frame carries (-1)^(k-pos-1): (-1)^(k-1) times
+    (-1)^pos, the merge sign of theta_i in front of the reduced frame.  The
+    reduced frame is merged with m2 (indices that overlap drop out).
     """
     plan = []
-    k1m1 = fc.pop[m1] - 1
+    merge = fc.merge
+    lead = -sign if (fc.pop[m1] - 1) & 1 else sign
     for i in fc.bits[m1]:
         im = 1 << i
         red = m1 ^ im
-        s = fc.merge[red][m2]
+        s = merge[red][m2]
         if s:
-            if (k1m1 - fc.pop[red & (im - 1)]) & 1:
-                s = -s
-            plan.append((i, red | m2, s * sign))
+            plan.append((i, red | m2, s * merge[im][red] * lead))
     return tuple(plan)
 
 
@@ -271,16 +271,13 @@ def _frame_entry(fc: FastCtx, comask: int, masks: Tuple[int, ...]) -> Optional[T
     merge = fc.merge
     pop = fc.pop
     degs = [pop[m] for m in masks]
-    # tab[pos][slot]: contraction of coordinate cobits[pos] against slot
+    # tab[pos][slot]: contraction of coordinate cobits[pos] against slot,
+    # signed by moving theta_j to the front of the slot's frame
     tab = []
     for j in fc.bits[comask]:
         jb = 1 << j
-        tab.append(
-            [
-                (m ^ jb, -1 if pop[m & (jb - 1)] & 1 else 1) if m & jb else None
-                for m in masks
-            ]
-        )
+        row = merge[jb]
+        tab.append([(m ^ jb, row[m ^ jb]) if m & jb else None for m in masks])
     out_mask = 0
     coeff = 0
     cands = [tuple(s for s in range(k) if row[s]) for row in tab]

@@ -574,7 +574,7 @@ def cmd_verify(args) -> int:
 
     lines = suites.run_verify(args.suite)
     if args.emit == "json":
-        _emit(suites.render_json(args.suite, lines))
+        _emit_json(suites.render_json(args.suite, lines))
     else:
         _emit(suites.render_text(args.suite, lines))
     return 0 if all(ln.passed for ln in lines) else 1

@@ -425,11 +425,10 @@ def render_text(suite: str, lines: List[CheckLine]) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_json(suite: str, lines: List[CheckLine]) -> str:
-    import json
-
+def render_json(suite: str, lines: List[CheckLine]) -> dict:
+    """The report as the payload that ``verify --emit json`` writes."""
     failed = sum(1 for ln in lines if not ln.passed)
-    payload = {
+    return {
         "command": "verify",
         "suite": suite,
         "checks": [
@@ -444,4 +443,3 @@ def render_json(suite: str, lines: List[CheckLine]) -> str:
         "result": "PASS" if failed == 0 else "FAIL",
         "failed": failed,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

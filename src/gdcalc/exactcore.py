@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
 Poly = Dict[Exponents, Fraction]
@@ -47,7 +47,6 @@ __all__ = [
     "partial_derive",
     "poly_add",
     "poly_const",
-    "poly_exact",
     "poly_from_terms",
     "poly_is_zero",
     "poly_mul",
@@ -104,16 +103,6 @@ def exact_scalar(c) -> Fraction:
     if type(c) is not int and type(c) is not Fraction:
         raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
     return Fraction(c)
-
-
-def poly_exact(p: Mapping[Exponents, object]) -> Poly:
-    """A fresh copy of p with Fraction coefficients and no zeros; floats are refused."""
-    out: Poly = {}
-    for e, c in p.items():
-        c = exact_scalar(c)
-        if c:
-            out[e] = c
-    return out
 
 
 def poly_from_terms(n: int, terms: Iterable[Tuple[object, Exponents]]) -> Poly:

@@ -14,15 +14,15 @@ Signs are documented in docs/sign-ledger.md.
 An operator stores one coefficient form: int numerators over one positive
 common denominator, which need not be the least.  Reading ``terms`` builds
 the map {slot orders: coefficient polynomial} with reduced ``Fraction``
-coefficients and no stored zeros, fresh on every read.  An operator is
-well formed from the moment it exists: ``MultiDiffOp(ctx, arity, terms)``
-runs ``_check_op`` on the given map, which checks its slot counts, each
-distinct multi-index, the variable count of every coefficient monomial, and
-that each coefficient is a nonzero ``int`` or ``Fraction`` in a nonempty
-polynomial, refusing a malformed operator with ``ValueError``, and stores
-its int form.  ``mdo_make`` also checks the slot orders of every term it is
-given, those that cancel away included.  Operators the kernels compute are
-built unchecked by ``_op``, and no operator is checked again.
+coefficients and no stored zeros, fresh on every read.  One routine,
+``_int_form``, reads a caller's terms: it checks every term, those that
+cancel included (its slot counts and multi-indices, the variable count of
+each coefficient monomial, and that each coefficient is an ``int`` or a
+``Fraction``), refusing a malformed one with ``ValueError``, and sums them
+into int form.  ``MultiDiffOp(ctx, arity, terms)`` calls it strictly, so
+an empty polynomial or a stored zero is refused too; ``mdo_make`` calls it
+on any iterable of terms and drops what cancels.  Operators the kernels
+compute are built unchecked by ``_op``, and no operator is checked again.
 
 Inside, a term is keyed by its packed slot orders: one int per slot, each
 variable's order in a field of ``_W`` = 8 bits, variable 0 in the most
@@ -47,13 +47,14 @@ field's lcm times k! for ``hkr``.  So chained operations make no
 ``Fraction`` arithmetic at all.
 
 A brace is one fused kernel, ``_brace_into``.  The insertion options of an
-operator into a slot of order β are computed once per call and block, with
-the multinomial multiplicity of the split, and for the first block the
-block sign, already multiplied into the derived coefficient; the last block
-is multiplied straight into the output map by ``exactcore.mul_into``.  So a
-product term costs one int multiplication, plus one addition when it lands
-on a monomial already present.  The bracket calls the kernel twice into one
-map, the second time with the sign of ``E{D}`` folded in.
+operator into a slot of order β are computed once per call, block and β,
+with the multinomial multiplicity of the split already multiplied into the
+derived coefficient; the block sign is applied once per choice of slots, by
+reading the outer operator's numerators or their negated copy.  The last
+block is multiplied straight into the output map by ``exactcore.mul_into``.
+So a product term costs one int multiplication, plus one addition when it
+lands on a monomial already present.  The bracket calls the kernel twice
+into one map, the second time with the sign of ``E{D}``.
 
 The primitive search builds its columns directly.  δ never touches a
 coefficient, so the image of the candidate x^m·∂^{β₁}⊗…⊗∂^{β_k} is the
@@ -97,10 +98,7 @@ from .exactcore import (
     koszul_sign,
     monomials_upto,
     mul_into,
-    poly_add,
-    poly_exact,
     poly_from_terms,
-    poly_is_zero,
     poly_mul,
 )
 from .polyvec import PolyVector, mv_homogeneous_degree, mv_is_zero
@@ -120,7 +118,6 @@ __all__ = [
     "mdo_scale",
     "mdo_eq",
     "mdo_is_zero",
-    "apply_mdo",
     "poly_derive_multi",
     "hoch_delta",
     "brace",
@@ -146,9 +143,8 @@ class MultiDiffOp:
     __slots__ = ("ctx", "arity", "_nums", "_den", "_top")
 
     def __init__(self, ctx: VarContext, arity: int, terms: Dict[Orders, Poly]):
-        den, top = _check_op(ctx, arity, terms)
-        self.ctx, self.arity, self._den, self._top = ctx, arity, den, top
-        self._nums = {tuple(map(_pack, o)): _poly_numerators(p, den) for o, p in terms.items()}
+        self.ctx, self.arity = ctx, arity
+        self._nums, self._den, self._top = _int_form(ctx, arity, terms.items(), True)
 
     @property
     def terms(self) -> Dict[Orders, Poly]:
@@ -217,56 +213,52 @@ def _validate_orders(ctx: VarContext, arity: int, orders: Orders) -> None:
             )
 
 
-def _check_op(ctx: VarContext, arity: int, terms: Dict[Orders, Poly]) -> Tuple[int, int]:
-    """Validate a caller's map: slot counts, each distinct multi-index once
-    (non-negative int orders below ``_LIMIT``), the variable count of every
-    coefficient monomial, and each coefficient (a nonzero ``int`` or
-    ``Fraction``, in a nonempty polynomial).  Returns the lcm of the
-    coefficient denominators and the largest slot order."""
-    betas = set()
-    den = 1
-    for orders, p in terms.items():
-        if len(orders) != arity:
-            _validate_orders(ctx, arity, orders)
-        if not p:
+def _int_form(
+    ctx: VarContext, arity: int, terms: Iterable[Tuple[Orders, Poly]], strict: bool
+) -> Tuple[Dict[PackedOrders, Poly], int, int]:
+    """Caller-supplied (slot orders, polynomial) pairs summed into int form:
+    (numerators keyed by packed slot orders, their common denominator, the
+    largest slot order left).
+
+    Every term is checked, whether or not it cancels: its slot orders
+    (``_validate_orders``), the variable count of each monomial, and that
+    each coefficient is an int or a Fraction; ``strict`` also refuses an
+    empty polynomial and a stored zero.  Whatever cancels is dropped.
+    """
+    n = ctx.n
+    den, given, tops = 1, [], {}
+    for orders, poly in terms:
+        orders = tuple(map(tuple, orders))
+        _validate_orders(ctx, arity, orders)
+        if strict and not poly:
             raise ValueError(f"coefficient of {orders!r} is the empty polynomial")
-        for e, c in p.items():
-            if len(e) != ctx.n:
-                raise ValueError(f"coefficient of {orders!r} is not over {ctx.n} variables")
+        for e, c in poly.items():
+            if len(e) != n:
+                raise ValueError(f"coefficient of {orders!r} is not over {n} variables")
             if type(c) is not Fraction and type(c) is not int:
                 raise ValueError(f"coefficient {c!r} of {orders!r} is not an int or a Fraction")
-            num, d = c.as_integer_ratio()
-            if not num:
+            if strict and not c:
                 raise ValueError(f"coefficient of {orders!r} stores a zero")
-            if den % d:
-                den = lcm(den, d)
-        betas.update(orders)
-    for beta in betas:
-        _validate_orders(ctx, 1, (beta,))
-    return den, max((max(beta, default=0) for beta in betas), default=0)
-
-
-def _poly_numerators(p: Poly, den: int) -> Poly:
-    out = {}
-    for e, c in p.items():
-        num, d = c.as_integer_ratio()
-        out[e] = num * (den // d)
-    return out
+            if den % c.denominator:
+                den = lcm(den, c.denominator)
+        key = tuple(map(_pack, orders))
+        tops[key] = max((max(beta, default=0) for beta in orders), default=0)
+        given.append((key, poly))
+    nums: Dict[PackedOrders, Poly] = {}
+    for key, poly in given:
+        add_term_into(nums, key, {e: c.numerator * (den // c.denominator) for e, c in poly.items() if c})
+    return nums, den, max(map(tops.get, nums), default=0)
 
 
 def mdo_make(
     ctx: VarContext, arity: int, terms: Iterable[Tuple[Orders, Poly]]
 ) -> MultiDiffOp:
-    """Validating constructor: checks and canonicalizes every given term.
+    """Validating constructor: checks every given term, those that cancel
+    included, and sums them (``_int_form``).
 
     Each coefficient must be an int or a Fraction.
     """
-    out: Dict[Orders, Poly] = {}
-    for orders, poly in terms:
-        orders = tuple(tuple(b) for b in orders)
-        _validate_orders(ctx, arity, orders)
-        add_term_into(out, orders, poly_exact(poly))
-    return MultiDiffOp(ctx, arity, out)
+    return _op(ctx, arity, *_int_form(ctx, arity, terms, False))
 
 
 def mdo_zero(ctx: VarContext, arity: int) -> MultiDiffOp:
@@ -348,20 +340,6 @@ def poly_derive_multi(p: Poly, beta: Exponents, factor: int = 1) -> Poly:
     return out
 
 
-def apply_mdo(D: MultiDiffOp, args: Sequence[Poly]) -> Poly:
-    if len(args) != D.arity:
-        raise ValueError(f"expected {D.arity} arguments, got {len(args)}")
-    total: Poly = {}
-    for orders, coeff in D.terms.items():
-        prod = coeff
-        for beta, a in zip(orders, args):
-            if poly_is_zero(prod):
-                break
-            prod = poly_mul(prod, poly_derive_multi(a, beta))
-        total = poly_add(total, prod)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the differential
 
@@ -428,14 +406,14 @@ def _multinomial_splits(beta: int, parts: int) -> Tuple[Tuple[PackedOrders, int]
     )
 
 
-def _insertion_options(E: MultiDiffOp, beta: int, sign: int) -> List[Tuple[PackedOrders, Poly]]:
+def _insertion_options(E: MultiDiffOp, beta: int) -> List[Tuple[PackedOrders, Poly]]:
     """Ways to insert E into a slot of order beta: (slot orders, coefficient).
 
     Each is a split of beta into γ for E's coefficient and the rest over
-    E's own slots, for every term of E; the coefficient is sign times the
-    split's multiplicity times ∂^γ of E's coefficient, derived once per
-    distinct factor.  Splits that differentiate the coefficient away are
-    left out.  On packed slot orders a slot's order is one int addition.
+    E's own slots, for every term of E; the coefficient is the split's
+    multiplicity times ∂^γ of E's coefficient, derived once per distinct
+    multiplicity.  Splits that differentiate the coefficient away are left
+    out.  On packed slot orders a slot's order is one int addition.
     """
     n = E.ctx.n
     options = []
@@ -444,7 +422,7 @@ def _insertion_options(E: MultiDiffOp, beta: int, sign: int) -> List[Tuple[Packe
             gamma = _unpack(gamma, n)
             derived: Dict[int, Poly] = {}
             for split, mult2 in _multinomial_splits(rest, E.arity):
-                factor = sign * mult * mult2
+                factor = mult * mult2
                 if factor not in derived:
                     derived[factor] = poly_derive_multi(e_coeff, gamma, factor)
                     if not derived[factor]:
@@ -461,22 +439,27 @@ def _brace_into(
     Each insertion block sitting at slot p with j blocks before it carries
     (arity−1)·(p−j) into the sign exponent: the count of plain (unconsumed)
     slots to its left weighted by the block's shifted degree.  The block
-    sign rides on the options of the first block, the last block is
-    multiplied straight into ``out``, and earlier blocks of a multi-insert
-    brace are multiplied out first.
+    sign, times sign, is applied once per choice of slots, by reading D's
+    numerators or their negated copy; the insertion options carry only
+    their multiplicities and are derived once per (block, slot order).  The
+    last block is multiplied straight into ``out``, and earlier blocks of a
+    multi-insert brace are multiplied out first.
     """
-    options_at: Dict[Tuple[int, int, int], List[Tuple[PackedOrders, Poly]]] = {}
+    signed = {1: D._nums}
+    options_at: Dict[Tuple[int, int], List[Tuple[PackedOrders, Poly]]] = {}
     for positions in itertools.combinations(range(D.arity), len(inserts)):
         eps = sum((inserts[j].arity - 1) * (p - j) for j, p in enumerate(positions))
         block_sign = -sign if eps % 2 else sign
+        if block_sign not in signed:
+            signed[-1] = {o: {e: -v for e, v in p.items()} for o, p in D._nums.items()}
         last = positions[-1]
-        for orders, c in D._nums.items():
+        for orders, c in signed[block_sign].items():
             tail = orders[last + 1 :]
             per_block_options = []
             for j, p in enumerate(positions):
-                key = (j, orders[p], block_sign if j == 0 else 1)
+                key = (j, orders[p])
                 if key not in options_at:
-                    options_at[key] = _insertion_options(inserts[j], *key[1:])
+                    options_at[key] = _insertion_options(inserts[j], orders[p])
                 per_block_options.append(options_at[key])
             for choice in itertools.product(*per_block_options[:-1]):
                 coeff, head, start = c, (), 0

@@ -314,16 +314,18 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
 
 
 def d_form(w: DiffForm) -> DiffForm:
-    """dw = sum_i dx_i ^ d(w)/dx_i; dx_i moves past the coframe indices below i."""
+    """dw = sum_i dx_i ^ d(w)/dx_i; dx_i moves past the coframe indices below i
+    with the shared merge sign, which is 0 when i is in the coframe already."""
     ctx = _operands(DiffForm, w)
+    merge = _shared_tables(ctx.n)[2]
     acc: TermMap = {}
     for (m, exps), c in w._tm.items():
         for i, e in enumerate(exps):
-            bit = 1 << i
-            if not e or m & bit:
+            s = e and merge[1 << i][m]
+            if not s:
                 continue
-            key = (m | bit, exps[:i] + (e - 1,) + exps[i + 1 :])
-            v = acc.get(key, 0) + (-c * e if (m & (bit - 1)).bit_count() & 1 else c * e)
+            key = (m | 1 << i, exps[:i] + (e - 1,) + exps[i + 1 :])
+            v = acc.get(key, 0) + s * e * c
             if v:
                 acc[key] = v
             else:

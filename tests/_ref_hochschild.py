@@ -4,7 +4,9 @@ Every produced term goes through ``mdo_make`` and is re-validated there,
 scalars are applied by ``poly_scale`` and sums are taken with ``poly_add``
 copies.  It is slow and kept only as an independent oracle for
 ``gdcalc.hochschild``; ``tests/test_hochschild_oracle.py`` pins the library
-against it.
+against it.  ``apply_mdo`` evaluates an operator on sample polynomials, the
+direct application that ``tests/test_hochschild.py`` checks compositions
+and commutators against.
 
 ``delta_primitive`` is the primitive search as one keyed system: every
 candidate term x^m·∂^{β₁}⊗…⊗∂^{β_k} is its own column, every (slot orders,
@@ -94,6 +96,21 @@ def poly_derive_multi(p: Poly, beta: Exponents) -> Poly:
             if poly_is_zero(p):
                 return p
     return p
+
+
+def apply_mdo(D: MultiDiffOp, args: Sequence[Poly]) -> Poly:
+    """D evaluated on sample polynomials: Σ c·∂^{β₁}a₁·…·∂^{β_k}a_k."""
+    if len(args) != D.arity:
+        raise ValueError(f"expected {D.arity} arguments, got {len(args)}")
+    total: Poly = {}
+    for orders, coeff in D.terms.items():
+        prod = coeff
+        for beta, a in zip(orders, args):
+            if poly_is_zero(prod):
+                break
+            prod = poly_mul(prod, poly_derive_multi(a, beta))
+        total = poly_add(total, prod)
+    return total
 
 
 def _multiindex_sub(beta: Exponents, gamma: Exponents) -> Exponents:

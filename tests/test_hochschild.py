@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _ref_hochschild import apply_mdo
 from gdcalc import hochschild as hs
 from gdcalc.exactcore import VarContext, monomials_upto, poly_from_terms, poly_mul, poly_sub, poly_var
 from gdcalc.hochschild import (
     MultiDiffOp,
-    apply_mdo,
     brace,
     cup,
     delta_primitive,
@@ -90,11 +90,19 @@ def test_arity_mismatch_rejected():
         apply_mdo(DX, (X, Y))
 
 
-@pytest.mark.parametrize("exps", [(1, 0, 0), (1,)])
-def test_coefficient_variable_count_rejected_at_construction(exps):
-    coeff = {(0, 1): Fraction(1), exps: Fraction(2)}
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [{(0, 1): Fraction(1), (1, 0, 0): Fraction(2)}],
+        [{(0, 1): Fraction(1), (1,): Fraction(2)}],
+        [{(1, 0, 0): Fraction(2)}, {(1, 0, 0): Fraction(-2)}],
+    ],
+    ids=["exps0", "exps1", "cancels-between-terms"],
+)
+def test_coefficient_variable_count_rejected_at_construction(coeffs):
+    """A malformed monomial is refused, also one that cancels between two terms."""
     with pytest.raises(ValueError, match="not over 2 variables"):
-        mdo_make(CTX2, 1, [(((1, 0),), coeff)])
+        mdo_make(CTX2, 1, [(((1, 0),), c) for c in coeffs])
 
 
 @pytest.mark.parametrize("c", [0.1, 0.0, "1/2"])
