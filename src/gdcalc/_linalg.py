@@ -46,9 +46,11 @@ it selects.  A consistent system's solution with free variables at zero is
 unique, whichever rows are selected, so one factorisation of the columns'
 keys answers every consistent right-hand side.  For an inconsistent system
 ``x`` solves the subsystem of the selected rows, and the selection depends
-on every row's position, those of rows that hold only a right-hand side
-included; a caller that reports such a near-solution factors the system
-with the right-hand side's keys among ``keys``.
+on every row's position, so it would change if rows that hold only a
+right-hand side were placed among ``keys``.  The callers do not place
+them: the near-solution they report is that of the factorisation of the
+columns' keys, with free variables at zero, read off the same replay that
+found the system inconsistent.
 """
 from __future__ import annotations
 

@@ -16,9 +16,10 @@ columns at every order, so each factors its TermMap columns once per call
 ``_equation_keys`` order) and replays the factorisation on each order's
 right-hand side (``_replay``: order m fixes the unknown of index m−1).  A
 consistent order's solution does not depend on the rows the elimination
-selects; an obstruction's near-solution does, so
-``mc_solve`` computes it from a second factorisation whose equations also
-hold the right-hand side's keys, at most once per call.
+selects; an obstruction's near-solution does, and it is the one that
+factorisation of the columns' keys gives, with free variables at zero:
+``_replay`` returns the first inconsistent order with the residual of its
+own replay, so a call eliminates one system, obstructed or not.
 ``gauge_equivalent`` reports no near-solution.
 
 The flow is built in one pass by t-order (``_flow``): ξ has t-order ≥ 1, so
@@ -164,7 +165,7 @@ def _replay(
     At order m, rhs(m) is read with the lower orders fixed, and the unknown
     of index m−1 is the combination of basis whose columns sum to it; a
     nonzero one goes into fixed.  Returns the first inconsistent order with
-    its right-hand side, or None.
+    its residual Σ x_b·cols_b − rhs(m) at the near-solution x, or None.
     """
     factored = Factorisation(cols, _equation_keys(fc, *cols))
     for m in orders:
@@ -173,7 +174,7 @@ def _replay(
             continue
         consistent, x = factored.solve(b)
         if not consistent:
-            return m, b
+            return m, _diff(_span_sum(x, cols), b)
         v = _span_sum(x, basis)
         if v:
             fixed[m - 1] = v
@@ -256,6 +257,13 @@ def mc_solve(
     ``scripts/obstruction_profile.py`` prints ``deg<=1 N=3: obstructed at
     order 4``, yet t·π₁ + t²·3x₁∂₁∧∂₄, of degree 1, has zero
     ``defect_series`` at orders 1-5.
+
+    ``residual`` is None when ``solved``.  Obstructed at order 2, it is the
+    order-2 defect [π₁,π₁], which no unknown enters.  Obstructed at order
+    m ≥ 3, it is the order-m defect with π_{m−1} set to the near-solution:
+    that of the factorisation of the columns' keys, with free variables at
+    zero, which leaves unmet the equations the elimination finds
+    inconsistent.
     """
     if poly_degree < 0:
         raise ValueError(f"poly_degree must be non-negative, got {poly_degree}")
@@ -282,11 +290,7 @@ def mc_solve(
         # order m fixes π_{m−1} against minus the order-m defect
         bad = _replay(fc, basis, cols, range(3, N + 2), lambda m: _defect(fc, H, cs, m, -1), cs)
         if bad:
-            # the defect at the best candidate, which depends on the row
-            # choices of the whole system
-            order, rhs = bad
-            x = Factorisation(cols, _equation_keys(fc, rhs, *cols)).solve(rhs)[1]
-            return report_obstructed(order, _diff(_span_sum(x, cols), rhs))
+            return report_obstructed(*bad)
 
     if any(_defect(fc, H, cs, k) for k in range(1, N + 1)):
         raise RuntimeError("internal error: solved series fails its own defect check")

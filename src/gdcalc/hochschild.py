@@ -70,12 +70,12 @@ target, so ``_delta_block`` builds and factors it once per shape and keeps
 it in a bounded per-process cache; a later search of that shape only
 replays its right-hand sides, and a one-command process pays for the block
 once, as before.  T is solved when every block is consistent and no term
-of T has a monomial above the bound.  The candidate is the nonzero
-solution entries over the target's denominator, and the residual is
-T − ``hoch_delta``(candidate).  An unsolved T's near-solution depends on
-the row choices of the whole system, so it is computed from the blocks
-fanned out over the monomials as one factorisation whose equations also
-hold the target's keys, once per call.
+of T has a monomial above the bound.  The candidate is each monomial's
+solution entries, consistent or not, over the target's denominator, and
+the residual is T − ``hoch_delta``(candidate).  So an unsolved T's
+near-solution is that of the block's factorisation of the columns' keys,
+with free variables at zero, and the block is the only system a call
+eliminates.
 """
 from __future__ import annotations
 
@@ -564,11 +564,12 @@ class PrimitiveResult:
     """Outcome of a bounded search for ξ with δξ = T.
 
     ``candidate`` is the primitive when ``found``.  Otherwise it is the
-    near-solution that the pivot rule picks on the fanned-out system, one
-    equation per (order key, monomial) in sorted order: free variables are
-    zero and the equations the elimination finds inconsistent are left
-    unmet.  It is not a least-squares fit, and it depends on the order of
-    the rows.  ``residual`` is T − δ(candidate), zero exactly when ``found``.
+    near-solution of the block's factorisation of the columns' keys (the
+    sorted δ-image keys), one replay per coefficient monomial: free
+    variables are zero, the equations the elimination finds inconsistent
+    are left unmet, and a monomial above the bound gets no term.  It is not
+    a least-squares fit, and it depends on the order of the rows.
+    ``residual`` is T − δ(candidate), zero exactly when ``found``.
     """
 
     found: bool
@@ -580,10 +581,8 @@ class PrimitiveResult:
 
 # typed, so that an op_order of 2.0 is not served the block built for 2
 @lru_cache(maxsize=16, typed=True)
-def _delta_block(
-    n: int, arity: int, op_order: int
-) -> Tuple[Tuple[PackedOrders, ...], Tuple[Dict[PackedOrders, int], ...], Factorisation]:
-    """(slot-order tuples, their int δ-images, the factored block) of the
+def _delta_block(n: int, arity: int, op_order: int) -> Tuple[Tuple[PackedOrders, ...], Factorisation]:
+    """(slot-order tuples, the factored block of their int δ-images) of the
     primitive search for an arity-``arity`` target in n variables.
 
     δ leaves coefficients alone: the image of x^mono·∂^orders is that of
@@ -601,7 +600,7 @@ def _delta_block(
         image: Dict[PackedOrders, Poly] = {}
         _delta_into(image, {orders: one}, arity - 1)
         images.append({key: p[zero] for key, p in image.items()})
-    return tuples, tuple(images), Factorisation(images, sorted(set().union(*images)))
+    return tuples, Factorisation(images, sorted(set().union(*images)))
 
 
 def delta_primitive(
@@ -612,18 +611,16 @@ def delta_primitive(
     The search space is spanned by single-term cochains whose slot orders are
     bounded by ``op_order`` and whose coefficients are monomials of degree at
     most ``poly_degree``; the linear system matches coefficients of δξ and T
-    exactly.  When inconsistent, the near-solution that the pivot rule picks
-    on the fanned-out system, which depends on the order of its rows, is
-    reported instead with its residual.  A negative bound, or an
-    ``op_order`` a packed slot order cannot hold, is refused with
-    ``ValueError``.
+    exactly.  When inconsistent, the near-solution of the factorisation of
+    the columns' keys, with free variables at zero, is reported instead
+    with its residual.  A negative bound, or an ``op_order`` a packed slot
+    order cannot hold, is refused with ``ValueError``.
 
     The δ-image block is built and factored once per (variable count,
     arity, ``op_order``) and kept in a bounded per-process cache, so a
     repeated shape only replays its right-hand sides; a one-command process
-    builds it once.  An unsolved target's fanned-out near-solution system is
-    still built and factored on every call.  A found primitive is checked
-    against its residual before it is returned.
+    builds it once, and an unsolved target factors nothing more.  A found
+    primitive is checked against its residual before it is returned.
     """
     if poly_degree < 0 or op_order < 0:
         raise ValueError(
@@ -635,7 +632,7 @@ def delta_primitive(
     t_nums, t_den = T._nums, T._den
     ctx = T.ctx
     monos = list(monomials_upto(ctx.n, poly_degree))
-    tuples, images, block = _delta_block(ctx.n, T.arity, op_order)
+    tuples, block = _delta_block(ctx.n, T.arity, op_order)
 
     # the system is linear, so solving for t_den·T gives t_den times the
     # solution; a monomial's right-hand side is its coefficients in T
@@ -646,13 +643,7 @@ def delta_primitive(
     # a monomial above the bound, or a key outside the image, leaves T unsolved
     xs = {mono: block.solve(r) for mono, r in rhs.items() if sum(mono) <= poly_degree}
     found = len(xs) == len(rhs) and all(consistent for consistent, _ in xs.values())
-    if found:
-        coeffs = [xs[mono][1][j] if mono in xs else 0 for j in range(len(tuples)) for mono in monos]
-    else:
-        # the near-solution depends on the row choices of the whole system
-        columns = [{(key, mono): v for key, v in image.items()} for image in images for mono in monos]
-        flat = {(key, mono): v for key, p in t_nums.items() for mono, v in p.items()}
-        coeffs = Factorisation(columns, sorted(set(flat).union(*columns))).solve(flat)[1]
+    coeffs = [xs[mono][1][j] if mono in xs else 0 for j in range(len(tuples)) for mono in monos]
     acc: Dict[PackedOrders, Poly] = {}
     for (orders, mono), x in zip(itertools.product(tuples, monos), coeffs):
         if x:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gdcalc import deform
 from gdcalc.exactcore import VarContext, poly_from_terms, poly_var
 from gdcalc.deform import (
     ArtinRing,
@@ -160,6 +161,22 @@ def test_solve_r4_obstructed_at_constant_coefficients():
     # constant unknowns bracket to zero, leaving -Phi(H)(pi1,pi1,pi1)
     assert mv_eq(rep.residual, mv_scale(mv_frame(CTX4, (0, 1, 3)), -6))
     assert rep.solution is None
+
+
+def test_obstructed_solve_factors_one_system(monkeypatch):
+    made = []
+
+    class Counted(deform.Factorisation):
+        def __init__(self, columns, keys):
+            made.append(len(columns))
+            super().__init__(columns, keys)
+
+    monkeypatch.setattr(deform, "Factorisation", Counted)
+    rep = mc_solve(S4, PI1_R4, 2, poly_degree=0)
+    assert (rep.status, rep.order) == ("obstructed", 3)
+    # the residual is read off the replay that found the obstruction
+    assert made == [6]
+    assert rep.residual._tm == {(0b1011, (0, 0, 0, 0)): -6}
 
 
 def test_solve_refuses_negative_degree():

@@ -646,11 +646,13 @@ def test_one_shape_factors_its_block_once(monkeypatch, cold_blocks):
             super().__init__(columns, keys)
 
     monkeypatch.setattr(hs, "Factorisation", Counted)
-    # targets with a primitive, so no near-solution system is factored
+    # two targets with a primitive and one without (the verify case
+    # hkr-class-not-exact): a near-solution is read off the same block
     first = hoch_delta(op(CTX2, 1, [(X, ((2, 0),))]))
     second = hoch_delta(op(CTX2, 1, [(Y, ((1, 1),)), (ONE2, ((0, 2),))]))
     assert delta_primitive(first, poly_degree=2, op_order=2).found
     assert delta_primitive(second, poly_degree=1, op_order=2).found
+    assert not delta_primitive(hkr(mv_frame(CTX2, (0, 1))), poly_degree=2, op_order=2).found
     assert made == [6]
     assert delta_primitive(hoch_delta(op(CTX2, 1, [(ONE2, ((1, 0),))])), poly_degree=0, op_order=1).found
     assert delta_primitive(hoch_delta(DX_DY), poly_degree=0, op_order=2).found
@@ -679,13 +681,13 @@ def test_cached_blocks_answer_as_cold_ones_and_stay_unchanged(cold_blocks):
         warm.append(_outcome(delta_primitive(T, poly_degree=degree, op_order=order)))
         shape = (T.ctx.n, T.arity, order)
         if shape not in blocks:
-            block = hs._delta_block(*shape)[2]
+            block = hs._delta_block(*shape)[1]
             blocks[shape] = (block, _factored(block))
     assert len(blocks) == len(shapes)
     assert {found for found, *_ in warm} == {True, False}
     # Factorisation.solve only reads the block it replays on
     for shape, (block, before) in blocks.items():
-        assert hs._delta_block(*shape)[2] is block
+        assert hs._delta_block(*shape)[1] is block
         assert _factored(block) == before
     for (T, degree, order), got in zip(cases, warm):
         hs._delta_block.cache_clear()

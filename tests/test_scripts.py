@@ -48,7 +48,6 @@ def test_solve_costs_factors_the_pinned_systems():
         ["cli:hoch-primitive-n3", "171x100", "198", "80", "4"],
         ["cli:mc-solve-n6", "140x420", "420", "125", "2"],
         ["cli:hoch-primitive-hkr-n2", "5x6", "5", "4", "2"],
-        ["cli:hoch-primitive-hkr-n2", "30x36", "30", "24", "1"],
     ]
 
 
